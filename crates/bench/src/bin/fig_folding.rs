@@ -5,14 +5,17 @@
 //!
 //! 1. **Equivalence gate (deterministic).**  Two sessions trained from the
 //!    same seed, one with the class-match cache enabled and one without,
-//!    answer the same seeded requests; the releases must be byte-identical
-//!    and the cached session must report a non-zero hit rate.  These points
+//!    answer the same seeded requests through the partition store (the only
+//!    store with a class cache; `Auto` serves from the σ-prefix store, which
+//!    needs none); the releases must be byte-identical and the cached
+//!    session must report a non-zero hit rate.  These points
 //!    carry the deterministic `class_cache_hits` / `class_cache_misses`
 //!    counters and are regression-gated by `sgf-bench-track compare`.
 //! 2. **Folding sweep (noisy).**  Each variant is served through
 //!    `sgf_serve::serve` — cache on with `max_fold = 8` versus cache off
 //!    with folding disabled — and hit by 1–8 concurrent same-session
-//!    clients.  Throughput and the `serve.folds` / `serve.folded_requests`
+//!    clients with default (`Auto`) requests, so a fold has no cache left to
+//!    warm.  Throughput and the `serve.folds` / `serve.folded_requests`
 //!    deltas at > 1 client depend on thread timing, so those points are
 //!    marked noisy and exempt from gating; the mechanism-counter totals
 //!    remain deterministic (misses count distinct cached projections and
@@ -20,7 +23,7 @@
 
 use bench::track::{BenchPoint, SeriesRecorder};
 use bench::{base_population, scale_from_args, smoke_mode};
-use sgf_core::{GenerateRequest, PrivacyTestConfig, SynthesisEngine, SynthesisSession};
+use sgf_core::{GenerateRequest, PrivacyTestConfig, SeedIndex, SynthesisEngine, SynthesisSession};
 use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
 use sgf_eval::TextTable;
 use sgf_model::OmegaSpec;
@@ -67,7 +70,9 @@ fn main() {
     ]);
     let (mut hits, mut misses, mut released, mut candidates) = (0u64, 0u64, 0u64, 0u64);
     for seed in 0..serial_requests {
-        let request = GenerateRequest::new(target).with_seed(seed);
+        let request = GenerateRequest::new(target)
+            .with_seed(seed)
+            .with_seed_index(SeedIndex::Partition);
         let warm = cached.generate(&request).expect("cached release succeeds");
         let base = cold.generate(&request).expect("uncached release succeeds");
         assert_eq!(

@@ -1,8 +1,8 @@
-//! Seed-store sweep: scan vs inverted index vs partition store cost of the
-//! plausible-deniability test across seed-dataset size × k (the privacy
-//! parameter).
+//! Seed-store sweep: scan vs inverted index vs partition store vs σ-prefix
+//! store cost of the plausible-deniability test across seed-dataset size × k
+//! (the privacy parameter).
 //!
-//! For every configuration the three stores propose the *same* candidates
+//! For every configuration the four stores propose the *same* candidates
 //! from the same RNG seed and must release identical records — the binary
 //! asserts this (a decision-equivalence regression here fails `repro.sh` and
 //! CI) — while `records_examined` (model-probability evaluations per test)
@@ -14,7 +14,10 @@
 //! * the partition store collapses seeds into likelihood-equivalence classes
 //!   and runs one check per class — with a fixed ω every key attribute is
 //!   exact-matched, so each test is a single class lookup and the examined
-//!   count scales with the distinct-class count, not `|D_S|`.
+//!   count scales with the distinct-class count, not `|D_S|`;
+//! * the prefix store (what `SeedIndex::Auto` serves from) names the exact
+//!   plausible set with one range lookup and evaluates the model not at all,
+//!   so it reports one examined class per candidate.
 //!
 //! The last column group shows the one-off index build costs amortized over
 //! every request of a session.
@@ -24,7 +27,8 @@ use bench::{scale_from_args, smoke_mode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sgf_core::{
-    InvertedIndexStore, Mechanism, PartitionIndexStore, PrivacyTestConfig, SynthesisPipeline,
+    InvertedIndexStore, Mechanism, PartitionIndexStore, PrefixIndexStore, PrivacyTestConfig,
+    SynthesisPipeline,
 };
 use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
 use sgf_data::{split_dataset, SplitSpec};
@@ -57,8 +61,10 @@ fn main() {
         "Scan (s)",
         "Inv (s)",
         "Part (s)",
+        "Prefix (s)",
         "Build inv (s)",
         "Build part (s)",
+        "Build prefix (s)",
     ]);
 
     for &population_size in &populations {
@@ -91,6 +97,11 @@ fn main() {
                 .expect("partition build succeeds");
         let partition_build_seconds = build_start.elapsed().as_secs_f64();
 
+        let build_start = Instant::now();
+        let prefix_store = PrefixIndexStore::build(&split.seeds, synthesizer.sigma())
+            .expect("prefix build succeeds");
+        let prefix_build_seconds = build_start.elapsed().as_secs_f64();
+
         for &k in &ks {
             let test =
                 PrivacyTestConfig::randomized(k, 4.0, 1.0).with_limits(Some(2 * k), Some(50_000));
@@ -101,6 +112,9 @@ fn main() {
             let partition_mech =
                 Mechanism::with_store(&synthesizer, &split.seeds, &partition_store, test)
                     .expect("partition mechanism is valid");
+            let prefix_mech =
+                Mechanism::with_store(&synthesizer, &split.seeds, &prefix_store, test)
+                    .expect("prefix mechanism is valid");
 
             let start = Instant::now();
             let (scan_released, scan_stats) = scan_mech
@@ -120,6 +134,12 @@ fn main() {
                 .expect("partition batch succeeds");
             let partition_seconds = start.elapsed().as_secs_f64();
 
+            let start = Instant::now();
+            let (prefix_released, prefix_stats) = prefix_mech
+                .release_batch(candidates, &mut StdRng::seed_from_u64(77))
+                .expect("prefix batch succeeds");
+            let prefix_seconds = start.elapsed().as_secs_f64();
+
             // Decision equivalence is a hard invariant, not a benchmark
             // observation: any divergence aborts the artifact run.
             assert_eq!(
@@ -134,7 +154,15 @@ fn main() {
                 "scan and partition store must release identical records (seeds {}, k {k})",
                 split.seeds.len()
             );
+            assert_eq!(
+                scan_released,
+                prefix_released,
+                "scan and prefix store must release identical records (seeds {}, k {k})",
+                split.seeds.len()
+            );
             assert_eq!(partition_stats.partition_tests, partition_stats.candidates);
+            assert_eq!(prefix_stats.partition_tests, prefix_stats.candidates);
+            assert_eq!(prefix_stats.records_examined, prefix_stats.candidates);
             assert!(
                 partition_stats.records_examined <= index_stats.records_examined,
                 "class counting must not examine more than the inverted index \
@@ -168,8 +196,10 @@ fn main() {
                 format!("{scan_seconds:.3}"),
                 format!("{index_seconds:.3}"),
                 format!("{partition_seconds:.3}"),
+                format!("{prefix_seconds:.3}"),
                 format!("{inverted_build_seconds:.3}"),
                 format!("{partition_build_seconds:.3}"),
+                format!("{prefix_build_seconds:.3}"),
             ]);
             recorder.add(
                 BenchPoint::new(format!("s{}_k{k:03}", split.seeds.len()))
@@ -186,8 +216,10 @@ fn main() {
                     .value("scan_seconds", scan_seconds)
                     .value("inverted_seconds", index_seconds)
                     .value("partition_seconds", partition_seconds)
+                    .value("prefix_seconds", prefix_seconds)
                     .value("inverted_build_seconds", inverted_build_seconds)
-                    .value("partition_build_seconds", partition_build_seconds),
+                    .value("partition_build_seconds", partition_build_seconds)
+                    .value("prefix_build_seconds", prefix_build_seconds),
             );
         }
     }
@@ -195,11 +227,11 @@ fn main() {
 
     println!(
         "Seed-store sweep: plausible-deniability test cost, scan vs inverted index vs \
-         partition store (omega = 9, gamma = 4, eps0 = 1, scale {scale})\n"
+         partition store vs prefix store (omega = 9, gamma = 4, eps0 = 1, scale {scale})\n"
     );
     println!("{}", table.render());
     println!(
-        "Scan, inverted index, and partition store released byte-identical records in \
-         every configuration."
+        "Scan, inverted index, partition store, and prefix store released byte-identical \
+         records in every configuration."
     );
 }

@@ -15,8 +15,11 @@
 //! 2. **Cost curve (time-domain).**  Wall clocks of a from-scratch retrain
 //!    versus the O(|Δ|) incremental fold-in of a 10-record ingest, at the
 //!    paper-scale session (32,000 ACS draws hash-split to ~15,680 seeds at
-//!    scale 1).  At full (non-smoke) scale the update must be ≥ 100x faster —
-//!    the payoff of delta-maintainable stores and summable model counts.  The
+//!    scale 1).  At full (non-smoke) scale the update must be ≥ 50x faster —
+//!    the payoff of delta-maintainable stores and summable model counts.  (A
+//!    retrain under `Auto` builds only the σ-prefix store, so it is cheaper
+//!    than when it built the inverted index and the partition store too; the
+//!    update costs the same either way.)  The
 //!    deferred store splice that the first request of the new epoch pays is
 //!    reported as its own row so the amortized cost stays visible.
 
@@ -130,6 +133,11 @@ fn main() {
         fresh.models().marginal_counts
     );
     assert_eq!(
+        updated.prefix_store(),
+        fresh.prefix_store(),
+        "the spliced prefix store equals the from-scratch build"
+    );
+    assert_eq!(
         updated.seed_store(),
         fresh.seed_store(),
         "spliced posting lists equal the from-scratch build"
@@ -208,10 +216,10 @@ fn main() {
     }
     let update_seconds = started.elapsed().as_secs_f64() / reps as f64;
 
-    // The splice the update deferred: first store access of the new epoch.
+    // The splice the update deferred: first access of the prefix store
+    // (the one store `Auto` carries across epochs).
     let started = Instant::now();
-    let _ = ingested.seed_store();
-    let _ = ingested.partition_store();
+    let _ = ingested.prefix_store();
     let materialize_seconds = started.elapsed().as_secs_f64();
 
     let speedup = retrain_seconds / update_seconds.max(1e-9);
@@ -249,8 +257,8 @@ fn main() {
     println!("{}", table.render());
     if !smoke_mode() {
         assert!(
-            speedup >= 100.0,
-            "a {INSERTS}-record ingest must fold in >= 100x faster than a retrain \
+            speedup >= 50.0,
+            "a {INSERTS}-record ingest must fold in >= 50x faster than a retrain \
              (update {update_seconds:.6}s vs retrain {retrain_seconds:.3}s, {speedup:.0}x)"
         );
         println!("fig_update: small-delta update is {speedup:.0}x faster than a full retrain\n");

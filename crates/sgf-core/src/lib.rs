@@ -59,5 +59,6 @@ pub use session::{
     EngineBuilder, GenerateRequest, ReleaseIter, ReleaseReport, SynthesisEngine, SynthesisSession,
 };
 pub use sgf_index::{
-    InvertedIndexStore, LinearScanStore, PartitionIndexStore, SeedIndex, SeedStore,
+    InvertedIndexStore, LinearScanStore, PartitionIndexStore, PrefixIndexStore, SeedIndex,
+    SeedStore,
 };

@@ -221,6 +221,12 @@ impl<'a, M: GenerativeModel + ?Sized> Mechanism<'a, M> {
         &self.test
     }
 
+    /// [`SeedStore::kind`] of the store the privacy tests query (`"scan"`
+    /// when the mechanism scans).
+    pub fn store_kind(&self) -> &'static str {
+        self.store.map_or("scan", |store| store.kind())
+    }
+
     /// Run one invocation of Mechanism 1: sample a seed uniformly at random,
     /// generate a candidate, and test it.  The returned report carries the
     /// candidate whether or not it passed; callers must release only records

@@ -54,14 +54,10 @@ pub struct PipelineConfig {
     /// embarrassingly parallel, Section 5).
     pub workers: usize,
     /// Seed-store policy for the privacy test: full scan, inverted index,
-    /// partition store, or automatic selection.  All stores are
+    /// partition store, or automatic selection (the σ-prefix store).  All stores are
     /// decision-equivalent — the policy only affects how many records (or
     /// equivalence classes) each test must examine.
     pub seed_index: SeedIndex,
-    /// Seed-dataset size above which [`SeedIndex::Auto`] prefers an index
-    /// over the linear scan.  Defaults to [`SeedIndex::AUTO_MIN_SEEDS`]; set
-    /// it to the measured scan/index crossover of the deployment hardware.
-    pub auto_index_min_seeds: usize,
     /// Attach a shared class-match cache to the session's partition store
     /// (`sgf_index::ClassMatchCache`): seed-independent per-class match rows
     /// are computed once per candidate likelihood projection and reused by
@@ -97,7 +93,6 @@ impl PipelineConfig {
             max_candidate_factor: 20,
             workers: 1,
             seed_index: SeedIndex::Auto,
-            auto_index_min_seeds: SeedIndex::AUTO_MIN_SEEDS,
             class_cache: true,
             drift_threshold: 0.0,
             seed: 0,

@@ -30,7 +30,10 @@
 //!   via an O(1)-random-access permutation ([`RandomSubset`]), so scan and
 //!   index examine the same eligible subset while consuming identical
 //!   randomness — and the per-candidate O(n) shuffle of the naive
-//!   implementation is gone.
+//!   implementation is gone;
+//! * a store that can name the exact plausible set
+//!   ([`SeedStore::prefix_members`]) skips the model entirely: the count is
+//!   replayed over that set with the same stopping rule and subset.
 
 use crate::deniability::{partition_index, validate_parameters};
 use crate::error::{CoreError, Result};
@@ -137,7 +140,8 @@ pub struct TestOutcome {
     /// Whether the test counted whole likelihood-equivalence classes (one
     /// model evaluation per class, members counted with multiplicity) rather
     /// than individual records.  Implies nothing about `via_index`: class
-    /// counting is a third, coarser granularity.
+    /// counting is a third, coarser granularity.  A prefix-store range
+    /// lookup counts as one class with no model evaluation.
     pub via_classes: bool,
     /// Class-match cache consultation for this test: `None` when no cache
     /// was in play (no cache attached to the store, or the model does not
@@ -243,6 +247,46 @@ where
     } else {
         None
     };
+
+    // Range fast path: the prefix store hands back the exact plausible set
+    // (every member shares the seed's probability, every other seed has
+    // probability zero — see `SeedStore::prefix_members`), so no model
+    // evaluation is needed.  Replaying the stopping rule over the members
+    // gives min(members in the examined subset, stop point): a count that
+    // does not depend on visit order, so the decision, the count, and the
+    // RNG stream (threshold and subset were drawn above) match the scan.
+    if let Some(members) = store.prefix_members(
+        y,
+        model.likelihood_attributes(),
+        model.exact_match_attributes(),
+    ) {
+        let mut plausible = 0usize;
+        for &member in members {
+            if subset
+                .as_ref()
+                .is_some_and(|subset| !subset.contains(member as usize))
+            {
+                continue;
+            }
+            plausible += 1;
+            let enough_for_threshold = plausible as f64 >= threshold;
+            let reached_cap = stop_at.is_some_and(|cap| plausible >= cap);
+            if enough_for_threshold || reached_cap {
+                break;
+            }
+        }
+        return Ok(TestOutcome {
+            passed: plausible as f64 >= threshold,
+            seed_partition: Some(seed_partition),
+            plausible_seeds: plausible,
+            // One range lookup: a class-granularity test of one class.
+            records_examined: 1,
+            threshold,
+            via_index: false,
+            via_classes: true,
+            cache_hit: None,
+        });
+    }
 
     // Class-level fast path: a partition-aware store collapses seeds into
     // likelihood-equivalence classes — every member shares the representative's

@@ -34,8 +34,8 @@ use sgf_data::{
     Record, SplitRole, SplitSpec,
 };
 use sgf_index::{
-    InvertedIndexStore, LinearScanStore, PartitionIndexStore, SeedIndex, SeedStore,
-    MAX_INTERSECT_LISTS,
+    InvertedIndexStore, LinearScanStore, PartitionIndexStore, PrefixIndexStore, SeedIndex,
+    SeedStore, MAX_INTERSECT_LISTS,
 };
 use sgf_metrics::{CachePadded, Json, Scope, SpanId, TraceBatch};
 use sgf_model::{
@@ -115,14 +115,6 @@ impl EngineBuilder {
     /// selection.
     pub fn seed_index(mut self, policy: SeedIndex) -> Self {
         self.config.seed_index = policy;
-        self
-    }
-
-    /// Seed-dataset size above which [`SeedIndex::Auto`] prefers an index
-    /// over the linear scan (default [`SeedIndex::AUTO_MIN_SEEDS`]).  Set it
-    /// to the measured scan/index crossover of the deployment hardware.
-    pub fn auto_index_min_seeds(mut self, min_seeds: usize) -> Self {
-        self.config.auto_index_min_seeds = min_seeds;
         self
     }
 
@@ -224,46 +216,65 @@ impl SynthesisEngine {
         let per_release = per_release_budget(&self.config.privacy_test);
         let ledger = BudgetLedger::new(models.structure.budget, models.cpts.budget(), per_release);
         let training = start.elapsed();
-        // Build the seed indexes once per session (unless the policy pins the
-        // scan); every generate request shares them read-only.  The partition
-        // store is keyed on the largest likelihood-relevant attribute set of
-        // the session's ω spec — the kept attributes at the smallest
-        // admissible ω — so it covers every fixed-ω synthesizer the session's
-        // default spec can produce.
+        // Build the seed stores once per session; every generate request
+        // shares them read-only.  `Auto` builds only the σ-prefix store, which
+        // serves every ω with one range lookup per test; the inverted and
+        // partition stores wait in deferred slots until an explicit request
+        // override or accessor asks for them.  The partition store is keyed
+        // on the largest likelihood-relevant attribute set of the session's
+        // ω spec — the kept attributes at the smallest admissible ω — so it
+        // covers every fixed-ω synthesizer the session's default spec can
+        // produce.
         let build_start = Instant::now();
-        let index = match self.config.seed_index {
-            SeedIndex::Scan | SeedIndex::Partition => None,
-            SeedIndex::Inverted | SeedIndex::Auto => {
-                let weights = models.structure.attribute_weights();
-                Some(InvertedIndexStore::build(
+        let policy = self.config.seed_index;
+        let weights = models.structure.attribute_weights();
+        let synthesizer =
+            SeedSynthesizer::new(Arc::clone(&models.cpts), smallest_omega(self.config.omega))?;
+        let kept = synthesizer.kept_attributes().to_vec();
+        let (index, partition, prefix) = match policy {
+            SeedIndex::Scan => (StoreSlot::ready(None), StoreSlot::ready(None), None),
+            SeedIndex::Inverted => (
+                StoreSlot::ready(Some(InvertedIndexStore::build(
                     &split.seeds,
                     bucketizer,
                     &weights,
                     MAX_INTERSECT_LISTS,
-                )?)
+                )?)),
+                StoreSlot::ready(None),
+                None,
+            ),
+            SeedIndex::Partition => (
+                StoreSlot::ready(None),
+                StoreSlot::ready(Some(build_partition(
+                    &split.seeds,
+                    &kept,
+                    self.config.class_cache,
+                )?)),
+                None,
+            ),
+            SeedIndex::Auto => {
+                // Rule out every failure of the deferred builds here, so
+                // materializing them later is infallible.
+                Bucketizer::new(split.seeds.schema(), bucketizer.per_attribute().to_vec())?;
+                check_weights(&weights)?;
+                let prefix = PrefixIndexStore::build(&split.seeds, synthesizer.sigma())?;
+                let (seeds, bucketizer) = (split.seeds.clone(), bucketizer.clone());
+                let index = StoreSlot::deferred(move || {
+                    InvertedIndexStore::build(&seeds, &bucketizer, &weights, MAX_INTERSECT_LISTS)
+                        .expect("build inputs were validated at train time")
+                });
+                let (seeds, class_cache) = (split.seeds.clone(), self.config.class_cache);
+                let partition = StoreSlot::deferred(move || {
+                    build_partition(&seeds, &kept, class_cache)
+                        .expect("build inputs were validated at train time")
+                });
+                (index, partition, Some(prefix))
             }
         };
-        let partition = match self.config.seed_index {
-            SeedIndex::Scan | SeedIndex::Inverted => None,
-            SeedIndex::Partition | SeedIndex::Auto => {
-                let lo = match self.config.omega {
-                    OmegaSpec::Fixed(w) => w,
-                    OmegaSpec::UniformRange { lo, .. } => lo,
-                };
-                let synthesizer = SeedSynthesizer::new(Arc::clone(&models.cpts), lo)?;
-                let store =
-                    PartitionIndexStore::build(&split.seeds, synthesizer.kept_attributes())?;
-                Some(if self.config.class_cache {
-                    store.with_class_cache()
-                } else {
-                    store
-                })
-            }
-        };
-        let index_build = if index.is_some() || partition.is_some() {
-            build_start.elapsed()
-        } else {
+        let index_build = if policy == SeedIndex::Scan {
             Duration::ZERO
+        } else {
+            build_start.elapsed()
         };
         sgf_metrics::timer("core.train").observe(training);
         sgf_metrics::timer("core.index_build").observe(index_build);
@@ -275,9 +286,10 @@ impl SynthesisEngine {
             batch.counter(root, "seeds", split.seeds.len() as u64);
             batch.wall(root, training);
             let build = batch.span("core.index_build", root);
-            batch.label(build, "inverted", on_off(index.is_some()));
-            batch.label(build, "partition", on_off(partition.is_some()));
-            if let Some(partition) = &partition {
+            batch.label(build, "prefix", on_off(prefix.is_some()));
+            batch.label(build, "inverted", slot_label(&index));
+            batch.label(build, "partition", slot_label(&partition));
+            if let Some(partition) = partition.peek_shared() {
                 batch.counter(build, "classes", partition.class_count() as u64);
             }
             batch.wall(build, index_build);
@@ -288,8 +300,9 @@ impl SynthesisEngine {
             shared: Arc::new(SessionShared {
                 split,
                 models,
-                index: StoreSlot::ready(index),
-                partition: StoreSlot::ready(partition),
+                index,
+                partition,
+                prefix: StoreSlot::ready(prefix),
                 index_build,
                 training,
             }),
@@ -425,12 +438,14 @@ impl ReleaseReport {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Provenance {
     /// Store granularity that served the privacy tests (`"scan"`,
-    /// `"inverted"`, `"partition"` — see [`SeedStore::kind`]).
+    /// `"inverted"`, `"partition"`, `"prefix"` — see [`SeedStore::kind`]).
     pub store: &'static str,
     /// Seed records the store draws from (`|D_S|`).
     pub seeds: usize,
     /// Likelihood-equivalence classes of the partition store, when it served
-    /// the request.
+    /// the request; `None` for every other store.  The prefix store has no
+    /// fixed class list: a test's class is the range of seeds sharing the
+    /// candidate's σ-prefix, whose depth follows that candidate's ω.
     pub classes: Option<usize>,
     /// Effective ω spec (request override or session default).
     pub omega: OmegaSpec,
@@ -530,7 +545,7 @@ pub struct CandidateProbe {
     /// Global proposal rank of the candidate (worker-interleaved ordering).
     pub rank: usize,
     /// Store granularity that served this test (`"scan"`, `"inverted"`,
-    /// `"partition"`).
+    /// `"partition"`, `"prefix"`).
     pub store: &'static str,
     /// Whether the candidate passed the privacy test.
     pub passed: bool,
@@ -611,6 +626,31 @@ impl<S> StoreSlot<S> {
         self.get();
         self.cell.get().expect("just materialized").clone()
     }
+
+    /// The store if it is already materialized, without running deferred
+    /// work.
+    fn peek_shared(&self) -> Option<Arc<S>> {
+        self.cell.get().cloned().flatten()
+    }
+
+    /// [`get_shared`](StoreSlot::get_shared) when `materialize`, else
+    /// [`peek_shared`](StoreSlot::peek_shared).
+    fn handle(&self, materialize: bool) -> Option<Arc<S>> {
+        if materialize {
+            self.get_shared()
+        } else {
+            self.peek_shared()
+        }
+    }
+}
+
+/// Trace-label rendering of a store slot at train time.
+fn slot_label<S>(slot: &StoreSlot<S>) -> &'static str {
+    match slot.cell.get() {
+        Some(Some(_)) => "built",
+        Some(None) => "skipped",
+        None => "deferred",
+    }
 }
 
 impl<S> std::fmt::Debug for StoreSlot<S> {
@@ -624,22 +664,27 @@ impl<S> std::fmt::Debug for StoreSlot<S> {
 }
 
 /// The immutable trained artifacts of a session, shared (via `Arc`) across
-/// every clone: the data split, the learned models, and the inverted seed
-/// index.  Training — and the index build — happen exactly once per
+/// every clone: the data split, the learned models, and the seed stores.
+/// Training — and each store build — happen at most once per
 /// [`SynthesisEngine::train`] call no matter how many handles serve requests.
 #[derive(Debug)]
 struct SessionShared {
     split: DataSplit,
     models: TrainedModels,
-    /// The inverted seed index, built at train time (absent when the
-    /// session policy is [`SeedIndex::Scan`] or [`SeedIndex::Partition`]) and
-    /// spliced lazily after an [`update`](SynthesisSession::update).
+    /// The inverted seed index, built at train time under
+    /// [`SeedIndex::Inverted`], on first use under [`SeedIndex::Auto`]
+    /// (absent otherwise), and spliced lazily after an
+    /// [`update`](SynthesisSession::update).
     index: StoreSlot<InvertedIndexStore>,
     /// The partition-aware store of likelihood-equivalence classes, built at
-    /// train time (absent when the session policy is [`SeedIndex::Scan`] or
-    /// [`SeedIndex::Inverted`]) and spliced lazily after an
+    /// train time under [`SeedIndex::Partition`], on first use under
+    /// [`SeedIndex::Auto`] (absent otherwise), and spliced lazily after an
     /// [`update`](SynthesisSession::update).
     partition: StoreSlot<PartitionIndexStore>,
+    /// The σ-prefix store that serves [`SeedIndex::Auto`], built at train
+    /// time under that policy only (the other two slots are then deferred)
+    /// and spliced lazily after an [`update`](SynthesisSession::update).
+    prefix: StoreSlot<PrefixIndexStore>,
     index_build: Duration,
     training: Duration,
 }
@@ -724,37 +769,50 @@ impl SynthesisSession {
         self.shared.training
     }
 
-    /// Wall-clock time spent building the seed indexes (inverted and/or
-    /// partition store) at train time (zero when the session policy is
-    /// [`SeedIndex::Scan`]).
+    /// Wall-clock time spent building the seed stores at train time: the one
+    /// store the policy builds eagerly (zero under [`SeedIndex::Scan`]).
     pub fn index_build_time(&self) -> Duration {
         self.shared.index_build
     }
 
-    /// The inverted seed index, if the session built one.  Clones of the same
-    /// session return the same shared instance.  After an
-    /// [`update`](SynthesisSession::update), the first accessor call splices
-    /// the deferred delta into the store (exactly once).
+    /// The inverted seed index, if the session policy provides one
+    /// ([`SeedIndex::Inverted`], or [`SeedIndex::Auto`], where this call
+    /// builds it on first use).  Clones of the same session return the same
+    /// shared instance.  After an [`update`](SynthesisSession::update), the
+    /// first accessor call splices the deferred delta into the store (exactly
+    /// once).
     pub fn seed_store(&self) -> Option<&InvertedIndexStore> {
         self.shared.index.get()
     }
 
     /// The partition-aware store of likelihood-equivalence classes, if the
-    /// session built one.  Clones of the same session return the same shared
-    /// instance.  After an [`update`](SynthesisSession::update), the first
-    /// accessor call splices the deferred delta into the store (exactly once).
+    /// session policy provides one ([`SeedIndex::Partition`], or
+    /// [`SeedIndex::Auto`], where this call builds it on first use).  Clones
+    /// of the same session return the same shared instance.  After an
+    /// [`update`](SynthesisSession::update), the first accessor call splices
+    /// the deferred delta into the store (exactly once).
     pub fn partition_store(&self) -> Option<&PartitionIndexStore> {
         self.shared.partition.get()
+    }
+
+    /// The σ-prefix store serving [`SeedIndex::Auto`] (built at train time
+    /// under that policy only).  Clones of the same session return the same
+    /// shared instance.  After an [`update`](SynthesisSession::update), the
+    /// first accessor call or request splices the deferred delta into the
+    /// store (exactly once).
+    pub fn prefix_store(&self) -> Option<&PrefixIndexStore> {
+        self.shared.prefix.get()
     }
 
     /// Resolve the effective store for a request: the request override, else
     /// the session policy.  `None` means "use the linear scan".
     ///
-    /// `likelihood` is the request model's likelihood guarantee
-    /// ([`GenerativeModel::likelihood_attributes`]); [`SeedIndex::Auto`]
-    /// prefers the partition store only when its class keying covers it (so
-    /// tests run at class granularity), degrading to the inverted index
-    /// otherwise.
+    /// [`SeedIndex::Auto`] resolves to the σ-prefix store.  A session trained
+    /// without one (an `Auto` override on a `Scan`, `Inverted`, or
+    /// `Partition` session) falls back to the partition store when its class
+    /// keying covers `likelihood`, the request model's likelihood guarantee
+    /// ([`GenerativeModel::likelihood_attributes`]), then to the inverted
+    /// index, then to the scan.
     fn resolve_store(
         &self,
         request: &GenerateRequest,
@@ -779,8 +837,8 @@ impl SynthesisSession {
                 ))),
             },
             SeedIndex::Auto => {
-                if self.seeds().len() < self.config.auto_index_min_seeds {
-                    return Ok(None);
+                if let Some(prefix) = self.shared.prefix.get() {
+                    return Ok(Some(prefix as &dyn SeedStore));
                 }
                 if let Some(partition) =
                     self.shared.partition.get().filter(|p| p.covers(likelihood))
@@ -1312,17 +1370,17 @@ impl SynthesisSession {
             !graph_changed && models.structure.correlations == shared.models.structure.correlations;
         let seed_deletes = Arc::new(seed_deletes);
         let seed_inserts = Arc::new(std::mem::take(&mut inserts[2]));
-        let index = match self.config.seed_index {
+        // Under `Auto` the inverted and partition stores are built only on
+        // demand, so an update carries a parent store forward only if it was
+        // materialized and never forces one into existence.
+        let policy = self.config.seed_index;
+        let materialize = policy != SeedIndex::Auto;
+        let index = match policy {
             SeedIndex::Scan | SeedIndex::Partition => StoreSlot::ready(None),
             SeedIndex::Inverted | SeedIndex::Auto => {
                 let weights = models.structure.attribute_weights();
-                if let Some((attr, &w)) = weights.iter().enumerate().find(|(_, w)| !w.is_finite()) {
-                    return Err(CoreError::InvalidParameter(format!(
-                        "attribute weight {attr} of the updated structure is {w}; \
-                         weights must be finite"
-                    )));
-                }
-                match self.shared.index.get_shared() {
+                check_weights(&weights)?;
+                match self.shared.index.handle(materialize) {
                     // Same seeds, same weights: the parent's posting lists
                     // are byte-identical to a fresh build — share them.
                     Some(old) if seeds_untouched && structure_same => {
@@ -1352,21 +1410,18 @@ impl SynthesisSession {
                 }
             }
         };
-        let partition = match self.config.seed_index {
+        let synthesizer =
+            SeedSynthesizer::new(Arc::clone(&models.cpts), smallest_omega(self.config.omega))?;
+        let partition = match policy {
             SeedIndex::Scan | SeedIndex::Inverted => StoreSlot::ready(None),
             SeedIndex::Partition | SeedIndex::Auto => {
-                let lo = match self.config.omega {
-                    OmegaSpec::Fixed(w) => w,
-                    OmegaSpec::UniformRange { lo, .. } => lo,
-                };
-                let synthesizer = SeedSynthesizer::new(Arc::clone(&models.cpts), lo)?;
                 let mut key: Vec<usize> = synthesizer.kept_attributes().to_vec();
                 key.sort_unstable();
                 key.dedup();
                 let reusable = self
                     .shared
                     .partition
-                    .get_shared()
+                    .handle(materialize)
                     .filter(|old| old.attributes() == key.as_slice());
                 match reusable {
                     // Same seeds, same kept-attribute key: the parent's
@@ -1385,16 +1440,35 @@ impl SynthesisSession {
                         let kept: Vec<usize> = synthesizer.kept_attributes().to_vec();
                         let class_cache = self.config.class_cache;
                         StoreSlot::deferred(move || {
-                            let store = PartitionIndexStore::build(&seeds, &kept)
-                                .expect("build inputs were validated at update time");
-                            if class_cache {
-                                store.with_class_cache()
-                            } else {
-                                store
-                            }
+                            build_partition(&seeds, &kept, class_cache)
+                                .expect("build inputs were validated at update time")
                         })
                     }
                 }
+            }
+        };
+        // The prefix store splices while σ holds; a new σ re-sorts it.
+        let prefix = match self.shared.prefix.get_shared() {
+            None => StoreSlot::ready(None),
+            Some(old) if old.order() == synthesizer.sigma() => {
+                if seeds_untouched {
+                    StoreSlot::ready_shared(Some(old))
+                } else {
+                    let deletes = Arc::clone(&seed_deletes);
+                    let ins = Arc::clone(&seed_inserts);
+                    StoreSlot::deferred(move || {
+                        old.apply_delta(&deletes, &ins)
+                            .expect("splice inputs were validated at update time")
+                    })
+                }
+            }
+            Some(_) => {
+                let seeds = seeds_data.clone();
+                let sigma = synthesizer.sigma().to_vec();
+                StoreSlot::deferred(move || {
+                    PrefixIndexStore::build(&seeds, &sigma)
+                        .expect("build inputs were validated at update time")
+                })
             }
         };
         let index_build = build_start.elapsed();
@@ -1423,6 +1497,7 @@ impl SynthesisSession {
                 models,
                 index,
                 partition,
+                prefix,
                 index_build,
                 training,
             }),
@@ -1597,6 +1672,39 @@ fn request_worker_seed(request_seed: u64, worker: usize) -> u64 {
     request_seed
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(worker as u64)
+}
+
+/// The smallest ω an ω spec admits: its synthesizer keeps the most
+/// attributes, so it fixes the partition store's key.
+fn smallest_omega(omega: OmegaSpec) -> usize {
+    match omega {
+        OmegaSpec::Fixed(w) => w,
+        OmegaSpec::UniformRange { lo, .. } => lo,
+    }
+}
+
+/// The partition store over `kept`, with a class-match cache if configured.
+fn build_partition(
+    seeds: &Dataset,
+    kept: &[usize],
+    class_cache: bool,
+) -> std::result::Result<PartitionIndexStore, sgf_data::DataError> {
+    let store = PartitionIndexStore::build(seeds, kept)?;
+    Ok(if class_cache {
+        store.with_class_cache()
+    } else {
+        store
+    })
+}
+
+/// Attribute weights key the inverted index and must be finite.
+fn check_weights(weights: &[f64]) -> Result<()> {
+    match weights.iter().enumerate().find(|(_, w)| !w.is_finite()) {
+        Some((attr, w)) => Err(CoreError::InvalidParameter(format!(
+            "attribute weight {attr} of the structure is {w}; weights must be finite"
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// Trace-label rendering of an optional build step.
@@ -1935,10 +2043,8 @@ fn worker_loop<M: GenerativeModel + ?Sized>(
         if collect_probes && probes.len() < MAX_TRACE_PROBES {
             probes.push(CandidateProbe {
                 rank,
-                store: if report.outcome.via_classes {
-                    "partition"
-                } else if report.outcome.via_index {
-                    "inverted"
+                store: if report.outcome.via_classes || report.outcome.via_index {
+                    mechanisms[which].store_kind()
                 } else {
                     "scan"
                 },
@@ -2089,16 +2195,21 @@ mod tests {
     #[test]
     fn scan_and_index_release_identical_records() {
         // The acceptance bar of the indexed seed stores: for a fixed request
-        // seed, SeedIndex::Scan, SeedIndex::Inverted, and
-        // SeedIndex::Partition must release exactly the same records with the
-        // same counters (only records_examined may differ).
+        // seed, SeedIndex::Scan, SeedIndex::Inverted, SeedIndex::Partition,
+        // and the prefix store behind SeedIndex::Auto must release exactly
+        // the same records with the same counters (only records_examined may
+        // differ).
         let data = generate_acs(4000, 21);
         let bkt = acs_bucketizer(&acs_schema());
         let session = small_engine(21).train(&data, &bkt).unwrap();
-        assert!(session.seed_store().is_some(), "Auto builds the index");
         assert!(
-            session.partition_store().is_some(),
-            "Auto builds the partition store"
+            session.prefix_store().is_some(),
+            "Auto builds the prefix store"
+        );
+        assert_eq!(
+            format!("{:?}", session.shared.index),
+            "StoreSlot(deferred)",
+            "Auto defers the inverted index"
         );
         for request_seed in 0..3u64 {
             let base = GenerateRequest::new(20).with_seed(request_seed);
@@ -2111,8 +2222,15 @@ mod tests {
             let partition = session
                 .generate(&base.with_seed_index(SeedIndex::Partition))
                 .unwrap();
+            let prefix = session.generate(&base).unwrap();
+            assert_eq!(prefix.provenance.store, "prefix");
+            assert_eq!(prefix.provenance.classes, None);
             assert_eq!(scan.synthetics.records(), index.synthetics.records());
             assert_eq!(scan.synthetics.records(), partition.synthetics.records());
+            assert_eq!(scan.synthetics.records(), prefix.synthetics.records());
+            assert_eq!(scan.stats.candidates, prefix.stats.candidates);
+            assert_eq!(prefix.stats.partition_tests, prefix.stats.candidates);
+            assert_eq!(prefix.stats.records_examined, prefix.stats.candidates);
             assert_eq!(scan.stats.candidates, index.stats.candidates);
             assert_eq!(scan.stats.candidates, partition.stats.candidates);
             assert_eq!(scan.stats.released, index.stats.released);
@@ -2256,63 +2374,30 @@ mod tests {
     }
 
     #[test]
-    fn auto_policy_uses_the_index_only_for_large_seed_stores() {
+    fn tiny_sessions_release_identically_under_auto_and_scan() {
+        // No seed-count crossover: a range lookup beats the scan at any size,
+        // so even a session with a few hundred seeds serves `Auto` from the
+        // prefix store — releasing exactly what the scan releases.
         let bkt = acs_bucketizer(&acs_schema());
-        // Small population: the seed split (49%) stays below AUTO_MIN_SEEDS.
         let small = generate_acs(900, 23);
         let session = small_engine(23).train(&small, &bkt).unwrap();
-        assert!(session.seeds().len() < SeedIndex::AUTO_MIN_SEEDS);
-        let report = session.generate(&GenerateRequest::new(5)).unwrap();
-        assert_eq!(report.stats.index_tests, 0, "small store must scan");
-        // Large population: Auto switches to an index — the partition store,
-        // because its class keying covers the seed synthesizer's likelihood
-        // guarantee.
-        let large = generate_acs(6000, 23);
-        let session = small_engine(23).train(&large, &bkt).unwrap();
-        assert!(session.seeds().len() >= SeedIndex::AUTO_MIN_SEEDS);
-        let report = session.generate(&GenerateRequest::new(5)).unwrap();
-        assert_eq!(report.stats.scan_tests, 0, "large store must use an index");
-        assert_eq!(
-            report.stats.partition_tests, report.stats.candidates,
-            "Auto prefers the covering partition store"
-        );
-    }
-
-    #[test]
-    fn auto_index_min_seeds_is_configurable() {
-        let bkt = acs_bucketizer(&acs_schema());
-        // ~1960 seeds: above the default 512 crossover, below a raised one.
-        let data = generate_acs(4000, 24);
-        let raised = SynthesisEngine::builder()
-            .privacy_test(
-                PrivacyTestConfig::randomized(20, 4.0, 1.0).with_limits(Some(40), Some(2000)),
-            )
-            .omega(OmegaSpec::Fixed(9))
-            .max_candidate_factor(30)
-            .auto_index_min_seeds(10_000)
-            .seed(24)
-            .train(&data, &bkt)
-            .unwrap();
-        let report = raised.generate(&GenerateRequest::new(5)).unwrap();
-        assert_eq!(
-            report.stats.scan_tests, report.stats.candidates,
-            "a raised crossover keeps Auto on the scan"
-        );
-        // A zero crossover admits even stores below the default threshold.
-        let small = generate_acs(900, 24);
-        let eager = SynthesisEngine::builder()
-            .privacy_test(
-                PrivacyTestConfig::randomized(20, 4.0, 1.0).with_limits(Some(40), Some(2000)),
-            )
-            .omega(OmegaSpec::Fixed(9))
-            .max_candidate_factor(30)
-            .auto_index_min_seeds(0)
-            .seed(24)
-            .train(&small, &bkt)
-            .unwrap();
-        assert!(eager.seeds().len() < SeedIndex::AUTO_MIN_SEEDS);
-        let report = eager.generate(&GenerateRequest::new(5)).unwrap();
-        assert_eq!(report.stats.scan_tests, 0, "zero crossover always indexes");
+        assert!(session.seeds().len() < 512);
+        for omega in [
+            OmegaSpec::Fixed(9),
+            OmegaSpec::UniformRange { lo: 5, hi: 11 },
+        ] {
+            let base = GenerateRequest::new(8).with_seed(3).with_omega(omega);
+            let auto = session.generate(&base).unwrap();
+            let scan = session
+                .generate(&base.with_seed_index(SeedIndex::Scan))
+                .unwrap();
+            assert_eq!(auto.synthetics.records(), scan.synthetics.records());
+            assert_eq!(auto.stats.candidates, scan.stats.candidates);
+            assert_eq!(auto.provenance.store, "prefix");
+            assert_eq!(auto.stats.partition_tests, auto.stats.candidates);
+            assert_eq!(auto.stats.records_examined, auto.stats.candidates);
+            assert_eq!(scan.stats.scan_tests, scan.stats.candidates);
+        }
     }
 
     #[test]
@@ -2472,6 +2557,16 @@ mod tests {
         let delta = small_delta(&data, 25, 40, 77);
         let updated = session.update(&delta).unwrap();
         assert_eq!(updated.epoch(), 1);
+        // Under Auto the update carries only the prefix store forward: the
+        // deferred inverted and partition stores stay unbuilt on both sides.
+        for slot in [
+            format!("{:?}", session.shared.index),
+            format!("{:?}", session.shared.partition),
+            format!("{:?}", updated.shared.index),
+            format!("{:?}", updated.shared.partition),
+        ] {
+            assert_eq!(slot, "StoreSlot(deferred)");
+        }
 
         let final_data = delta.apply(&data).unwrap();
         let fresh = small_engine(31).train(&final_data, &bkt).unwrap();
@@ -2514,6 +2609,7 @@ mod tests {
             fresh.models().marginal_counts
         );
         // Spliced index stores equal from-scratch builds.
+        assert_eq!(updated.prefix_store(), fresh.prefix_store());
         assert_eq!(updated.seed_store(), fresh.seed_store());
         assert_eq!(updated.partition_store(), fresh.partition_store());
         // And identically-seeded requests release byte-identical records.

@@ -16,16 +16,10 @@
 
 use crate::store::{CandidateIter, SeedStore};
 use sgf_data::{AttributeBuckets, Bucketizer, DataError, Dataset, Record};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Upper bound on posting lists intersected per query (diminishing returns and
 /// rising constant costs beyond a handful of lists).
 pub const MAX_INTERSECT_LISTS: usize = 4;
-
-/// Process-wide count of [`InvertedIndexStore::build`] calls — a regression
-/// guard: sessions (and their clones) must share one index per train, so the
-/// counter lets tests assert that no path silently rebuilds it.
-static BUILD_COUNT: AtomicUsize = AtomicUsize::new(0);
 
 /// Per-attribute slice of the index: the bucket map plus one ascending posting
 /// list per bucket.
@@ -126,7 +120,6 @@ impl InvertedIndexStore {
         // arbitrary (even non-terminating) behaviour.
         let mut priority: Vec<usize> = (0..m).collect();
         priority.sort_by(|&a, &b| weights[b].total_cmp(&weights[a]).then(a.cmp(&b)));
-        BUILD_COUNT.fetch_add(1, Ordering::Relaxed);
         let store = InvertedIndexStore {
             len: seeds.len(),
             attributes,
@@ -155,9 +148,7 @@ impl InvertedIndexStore {
     /// weights of the *updated* model (the priority order is recomputed from
     /// them).  Returns a new store equal to a from-scratch
     /// [`build`](InvertedIndexStore::build) on that final dataset with those
-    /// weights — without counting as a build (see
-    /// [`build_count`](InvertedIndexStore::build_count)) and in
-    /// O(index + |Δ|) instead of a full dataset pass per bucket.
+    /// weights, in O(index + |Δ|) instead of a full dataset pass per bucket.
     pub fn apply_delta(
         &self,
         deletes: &[usize],
@@ -237,13 +228,6 @@ impl InvertedIndexStore {
         sgf_metrics::counter("index.inverted.delta_applies").incr();
         sgf_metrics::timer("index.inverted.apply_delta").observe(start.elapsed());
         Ok(store)
-    }
-
-    /// Total number of successful [`build`](InvertedIndexStore::build) calls
-    /// in this process (across all threads — tests measuring a delta should
-    /// run isolated from other index-building tests).
-    pub fn build_count() -> usize {
-        BUILD_COUNT.load(Ordering::Relaxed)
     }
 
     /// Approximate heap footprint of the posting lists, in bytes.
@@ -588,13 +572,9 @@ mod tests {
             ),
         ];
         for (deletes, inserts, weights) in cases {
-            let builds_before = InvertedIndexStore::build_count();
+            let before = store.clone();
             let updated = store.apply_delta(&deletes, &inserts, &weights).unwrap();
-            assert_eq!(
-                InvertedIndexStore::build_count(),
-                builds_before,
-                "apply_delta must not count as a build"
-            );
+            assert_eq!(store, before, "apply_delta must leave its source untouched");
             let fresh = InvertedIndexStore::build(
                 &final_dataset(&data, &deletes, &inserts),
                 &bkt,

@@ -13,28 +13,24 @@ use serde::{Deserialize, Serialize};
 pub enum SeedIndex {
     /// Always scan the full seed dataset (the baseline behaviour).
     Scan,
-    /// Always query the bucketized inverted index (train-time build required).
+    /// Always query the bucketized inverted index (built at train time under
+    /// this policy, on first use in a session trained with `Auto`).
     Inverted,
     /// Always query the partition-aware store of likelihood-equivalence
-    /// classes (train-time build required).  Tests for models whose
+    /// classes (built at train time under this policy, on first use in a
+    /// session trained with `Auto`).  Tests for models whose
     /// likelihood guarantee the store's keying does not cover degrade to the
     /// store's per-record class walk.
     Partition,
-    /// Build the indexes at train time and use them whenever the seed dataset
-    /// is large enough (`PipelineConfig::auto_index_min_seeds`, default
-    /// [`SeedIndex::AUTO_MIN_SEEDS`]) for the index machinery to beat a
-    /// cache-friendly linear sweep — preferring the partition store when its
-    /// keying covers the request's model, the inverted index otherwise.
+    /// Build the σ-prefix store ([`PrefixIndexStore`](crate::PrefixIndexStore))
+    /// at train time and serve every test from it: seed-synthesizer
+    /// candidates count their plausible seeds with one range lookup at any ω,
+    /// other models walk the range of the longest σ-prefix their exact-match
+    /// guarantee covers (the whole store without one).  The inverted and
+    /// partition stores are built only if a request or accessor asks for
+    /// them.
     #[default]
     Auto,
-}
-
-impl SeedIndex {
-    /// Default seed-dataset size above which [`SeedIndex::Auto`] prefers an
-    /// index over the scan (the `PipelineConfig::auto_index_min_seeds`
-    /// default).  Below this, the linear scan's sequential sweep is typically
-    /// faster than posting-list intersection per candidate.
-    pub const AUTO_MIN_SEEDS: usize = 512;
 }
 
 impl std::fmt::Display for SeedIndex {

@@ -28,7 +28,7 @@ pub trait SeedStore: Send + Sync + std::fmt::Debug {
     fn len(&self) -> usize;
 
     /// A short stable identifier of the store implementation (`"scan"`,
-    /// `"inverted"`, `"partition"`), used in provenance blocks and trace
+    /// `"inverted"`, `"partition"`, `"prefix"`), used in provenance blocks and trace
     /// labels.  Purely observational — never branch mechanism decisions on
     /// it (the stores are decision-equivalent by contract).
     fn kind(&self) -> &'static str;
@@ -98,6 +98,28 @@ pub trait SeedStore: Send + Sync + std::fmt::Debug {
     ) -> Option<ClassMatchLookup> {
         None
     }
+
+    /// The **exact** plausible set of `candidate`, in some order, when the
+    /// store can prove it without evaluating the model: every listed seed
+    /// has the sampled seed's generation probability and every other seed
+    /// has probability zero.
+    ///
+    /// A store may answer only when the model's exact-match set selects one
+    /// node of its keying and the likelihood set lies inside the exact-match
+    /// set (`L ⊆ EM`): a seed with positive probability agrees with the
+    /// candidate on `EM`, so every seed agreeing on `EM` shares its
+    /// `L`-projection and hence its probability (see
+    /// [`PrefixIndexStore`](crate::PrefixIndexStore)).
+    ///
+    /// The default (every store but the prefix store) is `None`.
+    fn prefix_members<'s>(
+        &'s self,
+        _candidate: &Record,
+        _likelihood_attributes: Option<&[usize]>,
+        _match_attributes: Option<&[usize]>,
+    ) -> Option<&'s [u32]> {
+        None
+    }
 }
 
 /// Validate the delete-index list of an incremental store update: strictly
@@ -135,6 +157,9 @@ pub enum CandidateIter<'a> {
     /// ascending within each class (the partition store's per-record
     /// fallback).
     Classes(ClassCandidates<'a>),
+    /// One range of the prefix store's sorted order (its per-record
+    /// fallback), in sorted-key order rather than index order.
+    Prefix(std::slice::Iter<'a, u32>),
 }
 
 impl CandidateIter<'_> {
@@ -154,6 +179,7 @@ impl Iterator for CandidateIter<'_> {
             CandidateIter::All(range) => range.next(),
             CandidateIter::Filtered(inter) => inter.next(),
             CandidateIter::Classes(classes) => classes.next(),
+            CandidateIter::Prefix(members) => members.next().map(|&idx| idx as usize),
         }
     }
 
@@ -162,6 +188,7 @@ impl Iterator for CandidateIter<'_> {
             CandidateIter::All(range) => range.size_hint(),
             CandidateIter::Filtered(inter) => inter.size_hint(),
             CandidateIter::Classes(_) => (0, None),
+            CandidateIter::Prefix(members) => members.size_hint(),
         }
     }
 }

@@ -243,7 +243,7 @@ fn assert_generate_span_tree(events: &[Value], session: &str) {
     for probe in probes {
         let store = label_of(probe, "store").expect("privacy_test carries a store label");
         assert!(
-            ["scan", "inverted", "partition"].contains(&store.as_str()),
+            ["scan", "inverted", "partition", "prefix"].contains(&store.as_str()),
             "unexpected store kind `{store}`"
         );
         let outcome = label_of(probe, "outcome").expect("privacy_test carries an outcome label");

@@ -78,8 +78,8 @@ for bin in "${BINARIES[@]}"; do
 done
 
 # Seed-store decision-equivalence gate: fig_index asserts that scan, inverted
-# index, and partition store release byte-identical records in every swept
-# configuration, and prints the confirmation line below only after every
+# index, partition store, and prefix store release byte-identical records in
+# every swept configuration, and prints the confirmation line below only after every
 # assertion held.  A store regression therefore fails this script (and CI)
 # even when the unit/property suites were skipped.
 if ! grep -q "byte-identical records in every configuration" "$OUTDIR/fig_index.txt"; then
@@ -107,7 +107,7 @@ echo "== request-folding equivalence gate passed (fig_folding) =="
 # and identically-seeded releases — is byte-identical to a from-scratch
 # retrain on the post-delta dataset, printing the confirmation line below
 # only after every assertion held.  (At full scale the binary additionally
-# asserts the >= 100x update-vs-retrain speedup internally.)
+# asserts the >= 50x update-vs-retrain speedup internally.)
 if ! grep -q "matches a from-scratch retrain bit-for-bit" "$OUTDIR/fig_update.txt"; then
     echo "ERROR: fig_update did not confirm incremental-update equivalence" >&2
     exit 1

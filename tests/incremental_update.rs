@@ -152,6 +152,9 @@ proptest! {
 
         // Spliced posting lists and equivalence classes equal scratch builds
         // (and the incremental path made the same store-selection decision).
+        // The prefix store splices while σ holds and re-sorts when a relearn
+        // changes it.
+        prop_assert_eq!(updated.prefix_store(), fresh.prefix_store());
         prop_assert_eq!(updated.seed_store(), fresh.seed_store());
         prop_assert_eq!(updated.partition_store(), fresh.partition_store());
 
@@ -249,4 +252,5 @@ fn bulk_inserts_exercise_the_structure_relearn_path() {
         fresh.models().structure.correlations
     );
     assert_eq!(*updated.models().cpts, *fresh.models().cpts);
+    assert_eq!(updated.prefix_store(), fresh.prefix_store());
 }

@@ -243,7 +243,7 @@ fn metrics_trace_and_provenance_expose_the_release_lifecycle() {
         .and_then(|v| v.as_str())
         .expect("provenance names its seed store");
     assert!(
-        ["scan", "inverted", "partition"].contains(&store),
+        ["scan", "inverted", "partition", "prefix"].contains(&store),
         "unexpected store kind {store}"
     );
     assert_eq!(

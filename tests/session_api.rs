@@ -329,67 +329,6 @@ fn reserved_streaming_keeps_the_worst_case_exact() {
     assert_eq!(session.ledger().reserved, 0);
 }
 
-/// The `Auto` policy crossover is configurable: `auto_index_min_seeds`
-/// replaces the old hard-coded 512-seed threshold, so deployments can pin the
-/// measured scan/index crossover of their hardware.  Store choice is
-/// decision-equivalent, so moving the threshold never changes the records —
-/// only which store serves the tests.
-#[test]
-fn auto_index_min_seeds_override_moves_the_crossover() {
-    use sgf::core::SeedIndex;
-
-    let population = generate_acs(4_000, 33);
-    let bucketizer = acs_bucketizer(&acs_schema());
-
-    // Default crossover (512): ~1960 seeds qualify, Auto serves via an index.
-    let default_cfg = small_config(1, 33);
-    assert_eq!(
-        default_cfg.auto_index_min_seeds,
-        SeedIndex::AUTO_MIN_SEEDS,
-        "paper defaults carry the documented crossover"
-    );
-    let indexed = SynthesisEngine::from_config(default_cfg)
-        .train(&population, &bucketizer)
-        .unwrap();
-    let indexed_report = indexed
-        .generate(&GenerateRequest::new(10).with_seed(5))
-        .unwrap();
-    assert_eq!(indexed_report.stats.scan_tests, 0);
-
-    // Raised crossover: the same seed store now falls back to the scan...
-    let mut raised_cfg = small_config(1, 33);
-    raised_cfg.auto_index_min_seeds = 100_000;
-    let scanned = SynthesisEngine::from_config(raised_cfg)
-        .train(&population, &bucketizer)
-        .unwrap();
-    let scanned_report = scanned
-        .generate(&GenerateRequest::new(10).with_seed(5))
-        .unwrap();
-    assert_eq!(
-        scanned_report.stats.scan_tests,
-        scanned_report.stats.candidates
-    );
-    // ...releasing byte-identical records: the knob is pure performance.
-    assert_eq!(
-        indexed_report.synthetics.records(),
-        scanned_report.synthetics.records()
-    );
-
-    // Explicit per-request store overrides ignore the crossover entirely.
-    let forced = scanned
-        .generate(
-            &GenerateRequest::new(10)
-                .with_seed(5)
-                .with_seed_index(SeedIndex::Partition),
-        )
-        .unwrap();
-    assert_eq!(forced.stats.partition_tests, forced.stats.candidates);
-    assert_eq!(
-        forced.synthetics.records(),
-        scanned_report.synthetics.records()
-    );
-}
-
 /// ω can vary per request without retraining; invalid overrides are rejected.
 #[test]
 fn per_request_omega_overrides_work() {

@@ -1,16 +1,18 @@
 //! Property-based equivalence of the seed stores: for random datasets,
 //! candidates, and privacy-test configurations, the inverted index, the
-//! partition-aware class store, and the linear scan must agree on every
-//! pass/fail decision, plausible-seed count, and on the RNG stream they leave
-//! behind — across k, γ, both privacy tests (deterministic and randomized),
-//! and the early-termination knobs.
+//! partition-aware class store, the σ-prefix store, and the linear scan must
+//! agree on every pass/fail decision, plausible-seed count, and on the RNG
+//! stream they leave behind — across k, γ, both privacy tests
+//! (deterministic and randomized), and the early-termination knobs.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use sgf::core::{partition_index, run_with_store, PrivacyTestConfig};
 use sgf::data::{Attribute, AttributeBuckets, Bucketizer, Dataset, Record, Schema};
-use sgf::index::{InvertedIndexStore, LinearScanStore, PartitionIndexStore, SeedStore};
+use sgf::index::{
+    InvertedIndexStore, LinearScanStore, PartitionIndexStore, PrefixIndexStore, SeedStore,
+};
 use sgf::model::GenerativeModel;
 use std::sync::Arc;
 
@@ -116,6 +118,19 @@ fn to_record((a, b, c, d): Row) -> Record {
     Record::new(vec![a, b, c, d])
 }
 
+/// The `code`-th permutation of the four attributes (`code` in `0..24`,
+/// factorial-base digits pick from the remaining attributes).
+fn permutation(code: usize) -> Vec<usize> {
+    let mut left: Vec<usize> = ALL_ATTRIBUTES.to_vec();
+    let mut code = code % 24;
+    let mut order = Vec::with_capacity(4);
+    for radix in (1..=4usize).rev() {
+        order.push(left.remove(code % radix));
+        code /= radix;
+    }
+    order
+}
+
 fn build_fixture(rows: Vec<Row>, kept_mask: &[bool]) -> (KeptModel, Dataset, Arc<Schema>) {
     let schema = Arc::new(schema());
     let records: Vec<Record> = rows.into_iter().map(to_record).collect();
@@ -145,6 +160,7 @@ proptest! {
         max_plausible in proptest::option::of(1usize..20),
         max_check in proptest::option::of(5usize..100),
         master in any::<u64>(),
+        sigma_code in 0usize..24,
     ) {
         let (model, dataset, schema) = build_fixture(rows, &kept_mask);
         let seed = dataset.record(seed_choice % dataset.len()).clone();
@@ -180,13 +196,18 @@ proptest! {
         // per-record class walk — which must still line up.
         let kept: Vec<usize> = (0..4).filter(|&a| kept_mask[a]).collect();
         let partition_kept = PartitionIndexStore::build(&dataset, &kept).unwrap();
+        // Prefix store in a random σ: the model's likelihood set reads every
+        // attribute, so unless everything is kept the test walks the range
+        // of the longest σ-prefix inside the kept set, record by record.
+        let prefix = PrefixIndexStore::build(&dataset, &permutation(sigma_code)).unwrap();
 
-        let stores: [&dyn SeedStore; 5] = [
+        let stores: [&dyn SeedStore; 6] = [
             &scan,
             &identity_index,
             &coarse_index,
             &partition_all,
             &partition_kept,
+            &prefix,
         ];
         let mut outcomes = Vec::new();
         let mut post_rng = Vec::new();
@@ -406,6 +427,113 @@ proptest! {
             prop_assert!(w.cache_hit.is_none(), "likelihood ⊄ exact-match must bypass");
         }
     }
+
+    /// The σ-prefix store's range fast path against the scan oracle, for a
+    /// model with the seed synthesizer's structure (keeps σ[..4 − ω], the
+    /// likelihood set equals the kept set): ω runs from everything kept to
+    /// nothing kept, with and without `max_check_plausible`, and small ε₀
+    /// drives many noisy thresholds to ≤ 0.  Candidates are generated the
+    /// synthesizer's way — the seed's kept values, arbitrary resampled ones.
+    #[test]
+    fn prefix_ranges_match_the_scan(
+        rows in proptest::collection::vec(row(), 20..120),
+        candidates in proptest::collection::vec(row(), 1..8),
+        sigma_code in 0usize..24,
+        omega in 0usize..5,
+        seed_choice in any::<usize>(),
+        k in 1usize..15,
+        gamma in 1.5f64..6.0,
+        epsilon0 in proptest::option::of(0.02f64..3.0),
+        max_plausible in proptest::option::of(1usize..20),
+        max_check in proptest::option::of(5usize..100),
+        master in any::<u64>(),
+    ) {
+        let schema = Arc::new(schema());
+        let records: Vec<Record> = rows.into_iter().map(to_record).collect();
+        let dataset = Dataset::from_records_unchecked(Arc::clone(&schema), records);
+        let sigma = permutation(sigma_code);
+        let model = ProjectiveModel {
+            schema: (*schema).clone(),
+            kept: sigma[..4 - omega].to_vec(),
+        };
+        let config = PrivacyTestConfig {
+            k,
+            gamma,
+            epsilon0,
+            max_plausible: None,
+            max_check_plausible: None,
+        }
+        .with_limits(max_plausible, max_check);
+        let scan = LinearScanStore::new(&dataset);
+        let prefix = PrefixIndexStore::build(&dataset, &sigma).unwrap();
+        let seed = dataset.record(seed_choice % dataset.len()).clone();
+        for (i, candidate) in candidates.into_iter().enumerate() {
+            let mut y = to_record(candidate);
+            for &attr in &model.kept {
+                y.set(attr, seed.get(attr));
+            }
+            let stream = master ^ i as u64;
+            let mut rng_a = StdRng::seed_from_u64(stream);
+            let mut rng_b = StdRng::seed_from_u64(stream);
+            let a = run_with_store(&model, &dataset, &scan, &seed, &y, &config, &mut rng_a).unwrap();
+            let b =
+                run_with_store(&model, &dataset, &prefix, &seed, &y, &config, &mut rng_b).unwrap();
+            prop_assert_eq!(a.passed, b.passed);
+            prop_assert_eq!(a.plausible_seeds, b.plausible_seeds);
+            prop_assert_eq!(a.threshold, b.threshold);
+            prop_assert_eq!(a.seed_partition, b.seed_partition);
+            prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+            if b.seed_partition.is_some() {
+                prop_assert!(b.via_classes, "a qualifying model takes the range path");
+                prop_assert_eq!(b.records_examined, 1);
+            }
+        }
+    }
+
+    /// `apply_delta` equals a fresh build over the canonical final dataset,
+    /// across chains of random deltas; a step that changes σ rebuilds the
+    /// store under the new order (as a session update does) and the chain
+    /// continues from there.
+    #[test]
+    fn prefix_apply_delta_matches_a_fresh_build(
+        rows in proptest::collection::vec(row(), 1..80),
+        steps in proptest::collection::vec(
+            (any::<u64>(), proptest::collection::vec(row(), 0..10), 0usize..24),
+            1..4,
+        ),
+        sigma_code in 0usize..24,
+    ) {
+        let schema = Arc::new(schema());
+        let mut records: Vec<Record> = rows.into_iter().map(to_record).collect();
+        let mut sigma = permutation(sigma_code);
+        let mut store =
+            PrefixIndexStore::build(&Dataset::from_records_unchecked(Arc::clone(&schema), records.clone()), &sigma)
+                .unwrap();
+        for (delete_bits, inserts, next_sigma) in steps {
+            let next_sigma = permutation(next_sigma);
+            let deletes: Vec<usize> = (0..records.len())
+                .filter(|i| delete_bits.rotate_left(*i as u32 * 7) & 3 == 0)
+                .collect();
+            let inserts: Vec<Record> = inserts.into_iter().map(to_record).collect();
+            let mut next: Vec<Record> = records
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| deletes.binary_search(i).is_err())
+                .map(|(_, r)| r.clone())
+                .collect();
+            next.extend(inserts.iter().cloned());
+            let final_data = Dataset::from_records_unchecked(Arc::clone(&schema), next.clone());
+            store = if next_sigma == sigma {
+                store.apply_delta(&deletes, &inserts).unwrap()
+            } else {
+                PrefixIndexStore::build(&final_data, &next_sigma).unwrap()
+            };
+            sigma = next_sigma;
+            records = next;
+            prop_assert_eq!(&store, &PrefixIndexStore::build(&final_data, &sigma).unwrap());
+            prop_assert_eq!(store.len(), records.len());
+        }
+    }
 }
 
 /// The documented partition convention `γ^{-(i+1)} < p ≤ γ^{-i}`: an exact
@@ -599,4 +727,41 @@ fn clamped_probabilities_agree_across_stores() {
         assert_eq!(a.plausible_seeds, b.plausible_seeds);
         assert!(b.via_classes);
     }
+}
+
+/// Noisy thresholds at or below zero pass on any non-empty plausible set —
+/// and on an empty one: the prefix store must reproduce the scan there too.
+#[test]
+fn prefix_store_agrees_at_nonpositive_thresholds() {
+    let schema = Arc::new(schema());
+    let records: Vec<Record> = (0..60u16)
+        .map(|v| to_record((v % 4, v % 6, v % 3, v % 5)))
+        .collect();
+    let dataset = Dataset::from_records_unchecked(Arc::clone(&schema), records);
+    let sigma = permutation(5);
+    let model = ProjectiveModel {
+        schema: (*schema).clone(),
+        kept: sigma[..2].to_vec(),
+    };
+    let scan = LinearScanStore::new(&dataset);
+    let prefix = PrefixIndexStore::build(&dataset, &sigma).unwrap();
+    let seed = dataset.record(7).clone();
+    let config = PrivacyTestConfig::randomized(1, 4.0, 0.05).with_limits(None, Some(10));
+    let mut nonpositive = 0;
+    for master in 0..200u64 {
+        let mut rng_a = StdRng::seed_from_u64(master);
+        let mut rng_b = StdRng::seed_from_u64(master);
+        let a = run_with_store(&model, &dataset, &scan, &seed, &seed, &config, &mut rng_a).unwrap();
+        let b =
+            run_with_store(&model, &dataset, &prefix, &seed, &seed, &config, &mut rng_b).unwrap();
+        assert_eq!(a.passed, b.passed);
+        assert_eq!(a.plausible_seeds, b.plausible_seeds);
+        assert_eq!(a.threshold, b.threshold);
+        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+        if a.threshold <= 0.0 {
+            nonpositive += 1;
+            assert!(b.passed);
+        }
+    }
+    assert!(nonpositive > 20, "only {nonpositive} thresholds were <= 0");
 }
