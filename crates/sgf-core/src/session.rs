@@ -2401,6 +2401,59 @@ mod tests {
     }
 
     #[test]
+    fn auto_policy_uses_the_index_only_for_large_seed_stores() {
+        // The 512-seed crossover this test once pinned is gone: `Auto` serves
+        // small and large seed stores alike from the prefix store, and never
+        // falls back to the scan.
+        let bkt = acs_bucketizer(&acs_schema());
+        for (population, below_old_crossover) in [(900, true), (6000, false)] {
+            let data = generate_acs(population, 23);
+            let session = small_engine(23).train(&data, &bkt).unwrap();
+            assert_eq!(session.seeds().len() < 512, below_old_crossover);
+            let report = session.generate(&GenerateRequest::new(5)).unwrap();
+            assert_eq!(report.stats.scan_tests, 0, "Auto must use an index");
+            assert_eq!(report.stats.index_tests, 0, "Auto skips the inverted index");
+            assert_eq!(report.provenance.store, "prefix");
+            assert_eq!(report.stats.partition_tests, report.stats.candidates);
+        }
+    }
+
+    #[test]
+    fn auto_index_min_seeds_is_configurable() {
+        // With the `auto_index_min_seeds` knob removed, the store choice is
+        // configured through the session's `seed_index` default alone, and
+        // either choice releases the same records.
+        let bkt = acs_bucketizer(&acs_schema());
+        // ~1960 seeds: above the removed 512 crossover.
+        let data = generate_acs(4000, 24);
+        let engine = |policy| {
+            SynthesisEngine::builder()
+                .privacy_test(
+                    PrivacyTestConfig::randomized(20, 4.0, 1.0).with_limits(Some(40), Some(2000)),
+                )
+                .omega(OmegaSpec::Fixed(9))
+                .max_candidate_factor(30)
+                .seed_index(policy)
+                .seed(24)
+                .train(&data, &bkt)
+                .unwrap()
+        };
+        let scanned = engine(SeedIndex::Scan)
+            .generate(&GenerateRequest::new(5).with_seed(2))
+            .unwrap();
+        assert_eq!(
+            scanned.stats.scan_tests, scanned.stats.candidates,
+            "a Scan default keeps every test on the scan"
+        );
+        let auto = engine(SeedIndex::Auto)
+            .generate(&GenerateRequest::new(5).with_seed(2))
+            .unwrap();
+        assert_eq!(auto.stats.scan_tests, 0, "an Auto default always indexes");
+        assert_eq!(auto.provenance.store, "prefix");
+        assert_eq!(auto.synthetics.records(), scanned.synthetics.records());
+    }
+
+    #[test]
     fn multi_worker_releases_are_deterministic_and_exact() {
         // The rank-ordered selection makes parallel releases reproducible:
         // two runs with the same seed and worker count must release the same

@@ -329,6 +329,63 @@ fn reserved_streaming_keeps_the_worst_case_exact() {
     assert_eq!(session.ledger().reserved, 0);
 }
 
+/// `Auto` has no seed-count crossover left to move: the `auto_index_min_seeds`
+/// knob is gone, and the default policy serves from the σ-prefix store at any
+/// size.  The store is chosen by the `seed_index` config or a per-request
+/// override, and every choice releases the same records.
+#[test]
+fn auto_index_min_seeds_override_moves_the_crossover() {
+    use sgf::core::SeedIndex;
+
+    let population = generate_acs(4_000, 33);
+    let bucketizer = acs_bucketizer(&acs_schema());
+
+    // Paper defaults: Auto serves every test via the prefix store.
+    let default_cfg = small_config(1, 33);
+    assert_eq!(default_cfg.seed_index, SeedIndex::Auto);
+    let indexed = SynthesisEngine::from_config(default_cfg)
+        .train(&population, &bucketizer)
+        .unwrap();
+    let indexed_report = indexed
+        .generate(&GenerateRequest::new(10).with_seed(5))
+        .unwrap();
+    assert_eq!(indexed_report.stats.scan_tests, 0);
+    assert_eq!(indexed_report.provenance.store, "prefix");
+
+    // A Scan config keeps the same seed store on the scan...
+    let mut scan_cfg = small_config(1, 33);
+    scan_cfg.seed_index = SeedIndex::Scan;
+    let scanned = SynthesisEngine::from_config(scan_cfg)
+        .train(&population, &bucketizer)
+        .unwrap();
+    let scanned_report = scanned
+        .generate(&GenerateRequest::new(10).with_seed(5))
+        .unwrap();
+    assert_eq!(
+        scanned_report.stats.scan_tests,
+        scanned_report.stats.candidates
+    );
+    // ...releasing byte-identical records: the choice is pure performance.
+    assert_eq!(
+        indexed_report.synthetics.records(),
+        scanned_report.synthetics.records()
+    );
+
+    // An explicit per-request override builds and uses the deferred store.
+    let forced = indexed
+        .generate(
+            &GenerateRequest::new(10)
+                .with_seed(5)
+                .with_seed_index(SeedIndex::Partition),
+        )
+        .unwrap();
+    assert_eq!(forced.stats.partition_tests, forced.stats.candidates);
+    assert_eq!(
+        forced.synthetics.records(),
+        scanned_report.synthetics.records()
+    );
+}
+
 /// ω can vary per request without retraining; invalid overrides are rejected.
 #[test]
 fn per_request_omega_overrides_work() {
