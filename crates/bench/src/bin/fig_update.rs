@@ -15,13 +15,16 @@
 //! 2. **Cost curve (time-domain).**  Wall clocks of a from-scratch retrain
 //!    versus the O(|Δ|) incremental fold-in of a 10-record ingest, at the
 //!    paper-scale session (32,000 ACS draws hash-split to ~15,680 seeds at
-//!    scale 1).  At full (non-smoke) scale the update must be ≥ 50x faster —
-//!    the payoff of delta-maintainable stores and summable model counts.  (A
-//!    retrain under `Auto` builds only the σ-prefix store, so it is cheaper
-//!    than when it built the inverted index and the partition store too; the
-//!    update costs the same either way.)  The
-//!    deferred store splice that the first request of the new epoch pays is
-//!    reported as its own row so the amortized cost stays visible.
+//!    scale 1).  At full (non-smoke) scale the update must be ≥ 100x faster —
+//!    the payoff of delta-maintainable stores and summable model counts.  The
+//!    retrain is timed as a *full* retrain: training plus every seed store a
+//!    session can serve from (the σ-prefix store `Auto` builds eagerly, and
+//!    the inverted index and partition store it defers), so the baseline does
+//!    not shrink when a store moves off the train path.  Both sides report
+//!    the best of several repetitions, which keeps scheduler noise on a
+//!    shared host out of the ratio.  The deferred store splice that the first
+//!    request of the new epoch pays is reported as its own row so the
+//!    amortized cost stays visible.
 
 use bench::track::{BenchPoint, SeriesRecorder};
 use bench::{scale_from_args, smoke_mode};
@@ -35,6 +38,11 @@ use std::time::Instant;
 /// Records retracted / ingested by the equivalence-gate delta.
 const DELETES: usize = 5;
 const INSERTS: usize = 10;
+
+/// Timed full retrains and timed batches of updates; each side reports its
+/// fastest repetition.
+const RETRAIN_REPS: usize = 3;
+const UPDATE_BATCHES: usize = 5;
 
 fn train(population: &Dataset, bucketizer: &Bucketizer) -> SynthesisSession {
     SynthesisEngine::builder()
@@ -203,18 +211,28 @@ fn main() {
     // at full scale where the O(|Δ|)-vs-O(n) gap dominates measurement noise.
     let ingest = ingest_delta(&population);
     let ingested_data = ingest.apply(&population).expect("ingest applies cleanly");
-    let started = Instant::now();
-    let retrained = train(&ingested_data, &bucketizer);
-    let retrain_seconds = started.elapsed().as_secs_f64();
-    drop(retrained);
+    let retrain_seconds = (0..RETRAIN_REPS)
+        .map(|_| {
+            let started = Instant::now();
+            let retrained = train(&ingested_data, &bucketizer);
+            assert!(retrained.prefix_store().is_some());
+            assert!(retrained.seed_store().is_some());
+            assert!(retrained.partition_store().is_some());
+            started.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
 
     let reps = 50u32;
-    let started = Instant::now();
     let mut ingested = session.update(&ingest).expect("update succeeds");
-    for _ in 1..reps {
-        ingested = session.update(&ingest).expect("update succeeds");
-    }
-    let update_seconds = started.elapsed().as_secs_f64() / reps as f64;
+    let update_seconds = (0..UPDATE_BATCHES)
+        .map(|_| {
+            let started = Instant::now();
+            for _ in 0..reps {
+                ingested = session.update(&ingest).expect("update succeeds");
+            }
+            started.elapsed().as_secs_f64() / reps as f64
+        })
+        .fold(f64::INFINITY, f64::min);
 
     // The splice the update deferred: first access of the prefix store
     // (the one store `Auto` carries across epochs).
@@ -230,12 +248,12 @@ fn main() {
         "-".into(),
     ]);
     table.add_row(&[
-        "retrain (post-ingest)".into(),
+        format!("retrain, all stores (post-ingest, best of {RETRAIN_REPS})"),
         format!("{retrain_seconds:.3}"),
         "1.0x".into(),
     ]);
     table.add_row(&[
-        format!("update ({INSERTS}-record ingest, mean of {reps})"),
+        format!("update ({INSERTS}-record ingest, best mean of {UPDATE_BATCHES}x{reps})"),
         format!("{update_seconds:.6}"),
         format!("{speedup:.0}x"),
     ]);
@@ -257,8 +275,8 @@ fn main() {
     println!("{}", table.render());
     if !smoke_mode() {
         assert!(
-            speedup >= 50.0,
-            "a {INSERTS}-record ingest must fold in >= 50x faster than a retrain \
+            speedup >= 100.0,
+            "a {INSERTS}-record ingest must fold in >= 100x faster than a retrain \
              (update {update_seconds:.6}s vs retrain {retrain_seconds:.3}s, {speedup:.0}x)"
         );
         println!("fig_update: small-delta update is {speedup:.0}x faster than a full retrain\n");

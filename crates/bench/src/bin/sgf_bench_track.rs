@@ -34,7 +34,7 @@ commands:
 defaults: --dir artifacts, --trajectory BENCH_TRAJECTORY.jsonl, --tolerance 0.05";
 
 /// The reproduction binaries `run` executes, in suite order.
-const SUITE: [&str; 13] = [
+const SUITE: [&str; 14] = [
     "fig1",
     "fig2",
     "fig3",
@@ -43,6 +43,7 @@ const SUITE: [&str; 13] = [
     "fig6",
     "fig_index",
     "fig_folding",
+    "fig_update",
     "table1",
     "table2",
     "table3",

@@ -2374,47 +2374,61 @@ mod tests {
     }
 
     #[test]
-    fn tiny_sessions_release_identically_under_auto_and_scan() {
-        // No seed-count crossover: a range lookup beats the scan at any size,
-        // so even a session with a few hundred seeds serves `Auto` from the
-        // prefix store — releasing exactly what the scan releases.
-        let bkt = acs_bucketizer(&acs_schema());
-        let small = generate_acs(900, 23);
-        let session = small_engine(23).train(&small, &bkt).unwrap();
-        assert!(session.seeds().len() < 512);
-        for omega in [
-            OmegaSpec::Fixed(9),
-            OmegaSpec::UniformRange { lo: 5, hi: 11 },
-        ] {
-            let base = GenerateRequest::new(8).with_seed(3).with_omega(omega);
-            let auto = session.generate(&base).unwrap();
-            let scan = session
-                .generate(&base.with_seed_index(SeedIndex::Scan))
-                .unwrap();
-            assert_eq!(auto.synthetics.records(), scan.synthetics.records());
-            assert_eq!(auto.stats.candidates, scan.stats.candidates);
-            assert_eq!(auto.provenance.store, "prefix");
-            assert_eq!(auto.stats.partition_tests, auto.stats.candidates);
-            assert_eq!(auto.stats.records_examined, auto.stats.candidates);
-            assert_eq!(scan.stats.scan_tests, scan.stats.candidates);
-        }
-    }
-
-    #[test]
     fn auto_policy_uses_the_index_only_for_large_seed_stores() {
-        // The 512-seed crossover this test once pinned is gone: `Auto` serves
-        // small and large seed stores alike from the prefix store, and never
-        // falls back to the scan.
+        // A range lookup beats the scan at any size, so `Auto` serves small
+        // (< 512 seeds) and large seed stores alike from the prefix store — at
+        // a fixed ω and at the paper's ω ∈R [5-11] — and releases exactly
+        // what the scan releases.
         let bkt = acs_bucketizer(&acs_schema());
         for (population, below_old_crossover) in [(900, true), (6000, false)] {
             let data = generate_acs(population, 23);
             let session = small_engine(23).train(&data, &bkt).unwrap();
             assert_eq!(session.seeds().len() < 512, below_old_crossover);
-            let report = session.generate(&GenerateRequest::new(5)).unwrap();
-            assert_eq!(report.stats.scan_tests, 0, "Auto must use an index");
-            assert_eq!(report.stats.index_tests, 0, "Auto skips the inverted index");
-            assert_eq!(report.provenance.store, "prefix");
-            assert_eq!(report.stats.partition_tests, report.stats.candidates);
+            for omega in [
+                OmegaSpec::Fixed(9),
+                OmegaSpec::UniformRange { lo: 5, hi: 11 },
+            ] {
+                let base = GenerateRequest::new(8).with_seed(3).with_omega(omega);
+                let auto = session.generate(&base).unwrap();
+                let scan = session
+                    .generate(&base.with_seed_index(SeedIndex::Scan))
+                    .unwrap();
+                assert_eq!(auto.stats.scan_tests, 0, "Auto must use an index");
+                assert_eq!(auto.stats.index_tests, 0, "Auto skips the inverted index");
+                assert_eq!(auto.provenance.store, "prefix");
+                assert_eq!(auto.stats.partition_tests, auto.stats.candidates);
+                assert_eq!(auto.stats.records_examined, auto.stats.candidates);
+                assert_eq!(auto.synthetics.records(), scan.synthetics.records());
+                assert_eq!(auto.stats.candidates, scan.stats.candidates);
+                assert_eq!(scan.stats.scan_tests, scan.stats.candidates);
+            }
+        }
+    }
+
+    #[test]
+    fn marginal_requests_take_one_range_under_auto() {
+        // The marginal model is seed-independent (likelihood set ∅): every
+        // seed is plausible, so the prefix store answers each test with its
+        // whole range instead of evaluating the model seed by seed.
+        let data = generate_acs(4000, 25);
+        let bkt = acs_bucketizer(&acs_schema());
+        let session = small_engine(25).train(&data, &bkt).unwrap();
+        let marginal = &session.models().marginal;
+        for omega in [
+            OmegaSpec::Fixed(9),
+            OmegaSpec::UniformRange { lo: 5, hi: 11 },
+        ] {
+            let base = GenerateRequest::new(10).with_seed(4).with_omega(omega);
+            let auto = session.generate_with(marginal, &base).unwrap();
+            let scan = session
+                .generate_with(marginal, &base.with_seed_index(SeedIndex::Scan))
+                .unwrap();
+            assert_eq!(auto.provenance.store, "prefix");
+            assert_eq!(auto.stats.records_examined, auto.stats.candidates);
+            assert_eq!(auto.stats.partition_tests, auto.stats.candidates);
+            assert_eq!(auto.synthetics.records(), scan.synthetics.records());
+            assert_eq!(auto.stats.candidates, scan.stats.candidates);
+            assert!(scan.stats.records_examined > scan.stats.candidates);
         }
     }
 

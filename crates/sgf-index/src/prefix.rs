@@ -18,9 +18,10 @@
 //! The exact-set shortcut ([`SeedStore::prefix_members`]) applies to a model
 //! whose exact-match set is a σ-prefix and whose likelihood set lies inside
 //! it (`L ⊆ EM`), the soundness argument of
-//! [`ClassMatchCache`](crate::ClassMatchCache).  Other models still get a
-//! sound superset from [`SeedStore::plausible_candidates`]: the range of the
-//! longest σ-prefix their exact-match set contains.
+//! [`ClassMatchCache`](crate::ClassMatchCache), and to a seed-independent
+//! model (`L = ∅`, e.g. the marginal baseline), whose plausible set is every
+//! seed.  Any other model scans: [`SeedStore::plausible_candidates`] yields
+//! every seed.
 
 use crate::store::{CandidateIter, SeedStore};
 use sgf_data::{DataError, Dataset, Record};
@@ -129,51 +130,104 @@ impl PrefixIndexStore {
                 )));
             }
         }
-        let key = |record: &Record, j: usize| record.get(self.order[j]);
-        let mut fresh: Vec<usize> = (0..inserts.len()).collect();
-        fresh.sort_by(|&a, &b| {
-            (0..self.order.len())
-                .map(|j| key(&inserts[a], j).cmp(&key(&inserts[b], j)))
-                .find(|o| o.is_ne())
-                .unwrap_or(Ordering::Equal)
+        // Each insert goes after every current seed whose values are ≤ its
+        // own (the end of its full-depth range); inserts sharing that point
+        // order by values, then index.
+        let depth = self.order.len();
+        let mut fresh: Vec<(usize, usize)> = inserts
+            .iter()
+            .enumerate()
+            .map(|(t, record)| (self.range(record, depth).end, t))
+            .collect();
+        fresh.sort_by(|&(at_a, a), &(at_b, b)| {
+            at_a.cmp(&at_b)
+                .then_with(|| {
+                    self.order
+                        .iter()
+                        .map(|&attr| inserts[a].get(attr).cmp(&inserts[b].get(attr)))
+                        .find(|o| o.is_ne())
+                        .unwrap_or(Ordering::Equal)
+                })
                 .then(a.cmp(&b))
         });
+        // Positions (in the current order) of the deleted seeds, and each
+        // survivor's index in the final dataset.
+        let mut remap: Vec<u32> = Vec::new();
+        let mut dead = Vec::with_capacity(deletes.len());
+        if !deletes.is_empty() {
+            let mut deleted = vec![false; len];
+            for &d in deletes {
+                deleted[d] = true;
+            }
+            let mut shift = 0;
+            remap = (0..len)
+                .map(|idx| {
+                    let moved = (idx - shift) as u32;
+                    shift += deleted[idx] as usize;
+                    moved
+                })
+                .collect();
+            dead.extend(
+                self.sorted
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &idx)| deleted[idx as usize])
+                    .map(|(pos, _)| pos),
+            );
+        }
+        // The final order as runs of surviving positions and single inserts.
+        let mut pieces = Vec::with_capacity(2 * (dead.len() + fresh.len()) + 1);
+        let mut dead = dead.into_iter().peekable();
+        let mut from = 0;
+        for (at, t) in fresh
+            .into_iter()
+            .map(|(at, t)| (at, Some(t)))
+            .chain(std::iter::once((len, None)))
+        {
+            while let Some(d) = dead.next_if(|&d| d < at) {
+                if from < d {
+                    pieces.push(Piece::Kept(from..d));
+                }
+                from = d + 1;
+            }
+            if from < at {
+                pieces.push(Piece::Kept(from..at));
+                from = at;
+            }
+            if let Some(t) = t {
+                pieces.push(Piece::Inserted(t));
+            }
+        }
         let total = survivors + inserts.len();
         let mut sorted = Vec::with_capacity(total);
-        let mut columns: Vec<Vec<u16>> = vec![Vec::with_capacity(total); self.order.len()];
-        let mut fresh = fresh.into_iter().peekable();
-        let take_fresh = |t: usize, sorted: &mut Vec<u32>, columns: &mut [Vec<u16>]| {
-            sorted.push((survivors + t) as u32);
-            for (j, column) in columns.iter_mut().enumerate() {
-                column.push(key(&inserts[t], j));
-            }
-        };
-        for (pos, &idx) in self.sorted.iter().enumerate() {
-            let idx = idx as usize;
-            if deletes.binary_search(&idx).is_ok() {
-                continue;
-            }
-            // Inserts strictly below this survivor's values go first; on a
-            // tie the survivor's smaller index wins.
-            while let Some(&t) = fresh.peek() {
-                let below = (0..self.order.len())
-                    .map(|j| key(&inserts[t], j).cmp(&self.columns[j][pos]))
-                    .find(|o| o.is_ne())
-                    == Some(Ordering::Less);
-                if !below {
-                    break;
+        for piece in &pieces {
+            match piece {
+                Piece::Kept(run) if remap.is_empty() => {
+                    sorted.extend_from_slice(&self.sorted[run.clone()])
                 }
-                take_fresh(t, &mut sorted, &mut columns);
-                fresh.next();
-            }
-            sorted.push((idx - deletes.partition_point(|&d| d < idx)) as u32);
-            for (j, column) in columns.iter_mut().enumerate() {
-                column.push(self.columns[j][pos]);
+                Piece::Kept(run) => sorted.extend(
+                    self.sorted[run.clone()]
+                        .iter()
+                        .map(|&idx| remap[idx as usize]),
+                ),
+                Piece::Inserted(t) => sorted.push((survivors + t) as u32),
             }
         }
-        for t in fresh {
-            take_fresh(t, &mut sorted, &mut columns);
-        }
+        let columns = self
+            .columns
+            .iter()
+            .zip(&self.order)
+            .map(|(old, &attr)| {
+                let mut column = Vec::with_capacity(total);
+                for piece in &pieces {
+                    match piece {
+                        Piece::Kept(run) => column.extend_from_slice(&old[run.clone()]),
+                        Piece::Inserted(t) => column.push(inserts[*t].get(attr)),
+                    }
+                }
+                column
+            })
+            .collect();
         let store = PrefixIndexStore {
             order: self.order.clone(),
             sorted,
@@ -226,6 +280,14 @@ impl PrefixIndexStore {
     }
 }
 
+/// One step of [`PrefixIndexStore::apply_delta`]'s merged order.
+enum Piece {
+    /// A run of surviving positions of the current order.
+    Kept(Range<usize>),
+    /// The `t`-th inserted record.
+    Inserted(usize),
+}
+
 /// An order must list distinct attributes of the schema.
 fn check_order(order: &[usize], m: usize) -> Result<(), DataError> {
     if let Some(&bad) = order.iter().find(|&&a| a >= m) {
@@ -257,21 +319,10 @@ impl SeedStore for PrefixIndexStore {
 
     fn plausible_candidates<'s>(
         &'s self,
-        candidate: &Record,
-        match_attributes: Option<&[usize]>,
+        _candidate: &Record,
+        _match_attributes: Option<&[usize]>,
     ) -> CandidateIter<'s> {
-        // The longest σ-prefix inside the exact-match set: a seed outside its
-        // range disagrees with the candidate on an exact-match attribute.
-        let depth = match_attributes.map_or(0, |matched| {
-            self.order
-                .iter()
-                .take_while(|a| matched.contains(a))
-                .count()
-        });
-        if depth == 0 {
-            return CandidateIter::All(0..self.sorted.len());
-        }
-        CandidateIter::Prefix(self.sorted[self.range(candidate, depth)].iter())
+        CandidateIter::All(0..self.sorted.len())
     }
 
     fn prefix_members<'s>(
@@ -280,8 +331,12 @@ impl SeedStore for PrefixIndexStore {
         likelihood_attributes: Option<&[usize]>,
         match_attributes: Option<&[usize]>,
     ) -> Option<&'s [u32]> {
-        let matched = match_attributes?;
         let likelihood = likelihood_attributes?;
+        // A seed-independent model gives every seed the same probability.
+        if likelihood.is_empty() {
+            return Some(&self.sorted);
+        }
+        let matched = match_attributes?;
         let depth = self.prefix_depth(matched)?;
         if likelihood != matched && !likelihood.iter().all(|a| matched.contains(a)) {
             return None;
@@ -383,33 +438,28 @@ mod tests {
             .is_none());
         // Likelihood reads an attribute outside the exact-match set.
         assert!(store.prefix_members(&y, Some(&[2]), Some(&[1])).is_none());
-        // No guarantees at all.
+        // No likelihood guarantee, or a prefix with no exact-match set.
         assert!(store.prefix_members(&y, None, Some(&[1])).is_none());
-        assert!(store.prefix_members(&y, Some(&[]), None).is_none());
-        // The empty prefix is every seed.
-        assert_eq!(
-            store
-                .prefix_members(&y, Some(&[]), Some(&[]))
-                .unwrap()
-                .len(),
-            7
-        );
+        assert!(store.prefix_members(&y, Some(&[1]), None).is_none());
+        // The empty prefix, and a seed-independent model whatever its
+        // exact-match set, is every seed.
+        for matched in [Some(&[][..]), None, Some(&[0][..])] {
+            assert_eq!(
+                store.prefix_members(&y, Some(&[]), matched).unwrap().len(),
+                7
+            );
+        }
     }
 
     #[test]
-    fn plausible_candidates_use_the_longest_contained_prefix() {
-        let rows = rows();
-        let store = PrefixIndexStore::build(&dataset(&rows), &[1, 0, 2]).unwrap();
+    fn plausible_candidates_are_every_seed() {
+        let store = PrefixIndexStore::build(&dataset(&rows()), &[1, 0, 2]).unwrap();
         let y = Record::new(vec![0, 0, 2]);
-        // {0, 2} contains no σ-prefix (σ[0] = 1): nothing to narrow on.
-        assert!(!store.plausible_candidates(&y, Some(&[0, 2])).is_filtered());
-        assert!(!store.plausible_candidates(&y, None).is_filtered());
-        // {1, 2} contains the depth-1 prefix {1}.
-        let iter = store.plausible_candidates(&y, Some(&[2, 1]));
-        assert!(iter.is_filtered());
-        let mut got: Vec<u32> = iter.map(|i| i as u32).collect();
-        got.sort_unstable();
-        assert_eq!(got, matching(&rows, &y, &[1]));
+        for matched in [None, Some(&[1][..]), Some(&[1, 0, 2][..])] {
+            let iter = store.plausible_candidates(&y, matched);
+            assert!(!iter.is_filtered());
+            assert_eq!(iter.collect::<Vec<_>>(), (0..7).collect::<Vec<_>>());
+        }
     }
 
     /// The canonical final dataset of a delta: survivors in order, then

@@ -109,7 +109,9 @@ pub trait SeedStore: Send + Sync + std::fmt::Debug {
     /// set (`L ⊆ EM`): a seed with positive probability agrees with the
     /// candidate on `EM`, so every seed agreeing on `EM` shares its
     /// `L`-projection and hence its probability (see
-    /// [`PrefixIndexStore`](crate::PrefixIndexStore)).
+    /// [`PrefixIndexStore`](crate::PrefixIndexStore)).  A seed-independent
+    /// model (`L = ∅`) gives every seed the same probability, so its exact
+    /// set is every seed whatever its exact-match set.
     ///
     /// The default (every store but the prefix store) is `None`.
     fn prefix_members<'s>(
@@ -157,9 +159,6 @@ pub enum CandidateIter<'a> {
     /// ascending within each class (the partition store's per-record
     /// fallback).
     Classes(ClassCandidates<'a>),
-    /// One range of the prefix store's sorted order (its per-record
-    /// fallback), in sorted-key order rather than index order.
-    Prefix(std::slice::Iter<'a, u32>),
 }
 
 impl CandidateIter<'_> {
@@ -179,7 +178,6 @@ impl Iterator for CandidateIter<'_> {
             CandidateIter::All(range) => range.next(),
             CandidateIter::Filtered(inter) => inter.next(),
             CandidateIter::Classes(classes) => classes.next(),
-            CandidateIter::Prefix(members) => members.next().map(|&idx| idx as usize),
         }
     }
 
@@ -188,7 +186,6 @@ impl Iterator for CandidateIter<'_> {
             CandidateIter::All(range) => range.size_hint(),
             CandidateIter::Filtered(inter) => inter.size_hint(),
             CandidateIter::Classes(_) => (0, None),
-            CandidateIter::Prefix(members) => members.size_hint(),
         }
     }
 }

@@ -107,7 +107,7 @@ echo "== request-folding equivalence gate passed (fig_folding) =="
 # and identically-seeded releases — is byte-identical to a from-scratch
 # retrain on the post-delta dataset, printing the confirmation line below
 # only after every assertion held.  (At full scale the binary additionally
-# asserts the >= 50x update-vs-retrain speedup internally.)
+# asserts the >= 100x update-vs-retrain speedup internally.)
 if ! grep -q "matches a from-scratch retrain bit-for-bit" "$OUTDIR/fig_update.txt"; then
     echo "ERROR: fig_update did not confirm incremental-update equivalence" >&2
     exit 1
