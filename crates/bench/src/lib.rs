@@ -1,5 +1,4 @@
-//! Shared experiment context for the table/figure reproduction binaries and
-//! the criterion benchmarks.
+//! Shared experiment context for the table/figure reproduction binaries.
 //!
 //! Every binary accepts an optional positional argument `scale` (default 1):
 //! the synthetic-ACS population size and the number of released synthetics are
@@ -139,7 +138,7 @@ pub fn build_context(scale: usize, seed: u64) -> ExperimentContext {
     }
 }
 
-/// A smaller context for the criterion benches (fast to learn, no synthesis).
+/// A small model context: fast to learn, no synthesis.
 pub fn small_models(seed: u64) -> (DataSplit, Bucketizer, TrainedModels) {
     let population = generate_acs(6_000, seed);
     let bucketizer = acs_bucketizer(&acs_schema());

@@ -28,6 +28,7 @@
 //! is append-only history: perf over time is one `jq` away, and updating the
 //! baseline after an intentional change is appending a new entry.
 
+use sgf_core::MechanismStats;
 use sgf_metrics::{Json, Snapshot};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -87,20 +88,14 @@ impl BenchPoint {
     }
 
     fn as_json(&self) -> Json {
-        let mut obj = BTreeMap::new();
-        obj.insert("label".to_string(), Json::from(self.label.as_str()));
-        let mut counters = BTreeMap::new();
-        for (name, value) in &self.counters {
-            counters.insert(name.clone(), Json::from(*value));
-        }
-        obj.insert("counters".to_string(), Json::Obj(counters));
-        let mut values = BTreeMap::new();
-        for (name, value) in &self.values {
-            values.insert(name.clone(), Json::from(*value));
-        }
-        obj.insert("values".to_string(), Json::Obj(values));
-        obj.insert("noisy".to_string(), Json::Bool(self.noisy));
-        Json::Obj(obj)
+        let counters = self.counters.iter().map(|(k, &v)| (k.clone(), v.into()));
+        let values = self.values.iter().map(|(k, &v)| (k.clone(), v.into()));
+        Json::obj([
+            ("label", self.label.as_str().into()),
+            ("counters", Json::Obj(counters.collect())),
+            ("values", Json::Obj(values.collect())),
+            ("noisy", self.noisy.into()),
+        ])
     }
 
     fn from_json(doc: &Json) -> Result<BenchPoint, String> {
@@ -110,7 +105,7 @@ impl BenchPoint {
             .ok_or("point is missing a string `label`")?
             .to_string();
         let mut point = BenchPoint::new(label);
-        if let Some(counters) = doc.get("counters").and_then(Json::as_obj) {
+        if let Some(counters) = doc.get("counters").and_then(Json::as_object) {
             for (name, value) in counters {
                 let value = value
                     .as_u64()
@@ -118,7 +113,7 @@ impl BenchPoint {
                 point.counters.insert(name.clone(), value);
             }
         }
-        if let Some(values) = doc.get("values").and_then(Json::as_obj) {
+        if let Some(values) = doc.get("values").and_then(Json::as_object) {
             for (name, value) in values {
                 let value = value
                     .as_f64()
@@ -166,20 +161,17 @@ impl BenchDoc {
 
     /// The document as a [`Json`] value.
     pub fn as_json(&self) -> Json {
-        let mut obj = BTreeMap::new();
-        obj.insert(
-            "schema_version".to_string(),
-            Json::Int(SCHEMA_VERSION.into()),
-        );
-        obj.insert("series".to_string(), Json::from(self.series.as_str()));
-        obj.insert("commit".to_string(), Json::from(self.commit.as_str()));
-        obj.insert("smoke".to_string(), Json::Bool(self.smoke));
-        obj.insert("scale".to_string(), Json::from(self.scale as u64));
-        obj.insert(
-            "points".to_string(),
-            Json::Arr(self.points.iter().map(BenchPoint::as_json).collect()),
-        );
-        Json::Obj(obj)
+        Json::obj([
+            ("schema_version", Json::Int(SCHEMA_VERSION.into())),
+            ("series", self.series.as_str().into()),
+            ("commit", self.commit.as_str().into()),
+            ("smoke", self.smoke.into()),
+            ("scale", self.scale.into()),
+            (
+                "points",
+                Json::Arr(self.points.iter().map(BenchPoint::as_json).collect()),
+            ),
+        ])
     }
 
     /// Render the document as canonical JSON text.
@@ -205,7 +197,7 @@ impl BenchDoc {
             .and_then(Json::as_u64)
             .ok_or("document is missing a numeric `scale`")? as usize;
         let mut points = Vec::new();
-        for point in doc.get("points").and_then(Json::as_arr).unwrap_or(&[]) {
+        for point in doc.get("points").and_then(Json::as_array).unwrap_or(&[]) {
             points
                 .push(BenchPoint::from_json(point).map_err(|e| format!("series `{series}`: {e}"))?);
         }
@@ -220,7 +212,7 @@ impl BenchDoc {
 
     /// Parse a document from JSON text.
     pub fn from_json(text: &str) -> Result<BenchDoc, String> {
-        let doc = sgf_metrics::json::parse(text).map_err(|e| e.to_string())?;
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
         Self::from_json_value(&doc)
     }
 
@@ -275,19 +267,6 @@ pub struct SeriesRecorder {
     before: Snapshot,
 }
 
-/// The deterministic mechanism counters the `total` point mirrors (names
-/// without the `core.mechanism.` prefix).
-const MECHANISM_COUNTERS: [&str; 8] = [
-    "candidates",
-    "released",
-    "records_examined",
-    "index_tests",
-    "scan_tests",
-    "partition_tests",
-    "class_cache_hits",
-    "class_cache_misses",
-];
-
 impl SeriesRecorder {
     /// Start recording the series.
     pub fn new(series: impl Into<String>, scale: usize) -> Self {
@@ -306,11 +285,16 @@ impl SeriesRecorder {
     /// Finish the series: append the `total` point (wall clock + the run's
     /// `core.mechanism.*` counter deltas), emit `BENCH_<series>.json` into
     /// `$SGF_BENCH_DIR` when set, and return the document.
+    ///
+    /// The `total` sums every point of the run, so it is noisy (exempt from
+    /// gating) whenever any point is: a multi-worker point's proposal count
+    /// depends on thread timing.
     pub fn finish(mut self) -> BenchDoc {
         let delta = sgf_metrics::global().snapshot().delta(&self.before);
         let mut total =
             BenchPoint::new("total").value("wall_seconds", self.start.elapsed().as_secs_f64());
-        for name in MECHANISM_COUNTERS {
+        total.noisy = self.doc.points.iter().any(|point| point.noisy);
+        for (name, _) in MechanismStats::default().counters() {
             let value = delta.counter(&format!("core.mechanism.{name}"));
             if value > 0 {
                 total.counters.insert(name.to_string(), value);
@@ -380,25 +364,23 @@ impl TrajectoryEntry {
 
     /// The entry as one line of canonical JSON.
     pub fn to_json(&self) -> String {
-        let mut obj = BTreeMap::new();
-        obj.insert(
-            "schema_version".to_string(),
-            Json::Int(SCHEMA_VERSION.into()),
-        );
-        obj.insert("commit".to_string(), Json::from(self.commit.as_str()));
-        obj.insert("smoke".to_string(), Json::Bool(self.smoke));
-        obj.insert("scale".to_string(), Json::from(self.scale as u64));
-        let mut series = BTreeMap::new();
-        for (name, doc) in &self.series {
-            series.insert(name.clone(), doc.as_json());
-        }
-        obj.insert("series".to_string(), Json::Obj(series));
-        Json::Obj(obj).render()
+        let series = self
+            .series
+            .iter()
+            .map(|(name, doc)| (name.clone(), doc.as_json()));
+        Json::obj([
+            ("schema_version", Json::Int(SCHEMA_VERSION.into())),
+            ("commit", self.commit.as_str().into()),
+            ("smoke", self.smoke.into()),
+            ("scale", self.scale.into()),
+            ("series", Json::Obj(series.collect())),
+        ])
+        .render()
     }
 
     /// Parse one trajectory line.
     pub fn from_json(text: &str) -> Result<TrajectoryEntry, String> {
-        let doc = sgf_metrics::json::parse(text).map_err(|e| e.to_string())?;
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
         let commit = doc
             .get("commit")
             .and_then(Json::as_str)
@@ -410,7 +392,7 @@ impl TrajectoryEntry {
             .and_then(Json::as_u64)
             .ok_or("trajectory entry is missing a numeric `scale`")? as usize;
         let mut series = BTreeMap::new();
-        if let Some(map) = doc.get("series").and_then(Json::as_obj) {
+        if let Some(map) = doc.get("series").and_then(Json::as_object) {
             for (name, value) in map {
                 series.insert(name.clone(), BenchDoc::from_json_value(value)?);
             }
@@ -668,6 +650,19 @@ mod tests {
                 .counter("released", released)
                 .value("wall_seconds", seconds)],
         }
+    }
+
+    #[test]
+    fn total_is_noisy_exactly_when_a_series_point_is() {
+        let mut quiet = SeriesRecorder::new("quiet", 1);
+        quiet.add(BenchPoint::new("w01").counter("candidates", 10));
+        assert!(!quiet.finish().point("total").unwrap().noisy);
+        let mut racy = SeriesRecorder::new("racy", 1);
+        racy.add(BenchPoint::new("w01").counter("candidates", 10));
+        racy.add(BenchPoint::new("w04").counter("candidates", 13).noisy());
+        let doc = racy.finish();
+        assert!(doc.point("total").unwrap().noisy);
+        assert!(!doc.point("w01").unwrap().noisy, "w01 stays gated");
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use crate::error::{CoreError, Result};
 use serde::{Deserialize, Serialize};
+use sgf_metrics::Json;
 use sgf_stats::DpBudget;
 
 /// Largest integer every `f64` at or below it represents exactly (2^53).
@@ -373,40 +374,33 @@ impl BudgetLedger {
         }
     }
 
-    /// Render the ledger as a JSON object for service / bench reporting.
-    pub fn to_json(&self) -> String {
-        let total = self.total();
-        let reserved_total = self.reserved_total();
-        format!(
-            "{{\"requests\":{},\"releases\":{},\"reserved\":{},\
-             \"model_epsilon\":{},\"model_delta\":{},\
-             \"per_release_epsilon\":{},\"per_release_delta\":{},\
-             \"total_epsilon\":{},\"total_delta\":{},\
-             \"reserved_epsilon\":{},\"reserved_delta\":{}}}",
-            self.requests,
-            self.releases,
-            self.reserved,
-            json_f64(self.model_budget().epsilon),
-            json_f64(self.model_budget().delta),
-            self.per_release
-                .map_or("null".into(), |b| json_f64(b.epsilon)),
-            self.per_release
-                .map_or("null".into(), |b| json_f64(b.delta)),
-            json_f64(total.epsilon),
-            json_f64(total.delta),
-            json_f64(reserved_total.epsilon),
-            json_f64(reserved_total.delta),
-        )
+    /// The ledger as a JSON object for service / bench reporting.
+    pub fn as_json(&self) -> Json {
+        let (model, total, reserved) = (self.model_budget(), self.total(), self.reserved_total());
+        Json::obj([
+            ("requests", self.requests.into()),
+            ("releases", self.releases.into()),
+            ("reserved", self.reserved.into()),
+            ("model_epsilon", model.epsilon.into()),
+            ("model_delta", model.delta.into()),
+            (
+                "per_release_epsilon",
+                self.per_release.map(|b| b.epsilon).into(),
+            ),
+            (
+                "per_release_delta",
+                self.per_release.map(|b| b.delta).into(),
+            ),
+            ("total_epsilon", total.epsilon.into()),
+            ("total_delta", total.delta.into()),
+            ("reserved_epsilon", reserved.epsilon.into()),
+            ("reserved_delta", reserved.delta.into()),
+        ])
     }
-}
 
-/// Format an `f64` as a JSON value (`null` for non-finite values, which JSON
-/// cannot represent).
-pub(crate) fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "null".to_string()
+    /// Render the ledger as canonical JSON.
+    pub fn to_json(&self) -> String {
+        self.as_json().render()
     }
 }
 

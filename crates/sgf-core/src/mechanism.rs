@@ -7,6 +7,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sgf_data::{Dataset, Record};
 use sgf_index::{LinearScanStore, SeedStore};
+use sgf_metrics::{Json, Scope};
 use sgf_model::GenerativeModel;
 
 /// One released (or rejected) candidate together with the test diagnostics.
@@ -96,21 +97,71 @@ impl MechanismStats {
         self.class_cache_misses += other.class_cache_misses;
     }
 
-    /// Render the counters as a JSON object, so services and the bench
+    /// Every counter by name, in field order.  The names are the suffixes of
+    /// the `core.mechanism.*` metrics; the metrics flush, the
+    /// `core.proposals` trace span, the JSON report and the benchmark
+    /// `total` points all iterate this one list.
+    pub fn counters(&self) -> [(&'static str, usize); 8] {
+        [
+            ("candidates", self.candidates),
+            ("released", self.released),
+            ("records_examined", self.records_examined),
+            ("index_tests", self.index_tests),
+            ("scan_tests", self.scan_tests),
+            ("partition_tests", self.partition_tests),
+            ("class_cache_hits", self.class_cache_hits),
+            ("class_cache_misses", self.class_cache_misses),
+        ]
+    }
+
+    /// The counters plus `pass_rate` as a JSON object.
+    pub fn as_json(&self) -> Json {
+        let counters = self
+            .counters()
+            .map(|(name, value)| (name, Json::from(value)));
+        Json::obj(
+            counters
+                .into_iter()
+                .chain([("pass_rate", self.pass_rate().into())]),
+        )
+    }
+
+    /// Render the counters as canonical JSON, so services and the bench
     /// binaries can emit machine-readable reports.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"candidates\":{},\"released\":{},\"records_examined\":{},\"index_tests\":{},\"scan_tests\":{},\"partition_tests\":{},\"class_cache_hits\":{},\"class_cache_misses\":{},\"pass_rate\":{}}}",
-            self.candidates,
-            self.released,
-            self.records_examined,
-            self.index_tests,
-            self.scan_tests,
-            self.partition_tests,
-            self.class_cache_hits,
-            self.class_cache_misses,
-            crate::dp::json_f64(self.pass_rate())
-        )
+        self.as_json().render()
+    }
+
+    /// Flush one finished request into the metrics registry as
+    /// `core.mechanism.*`: a `requests` tick, every [`counters`] entry, the
+    /// `extra` counters, and a `workers` summary observation when given.
+    /// With a scope the writes go through its view, which updates the global
+    /// rollup too; without one they go straight to the global registry.
+    /// Either way, flush each request exactly once.
+    ///
+    /// [`counters`]: MechanismStats::counters
+    pub(crate) fn flush(
+        &self,
+        scope: Option<&Scope>,
+        extra: &[(&str, u64)],
+        workers: Option<usize>,
+    ) {
+        let view = scope.map(sgf_metrics::scoped);
+        let counters = self.counters().map(|(name, value)| (name, value as u64));
+        for (name, value) in [("requests", 1)].iter().chain(&counters).chain(extra) {
+            let name = format!("core.mechanism.{name}");
+            match &view {
+                Some(view) => view.counter(&name).add(*value),
+                None => sgf_metrics::counter(&name).add(*value),
+            }
+        }
+        if let Some(workers) = workers {
+            let (name, workers) = ("core.mechanism.workers", workers as u64);
+            match &view {
+                Some(view) => view.summary(name).observe(workers),
+                None => sgf_metrics::summary(name).observe(workers),
+            }
+        }
     }
 }
 

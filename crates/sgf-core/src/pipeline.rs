@@ -145,12 +145,15 @@ pub struct PipelineTimings {
 impl PipelineTimings {
     /// Render the phase timings (in seconds) as a JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"model_learning_seconds\":{},\"index_build_seconds\":{},\"synthesis_seconds\":{}}}",
-            crate::dp::json_f64(self.model_learning.as_secs_f64()),
-            crate::dp::json_f64(self.index_build.as_secs_f64()),
-            crate::dp::json_f64(self.synthesis.as_secs_f64())
-        )
+        sgf_metrics::Json::obj([
+            (
+                "model_learning_seconds",
+                self.model_learning.as_secs_f64().into(),
+            ),
+            ("index_build_seconds", self.index_build.as_secs_f64().into()),
+            ("synthesis_seconds", self.synthesis.as_secs_f64().into()),
+        ])
+        .render()
     }
 }
 

@@ -43,7 +43,7 @@ use sgf_model::{
     OmegaSpec, ParameterConfig, SeedSynthesizer, StructureConfig,
 };
 use sgf_stats::DpBudget;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -414,15 +414,14 @@ impl ReleaseReport {
 
     /// Render the report (counters + budgets + provenance) as a JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"stats\":{},\"synthesis_seconds\":{},\"request_epsilon\":{},\"ledger\":{},\
-             \"provenance\":{}}}",
-            self.stats.to_json(),
-            crate::dp::json_f64(self.synthesis.as_secs_f64()),
-            crate::dp::json_f64(self.request_budget().epsilon),
-            self.ledger.to_json(),
-            self.provenance_json().render(),
-        )
+        Json::obj([
+            ("stats", self.stats.as_json()),
+            ("synthesis_seconds", self.synthesis.as_secs_f64().into()),
+            ("request_epsilon", self.request_budget().epsilon.into()),
+            ("ledger", self.ledger.as_json()),
+            ("provenance", self.provenance_json()),
+        ])
+        .render()
     }
 }
 
@@ -477,41 +476,25 @@ impl Provenance {
     /// post-request ledger of the same release) completes the budget
     /// before/after pair.
     pub fn to_json(&self, ledger_after: &BudgetLedger) -> Json {
-        let mut obj = BTreeMap::new();
-        obj.insert("store".to_string(), Json::from(self.store));
-        obj.insert("seeds".to_string(), Json::Int(self.seeds as i128));
-        let classes = match self.classes {
-            Some(classes) => Json::Int(classes as i128),
-            None => Json::Null,
-        };
-        obj.insert("classes".to_string(), classes);
-        obj.insert("omega".to_string(), Json::Str(render_omega(self.omega)));
-        obj.insert("workers".to_string(), Json::Int(self.workers as i128));
-        obj.insert(
-            "max_candidates".to_string(),
-            Json::Int(self.max_candidates as i128),
-        );
-        obj.insert("k".to_string(), Json::Int(self.k as i128));
-        obj.insert("gamma".to_string(), Json::Float(self.gamma));
-        let epsilon0 = match self.epsilon0 {
-            Some(epsilon0) => Json::Float(epsilon0),
-            None => Json::Null,
-        };
-        obj.insert("epsilon0".to_string(), epsilon0);
-        obj.insert(
-            "request_seed".to_string(),
-            Json::Int(self.request_seed as i128),
-        );
-        obj.insert("epoch".to_string(), Json::Int(self.epoch as i128));
-        let mut ledger = BTreeMap::new();
-        ledger.insert("before".to_string(), ledger_side_json(&self.ledger_before));
-        ledger.insert("after".to_string(), ledger_side_json(ledger_after));
-        obj.insert("ledger".to_string(), Json::Obj(ledger));
-        obj.insert(
-            "trace_spans".to_string(),
-            Json::Int(self.trace_spans as i128),
-        );
-        Json::Obj(obj)
+        let ledger = Json::obj([
+            ("before", ledger_side_json(&self.ledger_before)),
+            ("after", ledger_side_json(ledger_after)),
+        ]);
+        Json::obj([
+            ("store", self.store.into()),
+            ("seeds", self.seeds.into()),
+            ("classes", self.classes.into()),
+            ("omega", render_omega(self.omega).into()),
+            ("workers", self.workers.into()),
+            ("max_candidates", self.max_candidates.into()),
+            ("k", self.k.into()),
+            ("gamma", self.gamma.into()),
+            ("epsilon0", self.epsilon0.into()),
+            ("request_seed", self.request_seed.into()),
+            ("epoch", self.epoch.into()),
+            ("ledger", ledger),
+            ("trace_spans", self.trace_spans.into()),
+        ])
     }
 }
 
@@ -528,12 +511,12 @@ fn render_omega(omega: OmegaSpec) -> String {
 /// and request totals of the ledger at that point.
 fn ledger_side_json(ledger: &BudgetLedger) -> Json {
     let total = ledger.total();
-    let mut obj = BTreeMap::new();
-    obj.insert("epsilon".to_string(), Json::Float(total.epsilon));
-    obj.insert("delta".to_string(), Json::Float(total.delta));
-    obj.insert("releases".to_string(), Json::Int(ledger.releases as i128));
-    obj.insert("requests".to_string(), Json::Int(ledger.requests as i128));
-    Json::Obj(obj)
+    Json::obj([
+        ("epsilon", total.epsilon.into()),
+        ("delta", total.delta.into()),
+        ("releases", ledger.releases.into()),
+        ("requests", ledger.requests.into()),
+    ])
 }
 
 /// One privacy-test observation captured for tracing: which store served the
@@ -865,43 +848,7 @@ impl SynthesisSession {
     /// The scoped handles write both the global rollup and the scope cell, so
     /// callers must invoke this at most once per iterator.
     pub fn flush_stream_stats(&self, stats: &MechanismStats) {
-        match &self.scope {
-            Some(scope) => {
-                let view = sgf_metrics::scoped(scope);
-                view.counter("core.mechanism.requests").incr();
-                view.counter("core.mechanism.candidates")
-                    .add(stats.candidates as u64);
-                view.counter("core.mechanism.released")
-                    .add(stats.released as u64);
-                view.counter("core.mechanism.records_examined")
-                    .add(stats.records_examined as u64);
-                view.counter("core.mechanism.index_tests")
-                    .add(stats.index_tests as u64);
-                view.counter("core.mechanism.scan_tests")
-                    .add(stats.scan_tests as u64);
-                view.counter("core.mechanism.partition_tests")
-                    .add(stats.partition_tests as u64);
-                view.counter("core.mechanism.class_cache_hits")
-                    .add(stats.class_cache_hits as u64);
-                view.counter("core.mechanism.class_cache_misses")
-                    .add(stats.class_cache_misses as u64);
-            }
-            None => {
-                sgf_metrics::counter("core.mechanism.requests").incr();
-                sgf_metrics::counter("core.mechanism.candidates").add(stats.candidates as u64);
-                sgf_metrics::counter("core.mechanism.released").add(stats.released as u64);
-                sgf_metrics::counter("core.mechanism.records_examined")
-                    .add(stats.records_examined as u64);
-                sgf_metrics::counter("core.mechanism.index_tests").add(stats.index_tests as u64);
-                sgf_metrics::counter("core.mechanism.scan_tests").add(stats.scan_tests as u64);
-                sgf_metrics::counter("core.mechanism.partition_tests")
-                    .add(stats.partition_tests as u64);
-                sgf_metrics::counter("core.mechanism.class_cache_hits")
-                    .add(stats.class_cache_hits as u64);
-                sgf_metrics::counter("core.mechanism.class_cache_misses")
-                    .add(stats.class_cache_misses as u64);
-            }
-        }
+        stats.flush(self.scope.as_ref(), &[], None);
     }
 
     /// Atomically reserve budget for up to `records` releases under the
@@ -1744,17 +1691,9 @@ fn commit_generate_trace(
     batch.counter(root, "workers", workers as u64);
     batch.wall(root, synthesis);
     let proposals = batch.span("core.proposals", root);
-    batch.counter(proposals, "candidates", stats.candidates as u64);
-    batch.counter(proposals, "records_examined", stats.records_examined as u64);
-    batch.counter(proposals, "index_tests", stats.index_tests as u64);
-    batch.counter(proposals, "scan_tests", stats.scan_tests as u64);
-    batch.counter(proposals, "partition_tests", stats.partition_tests as u64);
-    batch.counter(proposals, "class_cache_hits", stats.class_cache_hits as u64);
-    batch.counter(
-        proposals,
-        "class_cache_misses",
-        stats.class_cache_misses as u64,
-    );
+    for (name, value) in stats.counters() {
+        batch.counter(proposals, name, value as u64);
+    }
     if stats.candidates > probes.len() {
         batch.counter(
             proposals,
@@ -1956,55 +1895,11 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
     // here instead of per worker.
     stats.released = records.len();
 
-    // Flush exactly once: the scoped handles below write both the global
-    // rollup and the scope cell, so a scoped request must not also run the
-    // unscoped block (it would double-count the rollup).
-    match scope {
-        Some(scope) => {
-            let view = sgf_metrics::scoped(scope);
-            view.counter("core.mechanism.requests").incr();
-            view.counter("core.mechanism.candidates")
-                .add(stats.candidates as u64);
-            view.counter("core.mechanism.released")
-                .add(stats.released as u64);
-            view.counter("core.mechanism.records_examined")
-                .add(stats.records_examined as u64);
-            view.counter("core.mechanism.index_tests")
-                .add(stats.index_tests as u64);
-            view.counter("core.mechanism.scan_tests")
-                .add(stats.scan_tests as u64);
-            view.counter("core.mechanism.partition_tests")
-                .add(stats.partition_tests as u64);
-            view.counter("core.mechanism.class_cache_hits")
-                .add(stats.class_cache_hits as u64);
-            view.counter("core.mechanism.class_cache_misses")
-                .add(stats.class_cache_misses as u64);
-            view.counter("core.mechanism.selection_locks")
-                .add(profile.selection_locks);
-            view.counter("core.mechanism.outranked_passes")
-                .add(profile.outranked_passes);
-            view.summary("core.mechanism.workers")
-                .observe(workers as u64);
-        }
-        None => {
-            sgf_metrics::counter("core.mechanism.requests").incr();
-            sgf_metrics::counter("core.mechanism.candidates").add(stats.candidates as u64);
-            sgf_metrics::counter("core.mechanism.released").add(stats.released as u64);
-            sgf_metrics::counter("core.mechanism.records_examined")
-                .add(stats.records_examined as u64);
-            sgf_metrics::counter("core.mechanism.index_tests").add(stats.index_tests as u64);
-            sgf_metrics::counter("core.mechanism.scan_tests").add(stats.scan_tests as u64);
-            sgf_metrics::counter("core.mechanism.partition_tests")
-                .add(stats.partition_tests as u64);
-            sgf_metrics::counter("core.mechanism.class_cache_hits")
-                .add(stats.class_cache_hits as u64);
-            sgf_metrics::counter("core.mechanism.class_cache_misses")
-                .add(stats.class_cache_misses as u64);
-            sgf_metrics::counter("core.mechanism.selection_locks").add(profile.selection_locks);
-            sgf_metrics::counter("core.mechanism.outranked_passes").add(profile.outranked_passes);
-            sgf_metrics::summary("core.mechanism.workers").observe(workers as u64);
-        }
-    }
+    let contention = [
+        ("selection_locks", profile.selection_locks),
+        ("outranked_passes", profile.outranked_passes),
+    ];
+    stats.flush(scope, &contention, Some(workers));
 
     Ok((records, stats))
 }
@@ -2566,7 +2461,7 @@ mod tests {
         );
         // And the provenance JSON is well-formed canonical JSON.
         let json = traced.provenance_json().render();
-        let parsed = sgf_metrics::json::parse(&json).expect("provenance JSON parses");
+        let parsed = Json::parse(&json).expect("provenance JSON parses");
         assert_eq!(
             parsed.get("store").and_then(|s| s.as_str()),
             Some(traced.provenance.store)
@@ -2710,7 +2605,7 @@ mod tests {
         );
         assert_eq!(second.provenance.epoch, 1);
         let json = second.provenance_json().render();
-        let parsed = sgf_metrics::json::parse(&json).expect("provenance JSON parses");
+        let parsed = Json::parse(&json).expect("provenance JSON parses");
         assert_eq!(parsed.get("epoch").and_then(|e| e.as_u64()), Some(1));
         // Updates chain: a further (even empty) delta bumps the epoch again.
         let empty = DatasetDelta::new(data.schema_arc());

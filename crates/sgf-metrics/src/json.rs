@@ -1,20 +1,26 @@
-//! A minimal JSON value type with a hand-rolled parser and serializer.
+//! The workspace's JSON codec: a value type, a strict parser, and a canonical
+//! renderer.
 //!
-//! The metrics snapshots, the `BENCH_*.json` benchmark documents, and the
-//! perf-trajectory file all need machine-readable round-trippable encoding
-//! without the (vendored, attribute-less) serde stubs.  This module supports
-//! exactly the JSON subset those documents use: objects with string keys,
-//! arrays, strings, booleans, null, and numbers split into an exact integer
-//! variant (`Int`, counters and nanosecond totals) and a float variant
-//! (`Float`, wall clocks and ratios).
+//! The metrics snapshots, the `BENCH_*.json` benchmark documents, the
+//! perf-trajectory file, and the sgf-serve wire protocol all go through this
+//! one module (the vendored serde stub carries no serializer).  Numbers split
+//! into an exact integer variant (`Int`: counters, nanosecond totals, `u64`
+//! request seeds) and a float variant (`Float`: wall clocks, budgets,
+//! ratios).
 //!
-//! Object keys are kept in a `BTreeMap`, so serialization order is
-//! deterministic — two equal documents always render byte-identically.
+//! Rendering is canonical: object keys come out sorted (`BTreeMap`), strings
+//! are escaped, integral floats keep a `.0`, and non-finite floats render as
+//! `null`.  Parsing a canonical document and rendering it reproduces the
+//! bytes.
+//!
+//! The parser reads hostile input (serve request lines), so it is strict and
+//! panic-free: surrogate pairs decode, while lone surrogates, raw control
+//! characters in strings, and dangling escapes are errors.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A JSON value (see the module docs for the supported subset).
+/// A JSON value (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -22,7 +28,7 @@ pub enum Json {
     /// `true` / `false`.
     Bool(bool),
     /// A number written without fraction or exponent, within `i128` range
-    /// (wide enough to carry every `u64` counter exactly).
+    /// (wide enough to carry every `u64` exactly).
     Int(i128),
     /// Any other number.
     Float(f64),
@@ -35,8 +41,33 @@ pub enum Json {
 }
 
 impl Json {
+    /// Parse one complete JSON document; trailing non-whitespace is an error.
+    pub fn parse(text: &str) -> Result<Json, ParseError> {
+        let mut parser = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        parser.skip_ws();
+        let value = parser.value()?;
+        parser.skip_ws();
+        if parser.pos != parser.bytes.len() {
+            return Err(parser.error("trailing characters after the document"));
+        }
+        Ok(value)
+    }
+
+    /// An object from `(key, value)` pairs (a repeated key keeps the last).
+    pub fn obj<'k>(fields: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
     /// The value as an object, if it is one.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
+    pub fn as_object(&self) -> Option<&BTreeMap<String, Json>> {
         match self {
             Json::Obj(map) => Some(map),
             _ => None,
@@ -44,7 +75,7 @@ impl Json {
     }
 
     /// The value as an array, if it is one.
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub fn as_array(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
@@ -68,12 +99,22 @@ impl Json {
         }
     }
 
-    /// The value as a `u64`, if it is a non-negative integer.
+    /// The value as a `u64`, if it is a non-negative integer: integer
+    /// literals exactly across the whole `u64` range, integral floats (`1e3`)
+    /// within f64's exact range (≤ 2^53).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Int(n) => u64::try_from(*n).ok(),
+            Json::Float(x) if x.fract() == 0.0 && (0.0..=2f64.powi(53)).contains(x) => {
+                Some(*x as u64)
+            }
             _ => None,
         }
+    }
+
+    /// The value as a `usize`, if it is a non-negative integer that fits.
+    pub fn as_usize(&self) -> Option<usize> {
+        self.as_u64().and_then(|n| usize::try_from(n).ok())
     }
 
     /// The value as a bool, if it is one.
@@ -86,10 +127,10 @@ impl Json {
 
     /// Member lookup on an object (`None` for non-objects / missing keys).
     pub fn get(&self, key: &str) -> Option<&Json> {
-        self.as_obj().and_then(|map| map.get(key))
+        self.as_object().and_then(|map| map.get(key))
     }
 
-    /// Render the value as compact JSON.
+    /// Render the value as one line of canonical JSON.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
@@ -104,7 +145,7 @@ impl Json {
             Json::Int(n) => {
                 let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
             }
-            Json::Float(x) => out.push_str(&render_f64(*x)),
+            Json::Float(x) => write_f64(out, *x),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
@@ -138,9 +179,21 @@ impl From<u64> for Json {
     }
 }
 
+impl From<usize> for Json {
+    fn from(n: usize) -> Self {
+        Json::Int(n as i128)
+    }
+}
+
 impl From<f64> for Json {
     fn from(x: f64) -> Self {
         Json::Float(x)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Self {
+        Json::Bool(b)
     }
 }
 
@@ -150,19 +203,34 @@ impl From<&str> for Json {
     }
 }
 
+impl From<String> for Json {
+    fn from(s: String) -> Self {
+        Json::Str(s)
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(value: Option<T>) -> Self {
+        value.map_or(Json::Null, Into::into)
+    }
+}
+
 /// Render an `f64` so that parsing it back yields the same value: finite
 /// numbers use Rust's shortest round-trip formatting (with a forced `.0` for
 /// integral values so they stay in the float domain), and non-finite numbers
 /// — which JSON cannot represent — render as `null`.
-fn render_f64(x: f64) -> String {
+fn write_f64(out: &mut String, x: f64) {
     if !x.is_finite() {
-        return "null".to_string();
+        out.push_str("null");
+        return;
     }
-    let s = format!("{x}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
+    let start = out.len();
+    let _ = fmt::Write::write_fmt(out, format_args!("{x}"));
+    if !out
+        .get(start..)
+        .is_some_and(|s| s.contains(['.', 'e', 'E']))
+    {
+        out.push_str(".0");
     }
 }
 
@@ -184,19 +252,6 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parse a JSON document; trailing non-whitespace is an error.
-pub fn parse(text: &str) -> Result<Json, ParseError> {
-    let bytes = text.as_bytes();
-    let mut parser = Parser { bytes, pos: 0 };
-    parser.skip_ws();
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != bytes.len() {
-        return Err(parser.error("trailing characters after the document"));
-    }
-    Ok(value)
-}
-
 /// A parse failure: byte offset plus message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -208,11 +263,7 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "JSON parse error at byte {}: {}",
-            self.offset, self.message
-        )
+        write!(f, "invalid JSON at byte {}: {}", self.offset, self.message)
     }
 }
 
@@ -235,13 +286,20 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
+    /// The unread input (empty once `pos` reaches the end).
+    fn rest(&self) -> &[u8] {
+        self.bytes.get(self.pos..).unwrap_or_default()
+    }
+
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
+    // Named to stay visibly distinct from the panicking `Option::expect` /
+    // `Result::expect` — nothing in this parser is allowed to panic (R3).
+    fn expect_byte(&mut self, byte: u8) -> Result<(), ParseError> {
         if self.peek() == Some(byte) {
             self.pos += 1;
             Ok(())
@@ -250,8 +308,8 @@ impl Parser<'_> {
         }
     }
 
-    fn eat_literal(&mut self, literal: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
+    fn literal(&mut self, literal: &str, value: Json) -> Result<Json, ParseError> {
+        if self.rest().starts_with(literal.as_bytes()) {
             self.pos += literal.len();
             Ok(value)
         } else {
@@ -261,20 +319,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            None => Err(self.error("unexpected end of input")),
-            Some(b'n') => self.eat_literal("null", Json::Null),
-            Some(b't') => self.eat_literal("true", Json::Bool(true)),
-            Some(b'f') => self.eat_literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.error(&format!("unexpected byte `{}`", other as char))),
+            _ => Err(self.error("expected a JSON value")),
         }
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
+        self.expect_byte(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -297,7 +354,7 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
+        self.expect_byte(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -308,7 +365,7 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.expect_byte(b':')?;
             self.skip_ws();
             let value = self.value()?;
             map.insert(key, value);
@@ -325,7 +382,7 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
+        self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
@@ -336,44 +393,59 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let code = self.hex4()?;
-                            // Surrogate pairs are not needed by our documents;
-                            // map lone surrogates to the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            continue;
-                        }
-                        _ => return Err(self.error("invalid escape sequence")),
-                    }
+                    let escaped = self.peek().ok_or_else(|| self.error("dangling escape"))?;
                     self.pos += 1;
+                    match escaped {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => out.push(self.unicode_escape()?),
+                        _ => return Err(self.error("unknown escape sequence")),
+                    }
+                }
+                Some(byte) if byte < 0x20 => {
+                    return Err(self.error("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Advance over one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|b| (*b & 0xc0) == 0x80)
-                    {
-                        self.pos += 1;
-                    }
-                    if let Ok(chunk) = std::str::from_utf8(&self.bytes[start..self.pos]) {
-                        out.push_str(chunk);
-                    }
+                    // Copy the run of ordinary bytes up to the next quote,
+                    // escape, or control byte; the input is a &str and the
+                    // run ends on an ASCII byte, so it is whole UTF-8.
+                    let run = self
+                        .rest()
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.rest().len());
+                    let chunk = self.rest().get(..run).unwrap_or_default();
+                    let chunk = std::str::from_utf8(chunk)
+                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
+                    out.push_str(chunk);
+                    self.pos += run;
                 }
             }
+        }
+    }
+
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let unit = self.hex4()?;
+        // Decode surrogate pairs; lone surrogates are rejected.
+        if (0xD800..=0xDBFF).contains(&unit) {
+            if !self.rest().starts_with(b"\\u") {
+                return Err(self.error("lone high surrogate"));
+            }
+            self.pos += 2;
+            let low = self.hex4()?;
+            if !(0xDC00..=0xDFFF).contains(&low) {
+                return Err(self.error("invalid low surrogate"));
+            }
+            let scalar = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+            char::from_u32(scalar).ok_or_else(|| self.error("invalid surrogate pair"))
+        } else {
+            char::from_u32(unit).ok_or_else(|| self.error("lone low surrogate"))
         }
     }
 
@@ -384,7 +456,7 @@ impl Parser<'_> {
                 Some(b @ b'0'..=b'9') => (b - b'0') as u32,
                 Some(b @ b'a'..=b'f') => (b - b'a') as u32 + 10,
                 Some(b @ b'A'..=b'F') => (b - b'A') as u32 + 10,
-                _ => return Err(self.error("invalid \\u escape")),
+                _ => return Err(self.error("expected 4 hex digits after \\u")),
             };
             code = code * 16 + digit;
             self.pos += 1;
@@ -418,8 +490,13 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("non-UTF-8 number"))?;
+        // The consumed region is ASCII digits/sign/dot/exponent, so this
+        // never fails — but a parse error beats a worker panic.
+        let text = self
+            .bytes
+            .get(start..self.pos)
+            .and_then(|digits| std::str::from_utf8(digits).ok())
+            .ok_or_else(|| self.error("invalid number"))?;
         if !is_float {
             if let Ok(n) = text.parse::<i128>() {
                 return Ok(Json::Int(n));
@@ -434,6 +511,10 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(text: &str) -> Result<Json, ParseError> {
+        Json::parse(text)
+    }
 
     #[test]
     fn scalars_round_trip() {
@@ -459,6 +540,10 @@ mod tests {
         // Integral floats keep their `.0` marker through a round trip.
         assert_eq!(Json::Float(2.0).render(), "2.0");
         assert_eq!(parse("2.0").unwrap(), Json::Float(2.0));
+        assert_eq!(
+            parse("{\"gamma\":4.0}").unwrap().render(),
+            "{\"gamma\":4.0}"
+        );
     }
 
     #[test]
@@ -469,6 +554,11 @@ mod tests {
         // Key order in the input does not matter: BTreeMap sorts.
         let shuffled = parse("{\"b\":{\"z\":null,\"nested\":true},\"a\":[1,2.5,\"x\"]}").unwrap();
         assert_eq!(shuffled.render(), text);
+        let built = Json::obj([
+            ("b", Json::obj([("z", Json::Null), ("nested", true.into())])),
+            ("a", Json::Arr(vec![1u64.into(), 2.5.into(), "x".into()])),
+        ]);
+        assert_eq!(built.render(), text);
     }
 
     #[test]
@@ -480,33 +570,53 @@ mod tests {
 
     #[test]
     fn unicode_escapes_parse() {
-        assert_eq!(
-            parse("\"\\u0041\\u00e9\"").unwrap(),
-            Json::Str("Aé".to_string())
-        );
+        for (text, decoded) in [
+            ("\"\\u0041\\u00e9\"", "Aé"),
+            ("\"\\ud83e\\udd80\"", "🦀"),
+            ("\"\\uD83E\\uDD80 and 🦀\"", "🦀 and 🦀"),
+        ] {
+            assert_eq!(parse(text).unwrap(), Json::Str(decoded.to_string()));
+        }
     }
 
     #[test]
     fn accessors_navigate_documents() {
         let doc = parse("{\"n\":3,\"x\":1.5,\"s\":\"v\",\"flag\":true,\"xs\":[1]}").unwrap();
         assert_eq!(doc.get("n").and_then(Json::as_u64), Some(3));
+        assert_eq!(doc.get("n").and_then(Json::as_usize), Some(3));
         assert_eq!(doc.get("x").and_then(Json::as_f64), Some(1.5));
+        assert_eq!(doc.get("x").and_then(Json::as_u64), None);
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("v"));
         assert_eq!(doc.get("flag").and_then(Json::as_bool), Some(true));
         assert_eq!(
-            doc.get("xs").and_then(Json::as_arr).map(<[Json]>::len),
+            doc.get("xs").and_then(Json::as_array).map(<[Json]>::len),
             Some(1)
         );
+        assert_eq!(doc.as_object().map(BTreeMap::len), Some(5));
         assert!(doc.get("missing").is_none());
     }
 
     #[test]
     fn malformed_documents_error_with_offsets() {
-        for text in ["{", "[1,", "\"open", "{\"a\" 1}", "tru", "1 2", "{1:2}"] {
+        for text in [
+            "{",
+            "[1,",
+            "\"open",
+            "{\"a\" 1}",
+            "tru",
+            "1 2",
+            "{1:2}",
+            "\"\\ud800\"",
+            "\"\\ud800\\u0041\"",
+            "\"\\udc00\"",
+            "\"\u{1}\"",
+            "\"\\",
+        ] {
             assert!(parse(text).is_err(), "`{text}` must not parse");
         }
         let err = parse("[1, @]").unwrap_err();
         assert_eq!(err.offset, 4);
+        assert!(err.to_string().starts_with("invalid JSON at byte 4"));
     }
 
     #[test]
@@ -521,5 +631,83 @@ mod tests {
         let max = Json::from(u64::MAX);
         assert_eq!(max, Json::Int(i128::from(u64::MAX)));
         assert_eq!(parse(&max.render()).unwrap().as_u64(), Some(u64::MAX));
+        assert_eq!(
+            parse("18446744073709551615").unwrap().as_u64(),
+            Some(u64::MAX)
+        );
+    }
+
+    #[test]
+    fn parses_the_protocol_shapes() {
+        let v = parse(
+            r#"{"verb":"generate","target":10,"seed":7,"stream":false,"omega":{"lo":9,"hi":11},"record":[1,2,3],"cap":null}"#,
+        )
+        .unwrap();
+        assert_eq!(v.get("verb").and_then(Json::as_str), Some("generate"));
+        assert_eq!(v.get("target").and_then(Json::as_usize), Some(10));
+        assert_eq!(v.get("stream").and_then(Json::as_bool), Some(false));
+        let hi = v.get("omega").and_then(|o| o.get("hi"));
+        assert_eq!(hi.and_then(Json::as_u64), Some(11));
+        let record: Option<Vec<u64>> = v
+            .get("record")
+            .and_then(Json::as_array)
+            .map(|xs| xs.iter().filter_map(Json::as_u64).collect());
+        assert_eq!(record, Some(vec![1, 2, 3]));
+        assert_eq!(v.get("cap"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn parses_numbers_strings_and_escapes() {
+        assert_eq!(parse("-12.5e2").unwrap().as_f64(), Some(-1250.0));
+        assert_eq!(parse("0").unwrap().as_usize(), Some(0));
+        assert_eq!(parse("1.5").unwrap().as_usize(), None);
+        assert_eq!(parse("-1").unwrap().as_usize(), None);
+        let s = parse(r#""a\"b\\c\nd\u00e9 \ud83e\udd80""#).unwrap();
+        assert_eq!(s.as_str(), Some("a\"b\\c\ndé 🦀"));
+        assert_eq!(parse("  true ").unwrap().as_bool(), Some(true));
+        assert_eq!(parse("[]").unwrap().as_array(), Some(&[][..]));
+    }
+
+    #[test]
+    fn rejects_malformed_documents() {
+        for bad in [
+            "",
+            "}",
+            "{\"a\"}",
+            "{\"a\":}",
+            "\"",
+            "{\"a\":1,}",
+            "nul",
+            "\"\\q\"",
+            "\"\\u12\"",
+            "\"tab\there\"",
+        ] {
+            assert!(parse(bad).is_err(), "accepted malformed {bad:?}");
+        }
+    }
+
+    #[test]
+    fn integer_literals_stay_exact_across_the_u64_range() {
+        // 2^53 + 1 is the first integer f64 cannot represent; u64::MAX is
+        // the worst case a request seed can carry.  Both must survive.
+        for n in [0u64, 9_007_199_254_740_993, u64::MAX - 1, u64::MAX] {
+            let parsed = parse(&n.to_string()).unwrap();
+            assert_eq!(parsed, Json::from(n));
+            assert_eq!(parsed.as_u64(), Some(n));
+        }
+        // Integral but non-literal forms are floats, usable as integers
+        // inside f64's exact range only.
+        assert_eq!(parse("1e3").unwrap().as_u64(), Some(1000));
+        assert_eq!(parse("1e300").unwrap().as_u64(), None);
+        assert_eq!(parse("-0.5e1").unwrap().as_u64(), None);
+        // Beyond u64::MAX the literal is no longer a u64.
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn escape_round_trips_through_parse() {
+        let original = "line\nwith \"quotes\", back\\slash, tab\t and unicode é🦀";
+        let encoded = Json::from(original).render();
+        assert_eq!(parse(&encoded).unwrap().as_str(), Some(original));
     }
 }

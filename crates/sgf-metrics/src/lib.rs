@@ -4,8 +4,8 @@
 //! [`Counter`]s, wall-clock [`Timer`]s, and log2-bucket [`Summary`] histograms
 //! — that the perf-critical layers (sgf-core's mechanism loop, sgf-index's
 //! seed stores, sgf-serve's queue and worker pool) report into, plus the
-//! minimal [`json`] value type used to persist snapshots and benchmark
-//! documents without external dependencies.
+//! workspace's one JSON codec, [`json`]: snapshots, benchmark documents and
+//! the sgf-serve wire protocol are all built and parsed through it.
 //!
 //! Two observability layers sit on top of the registry:
 //!

@@ -543,74 +543,71 @@ impl Snapshot {
 
     /// The snapshot as a [`Json`] value.
     pub fn as_json(&self) -> Json {
-        match self.as_json_inner(true) {
-            Json::Obj(mut root) => {
-                root.insert("schema_version".to_string(), Json::Int(1));
-                Json::Obj(root)
-            }
-            other => other,
+        let mut root = self.as_json_inner(true);
+        if let Json::Obj(fields) = &mut root {
+            fields.insert("schema_version".to_string(), Json::Int(1));
         }
+        root
     }
 
     /// The object body; `root` controls whether scope cells nest (cells are
     /// rendered without a redundant `schema_version` and never nest again).
     fn as_json_inner(&self, root: bool) -> Json {
-        let mut counters = BTreeMap::new();
-        for (name, value) in &self.counters {
-            counters.insert(name.clone(), Json::from(*value));
-        }
-        let mut timers = BTreeMap::new();
-        for (name, stats) in &self.timers {
-            let mut obj = BTreeMap::new();
-            obj.insert("count".to_string(), Json::from(stats.count));
-            obj.insert("total_nanos".to_string(), Json::from(stats.total_nanos));
-            obj.insert("max_nanos".to_string(), Json::from(stats.max_nanos));
-            timers.insert(name.clone(), Json::Obj(obj));
-        }
-        let mut summaries = BTreeMap::new();
-        for (name, stats) in &self.summaries {
-            let mut obj = BTreeMap::new();
-            obj.insert("count".to_string(), Json::from(stats.count));
-            obj.insert("sum".to_string(), Json::from(stats.sum));
-            obj.insert("min".to_string(), Json::from(stats.min));
-            obj.insert("max".to_string(), Json::from(stats.max));
+        let counters = self
+            .counters
+            .iter()
+            .map(|(name, &value)| (name.clone(), value.into()));
+        let timers = self.timers.iter().map(|(name, stats)| {
+            let timer = Json::obj([
+                ("count", stats.count.into()),
+                ("total_nanos", stats.total_nanos.into()),
+                ("max_nanos", stats.max_nanos.into()),
+            ]);
+            (name.clone(), timer)
+        });
+        let summaries = self.summaries.iter().map(|(name, stats)| {
             // Sparse bucket encoding: only non-zero buckets, keyed by index.
-            let mut buckets = BTreeMap::new();
-            for (i, count) in stats.buckets.iter().enumerate() {
-                if *count > 0 {
-                    buckets.insert(format!("{i:02}"), Json::from(*count));
-                }
-            }
-            obj.insert("buckets".to_string(), Json::Obj(buckets));
-            summaries.insert(name.clone(), Json::Obj(obj));
-        }
-        let mut obj = BTreeMap::new();
-        obj.insert("counters".to_string(), Json::Obj(counters));
-        obj.insert("timers".to_string(), Json::Obj(timers));
-        obj.insert("summaries".to_string(), Json::Obj(summaries));
+            let buckets = stats
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, &count)| count > 0);
+            let buckets = buckets.map(|(i, &count)| (format!("{i:02}"), count.into()));
+            let summary = Json::obj([
+                ("count", stats.count.into()),
+                ("sum", stats.sum.into()),
+                ("min", stats.min.into()),
+                ("max", stats.max.into()),
+                ("buckets", Json::Obj(buckets.collect())),
+            ]);
+            (name.clone(), summary)
+        });
+        let mut obj = BTreeMap::from([
+            ("counters".to_string(), Json::Obj(counters.collect())),
+            ("timers".to_string(), Json::Obj(timers.collect())),
+            ("summaries".to_string(), Json::Obj(summaries.collect())),
+        ]);
         // Scope cells nest one level down; the key is absent entirely for a
         // scope-free snapshot, keeping the root format (and every pre-scoping
         // BENCH_*.json document) byte-for-byte unchanged.
         if root && !self.scopes.is_empty() {
-            let mut scopes = BTreeMap::new();
-            for (key, cell) in &self.scopes {
-                scopes.insert(key.clone(), cell.as_json_inner(false));
-            }
-            obj.insert("scopes".to_string(), Json::Obj(scopes));
+            let scopes = self.scopes.iter();
+            let scopes = scopes.map(|(key, cell)| (key.clone(), cell.as_json_inner(false)));
+            obj.insert("scopes".to_string(), Json::Obj(scopes.collect()));
         }
         Json::Obj(obj)
     }
 
     /// Parse a snapshot back from its JSON rendering.
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        let doc = crate::json::parse(text).map_err(|e| e.to_string())?;
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
         Self::from_json_value(&doc)
     }
 
     /// Parse a snapshot from an already-parsed [`Json`] document.
     pub fn from_json_value(doc: &Json) -> Result<Snapshot, String> {
         let mut snapshot = Snapshot::default();
-        if let Some(counters) = doc.get("counters").and_then(Json::as_obj) {
+        if let Some(counters) = doc.get("counters").and_then(Json::as_object) {
             for (name, value) in counters {
                 let value = value
                     .as_u64()
@@ -618,7 +615,7 @@ impl Snapshot {
                 snapshot.counters.insert(name.clone(), value);
             }
         }
-        if let Some(timers) = doc.get("timers").and_then(Json::as_obj) {
+        if let Some(timers) = doc.get("timers").and_then(Json::as_object) {
             for (name, stats) in timers {
                 let field = |key: &str| {
                     stats
@@ -636,7 +633,7 @@ impl Snapshot {
                 );
             }
         }
-        if let Some(summaries) = doc.get("summaries").and_then(Json::as_obj) {
+        if let Some(summaries) = doc.get("summaries").and_then(Json::as_object) {
             for (name, stats) in summaries {
                 let field = |key: &str| {
                     stats
@@ -645,7 +642,7 @@ impl Snapshot {
                         .ok_or_else(|| format!("summary `{name}` field `{key}` is not a u64"))
                 };
                 let mut buckets = [0u64; SUMMARY_BUCKETS];
-                if let Some(sparse) = stats.get("buckets").and_then(Json::as_obj) {
+                if let Some(sparse) = stats.get("buckets").and_then(Json::as_object) {
                     for (index, count) in sparse {
                         let i: usize = index
                             .parse()
@@ -670,7 +667,7 @@ impl Snapshot {
                 );
             }
         }
-        if let Some(scopes) = doc.get("scopes").and_then(Json::as_obj) {
+        if let Some(scopes) = doc.get("scopes").and_then(Json::as_object) {
             for (key, cell) in scopes {
                 snapshot
                     .scopes

@@ -19,7 +19,7 @@
 
 use crate::json::Json;
 use crate::scope::Scope;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -90,20 +90,17 @@ impl TraceEvent {
             labels.push('=');
             labels.push_str(value);
         }
-        let mut counters = BTreeMap::new();
-        for (name, value) in &self.counters {
-            counters.insert(name.clone(), Json::from(*value));
-        }
-        let mut obj = BTreeMap::new();
-        obj.insert("span".to_string(), Json::from(self.span));
-        obj.insert("parent".to_string(), Json::from(self.parent));
-        obj.insert("name".to_string(), Json::Str(self.name.clone()));
-        obj.insert("labels".to_string(), Json::Str(labels));
-        obj.insert("counters".to_string(), Json::Obj(counters));
-        if noisy {
-            obj.insert("wall_nanos".to_string(), Json::from(self.wall_nanos));
-        }
-        Json::Obj(obj)
+        let counters = self.counters.iter();
+        let counters = counters.map(|(name, value)| (name.clone(), Json::from(*value)));
+        let fields = [
+            ("span", self.span.into()),
+            ("parent", self.parent.into()),
+            ("name", self.name.as_str().into()),
+            ("labels", labels.into()),
+            ("counters", Json::Obj(counters.collect())),
+        ];
+        let wall = noisy.then(|| ("wall_nanos", self.wall_nanos.into()));
+        Json::obj(fields.into_iter().chain(wall))
     }
 }
 
@@ -313,13 +310,13 @@ impl Trace {
 
     /// Canonical JSON for `events` (see [`TraceEvent::as_json`]).
     pub fn events_json(events: &[TraceEvent], noisy: bool) -> Json {
-        let mut root = BTreeMap::new();
-        root.insert("schema_version".to_string(), Json::Int(1));
-        root.insert(
-            "events".to_string(),
-            Json::Arr(events.iter().map(|e| e.as_json(noisy)).collect()),
-        );
-        Json::Obj(root)
+        Json::obj([
+            ("schema_version", Json::Int(1)),
+            (
+                "events",
+                Json::Arr(events.iter().map(|e| e.as_json(noisy)).collect()),
+            ),
+        ])
     }
 
     /// Canonical JSON of the whole buffer.

@@ -155,15 +155,15 @@ fn main() -> ExitCode {
 /// exactly its global rollup value (scoped handles write both).
 fn assert_cells_sum_to_rollup(response: &Value) {
     let body = response.get("metrics").expect("metrics body");
-    let Some(Value::Object(global)) = body.get("counters") else {
+    let Some(Value::Obj(global)) = body.get("counters") else {
         panic!("metrics body has no counters object");
     };
-    let Some(Value::Object(scopes)) = body.get("scopes") else {
+    let Some(Value::Obj(scopes)) = body.get("scopes") else {
         panic!("metrics body has no scopes object (no session served anything?)");
     };
     let mut summed: BTreeMap<String, u64> = BTreeMap::new();
     for cell in scopes.values() {
-        if let Some(Value::Object(counters)) = cell.get("counters") {
+        if let Some(Value::Obj(counters)) = cell.get("counters") {
             for (name, value) in counters {
                 *summed.entry(name.clone()).or_insert(0) +=
                     value.as_u64().expect("counter must be a u64");

@@ -20,9 +20,11 @@
 //!   retry hint derived from the session's observed p95 service time;
 //! * [`client`] — a blocking client used by the tests, the example, and the
 //!   `sgf-serve --smoke` self-test;
-//! * [`queue`] — the bounded MPMC queue;
-//! * [`json`] — the hand-rolled JSON reader/writer (the build is offline;
-//!   see `vendor/README.md`).
+//! * [`queue`] — the bounded MPMC queue.
+//!
+//! Every line on the wire is encoded and parsed by the workspace's one JSON
+//! codec, [`sgf_metrics::json`]; [`json`] re-exports it under the names the
+//! protocol's clients use.
 //!
 //! ## Quickstart
 //!
@@ -57,10 +59,14 @@
 //! ```
 
 pub mod client;
-pub mod json;
 pub mod protocol;
 pub mod queue;
 pub mod server;
+
+/// The wire codec: [`sgf_metrics::Json`] under the protocol's name `Value`.
+pub mod json {
+    pub use sgf_metrics::json::{Json as Value, ParseError};
+}
 
 pub use client::{Client, ClientError, ClientResult, Rejection, Release};
 pub use protocol::{reject, GenerateCall, ModelKind, Request, UpdateCall, DEFAULT_SESSION};

@@ -22,6 +22,13 @@
 //! responses carry stats/ledger/provenance in the header, streaming responses
 //! in the trailer (the counts are only known once the stream finishes).
 //!
+//! Every line is canonical JSON: keys sorted, integral floats with a `.0`,
+//! non-finite floats as `null`, so parsing a response line and rendering it
+//! again reproduces its bytes.  Lines are built as [`sgf_metrics::Json`]
+//! values and rendered once, except two templates that write the same bytes
+//! directly: [`record_line`], the per-record hot path, and
+//! [`batch_header_line`], which splices pre-rendered blocks.
+//!
 //! `metrics` and `trace` answer with one line of canonical JSON.  Both are
 //! deterministic by default: `metrics` returns the counter-only labeled
 //! snapshot (per-scope cells always sum exactly to the global rollup) and
@@ -29,9 +36,9 @@
 //! server runs answer byte-identically.  `noisy:true` opts into the
 //! wall-clock-bearing variants.
 
-use crate::json::{escape, Value};
 use sgf_core::{GenerateRequest, SeedIndex};
 use sgf_data::Record;
+use sgf_metrics::Json;
 use sgf_model::OmegaSpec;
 
 /// Session name used when a `generate`/`ledger` request does not name one.
@@ -119,37 +126,33 @@ impl GenerateCall {
 
     /// Encode the call as one protocol line (no trailing newline).
     pub fn encode(&self) -> String {
-        let mut line = format!(
-            "{{\"verb\":\"generate\",\"session\":\"{}\",\"target\":{},\"seed\":{}",
-            escape(&self.session),
-            self.request.target,
-            self.request.seed
-        );
-        if let Some(workers) = self.request.workers {
-            line.push_str(&format!(",\"workers\":{workers}"));
-        }
-        if let Some(factor) = self.request.max_candidate_factor {
-            line.push_str(&format!(",\"max_candidate_factor\":{factor}"));
-        }
-        match self.request.omega {
-            Some(OmegaSpec::Fixed(w)) => line.push_str(&format!(",\"omega\":{w}")),
-            Some(OmegaSpec::UniformRange { lo, hi }) => {
-                line.push_str(&format!(",\"omega\":{{\"lo\":{lo},\"hi\":{hi}}}"))
-            }
-            None => {}
-        }
-        if let Some(policy) = self.request.seed_index {
+        let request = &self.request;
+        let omega = request.omega.map(|omega| match omega {
+            OmegaSpec::Fixed(w) => Json::from(w),
+            OmegaSpec::UniformRange { lo, hi } => Json::obj([("lo", lo.into()), ("hi", hi.into())]),
+        });
+        present([
+            ("verb", Some("generate".into())),
+            ("session", Some(self.session.as_str().into())),
+            ("target", Some(request.target.into())),
+            ("seed", Some(request.seed.into())),
+            ("workers", request.workers.map(Json::from)),
+            (
+                "max_candidate_factor",
+                request.max_candidate_factor.map(Json::from),
+            ),
+            ("omega", omega),
             // `SeedIndex`'s `Display` is the canonical lowercase wire name.
-            line.push_str(&format!(",\"seed_index\":\"{policy}\""));
-        }
-        if self.stream {
-            line.push_str(",\"stream\":true");
-        }
-        if self.model == ModelKind::Marginal {
-            line.push_str(",\"model\":\"marginal\"");
-        }
-        line.push('}');
-        line
+            (
+                "seed_index",
+                request.seed_index.map(|p| p.to_string().into()),
+            ),
+            ("stream", self.stream.then_some(Json::Bool(true))),
+            (
+                "model",
+                (self.model == ModelKind::Marginal).then(|| "marginal".into()),
+            ),
+        ])
     }
 }
 
@@ -196,32 +199,17 @@ impl UpdateCall {
 
     /// Encode the call as one protocol line (no trailing newline).
     pub fn encode(&self) -> String {
-        let mut line = format!(
-            "{{\"verb\":\"update\",\"session\":\"{}\"",
-            escape(&self.session)
-        );
-        for (key, records) in [("inserts", &self.inserts), ("deletes", &self.deletes)] {
-            if records.is_empty() {
-                continue;
-            }
-            line.push_str(&format!(",\"{key}\":["));
-            for (i, record) in records.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                line.push('[');
-                for (j, v) in record.values().iter().enumerate() {
-                    if j > 0 {
-                        line.push(',');
-                    }
-                    line.push_str(&v.to_string());
-                }
-                line.push(']');
-            }
-            line.push(']');
-        }
-        line.push('}');
-        line
+        let values =
+            |r: &Record| Json::Arr(r.values().iter().map(|&v| u64::from(v).into()).collect());
+        let records = |records: &[Record]| {
+            (!records.is_empty()).then(|| Json::Arr(records.iter().map(values).collect()))
+        };
+        present([
+            ("verb", Some("update".into())),
+            ("session", Some(self.session.as_str().into())),
+            ("inserts", records(&self.inserts)),
+            ("deletes", records(&self.deletes)),
+        ])
     }
 }
 
@@ -265,30 +253,40 @@ pub enum Request {
 impl Request {
     /// Encode the request as one protocol line (no trailing newline).
     pub fn encode(&self) -> String {
-        match self {
-            Request::Generate(call) => call.encode(),
-            Request::Update(call) => call.encode(),
-            Request::Status => "{\"verb\":\"status\"}".to_string(),
-            Request::Ledger { session } => {
-                format!(
-                    "{{\"verb\":\"ledger\",\"session\":\"{}\"}}",
-                    escape(session)
-                )
-            }
-            Request::Metrics { session, noisy } => observe_verb_line("metrics", session, *noisy),
-            Request::Trace { session, noisy } => observe_verb_line("trace", session, *noisy),
-            Request::Shutdown => "{\"verb\":\"shutdown\"}".to_string(),
-        }
+        let (verb, session, noisy) = match self {
+            Request::Generate(call) => return call.encode(),
+            Request::Update(call) => return call.encode(),
+            Request::Status => ("status", None, false),
+            Request::Ledger { session } => ("ledger", Some(session), false),
+            Request::Metrics { session, noisy } => ("metrics", session.as_ref(), *noisy),
+            Request::Trace { session, noisy } => ("trace", session.as_ref(), *noisy),
+            Request::Shutdown => ("shutdown", None, false),
+        };
+        present([
+            ("verb", Some(verb.into())),
+            ("session", session.map(|s| s.as_str().into())),
+            ("noisy", noisy.then_some(Json::Bool(true))),
+        ])
     }
+}
+
+/// Render the object of the fields that are present (`Some`).
+fn present<'k>(fields: impl IntoIterator<Item = (&'k str, Option<Json>)>) -> String {
+    Json::obj(
+        fields
+            .into_iter()
+            .filter_map(|(key, value)| Some((key, value?))),
+    )
+    .render()
 }
 
 /// Parse one request line.  The error string is the human-readable half of a
 /// [`reject::BAD_REQUEST`] response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value = Value::parse(line).map_err(|e| e.to_string())?;
+    let value = Json::parse(line).map_err(|e| e.to_string())?;
     let verb = value
         .get("verb")
-        .and_then(Value::as_str)
+        .and_then(Json::as_str)
         .ok_or("missing string field `verb`")?;
     match verb {
         "status" => Ok(Request::Status),
@@ -310,7 +308,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-fn session_name(value: &Value) -> Result<String, String> {
+fn session_name(value: &Json) -> Result<String, String> {
     match value.get("session") {
         None => Ok(DEFAULT_SESSION.to_string()),
         Some(v) => v
@@ -322,7 +320,7 @@ fn session_name(value: &Value) -> Result<String, String> {
 
 /// `session` for the observability verbs: absent means "everything", so the
 /// default-session fallback of [`session_name`] does not apply.
-fn optional_session(value: &Value) -> Result<Option<String>, String> {
+fn optional_session(value: &Json) -> Result<Option<String>, String> {
     match value.get("session") {
         None => Ok(None),
         Some(v) => v
@@ -332,7 +330,7 @@ fn optional_session(value: &Value) -> Result<Option<String>, String> {
     }
 }
 
-fn noisy_flag(value: &Value) -> Result<bool, String> {
+fn noisy_flag(value: &Json) -> Result<bool, String> {
     match value.get("noisy") {
         None => Ok(false),
         Some(v) => v
@@ -341,23 +339,10 @@ fn noisy_flag(value: &Value) -> Result<bool, String> {
     }
 }
 
-/// Encode a `metrics`/`trace` request line.
-fn observe_verb_line(verb: &str, session: &Option<String>, noisy: bool) -> String {
-    let mut line = format!("{{\"verb\":\"{verb}\"");
-    if let Some(session) = session {
-        line.push_str(&format!(",\"session\":\"{}\"", escape(session)));
-    }
-    if noisy {
-        line.push_str(",\"noisy\":true");
-    }
-    line.push('}');
-    line
-}
-
-fn parse_generate(value: &Value) -> Result<GenerateCall, String> {
+fn parse_generate(value: &Json) -> Result<GenerateCall, String> {
     let target = value
         .get("target")
-        .and_then(Value::as_usize)
+        .and_then(Json::as_usize)
         .ok_or("field `target` must be a non-negative integer")?;
     if target == 0 {
         return Err("field `target` must be at least 1".to_string());
@@ -418,7 +403,7 @@ fn parse_generate(value: &Value) -> Result<GenerateCall, String> {
     })
 }
 
-fn parse_update(value: &Value) -> Result<UpdateCall, String> {
+fn parse_update(value: &Json) -> Result<UpdateCall, String> {
     let mut call = UpdateCall::new().with_session(&session_name(value)?);
     for (key, out) in [("inserts", 0usize), ("deletes", 1usize)] {
         let records = match value.get(key) {
@@ -452,43 +437,32 @@ fn parse_update(value: &Value) -> Result<UpdateCall, String> {
     Ok(call)
 }
 
-fn parse_omega(value: &Value) -> Result<OmegaSpec, String> {
+fn parse_omega(value: &Json) -> Result<OmegaSpec, String> {
     if let Some(w) = value.as_usize() {
         return Ok(OmegaSpec::Fixed(w));
     }
-    let lo = value.get("lo").and_then(Value::as_usize);
-    let hi = value.get("hi").and_then(Value::as_usize);
+    let lo = value.get("lo").and_then(Json::as_usize);
+    let hi = value.get("hi").and_then(Json::as_usize);
     match (lo, hi) {
         (Some(lo), Some(hi)) => Ok(OmegaSpec::UniformRange { lo, hi }),
         _ => Err("field `omega` must be an integer or {\"lo\":..,\"hi\":..}".to_string()),
     }
 }
 
-/// Format an `f64` as a JSON value (`null` for non-finite values).
-pub fn num(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// An `"ok":false` rejection line: machine-readable `code` plus a
-/// human-readable `message` and optional extra fields (pre-encoded values).
-pub fn reject_line(code: &str, message: &str, extras: &[(&str, String)]) -> String {
-    let mut line = format!(
-        "{{\"ok\":false,\"error\":\"{}\",\"message\":\"{}\"",
-        escape(code),
-        escape(message)
-    );
-    for (key, value) in extras {
-        line.push_str(&format!(",\"{}\":{}", escape(key), value));
-    }
-    line.push('}');
-    line
+/// human-readable `message` and optional extra fields.
+pub fn reject_line(code: &str, message: &str, extras: &[(&str, Json)]) -> String {
+    let fields = [
+        ("ok", Json::Bool(false)),
+        ("error", code.into()),
+        ("message", message.into()),
+    ];
+    Json::obj(fields.into_iter().chain(extras.iter().cloned())).render()
 }
 
-/// Header line of a successful batch `generate` response.
+/// Header line of a successful batch `generate` response.  A template over
+/// pre-rendered canonical fragments, its keys written in sorted order, so the
+/// line is canonical JSON without re-rendering the blocks.
 pub fn batch_header_line(
     released: usize,
     stats_json: &str,
@@ -497,19 +471,24 @@ pub fn batch_header_line(
     provenance_json: &str,
 ) -> String {
     format!(
-        "{{\"ok\":true,\"verb\":\"generate\",\"streaming\":false,\"released\":{},\
-         \"stats\":{},\"request_epsilon\":{},\"ledger\":{},\"provenance\":{}}}",
-        released,
-        stats_json,
-        num(request_epsilon),
+        "{{\"ledger\":{},\"ok\":true,\"provenance\":{},\"released\":{},\
+         \"request_epsilon\":{},\"stats\":{},\"streaming\":false,\"verb\":\"generate\"}}",
         ledger_json,
-        provenance_json
+        provenance_json,
+        released,
+        Json::from(request_epsilon).render(),
+        stats_json,
     )
 }
 
 /// Header line of a successful streaming `generate` response.
 pub fn stream_header_line() -> String {
-    "{\"ok\":true,\"verb\":\"generate\",\"streaming\":true}".to_string()
+    Json::obj([
+        ("ok", true.into()),
+        ("verb", "generate".into()),
+        ("streaming", true.into()),
+    ])
+    .render()
 }
 
 /// One released record.
@@ -527,24 +506,23 @@ pub fn record_line(record: &Record) -> String {
 
 /// Trailer of a batch `generate` response.
 pub fn batch_end_line(released: usize) -> String {
-    format!("{{\"end\":true,\"released\":{released}}}")
+    Json::obj([("end", true.into()), ("released", released.into())]).render()
 }
 
 /// Trailer of a streaming `generate` response (counts are only known here).
-pub fn stream_end_line(
-    released: usize,
-    stats_json: &str,
-    ledger_json: &str,
-    provenance_json: &str,
-) -> String {
-    format!(
-        "{{\"end\":true,\"released\":{released},\"stats\":{stats_json},\
-         \"ledger\":{ledger_json},\"provenance\":{provenance_json}}}"
-    )
+pub fn stream_end_line(released: usize, stats: Json, ledger: Json, provenance: Json) -> String {
+    Json::obj([
+        ("end", true.into()),
+        ("released", released.into()),
+        ("stats", stats),
+        ("ledger", ledger),
+        ("provenance", provenance),
+    ])
+    .render()
 }
 
 /// Decode a `{"record":[..]}` line into attribute value indices.
-pub fn parse_record_line(value: &Value) -> Option<Vec<u16>> {
+pub fn parse_record_line(value: &Json) -> Option<Vec<u16>> {
     value
         .get("record")?
         .as_array()?
@@ -705,6 +683,8 @@ mod tests {
     fn malformed_requests_are_rejected_with_a_reason() {
         for (line, needle) in [
             ("not json", "invalid JSON"),
+            (r#"{"verb":"\ud800"}"#, "invalid JSON"),
+            ("{\"verb\":\"st\u{1}atus\"}", "invalid JSON"),
             (r#"{"target":4}"#, "verb"),
             (r#"{"verb":"launch"}"#, "unknown verb"),
             (r#"{"verb":"generate"}"#, "target"),
@@ -729,7 +709,7 @@ mod tests {
         let reject = reject_line(
             reject::QUEUE_FULL,
             "queue is full",
-            &[("retry_after_ms", "50".to_string())],
+            &[("retry_after_ms", 50u64.into())],
         );
         let parsed = Value::parse(&reject).unwrap();
         assert_eq!(parsed.get("ok").and_then(Value::as_bool), Some(false));
@@ -750,7 +730,7 @@ mod tests {
             "{\"store\":\"partition\"}",
         );
         let parsed = Value::parse(&header).unwrap();
-        assert_eq!(parsed.get("released").and_then(Value::as_usize), Some(2));
+        assert_eq!(parsed.get("released").and_then(Json::as_usize), Some(2));
         assert_eq!(
             parsed.get("request_epsilon").and_then(Value::as_f64),
             Some(1.5)
@@ -769,13 +749,13 @@ mod tests {
 
         let end = stream_end_line(
             4,
-            "{\"released\":4}",
-            "{\"requests\":1}",
-            "{\"store\":\"scan\"}",
+            Json::obj([("released", 4u64.into())]),
+            Json::obj([("requests", 1u64.into())]),
+            Json::obj([("store", "scan".into())]),
         );
         let parsed = Value::parse(&end).unwrap();
         assert_eq!(parsed.get("end").and_then(Value::as_bool), Some(true));
-        assert_eq!(parsed.get("released").and_then(Value::as_usize), Some(4));
+        assert_eq!(parsed.get("released").and_then(Json::as_usize), Some(4));
         assert_eq!(
             parsed
                 .get("provenance")
@@ -794,7 +774,7 @@ mod tests {
             Value::parse(&batch_end_line(9))
                 .unwrap()
                 .get("released")
-                .and_then(Value::as_usize),
+                .and_then(Json::as_usize),
             Some(9)
         );
     }

@@ -29,7 +29,7 @@ use crate::protocol::{
 use crate::queue::{BoundedQueue, PushError};
 use sgf_core::{CoreError, ReleaseReport, SynthesisSession};
 use sgf_data::DatasetDelta;
-use sgf_metrics::{Scope, SpanId, Trace, TraceBatch};
+use sgf_metrics::{Json, Scope, SpanId, Trace, TraceBatch};
 use sgf_stats::DpBudget;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -449,14 +449,20 @@ fn log_request(state: &ServerState, request_id: u64, verb: &str, session: &str, 
     if !state.log_requests {
         return;
     }
-    let _ = writeln!(
-        std::io::stderr().lock(),
-        "{{\"log\":\"serve.request\",\"request_id\":{},\"verb\":\"{}\",\"session\":\"{}\",\"outcome\":\"{}\"}}",
-        request_id,
-        crate::json::escape(verb),
-        crate::json::escape(session),
-        crate::json::escape(outcome),
-    );
+    let line = Json::obj([
+        ("log", "serve.request".into()),
+        ("request_id", request_id.into()),
+        ("verb", verb.into()),
+        ("session", session.into()),
+        ("outcome", outcome.into()),
+    ]);
+    let _ = writeln!(std::io::stderr().lock(), "{}", line.render());
+}
+
+/// The `"ok":true` answer of an inline verb: `ok`, `verb`, then `fields`.
+fn ok_line<'k>(verb: &str, fields: impl IntoIterator<Item = (&'k str, Json)>) -> String {
+    let head = [("ok", Json::Bool(true)), ("verb", verb.into())];
+    Json::obj(head.into_iter().chain(fields)).render()
 }
 
 fn handle_line(line: &str, out: &Arc<Mutex<TcpStream>>, state: &Arc<ServerState>) {
@@ -511,7 +517,7 @@ fn handle_line(line: &str, out: &Arc<Mutex<TcpStream>>, state: &Arc<ServerState>
             // starts only after the ack is on the wire, so the ack cannot be
             // lost to the teardown racing this write.
             let already_draining = state.draining.swap(true, Ordering::SeqCst);
-            write_line(out, "{\"ok\":true,\"verb\":\"shutdown\",\"draining\":true}");
+            write_line(out, &ok_line("shutdown", [("draining", true.into())]));
             if !already_draining {
                 state.finish_drain();
             }
@@ -600,18 +606,14 @@ fn admit_update(
             drop(slot);
             sgf_metrics::scoped(&scope).counter("serve.updates").incr();
             log_request(state, request_id, "update", &call.session, "ok");
-            write_line(
-                out,
-                &format!(
-                    "{{\"ok\":true,\"verb\":\"update\",\"session\":\"{}\",\"epoch\":{},\
-                     \"seeds\":{},\"inserts\":{},\"deletes\":{}}}",
-                    crate::json::escape(&call.session),
-                    epoch,
-                    seeds,
-                    call.inserts.len(),
-                    call.deletes.len()
-                ),
-            );
+            let fields = [
+                ("session", call.session.as_str().into()),
+                ("epoch", epoch.into()),
+                ("seeds", seeds.into()),
+                ("inserts", call.inserts.len().into()),
+                ("deletes", call.deletes.len().into()),
+            ];
+            write_line(out, &ok_line("update", fields));
         }
         Err(err) => {
             drop(slot);
@@ -637,12 +639,8 @@ fn metrics_line(state: &ServerState, session: Option<&str>, noisy: bool) -> Stri
     } else {
         snapshot.counters_only()
     };
-    match session {
-        None => format!(
-            "{{\"ok\":true,\"verb\":\"metrics\",\"noisy\":{},\"metrics\":{}}}",
-            noisy,
-            snapshot.to_json()
-        ),
+    let (filter, metrics) = match session {
+        None => (None, snapshot.as_json()),
         Some(name) => {
             if !state.sessions.contains_key(name) {
                 return unknown_session_line(name);
@@ -654,14 +652,11 @@ fn metrics_line(state: &ServerState, session: Option<&str>, noisy: bool) -> Stri
                 .get(&session_scope(name).render())
                 .cloned()
                 .unwrap_or_default();
-            format!(
-                "{{\"ok\":true,\"verb\":\"metrics\",\"session\":\"{}\",\"noisy\":{},\"metrics\":{}}}",
-                crate::json::escape(name),
-                noisy,
-                cell.to_json()
-            )
+            (Some(("session", name.into())), cell.as_json())
         }
-    }
+    };
+    let fields = [("noisy", noisy.into()), ("metrics", metrics)];
+    ok_line("metrics", fields.into_iter().chain(filter))
 }
 
 /// Answer the `trace` verb: recent span trees from the deterministic trace
@@ -670,7 +665,7 @@ fn metrics_line(state: &ServerState, session: Option<&str>, noisy: bool) -> Stri
 fn trace_line(state: &ServerState, session: Option<&str>, noisy: bool) -> String {
     let trace = sgf_metrics::trace();
     let (filter, events) = match session {
-        None => (String::new(), trace.events()),
+        None => (None, trace.events()),
         Some(name) => {
             if !state.sessions.contains_key(name) {
                 return unknown_session_line(name);
@@ -679,39 +674,39 @@ fn trace_line(state: &ServerState, session: Option<&str>, noisy: bool) -> String
             let scope = session_scope(name);
             let value = scope.get("session").unwrap_or(name);
             (
-                format!(",\"session\":\"{}\"", crate::json::escape(name)),
+                Some(("session", name.into())),
                 trace.events_with_label("session", value),
             )
         }
     };
-    format!(
-        "{{\"ok\":true,\"verb\":\"trace\"{},\"noisy\":{},\"enabled\":{},\"trace\":{}}}",
-        filter,
-        noisy,
-        trace.enabled(),
-        Trace::events_json(&events, noisy).render()
-    )
+    let fields = [
+        ("noisy", noisy.into()),
+        ("enabled", trace.enabled().into()),
+        ("trace", Trace::events_json(&events, noisy)),
+    ];
+    ok_line("trace", fields.into_iter().chain(filter))
 }
 
 fn status_line(state: &ServerState) -> String {
     let mut names: Vec<&str> = state.sessions.keys().map(String::as_str).collect();
     names.sort_unstable();
-    let sessions = names
-        .iter()
-        .map(|n| format!("\"{}\"", crate::json::escape(n)))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"ok\":true,\"verb\":\"status\",\"draining\":{},\"queue_depth\":{},\
-         \"queue_capacity\":{},\"busy_workers\":{},\"workers\":{},\"connections\":{},\
-         \"sessions\":[{}]}}",
-        state.draining.load(Ordering::SeqCst),
-        state.queue.len(),
-        state.queue.capacity(),
-        state.busy_workers.load(Ordering::SeqCst),
-        state.workers,
-        locked(&state.conns).len(),
-        sessions
+    ok_line(
+        "status",
+        [
+            ("draining", state.draining.load(Ordering::SeqCst).into()),
+            ("queue_depth", state.queue.len().into()),
+            ("queue_capacity", state.queue.capacity().into()),
+            (
+                "busy_workers",
+                state.busy_workers.load(Ordering::SeqCst).into(),
+            ),
+            ("workers", state.workers.into()),
+            ("connections", locked(&state.conns).len().into()),
+            (
+                "sessions",
+                Json::Arr(names.into_iter().map(Json::from).collect()),
+            ),
+        ],
     )
 }
 
@@ -719,22 +714,19 @@ fn unknown_session_line(session: &str) -> String {
     protocol::reject_line(
         reject::UNKNOWN_SESSION,
         &format!("no session named `{session}` is registered"),
-        &[("session", format!("\"{}\"", crate::json::escape(session)))],
+        &[("session", session.into())],
     )
 }
 
 fn ledger_line(name: &str, registered: &Registered) -> String {
-    let (cap_epsilon, cap_delta) = match registered.cap {
-        Some(cap) => (protocol::num(cap.epsilon), protocol::num(cap.delta)),
-        None => ("null".to_string(), "null".to_string()),
-    };
-    format!(
-        "{{\"ok\":true,\"verb\":\"ledger\",\"session\":\"{}\",\"ledger\":{},\
-         \"cap_epsilon\":{},\"cap_delta\":{}}}",
-        crate::json::escape(name),
-        registered.session().ledger().to_json(),
-        cap_epsilon,
-        cap_delta
+    ok_line(
+        "ledger",
+        [
+            ("session", name.into()),
+            ("ledger", registered.session().ledger().as_json()),
+            ("cap_epsilon", registered.cap.map(|cap| cap.epsilon).into()),
+            ("cap_delta", registered.cap.map(|cap| cap.delta).into()),
+        ],
     )
 }
 
@@ -818,10 +810,10 @@ fn admit_generate(
                         reject::BUDGET_EXHAUSTED,
                         "admitting the request would exceed the session budget cap",
                         &[
-                            ("requested_epsilon", protocol::num(requested.epsilon)),
-                            ("requested_delta", protocol::num(requested.delta)),
-                            ("cap_epsilon", protocol::num(cap.epsilon)),
-                            ("cap_delta", protocol::num(cap.delta)),
+                            ("requested_epsilon", requested.epsilon.into()),
+                            ("requested_delta", requested.delta.into()),
+                            ("cap_epsilon", cap.epsilon.into()),
+                            ("cap_delta", cap.delta.into()),
                         ],
                     ),
                 );
@@ -870,7 +862,7 @@ fn admit_generate(
                 &protocol::reject_line(
                     reject::QUEUE_FULL,
                     "request queue is full, retry later",
-                    &[("retry_after_ms", retry_after.to_string())],
+                    &[("retry_after_ms", retry_after.into())],
                 ),
             );
         }
@@ -1039,32 +1031,21 @@ fn serve_job(job: Job, fold: Option<&FoldInfo>) {
     }
 }
 
-/// Inject folded-batch membership into a rendered provenance JSON object:
-/// `{"fold":{"size":N,"request_id":R,"members":[..]},<original fields>}`.
-/// Identity for unfolded requests, so their provenance bytes are unchanged.
-fn provenance_with_fold(provenance: &str, fold: Option<(&FoldInfo, u64)>) -> String {
-    let Some((info, request_id)) = fold else {
-        return provenance.to_string();
-    };
-    let members = info
-        .members
-        .iter()
-        .map(|id| id.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let fold_field = format!(
-        "\"fold\":{{\"size\":{},\"request_id\":{},\"members\":[{}]}}",
-        info.members.len(),
-        request_id,
-        members
-    );
-    match provenance.strip_prefix('{') {
-        Some("}") => format!("{{{fold_field}}}"),
-        Some(body) => format!("{{{fold_field},{body}"),
-        // Not an object (defensive): leave the rendering untouched rather
-        // than corrupt it.
-        None => provenance.to_string(),
+/// Add folded-batch membership to a provenance object as its `fold` field:
+/// `{"size":N,"request_id":R,"members":[..]}`.  Identity for unfolded
+/// requests (and, defensively, for non-objects), so their provenance bytes
+/// are unchanged.
+fn provenance_with_fold(mut provenance: Json, fold: Option<(&FoldInfo, u64)>) -> Json {
+    if let (Some((info, request_id)), Json::Obj(fields)) = (fold, &mut provenance) {
+        let members = info.members.iter().map(|&id| Json::from(id)).collect();
+        let fold = Json::obj([
+            ("size", info.members.len().into()),
+            ("request_id", request_id.into()),
+            ("members", Json::Arr(members)),
+        ]);
+        fields.insert("fold".to_string(), fold);
     }
+    provenance
 }
 
 fn serve_batch(
@@ -1095,7 +1076,7 @@ fn serve_batch(
                 &report.stats.to_json(),
                 report.request_budget().epsilon,
                 &report.ledger.to_json(),
-                &provenance_with_fold(&report.provenance_json().render(), fold),
+                &provenance_with_fold(report.provenance_json(), fold).render(),
             );
             text.push('\n');
             for record in report.synthetics.records() {
@@ -1119,10 +1100,12 @@ fn settle_stream_reservation(session: &SynthesisSession, reserved: usize, releas
     if released > reserved {
         sgf_metrics::counter("serve.over_delivered").incr();
         // Never `eprintln!`: a closed stderr must not panic a worker (R3).
-        let _ = writeln!(
-            std::io::stderr().lock(),
-            "{{\"log\":\"serve.over_delivered\",\"reserved\":{reserved},\"released\":{released}}}",
-        );
+        let line = Json::obj([
+            ("log", "serve.over_delivered".into()),
+            ("reserved", reserved.into()),
+            ("released", released.into()),
+        ]);
+        let _ = writeln!(std::io::stderr().lock(), "{}", line.render());
     }
     session.abort_reservation(reserved.saturating_sub(released));
 }
@@ -1211,9 +1194,9 @@ fn serve_stream(
         "{}",
         protocol::stream_end_line(
             released,
-            &stats.to_json(),
-            &session.ledger().to_json(),
-            &provenance_with_fold(&provenance.to_json(&session.ledger()).render(), fold)
+            stats.as_json(),
+            session.ledger().as_json(),
+            provenance_with_fold(provenance.to_json(&session.ledger()), fold)
         )
     );
     let _ = stream.flush();
@@ -1230,18 +1213,19 @@ mod tests {
         let fold = FoldInfo {
             members: vec![7, 9, 12],
         };
+        let with_fold = |text: &str, fold| provenance_with_fold(Json::parse(text).unwrap(), fold);
         assert_eq!(
-            provenance_with_fold("{\"seed\":5}", Some((&fold, 9))),
-            "{\"fold\":{\"size\":3,\"request_id\":9,\"members\":[7,9,12]},\"seed\":5}"
+            with_fold("{\"seed\":5}", Some((&fold, 9))).render(),
+            "{\"fold\":{\"members\":[7,9,12],\"request_id\":9,\"size\":3},\"seed\":5}"
         );
         assert_eq!(
-            provenance_with_fold("{}", Some((&fold, 7))),
-            "{\"fold\":{\"size\":3,\"request_id\":7,\"members\":[7,9,12]}}"
+            with_fold("{}", Some((&fold, 7))).render(),
+            "{\"fold\":{\"members\":[7,9,12],\"request_id\":7,\"size\":3}}"
         );
         // Unfolded requests keep their provenance bytes untouched.
-        assert_eq!(provenance_with_fold("{\"seed\":5}", None), "{\"seed\":5}");
-        // Defensive: a non-object rendering passes through unmodified.
-        assert_eq!(provenance_with_fold("null", Some((&fold, 7))), "null");
+        assert_eq!(with_fold("{\"seed\":5}", None).render(), "{\"seed\":5}");
+        // Defensive: a non-object passes through unmodified.
+        assert_eq!(with_fold("null", Some((&fold, 7))), Json::Null);
     }
 
     #[test]

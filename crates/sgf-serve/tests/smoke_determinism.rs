@@ -56,6 +56,13 @@ fn smoke_observability_documents_are_byte_identical_across_runs() {
             "{name} differs between two identically-seeded smoke runs"
         );
     }
+    // The provenance artifact is the server's own canonical rendering, not
+    // a lossy re-rendering: a fixed point of the codec, floats with `.0`.
+    let provenance = std::fs::read_to_string(first.join("SMOKE_PROVENANCE.json")).unwrap();
+    let provenance = provenance.trim_end();
+    let parsed = sgf_serve::json::Value::parse(provenance).unwrap();
+    assert_eq!(parsed.render(), provenance);
+    assert!(provenance.contains("\"gamma\":4.0"), "{provenance}");
     let _ = std::fs::remove_dir_all(&first);
     let _ = std::fs::remove_dir_all(&second);
 }

@@ -384,6 +384,61 @@ fn metrics_trace_and_provenance_expose_the_release_lifecycle() {
     handle.join().unwrap();
 }
 
+/// Every response line is canonical JSON: parsing the wire bytes and
+/// rendering them again reproduces them exactly, so a client that stores a
+/// parsed block (the smoke's `SMOKE_PROVENANCE.json`) stores the server's
+/// own bytes — integral floats such as `"gamma":4.0` included.
+#[test]
+fn served_lines_are_fixed_points_of_the_codec() {
+    use sgf::serve::json::Value;
+    use std::io::{BufRead, BufReader, Write};
+
+    let handle = serve(
+        ServeConfig::default(),
+        vec![SessionEntry::new(train_session(45))],
+    )
+    .unwrap();
+    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut read_line = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line.trim_end_matches('\n').to_string()
+    };
+    let mut send = |line: &str| writeln!(writer, "{line}").unwrap();
+
+    send(r#"{"verb":"generate","target":6,"seed":3}"#);
+    let header = read_line();
+    let mut lines = vec![header.clone()];
+    loop {
+        let line = read_line();
+        let end = line.starts_with("{\"end\"");
+        lines.push(line);
+        if end {
+            break;
+        }
+    }
+    for verb in ["ledger", "metrics", "status", "warp"] {
+        send(&format!("{{\"verb\":\"{verb}\"}}"));
+        lines.push(read_line());
+    }
+    for line in &lines {
+        assert_eq!(&Value::parse(line).unwrap().render(), line);
+    }
+    let provenance = Value::parse(&header)
+        .unwrap()
+        .get("provenance")
+        .unwrap()
+        .render();
+    assert!(provenance.contains("\"gamma\":4.0"), "{provenance}");
+    assert!(header.contains(&provenance));
+
+    send(r#"{"verb":"shutdown"}"#);
+    assert!(read_line().contains("\"draining\":true"));
+    handle.join().unwrap();
+}
+
 #[test]
 fn rejections_carry_machine_readable_codes() {
     let session = train_session(43);
