@@ -3,39 +3,45 @@
 //!
 //! Two parts:
 //!
-//! 1. **Equivalence gate (deterministic).**  Two sessions trained from the
-//!    same seed, one with the class-match cache enabled and one without,
-//!    answer the same seeded requests through the partition store (the only
-//!    store with a class cache; `Auto` serves from the σ-prefix store, which
-//!    needs none); the releases must be byte-identical and the cached
-//!    session must report a non-zero hit rate.  These points
-//!    carry the deterministic `class_cache_hits` / `class_cache_misses`
-//!    counters and are regression-gated by `sgf-bench-track compare`.
-//! 2. **Folding sweep (noisy).**  Each variant is served through
-//!    `sgf_serve::serve` — cache on with `max_fold = 8` versus cache off
-//!    with folding disabled — and hit by 1–8 concurrent same-session
-//!    clients with default (`Auto`) requests, so a fold has no cache left to
-//!    warm.  Throughput and the `serve.folds` / `serve.folded_requests`
-//!    deltas at > 1 client depend on thread timing, so those points are
-//!    marked noisy and exempt from gating; the mechanism-counter totals
-//!    remain deterministic (misses count distinct cached projections and
-//!    per-request lookup counts are scheduling-independent).
+//! 1. **Equivalence gate (deterministic).**  One trained session's partition
+//!    store (which carries the class-match cache) and a cache-less
+//!    `PartitionIndexStore::build` over the same seeds each replay the same
+//!    seeded `workers = 1` requests through `Mechanism::with_store`; both
+//!    replays must release the bytes the session's own (σ-prefix) release
+//!    does, and the cached store must report a non-zero hit rate.  These
+//!    points carry the deterministic `class_cache_hits` /
+//!    `class_cache_misses` counters and are regression-gated by
+//!    `sgf-bench-track compare`.
+//! 2. **Folding sweep (noisy).**  The same session is served through
+//!    `sgf_serve::serve` twice — folding on (`max_fold = 8`, the `on_*`
+//!    points) versus folding off (`max_fold = 1`, the `off_*` points) — and
+//!    hit by 1–8 concurrent same-session clients with default requests,
+//!    which the σ-prefix store serves, so a fold has no cache left to warm.
+//!    Throughput and the `serve.folds` / `serve.folded_requests` deltas with
+//!    more than one client depend on thread timing, so those points are
+//!    marked noisy and exempt from gating.
 
 use bench::track::{BenchPoint, SeriesRecorder};
 use bench::{base_population, scale_from_args, smoke_mode};
-use sgf_core::{GenerateRequest, PrivacyTestConfig, SeedIndex, SynthesisEngine, SynthesisSession};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sgf_core::{
+    request_worker_seed, GenerateRequest, Mechanism, MechanismStats, PartitionIndexStore,
+    PrivacyTestConfig, SeedStore, SynthesisEngine, SynthesisSession,
+};
 use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
+use sgf_data::Record;
 use sgf_eval::TextTable;
-use sgf_model::OmegaSpec;
+use sgf_model::{OmegaSpec, SeedSynthesizer};
 use sgf_serve::{serve, Client, GenerateCall, ServeConfig, SessionEntry};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Concurrent same-session clients in the folding sweep.
 const CONCURRENCY: [usize; 4] = [1, 2, 4, 8];
 
-/// Train one variant of the shared session; `cache` toggles the class-match
-/// probability cache, everything else (data, split, seed) is identical.
-fn train_variant(population_scale: usize, cache: bool) -> SynthesisSession {
+/// The session both parts share (ω = 9, k = 20).
+fn train_session(population_scale: usize) -> SynthesisSession {
     let population = generate_acs(base_population() * population_scale, 117);
     let bucketizer = acs_bucketizer(&acs_schema());
     SynthesisEngine::builder()
@@ -44,10 +50,29 @@ fn train_variant(population_scale: usize, cache: bool) -> SynthesisSession {
         )
         .omega(OmegaSpec::Fixed(9))
         .max_candidate_factor(30)
-        .class_cache(cache)
         .seed(117)
         .train(&population, &bucketizer)
         .expect("model learning on the generated population succeeds")
+}
+
+/// Replay the `workers = 1` request `request` of `session` over `store`.
+fn replay(
+    session: &SynthesisSession,
+    synthesizer: &SeedSynthesizer,
+    store: &dyn SeedStore,
+    request: &GenerateRequest,
+) -> (Vec<Record>, MechanismStats) {
+    let config = session.config();
+    let mechanism = Mechanism::with_store(synthesizer, session.seeds(), store, config.privacy_test)
+        .expect("the session's seeds satisfy the privacy test");
+    let mut rng = StdRng::seed_from_u64(request_worker_seed(request.seed, 0));
+    mechanism
+        .release_until(
+            request.target,
+            request.target * config.max_candidate_factor,
+            &mut rng,
+        )
+        .expect("replay succeeds")
 }
 
 fn main() {
@@ -56,8 +81,14 @@ fn main() {
     let serial_requests: u64 = 6;
     let per_client = if smoke_mode() { 4 } else { 16 };
 
-    let cached = train_variant(scale, true);
-    let cold = train_variant(scale, false);
+    let session = train_session(scale);
+    let synthesizer =
+        SeedSynthesizer::new(Arc::clone(&session.models().cpts), 9).expect("omega 9 is valid");
+    let cached = session
+        .partition_store()
+        .expect("sessions provide a partition store");
+    let cold = PartitionIndexStore::build(session.seeds(), cached.attributes())
+        .expect("the session's partition key is valid");
 
     // Part 1: byte-identical equivalence + deterministic cache counters.
     let mut recorder = SeriesRecorder::new("fig_folding", scale);
@@ -70,33 +101,38 @@ fn main() {
     ]);
     let (mut hits, mut misses, mut released, mut candidates) = (0u64, 0u64, 0u64, 0u64);
     for seed in 0..serial_requests {
-        let request = GenerateRequest::new(target)
-            .with_seed(seed)
-            .with_seed_index(SeedIndex::Partition);
-        let warm = cached.generate(&request).expect("cached release succeeds");
-        let base = cold.generate(&request).expect("uncached release succeeds");
+        let request = GenerateRequest::new(target).with_seed(seed);
+        let (warm_records, warm) = replay(&session, &synthesizer, cached, &request);
+        let (base_records, base) = replay(&session, &synthesizer, &cold, &request);
         assert_eq!(
-            warm.synthetics.records(),
-            base.synthetics.records(),
+            warm_records, base_records,
             "class cache changed the released records at seed {seed}"
         );
-        assert_eq!(warm.stats.released, base.stats.released);
-        assert_eq!(warm.stats.candidates, base.stats.candidates);
+        let release = session
+            .generate(&request)
+            .expect("session release succeeds");
         assert_eq!(
-            base.stats.class_cache_hits + base.stats.class_cache_misses,
-            0,
-            "uncached session consulted the class cache"
+            release.synthetics.records(),
+            &warm_records[..],
+            "the partition replay diverged from the session release at seed {seed}"
         );
-        hits += warm.stats.class_cache_hits as u64;
-        misses += warm.stats.class_cache_misses as u64;
-        released += warm.stats.released as u64;
-        candidates += warm.stats.candidates as u64;
+        assert_eq!(warm.released, base.released);
+        assert_eq!(warm.candidates, base.candidates);
+        assert_eq!(
+            base.class_cache_hits + base.class_cache_misses,
+            0,
+            "the cache-less store consulted a class cache"
+        );
+        hits += warm.class_cache_hits as u64;
+        misses += warm.class_cache_misses as u64;
+        released += warm.released as u64;
+        candidates += warm.candidates as u64;
         table.add_row(&[
             seed.to_string(),
-            warm.stats.released.to_string(),
-            warm.stats.class_cache_hits.to_string(),
-            warm.stats.class_cache_misses.to_string(),
-            warm.stats.partition_tests.to_string(),
+            warm.released.to_string(),
+            warm.class_cache_hits.to_string(),
+            warm.class_cache_misses.to_string(),
+            warm.partition_tests.to_string(),
         ]);
     }
     assert!(
@@ -130,7 +166,7 @@ fn main() {
         "Wall (s)",
         "Throughput (req/s)",
     ]);
-    for (tag, session, max_fold) in [("on", &cached, 8usize), ("off", &cold, 1usize)] {
+    for (tag, max_fold) in [("on", 8usize), ("off", 1usize)] {
         let config = ServeConfig {
             workers: 2,
             queue_capacity: 64,

@@ -15,9 +15,9 @@
 //!   and runs one check per class — with a fixed ω every key attribute is
 //!   exact-matched, so each test is a single class lookup and the examined
 //!   count scales with the distinct-class count, not `|D_S|`;
-//! * the prefix store (what `SeedIndex::Auto` serves from) names the exact
-//!   plausible set with one range lookup and evaluates the model not at all,
-//!   so it reports one examined class per candidate.
+//! * the prefix store (what every session release is tested against) names
+//!   the exact plausible set with one range lookup and evaluates the model
+//!   not at all, so it reports one examined class per candidate.
 //!
 //! The last column group shows the one-off index build costs amortized over
 //! every request of a session.
@@ -27,8 +27,8 @@ use bench::{scale_from_args, smoke_mode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sgf_core::{
-    InvertedIndexStore, Mechanism, PartitionIndexStore, PrefixIndexStore, PrivacyTestConfig,
-    SynthesisPipeline,
+    learn_models, InvertedIndexStore, Mechanism, PartitionIndexStore, PrefixIndexStore,
+    PrivacyTestConfig,
 };
 use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
 use sgf_data::{split_dataset, SplitSpec};
@@ -75,9 +75,7 @@ fn main() {
         let split = split_dataset(&population, &SplitSpec::paper_defaults(), &mut rng)
             .expect("population is non-empty");
         let config = bench::experiment_pipeline_config(1, 301);
-        let models = SynthesisPipeline::new(config)
-            .learn_models(&split, &bucketizer)
-            .expect("model learning succeeds");
+        let models = learn_models(&config, &split, &bucketizer).expect("model learning succeeds");
         let synthesizer =
             SeedSynthesizer::new(Arc::clone(&models.cpts), 9).expect("omega 9 is valid");
 

@@ -264,11 +264,13 @@ fn render_notes(docs: &[BenchDoc], entry: &TrajectoryEntry) -> String {
         out,
         "> Generated by `sgf-bench-track notes` from the machine-readable\n\
          > `BENCH_*.json` documents emitted by the reproduction suite\n\
-         > (commit `{}`, {} mode, scale {}).  Do not edit the tables by\n\
-         > hand — rerun `scripts/repro.sh` and `sgf-bench-track notes` instead.\n\
+         > ({} mode, scale {}) on the tree at HEAD `{}` when it ran: the\n\
+         > parent of the commit that records these numbers.  Do not edit the\n\
+         > tables by hand — rerun `scripts/repro.sh` and `sgf-bench-track\n\
+         > notes` instead.\n\
          > Wall clocks are machine-dependent; the counters are deterministic\n\
          > and gated by `sgf-bench-track compare`.\n",
-        entry.commit, mode, entry.scale
+        mode, entry.scale, entry.commit
     );
     let _ = writeln!(out, "## Suite totals\n");
     let _ = writeln!(

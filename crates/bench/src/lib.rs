@@ -10,8 +10,8 @@ pub mod track;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sgf_core::{
-    BudgetLedger, GenerateRequest, PipelineConfig, PrivacyTestConfig, SynthesisEngine,
-    SynthesisPipeline, TrainedModels,
+    learn_models, BudgetLedger, GenerateRequest, PipelineConfig, PrivacyTestConfig,
+    SynthesisEngine, TrainedModels,
 };
 use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
 use sgf_data::{split_dataset, Bucketizer, DataSplit, Dataset, SplitSpec};
@@ -146,9 +146,7 @@ pub fn small_models(seed: u64) -> (DataSplit, Bucketizer, TrainedModels) {
     let split = split_dataset(&population, &SplitSpec::paper_defaults(), &mut rng)
         .expect("population is non-empty");
     let config = experiment_pipeline_config(100, seed);
-    let models = SynthesisPipeline::new(config)
-        .learn_models(&split, &bucketizer)
-        .expect("model learning succeeds");
+    let models = learn_models(&config, &split, &bucketizer).expect("model learning succeeds");
     (split, bucketizer, models)
 }
 

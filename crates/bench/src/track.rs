@@ -326,7 +326,9 @@ impl SeriesRecorder {
 /// name, plus the run provenance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrajectoryEntry {
-    /// Commit id of the recorded run.
+    /// The HEAD the recorded run measured ([`commit_id`] at run time).  A run
+    /// is recorded by committing its line, so this names the parent of the
+    /// commit that adds the line, not that commit.
     pub commit: String,
     /// Whether the run was in smoke mode.
     pub smoke: bool,

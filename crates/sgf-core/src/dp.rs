@@ -56,9 +56,9 @@ pub(crate) fn ceil_to_usize(value: f64) -> Result<usize> {
 /// deterministic test was used, which carries no per-release guarantee — the
 /// composed cost is vacuous (infinite ε) as soon as anything was released.
 ///
-/// Every accounting surface (the one-shot [`PipelineBudget`], the cumulative
-/// [`BudgetLedger`], and the per-request report) goes through this single
-/// helper so they can never disagree.
+/// Every accounting surface (the cumulative [`BudgetLedger`] and the
+/// per-request report) goes through this single helper so they can never
+/// disagree.
 pub(crate) fn compose_releases(per_release: Option<DpBudget>, releases: usize) -> DpBudget {
     match (per_release, releases) {
         (_, 0) => DpBudget::pure(0.0),
@@ -162,37 +162,6 @@ impl ReleaseBudget {
     /// (sequential composition, as discussed in Section 8).
     pub fn for_releases(&self, count: usize) -> DpBudget {
         compose_releases(Some(self.budget), count)
-    }
-}
-
-/// End-to-end privacy accounting for the full pipeline: the generative model's
-/// budget (structure + parameter learning on disjoint subsets) plus the
-/// release mechanism's budget for the records actually released.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PipelineBudget {
-    /// Budget spent learning the model structure on D_T.
-    pub structure: DpBudget,
-    /// Budget spent learning the model parameters on D_P.
-    pub parameters: DpBudget,
-    /// Per-release budget of the mechanism (Theorem 1), if the randomized test was used.
-    pub per_release: Option<DpBudget>,
-    /// Number of records released.
-    pub releases: usize,
-}
-
-impl PipelineBudget {
-    /// Budget of the generative model alone: structure and parameters are
-    /// learned on *disjoint* subsets, so the combined cost is the maximum.
-    pub fn model_budget(&self) -> DpBudget {
-        self.structure.max(self.parameters)
-    }
-
-    /// Total budget when the seeds (D_S) are also disjoint from D_T and D_P:
-    /// the releases compose sequentially among themselves, and the result
-    /// combines with the model budget by the disjoint-datasets maximum.
-    pub fn total(&self) -> DpBudget {
-        self.model_budget()
-            .max(compose_releases(self.per_release, self.releases))
     }
 }
 
@@ -364,16 +333,6 @@ impl BudgetLedger {
         self.model_budget().max(self.cumulative_release())
     }
 
-    /// The equivalent one-shot [`PipelineBudget`] over the cumulative releases.
-    pub fn as_pipeline_budget(&self) -> PipelineBudget {
-        PipelineBudget {
-            structure: self.structure,
-            parameters: self.parameters,
-            per_release: self.per_release,
-            releases: self.releases,
-        }
-    }
-
     /// The ledger as a JSON object for service / bench reporting.
     pub fn as_json(&self) -> Json {
         let (model, total, reserved) = (self.model_budget(), self.total(), self.reserved_total());
@@ -466,20 +425,17 @@ mod tests {
     #[test]
     fn pipeline_budget_combines_disjoint_and_sequential_parts() {
         let per_release = ReleaseBudget::at(50, 4.0, 1.0, 20).unwrap().budget;
-        let budget = PipelineBudget {
-            structure: DpBudget::new(0.8, 1e-9),
-            parameters: DpBudget::new(0.6, 1e-9),
-            per_release: Some(per_release),
-            releases: 3,
-        };
-        assert_eq!(budget.model_budget().epsilon, 0.8);
-        let total = budget.total();
+        let model = (DpBudget::new(0.8, 1e-9), DpBudget::new(0.6, 1e-9));
+        let mut ledger = BudgetLedger::new(model.0, model.1, Some(per_release));
+        ledger.record_request(3);
+        // Structure and parameters are learned on disjoint subsets: the model
+        // costs their maximum, and the releases compose on top of it.
+        assert_eq!(ledger.model_budget().epsilon, 0.8);
+        let total = ledger.total();
         assert!((total.epsilon - 3.0 * per_release.epsilon).abs() < 1e-12);
         // Deterministic test: releases carry no DP guarantee.
-        let det = PipelineBudget {
-            per_release: None,
-            ..budget
-        };
+        let mut det = BudgetLedger::new(model.0, model.1, None);
+        det.record_request(3);
         assert!(det.total().epsilon.is_infinite());
     }
 
@@ -499,8 +455,8 @@ mod tests {
         assert_eq!(ledger.releases, 6);
         let cumulative = ledger.cumulative_release();
         assert!((cumulative.epsilon - 6.0 * per_release.epsilon).abs() < 1e-12);
-        // The ledger must agree with the equivalent one-shot accounting.
-        assert_eq!(ledger.total(), ledger.as_pipeline_budget().total());
+        // Releases compose on top of the disjoint-subset model budget.
+        assert_eq!(ledger.total(), cumulative.max(DpBudget::new(0.8, 1e-9)));
         // Deterministic test: any release makes the cumulative bound vacuous.
         let mut det = BudgetLedger::new(DpBudget::new(0.8, 1e-9), DpBudget::new(0.6, 1e-9), None);
         assert_eq!(det.total().epsilon, 0.8);

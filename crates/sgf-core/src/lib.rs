@@ -9,15 +9,16 @@
 //!   Privacy Test 2 (Laplace-noised threshold), including the tool's
 //!   early-termination knobs;
 //! * [`mechanism`] — Mechanism 1 (`F`): seed sampling, candidate generation,
-//!   test, release — against the full scan or an indexed seed store from
-//!   [`sgf_index`] (the [`SeedIndex`] policy picks per session/request);
+//!   test, release — against the full scan (the reference oracle) or any
+//!   indexed seed store from [`sgf_index`];
 //! * [`dp`] — the (ε, δ) guarantees of Theorem 1, end-to-end accounting, and
 //!   the cumulative [`BudgetLedger`] of a long-lived session;
-//! * [`session`] — the staged **train once, serve many** API: a
-//!   [`SynthesisEngine`] trains an immutable [`SynthesisSession`] that serves
-//!   repeated [`GenerateRequest`]s over any [`sgf_model::GenerativeModel`];
-//! * [`pipeline`] — the one-shot pipeline (split, learn, generate), the Rust
-//!   counterpart of the paper's C++ tool, now a thin wrapper over [`session`].
+//! * [`session`] — the staged **train once, serve many** API and the one
+//!   release path: a [`SynthesisEngine`] trains an immutable
+//!   [`SynthesisSession`] that tests every [`GenerateRequest`], over any
+//!   [`sgf_model::GenerativeModel`], against its σ-prefix seed store;
+//! * [`pipeline`] — the configuration (the Rust counterpart of the paper's
+//!   C++ tool config) and [`learn_models`], the training phase on its own.
 //!
 //! ```
 //! use sgf_core::{GenerateRequest, PrivacyTestConfig, SynthesisEngine};
@@ -46,19 +47,17 @@ pub mod privacy_test;
 pub mod session;
 
 pub use deniability::{partition_index, partition_size, satisfies_plausible_deniability};
-pub use dp::{BudgetLedger, PipelineBudget, ReleaseBudget};
+pub use dp::{BudgetLedger, ReleaseBudget};
 pub use error::{CoreError, Result};
 pub use mechanism::{
     propose_candidate, propose_candidate_with_store, CandidateReport, Mechanism, MechanismStats,
 };
-pub use pipeline::{
-    PipelineConfig, PipelineResult, PipelineTimings, SynthesisPipeline, TrainedModels,
-};
+pub use pipeline::{learn_models, PipelineConfig, TrainedModels};
 pub use privacy_test::{run_privacy_test, run_with_store, PrivacyTestConfig, TestOutcome};
 pub use session::{
-    EngineBuilder, GenerateRequest, ReleaseIter, ReleaseReport, SynthesisEngine, SynthesisSession,
+    request_worker_seed, EngineBuilder, GenerateRequest, ReleaseIter, ReleaseReport,
+    SynthesisEngine, SynthesisSession,
 };
 pub use sgf_index::{
-    InvertedIndexStore, LinearScanStore, PartitionIndexStore, PrefixIndexStore, SeedIndex,
-    SeedStore,
+    InvertedIndexStore, LinearScanStore, PartitionIndexStore, PrefixIndexStore, SeedStore,
 };

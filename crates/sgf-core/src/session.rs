@@ -18,8 +18,13 @@
 //! baseline (or any future model) plugs into the same plausible-deniability
 //! test via [`SynthesisSession::generate_with`].
 //!
-//! The legacy one-shot [`crate::SynthesisPipeline::run`] is a thin wrapper
-//! over builder → train → one `generate`.
+//! Every release — `generate`, `generate_with`, `release_iter` — is tested
+//! against the session's σ-prefix store ([`PrefixIndexStore`]), which counts
+//! the plausible seeds of a seed-synthesizer candidate with one range lookup
+//! at any ω.  All stores are decision-equivalent; the full scan stays the
+//! reference oracle, reached as [`sgf_index::LinearScanStore`] /
+//! [`Mechanism::new`], and a `workers = 1` request replays over any store
+//! from [`request_worker_seed`]`(request.seed, 0)`.
 
 use crate::dp::BudgetLedger;
 use crate::error::{CoreError, Result};
@@ -34,8 +39,7 @@ use sgf_data::{
     Record, SplitRole, SplitSpec,
 };
 use sgf_index::{
-    InvertedIndexStore, LinearScanStore, PartitionIndexStore, PrefixIndexStore, SeedIndex,
-    SeedStore, MAX_INTERSECT_LISTS,
+    InvertedIndexStore, PartitionIndexStore, PrefixIndexStore, SeedStore, MAX_INTERSECT_LISTS,
 };
 use sgf_metrics::{CachePadded, Json, Scope, SpanId, TraceBatch};
 use sgf_model::{
@@ -111,22 +115,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Seed-store policy: scan, inverted index, partition store, or automatic
-    /// selection.
-    pub fn seed_index(mut self, policy: SeedIndex) -> Self {
-        self.config.seed_index = policy;
-        self
-    }
-
-    /// Whether the session's partition store carries a shared class-match
-    /// cache (`sgf_index::ClassMatchCache`, default on).  Decisions and RNG
-    /// streams are identical either way; disabling it only forces every
-    /// request to re-evaluate the per-class model probabilities.
-    pub fn class_cache(mut self, enabled: bool) -> Self {
-        self.config.class_cache = enabled;
-        self
-    }
-
     /// Master seed for the data split and model learning.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
@@ -147,11 +135,7 @@ impl EngineBuilder {
     pub fn build(self) -> Result<SynthesisEngine> {
         self.config.split.validate()?;
         self.config.privacy_test.validate()?;
-        if self.config.workers == 0 {
-            return Err(CoreError::InvalidParameter(
-                "workers must be at least 1".into(),
-            ));
-        }
+        check_workers(self.config.workers)?;
         if self.config.max_candidate_factor == 0 {
             return Err(CoreError::InvalidParameter(
                 "max_candidate_factor must be at least 1".into(),
@@ -184,8 +168,7 @@ impl SynthesisEngine {
         EngineBuilder::new()
     }
 
-    /// Wrap an existing full pipeline configuration (the compatibility path
-    /// used by [`crate::SynthesisPipeline`]).
+    /// Wrap an existing full pipeline configuration.
     pub fn from_config(config: PipelineConfig) -> Self {
         SynthesisEngine { config }
     }
@@ -216,66 +199,32 @@ impl SynthesisEngine {
         let per_release = per_release_budget(&self.config.privacy_test);
         let ledger = BudgetLedger::new(models.structure.budget, models.cpts.budget(), per_release);
         let training = start.elapsed();
-        // Build the seed stores once per session; every generate request
-        // shares them read-only.  `Auto` builds only the σ-prefix store, which
-        // serves every ω with one range lookup per test; the inverted and
-        // partition stores wait in deferred slots until an explicit request
-        // override or accessor asks for them.  The partition store is keyed
-        // on the largest likelihood-relevant attribute set of the session's
-        // ω spec — the kept attributes at the smallest admissible ω — so it
-        // covers every fixed-ω synthesizer the session's default spec can
-        // produce.
+        // Build the σ-prefix store once per session; every generate request
+        // shares it read-only.  The inverted and partition stores wait in
+        // deferred slots until their accessors ask for them.  The partition
+        // store is keyed on the largest likelihood-relevant attribute set of
+        // the session's ω spec — the kept attributes at the smallest
+        // admissible ω — so it covers every fixed-ω synthesizer the session's
+        // default spec can produce.
         let build_start = Instant::now();
-        let policy = self.config.seed_index;
         let weights = models.structure.attribute_weights();
         let synthesizer =
             SeedSynthesizer::new(Arc::clone(&models.cpts), smallest_omega(self.config.omega))?;
-        let kept = synthesizer.kept_attributes().to_vec();
-        let (index, partition, prefix) = match policy {
-            SeedIndex::Scan => (StoreSlot::ready(None), StoreSlot::ready(None), None),
-            SeedIndex::Inverted => (
-                StoreSlot::ready(Some(InvertedIndexStore::build(
-                    &split.seeds,
-                    bucketizer,
-                    &weights,
-                    MAX_INTERSECT_LISTS,
-                )?)),
-                StoreSlot::ready(None),
-                None,
-            ),
-            SeedIndex::Partition => (
-                StoreSlot::ready(None),
-                StoreSlot::ready(Some(build_partition(
-                    &split.seeds,
-                    &kept,
-                    self.config.class_cache,
-                )?)),
-                None,
-            ),
-            SeedIndex::Auto => {
-                // Rule out every failure of the deferred builds here, so
-                // materializing them later is infallible.
-                Bucketizer::new(split.seeds.schema(), bucketizer.per_attribute().to_vec())?;
-                check_weights(&weights)?;
-                let prefix = PrefixIndexStore::build(&split.seeds, synthesizer.sigma())?;
-                let (seeds, bucketizer) = (split.seeds.clone(), bucketizer.clone());
-                let index = StoreSlot::deferred(move || {
-                    InvertedIndexStore::build(&seeds, &bucketizer, &weights, MAX_INTERSECT_LISTS)
-                        .expect("build inputs were validated at train time")
-                });
-                let (seeds, class_cache) = (split.seeds.clone(), self.config.class_cache);
-                let partition = StoreSlot::deferred(move || {
-                    build_partition(&seeds, &kept, class_cache)
-                        .expect("build inputs were validated at train time")
-                });
-                (index, partition, Some(prefix))
-            }
-        };
-        let index_build = if policy == SeedIndex::Scan {
-            Duration::ZERO
-        } else {
-            build_start.elapsed()
-        };
+        // Rule out every failure of the deferred builds here, so
+        // materializing them later is infallible.
+        Bucketizer::new(split.seeds.schema(), bucketizer.per_attribute().to_vec())?;
+        check_weights(&weights)?;
+        let prefix = PrefixIndexStore::build(&split.seeds, synthesizer.sigma())?;
+        let (seeds, bucketizer) = (split.seeds.clone(), bucketizer.clone());
+        let index = StoreSlot::deferred(move || {
+            InvertedIndexStore::build(&seeds, &bucketizer, &weights, MAX_INTERSECT_LISTS)
+                .expect("build inputs were validated at train time")
+        });
+        let (seeds, kept) = (split.seeds.clone(), synthesizer.kept_attributes().to_vec());
+        let partition = StoreSlot::deferred(move || {
+            build_partition(&seeds, &kept).expect("build inputs were validated at train time")
+        });
+        let index_build = build_start.elapsed();
         sgf_metrics::timer("core.train").observe(training);
         sgf_metrics::timer("core.index_build").observe(index_build);
         let trace = sgf_metrics::trace();
@@ -286,12 +235,6 @@ impl SynthesisEngine {
             batch.counter(root, "seeds", split.seeds.len() as u64);
             batch.wall(root, training);
             let build = batch.span("core.index_build", root);
-            batch.label(build, "prefix", on_off(prefix.is_some()));
-            batch.label(build, "inverted", slot_label(&index));
-            batch.label(build, "partition", slot_label(&partition));
-            if let Some(partition) = partition.peek_shared() {
-                batch.counter(build, "classes", partition.class_count() as u64);
-            }
             batch.wall(build, index_build);
             trace.commit(batch);
         }
@@ -303,7 +246,6 @@ impl SynthesisEngine {
                 index,
                 partition,
                 prefix: StoreSlot::ready(prefix),
-                index_build,
                 training,
             }),
             per_release,
@@ -322,18 +264,14 @@ pub struct GenerateRequest {
     pub target: usize,
     /// Per-request ω override (`None` uses the session default).
     pub omega: Option<OmegaSpec>,
-    /// Per-request worker-count override (`None` uses the session default).
-    /// Applies to [`SynthesisSession::generate`] /
+    /// Per-request worker-count override (`None` uses the session default;
+    /// 1 to 64).  Applies to [`SynthesisSession::generate`] /
     /// [`SynthesisSession::generate_with`] only; the streaming
     /// [`SynthesisSession::release_iter`] always proposes on the calling
     /// thread.
     pub workers: Option<usize>,
     /// Per-request proposal-cap override (`None` uses the session default).
     pub max_candidate_factor: Option<usize>,
-    /// Per-request seed-store policy override (`None` uses the session
-    /// default).  Scan and index are decision-equivalent, so this only
-    /// affects performance — see [`SeedIndex`].
-    pub seed_index: Option<SeedIndex>,
     /// Seed for all randomness of this request (two requests with the same
     /// seed and parameters release identical records).
     pub seed: u64,
@@ -347,7 +285,6 @@ impl GenerateRequest {
             omega: None,
             workers: None,
             max_candidate_factor: None,
-            seed_index: None,
             seed: 0,
         }
     }
@@ -367,12 +304,6 @@ impl GenerateRequest {
     /// Override the proposal cap factor for this request.
     pub fn with_max_candidate_factor(mut self, factor: usize) -> Self {
         self.max_candidate_factor = Some(factor);
-        self
-    }
-
-    /// Override the seed-store policy for this request.
-    pub fn with_seed_index(mut self, policy: SeedIndex) -> Self {
-        self.seed_index = Some(policy);
         self
     }
 
@@ -436,16 +367,11 @@ impl ReleaseReport {
 /// off): the trace holds the span-level detail, this block the summary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Provenance {
-    /// Store granularity that served the privacy tests (`"scan"`,
-    /// `"inverted"`, `"partition"`, `"prefix"` — see [`SeedStore::kind`]).
+    /// Store that served the privacy tests ([`SeedStore::kind`]: always
+    /// `"prefix"` for a session release).
     pub store: &'static str,
     /// Seed records the store draws from (`|D_S|`).
     pub seeds: usize,
-    /// Likelihood-equivalence classes of the partition store, when it served
-    /// the request; `None` for every other store.  The prefix store has no
-    /// fixed class list: a test's class is the range of seeds sharing the
-    /// candidate's σ-prefix, whose depth follows that candidate's ω.
-    pub classes: Option<usize>,
     /// Effective ω spec (request override or session default).
     pub omega: OmegaSpec,
     /// Effective worker count.
@@ -483,7 +409,6 @@ impl Provenance {
         Json::obj([
             ("store", self.store.into()),
             ("seeds", self.seeds.into()),
-            ("classes", self.classes.into()),
             ("omega", render_omega(self.omega).into()),
             ("workers", self.workers.into()),
             ("max_candidates", self.max_candidates.into()),
@@ -545,36 +470,34 @@ pub struct CandidateProbe {
 /// deterministic prefix of the proposal order at `workers = 1`.
 pub const MAX_TRACE_PROBES: usize = 32;
 
-/// A seed-store slot of [`SessionShared`]: either materialized up front
-/// (training builds its stores eagerly) or deferred behind a splice/build
-/// closure that the first accessor runs exactly once.
+/// A seed-store slot of [`SessionShared`]: either materialized up front or
+/// deferred behind a build/splice closure that the first accessor runs
+/// exactly once.
 ///
 /// [`SynthesisSession::update`] defers store maintenance so the ingest
 /// critical path stays O(|Δ|): the splice cost amortizes into the first
 /// request of the new epoch, which its privacy test dominates anyway.  Every
-/// failure mode of the deferred closure is ruled out at update time (schema
-/// validation covers insert arity and domains, delete indices are derived
-/// ascending, sizes and weights are checked), so materialization is
+/// failure mode of the deferred closure is ruled out before it is queued
+/// (schema validation covers insert arity and domains, delete indices are
+/// derived ascending, sizes and weights are checked), so materialization is
 /// infallible.
 struct StoreSlot<S> {
-    cell: OnceLock<Option<Arc<S>>>,
+    cell: OnceLock<Arc<S>>,
     /// The deferred work, consumed by the first materialization.
     pending: Mutex<Option<Box<dyn FnOnce() -> S + Send>>>,
 }
 
 impl<S> StoreSlot<S> {
-    /// A slot holding `store` (or holding "no store") from the start.
-    fn ready(store: Option<S>) -> Self {
-        StoreSlot::ready_shared(store.map(Arc::new))
+    /// A slot holding `store` from the start.
+    fn ready(store: S) -> Self {
+        StoreSlot::ready_shared(Arc::new(store))
     }
 
     /// Like [`ready`](StoreSlot::ready) but sharing an existing handle — the
     /// "unchanged state shared via `Arc`" path of an incremental update.
-    fn ready_shared(store: Option<Arc<S>>) -> Self {
-        let cell = OnceLock::new();
-        let _ = cell.set(store);
+    fn ready_shared(store: Arc<S>) -> Self {
         StoreSlot {
-            cell,
+            cell: OnceLock::from(store),
             pending: Mutex::new(None),
         }
     }
@@ -590,57 +513,34 @@ impl<S> StoreSlot<S> {
     /// The store, materializing it first if this slot was deferred.  The
     /// `OnceLock` guarantees exactly one thread runs the deferred work; the
     /// rest block and observe the finished store.
-    fn get(&self) -> Option<&S> {
-        self.cell
-            .get_or_init(|| {
-                let work = self
-                    .pending
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .take()
-                    .expect("a deferred slot holds its pending work");
-                Some(Arc::new(work()))
-            })
-            .as_deref()
+    fn get(&self) -> &S {
+        self.get_shared()
     }
 
-    /// Materialize (if needed) and return a shared handle.
-    fn get_shared(&self) -> Option<Arc<S>> {
-        self.get();
-        self.cell.get().expect("just materialized").clone()
+    /// Materialize (if needed) and return the shared handle.
+    fn get_shared(&self) -> &Arc<S> {
+        self.cell.get_or_init(|| {
+            let work = self
+                .pending
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .take()
+                .expect("a deferred slot holds its pending work");
+            Arc::new(work())
+        })
     }
 
     /// The store if it is already materialized, without running deferred
     /// work.
     fn peek_shared(&self) -> Option<Arc<S>> {
-        self.cell.get().cloned().flatten()
-    }
-
-    /// [`get_shared`](StoreSlot::get_shared) when `materialize`, else
-    /// [`peek_shared`](StoreSlot::peek_shared).
-    fn handle(&self, materialize: bool) -> Option<Arc<S>> {
-        if materialize {
-            self.get_shared()
-        } else {
-            self.peek_shared()
-        }
-    }
-}
-
-/// Trace-label rendering of a store slot at train time.
-fn slot_label<S>(slot: &StoreSlot<S>) -> &'static str {
-    match slot.cell.get() {
-        Some(Some(_)) => "built",
-        Some(None) => "skipped",
-        None => "deferred",
+        self.cell.get().cloned()
     }
 }
 
 impl<S> std::fmt::Debug for StoreSlot<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.cell.get() {
-            Some(Some(_)) => f.write_str("StoreSlot(ready)"),
-            Some(None) => f.write_str("StoreSlot(none)"),
+            Some(_) => f.write_str("StoreSlot(ready)"),
             None => f.write_str("StoreSlot(deferred)"),
         }
     }
@@ -654,21 +554,16 @@ impl<S> std::fmt::Debug for StoreSlot<S> {
 struct SessionShared {
     split: DataSplit,
     models: TrainedModels,
-    /// The inverted seed index, built at train time under
-    /// [`SeedIndex::Inverted`], on first use under [`SeedIndex::Auto`]
-    /// (absent otherwise), and spliced lazily after an
-    /// [`update`](SynthesisSession::update).
+    /// The inverted seed index, built on first use and spliced lazily
+    /// after an [`update`](SynthesisSession::update).
     index: StoreSlot<InvertedIndexStore>,
-    /// The partition-aware store of likelihood-equivalence classes, built at
-    /// train time under [`SeedIndex::Partition`], on first use under
-    /// [`SeedIndex::Auto`] (absent otherwise), and spliced lazily after an
+    /// The partition-aware store of likelihood-equivalence classes (with its
+    /// class-match cache), built on first use and spliced lazily after an
     /// [`update`](SynthesisSession::update).
     partition: StoreSlot<PartitionIndexStore>,
-    /// The σ-prefix store that serves [`SeedIndex::Auto`], built at train
-    /// time under that policy only (the other two slots are then deferred)
-    /// and spliced lazily after an [`update`](SynthesisSession::update).
+    /// The σ-prefix store every release is tested against, built at train
+    /// time and spliced lazily after an [`update`](SynthesisSession::update).
     prefix: StoreSlot<PrefixIndexStore>,
-    index_build: Duration,
     training: Duration,
 }
 
@@ -752,85 +647,29 @@ impl SynthesisSession {
         self.shared.training
     }
 
-    /// Wall-clock time spent building the seed stores at train time: the one
-    /// store the policy builds eagerly (zero under [`SeedIndex::Scan`]).
-    pub fn index_build_time(&self) -> Duration {
-        self.shared.index_build
-    }
-
-    /// The inverted seed index, if the session policy provides one
-    /// ([`SeedIndex::Inverted`], or [`SeedIndex::Auto`], where this call
-    /// builds it on first use).  Clones of the same session return the same
-    /// shared instance.  After an [`update`](SynthesisSession::update), the
-    /// first accessor call splices the deferred delta into the store (exactly
-    /// once).
+    /// The inverted seed index, built by the first call (always `Some`).
+    /// Clones of the same session return the same shared instance.  After an
+    /// [`update`](SynthesisSession::update), the first call splices the
+    /// deferred delta into the store (exactly once).
     pub fn seed_store(&self) -> Option<&InvertedIndexStore> {
-        self.shared.index.get()
+        Some(self.shared.index.get())
     }
 
-    /// The partition-aware store of likelihood-equivalence classes, if the
-    /// session policy provides one ([`SeedIndex::Partition`], or
-    /// [`SeedIndex::Auto`], where this call builds it on first use).  Clones
-    /// of the same session return the same shared instance.  After an
-    /// [`update`](SynthesisSession::update), the first accessor call splices
-    /// the deferred delta into the store (exactly once).
+    /// The partition-aware store of likelihood-equivalence classes, with its
+    /// shared class-match cache, built by the first call (always `Some`).
+    /// Clones of the same session return the same shared instance.  After an
+    /// [`update`](SynthesisSession::update), the first call splices the
+    /// deferred delta into the store (exactly once).
     pub fn partition_store(&self) -> Option<&PartitionIndexStore> {
-        self.shared.partition.get()
+        Some(self.shared.partition.get())
     }
 
-    /// The σ-prefix store serving [`SeedIndex::Auto`] (built at train time
-    /// under that policy only).  Clones of the same session return the same
-    /// shared instance.  After an [`update`](SynthesisSession::update), the
-    /// first accessor call or request splices the deferred delta into the
-    /// store (exactly once).
-    pub fn prefix_store(&self) -> Option<&PrefixIndexStore> {
+    /// The σ-prefix store every release is tested against.  Clones of the
+    /// same session return the same shared instance.  After an
+    /// [`update`](SynthesisSession::update), the first call or request
+    /// splices the deferred delta into the store (exactly once).
+    pub fn prefix_store(&self) -> &PrefixIndexStore {
         self.shared.prefix.get()
-    }
-
-    /// Resolve the effective store for a request: the request override, else
-    /// the session policy.  `None` means "use the linear scan".
-    ///
-    /// [`SeedIndex::Auto`] resolves to the σ-prefix store.  A session trained
-    /// without one (an `Auto` override on a `Scan`, `Inverted`, or
-    /// `Partition` session) falls back to the partition store when its class
-    /// keying covers `likelihood`, the request model's likelihood guarantee
-    /// ([`GenerativeModel::likelihood_attributes`]), then to the inverted
-    /// index, then to the scan.
-    fn resolve_store(
-        &self,
-        request: &GenerateRequest,
-        likelihood: Option<&[usize]>,
-    ) -> Result<Option<&dyn SeedStore>> {
-        match request.seed_index.unwrap_or(self.config.seed_index) {
-            SeedIndex::Scan => Ok(None),
-            SeedIndex::Inverted => match self.shared.index.get() {
-                Some(index) => Ok(Some(index as &dyn SeedStore)),
-                None => Err(CoreError::InvalidParameter(format!(
-                    "request asked for SeedIndex::Inverted but the session was trained \
-                     with SeedIndex::{} (no inverted index was built)",
-                    self.config.seed_index
-                ))),
-            },
-            SeedIndex::Partition => match self.shared.partition.get() {
-                Some(partition) => Ok(Some(partition as &dyn SeedStore)),
-                None => Err(CoreError::InvalidParameter(format!(
-                    "request asked for SeedIndex::Partition but the session was trained \
-                     with SeedIndex::{} (no partition store was built)",
-                    self.config.seed_index
-                ))),
-            },
-            SeedIndex::Auto => {
-                if let Some(prefix) = self.shared.prefix.get() {
-                    return Ok(Some(prefix as &dyn SeedStore));
-                }
-                if let Some(partition) =
-                    self.shared.partition.get().filter(|p| p.covers(likelihood))
-                {
-                    return Ok(Some(partition as &dyn SeedStore));
-                }
-                Ok(self.shared.index.get().map(|index| index as &dyn SeedStore))
-            }
-        }
     }
 
     /// A snapshot of the cumulative privacy ledger.
@@ -1000,12 +839,9 @@ impl SynthesisSession {
     ) -> Result<ReleaseIter<'_>> {
         let (target, _workers, max_candidates) = self.request_limits(&request)?;
         let models = self.build_synthesizers(request.omega.unwrap_or(self.config.omega))?;
-        // models[0] is the smallest-ω synthesizer: its kept attributes are
-        // the largest likelihood set of the request, so if the partition
-        // store covers it, it covers every synthesizer of the request.
-        let store = self.resolve_store(&request, models[0].likelihood_attributes())?;
+        let store = self.shared.prefix.get();
         // Validate the mechanism inputs once; `next` uses the raw hot path.
-        Mechanism::new(&models[0], self.seeds(), self.config.privacy_test)?;
+        Mechanism::with_store(&models[0], self.seeds(), store, self.config.privacy_test)?;
         let ledger_before = {
             let mut guard = self.ledger.lock().expect("ledger lock poisoned");
             let before = *guard;
@@ -1034,11 +870,7 @@ impl SynthesisSession {
             ));
         }
         let workers = request.workers.unwrap_or(self.config.workers);
-        if workers == 0 {
-            return Err(CoreError::InvalidParameter(
-                "workers must be at least 1".into(),
-            ));
-        }
+        check_workers(workers)?;
         let factor = request
             .max_candidate_factor
             .unwrap_or(self.config.max_candidate_factor);
@@ -1061,9 +893,7 @@ impl SynthesisSession {
         reservation: Option<usize>,
     ) -> Result<ReleaseReport> {
         let (target, workers, max_candidates) = self.request_limits(request)?;
-        let likelihood = models.first().and_then(|m| m.likelihood_attributes());
-        let store = self.resolve_store(request, likelihood)?;
-        let store_kind = store.map_or("scan", |s| s.kind());
+        let store = self.shared.prefix.get();
         let ledger_before = self.ledger();
         let tracing = sgf_metrics::trace().enabled();
         let mut probes: Vec<CandidateProbe> = Vec::new();
@@ -1099,7 +929,7 @@ impl SynthesisSession {
             commit_generate_trace(
                 self.scope.as_ref(),
                 request,
-                store_kind,
+                store.kind(),
                 target,
                 workers,
                 &stats,
@@ -1110,11 +940,8 @@ impl SynthesisSession {
             0
         };
         let provenance = Provenance {
-            store: store_kind,
+            store: store.kind(),
             seeds: self.seeds().len(),
-            classes: (store_kind == "partition")
-                .then(|| self.shared.partition.get().map(|p| p.class_count()))
-                .flatten(),
             omega: request.omega.unwrap_or(self.config.omega),
             workers,
             max_candidates,
@@ -1136,8 +963,8 @@ impl SynthesisSession {
         })
     }
 
-    /// Dismantle the session into its split, models, and final ledger (used by
-    /// the one-shot compatibility wrapper, and handy for evaluation).
+    /// Dismantle the session into its split, models, and final ledger (handy
+    /// for evaluation).
     ///
     /// When this handle is the last one, the trained artifacts are moved out;
     /// while clones are still alive they are cloned instead (and the returned
@@ -1306,7 +1133,6 @@ impl SynthesisSession {
         // mode of the deferred work is ruled out *here*: delta records are
         // schema-validated (arity and domains), delete indices are derived
         // ascending, and sizes/weights are checked below.
-        let build_start = Instant::now();
         if seeds_data.len() > u32::MAX as usize {
             return Err(CoreError::InvalidParameter(
                 "seed stores support at most u32::MAX records".into(),
@@ -1317,108 +1143,85 @@ impl SynthesisSession {
             !graph_changed && models.structure.correlations == shared.models.structure.correlations;
         let seed_deletes = Arc::new(seed_deletes);
         let seed_inserts = Arc::new(std::mem::take(&mut inserts[2]));
-        // Under `Auto` the inverted and partition stores are built only on
-        // demand, so an update carries a parent store forward only if it was
-        // materialized and never forces one into existence.
-        let policy = self.config.seed_index;
-        let materialize = policy != SeedIndex::Auto;
-        let index = match policy {
-            SeedIndex::Scan | SeedIndex::Partition => StoreSlot::ready(None),
-            SeedIndex::Inverted | SeedIndex::Auto => {
-                let weights = models.structure.attribute_weights();
-                check_weights(&weights)?;
-                match self.shared.index.handle(materialize) {
-                    // Same seeds, same weights: the parent's posting lists
-                    // are byte-identical to a fresh build — share them.
-                    Some(old) if seeds_untouched && structure_same => {
-                        StoreSlot::ready_shared(Some(old))
-                    }
-                    Some(old) => {
-                        let deletes = Arc::clone(&seed_deletes);
-                        let ins = Arc::clone(&seed_inserts);
-                        StoreSlot::deferred(move || {
-                            old.apply_delta(&deletes, &ins, &weights)
-                                .expect("splice inputs were validated at update time")
-                        })
-                    }
-                    None => {
-                        let seeds = seeds_data.clone();
-                        let bucketizer = bucketizer.clone();
-                        StoreSlot::deferred(move || {
-                            InvertedIndexStore::build(
-                                &seeds,
-                                &bucketizer,
-                                &weights,
-                                MAX_INTERSECT_LISTS,
-                            )
-                            .expect("build inputs were validated at update time")
-                        })
-                    }
-                }
-            }
-        };
-        let synthesizer =
-            SeedSynthesizer::new(Arc::clone(&models.cpts), smallest_omega(self.config.omega))?;
-        let partition = match policy {
-            SeedIndex::Scan | SeedIndex::Inverted => StoreSlot::ready(None),
-            SeedIndex::Partition | SeedIndex::Auto => {
-                let mut key: Vec<usize> = synthesizer.kept_attributes().to_vec();
-                key.sort_unstable();
-                key.dedup();
-                let reusable = self
-                    .shared
-                    .partition
-                    .handle(materialize)
-                    .filter(|old| old.attributes() == key.as_slice());
-                match reusable {
-                    // Same seeds, same kept-attribute key: the parent's
-                    // classes are byte-identical to a fresh build.
-                    Some(old) if seeds_untouched => StoreSlot::ready_shared(Some(old)),
-                    Some(old) => {
-                        let deletes = Arc::clone(&seed_deletes);
-                        let ins = Arc::clone(&seed_inserts);
-                        StoreSlot::deferred(move || {
-                            old.apply_delta(&deletes, &ins)
-                                .expect("splice inputs were validated at update time")
-                        })
-                    }
-                    None => {
-                        let seeds = seeds_data.clone();
-                        let kept: Vec<usize> = synthesizer.kept_attributes().to_vec();
-                        let class_cache = self.config.class_cache;
-                        StoreSlot::deferred(move || {
-                            build_partition(&seeds, &kept, class_cache)
-                                .expect("build inputs were validated at update time")
-                        })
-                    }
-                }
-            }
-        };
-        // The prefix store splices while σ holds; a new σ re-sorts it.
-        let prefix = match self.shared.prefix.get_shared() {
-            None => StoreSlot::ready(None),
-            Some(old) if old.order() == synthesizer.sigma() => {
-                if seeds_untouched {
-                    StoreSlot::ready_shared(Some(old))
-                } else {
-                    let deletes = Arc::clone(&seed_deletes);
-                    let ins = Arc::clone(&seed_inserts);
-                    StoreSlot::deferred(move || {
-                        old.apply_delta(&deletes, &ins)
-                            .expect("splice inputs were validated at update time")
-                    })
-                }
-            }
-            Some(_) => {
-                let seeds = seeds_data.clone();
-                let sigma = synthesizer.sigma().to_vec();
+        // A deferred inverted or partition store stays deferred: an update
+        // carries a parent store forward only if it was materialized and
+        // never forces one into existence.
+        let weights = models.structure.attribute_weights();
+        check_weights(&weights)?;
+        let index = match self.shared.index.peek_shared() {
+            // Same seeds, same weights: the parent's posting lists are
+            // byte-identical to a fresh build — share them.
+            Some(old) if seeds_untouched && structure_same => StoreSlot::ready_shared(old),
+            Some(old) => {
+                let deletes = Arc::clone(&seed_deletes);
+                let ins = Arc::clone(&seed_inserts);
                 StoreSlot::deferred(move || {
-                    PrefixIndexStore::build(&seeds, &sigma)
+                    old.apply_delta(&deletes, &ins, &weights)
+                        .expect("splice inputs were validated at update time")
+                })
+            }
+            None => {
+                let seeds = seeds_data.clone();
+                let bucketizer = bucketizer.clone();
+                StoreSlot::deferred(move || {
+                    InvertedIndexStore::build(&seeds, &bucketizer, &weights, MAX_INTERSECT_LISTS)
                         .expect("build inputs were validated at update time")
                 })
             }
         };
-        let index_build = build_start.elapsed();
+        let synthesizer =
+            SeedSynthesizer::new(Arc::clone(&models.cpts), smallest_omega(self.config.omega))?;
+        let mut key: Vec<usize> = synthesizer.kept_attributes().to_vec();
+        key.sort_unstable();
+        key.dedup();
+        let reusable = self
+            .shared
+            .partition
+            .peek_shared()
+            .filter(|old| old.attributes() == key.as_slice());
+        let partition = match reusable {
+            // Same seeds, same kept-attribute key: the parent's classes are
+            // byte-identical to a fresh build.
+            Some(old) if seeds_untouched => StoreSlot::ready_shared(old),
+            Some(old) => {
+                let deletes = Arc::clone(&seed_deletes);
+                let ins = Arc::clone(&seed_inserts);
+                StoreSlot::deferred(move || {
+                    old.apply_delta(&deletes, &ins)
+                        .expect("splice inputs were validated at update time")
+                })
+            }
+            None => {
+                let seeds = seeds_data.clone();
+                let kept: Vec<usize> = synthesizer.kept_attributes().to_vec();
+                StoreSlot::deferred(move || {
+                    build_partition(&seeds, &kept)
+                        .expect("build inputs were validated at update time")
+                })
+            }
+        };
+        // The prefix store splices while σ holds; a new σ re-sorts it.
+        let old = self.shared.prefix.get_shared();
+        let prefix = if old.order() != synthesizer.sigma() {
+            let seeds = seeds_data.clone();
+            let sigma = synthesizer.sigma().to_vec();
+            StoreSlot::deferred(move || {
+                PrefixIndexStore::build(&seeds, &sigma)
+                    .expect("build inputs were validated at update time")
+            })
+        } else if seeds_untouched {
+            StoreSlot::ready_shared(Arc::clone(old))
+        } else {
+            let (old, deletes, ins) = (
+                Arc::clone(old),
+                Arc::clone(&seed_deletes),
+                Arc::clone(&seed_inserts),
+            );
+            StoreSlot::deferred(move || {
+                old.apply_delta(&deletes, &ins)
+                    .expect("splice inputs were validated at update time")
+            })
+        };
         sgf_metrics::counter("core.updates").incr();
         sgf_metrics::timer("core.update").observe(start.elapsed());
         let trace = sgf_metrics::trace();
@@ -1445,7 +1248,6 @@ impl SynthesisSession {
                 index,
                 partition,
                 prefix,
-                index_build,
                 training,
             }),
             per_release: self.per_release,
@@ -1513,7 +1315,7 @@ fn apply_subset_delta(
 pub struct ReleaseIter<'s> {
     session: &'s SynthesisSession,
     models: Vec<SeedSynthesizer>,
-    store: Option<&'s dyn SeedStore>,
+    store: &'s dyn SeedStore,
     rng: StdRng,
     stats: MechanismStats,
     target: usize,
@@ -1538,13 +1340,9 @@ impl ReleaseIter<'_> {
     /// own, so those fields are fixed; the ledger snapshot is the one taken
     /// when the iterator was opened.
     pub fn provenance(&self) -> Provenance {
-        let store_kind = self.store.map_or("scan", |s| s.kind());
         Provenance {
-            store: store_kind,
+            store: self.store.kind(),
             seeds: self.session.seeds().len(),
-            classes: (store_kind == "partition")
-                .then(|| self.session.shared.partition.get().map(|p| p.class_count()))
-                .flatten(),
             omega: self.request.omega.unwrap_or(self.session.config.omega),
             workers: 1,
             max_candidates: self.max_candidates,
@@ -1569,18 +1367,10 @@ impl Iterator for ReleaseIter<'_> {
             } else {
                 self.rng.gen_range(0..self.models.len())
             };
-            let scan;
-            let store: &dyn SeedStore = match self.store {
-                Some(store) => store,
-                None => {
-                    scan = LinearScanStore::new(self.session.seeds());
-                    &scan
-                }
-            };
             let report = match propose_candidate_with_store(
                 &self.models[which],
                 self.session.seeds(),
-                store,
+                self.store,
                 &self.session.config.privacy_test,
                 &mut self.rng,
             ) {
@@ -1614,8 +1404,14 @@ pub(crate) fn per_release_budget(test: &PrivacyTestConfig) -> Option<DpBudget> {
         .map(|b| b.budget)
 }
 
-/// Deterministic per-worker RNG seed derivation.
-fn request_worker_seed(request_seed: u64, worker: usize) -> u64 {
+/// The RNG seed of worker `worker` of a request seeded with `request_seed`.
+///
+/// Worker `w` of a `generate` drives its proposals from
+/// `StdRng::seed_from_u64(request_worker_seed(request.seed, w))`, and the
+/// streaming [`ReleaseIter`] from worker 0's stream, so a `workers = 1`
+/// request replays over any seed store as
+/// `Mechanism::with_store(..).release_until(..)` from that RNG.
+pub fn request_worker_seed(request_seed: u64, worker: usize) -> u64 {
     request_seed
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(worker as u64)
@@ -1630,18 +1426,27 @@ fn smallest_omega(omega: OmegaSpec) -> usize {
     }
 }
 
-/// The partition store over `kept`, with a class-match cache if configured.
+/// The partition store over `kept`, with its class-match cache.
 fn build_partition(
     seeds: &Dataset,
     kept: &[usize],
-    class_cache: bool,
 ) -> std::result::Result<PartitionIndexStore, sgf_data::DataError> {
-    let store = PartitionIndexStore::build(seeds, kept)?;
-    Ok(if class_cache {
-        store.with_class_cache()
-    } else {
-        store
-    })
+    PartitionIndexStore::build(seeds, kept).map(PartitionIndexStore::with_class_cache)
+}
+
+/// Most worker threads one request may fan out over.  Releases are
+/// byte-identical at every worker count, so the ceiling only bounds the
+/// threads a request can make the process spawn.
+pub(crate) const MAX_WORKERS: usize = 64;
+
+/// A worker count must be at least 1 and at most [`MAX_WORKERS`].
+pub(crate) fn check_workers(workers: usize) -> Result<()> {
+    if workers == 0 || workers > MAX_WORKERS {
+        return Err(CoreError::InvalidParameter(format!(
+            "workers must be between 1 and {MAX_WORKERS}, got {workers}"
+        )));
+    }
+    Ok(())
 }
 
 /// Attribute weights key the inverted index and must be finite.
@@ -1763,9 +1568,9 @@ impl WorkerProfile {
     }
 }
 
-/// The model-generic parallel release engine shared by the session API and the
-/// legacy pipeline: build (and validate) every [`Mechanism`] exactly once,
-/// then fan proposals out over the workers.
+/// The model-generic parallel release engine behind every session `generate`:
+/// build (and validate) every [`Mechanism`] exactly once, then fan proposals
+/// out over the workers.
 ///
 /// # Determinism and contention
 ///
@@ -1792,7 +1597,7 @@ impl WorkerProfile {
 pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
     models: &[&M],
     seeds: &Dataset,
-    store: Option<&dyn SeedStore>,
+    store: &dyn SeedStore,
     test: PrivacyTestConfig,
     target: usize,
     max_candidates: usize,
@@ -1810,14 +1615,13 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
     // workers below only borrow them.
     let mechanisms: Vec<Mechanism<'_, M>> = models
         .iter()
-        .map(|m| match store {
-            Some(store) => Mechanism::with_store(*m, seeds, store, test),
-            None => Mechanism::new(*m, seeds, test),
-        })
+        .map(|m| Mechanism::with_store(*m, seeds, store, test))
         .collect::<Result<_>>()?;
 
     let workers = workers.min(max_candidates.max(1));
-    let selection = Mutex::new(BinaryHeap::with_capacity(target.min(max_candidates)));
+    // `target` and `workers` come from the request: the heap and the handle
+    // list grow as they are used instead of preallocating from them.
+    let selection = Mutex::new(BinaryHeap::new());
     // usize::MAX = "heap not full yet, every rank is still in the running".
     let threshold = CachePadded::new(AtomicUsize::new(usize::MAX));
     let collect_probes = probes_out.is_some();
@@ -1837,7 +1641,7 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
         )]
     } else {
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
+            let mut handles = Vec::new();
             for worker in 0..workers {
                 let mechanisms = &mechanisms;
                 let selection = &selection;
@@ -1984,7 +1788,53 @@ fn worker_loop<M: GenerativeModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::propose_candidate;
     use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
+
+    /// Replay a `workers = 1` request the way `generate` runs it, over
+    /// `store` — the scan oracle when `None` — with the request's synthesizers
+    /// built from `session`, or `model` in their place.
+    fn replay(
+        session: &SynthesisSession,
+        store: Option<&dyn SeedStore>,
+        model: Option<&dyn GenerativeModel>,
+        request: &GenerateRequest,
+    ) -> (Vec<Record>, MechanismStats) {
+        let (target, _, max_candidates) = session.request_limits(request).unwrap();
+        let synthesizers = session
+            .build_synthesizers(request.omega.unwrap_or(session.config().omega))
+            .unwrap();
+        let models: Vec<&dyn GenerativeModel> = match model {
+            Some(model) => vec![model],
+            None => synthesizers
+                .iter()
+                .map(|m| m as &dyn GenerativeModel)
+                .collect(),
+        };
+        let (seeds, test) = (session.seeds(), &session.config().privacy_test);
+        let mut rng = StdRng::seed_from_u64(request_worker_seed(request.seed, 0));
+        let (mut released, mut stats) = (Vec::new(), MechanismStats::default());
+        while released.len() < target && stats.candidates < max_candidates {
+            let which = if models.len() == 1 {
+                0
+            } else {
+                rng.gen_range(0..models.len())
+            };
+            let report = match store {
+                Some(store) => {
+                    propose_candidate_with_store(models[which], seeds, store, test, &mut rng)
+                }
+                None => propose_candidate(models[which], seeds, test, &mut rng),
+            }
+            .unwrap();
+            stats.observe(&report.outcome);
+            if report.released() {
+                stats.released += 1;
+                released.push(report.record);
+            }
+        }
+        (released, stats)
+    }
 
     fn small_engine(seed: u64) -> SynthesisEngine {
         SynthesisEngine::builder()
@@ -2090,123 +1940,100 @@ mod tests {
     #[test]
     fn scan_and_index_release_identical_records() {
         // The acceptance bar of the indexed seed stores: for a fixed request
-        // seed, SeedIndex::Scan, SeedIndex::Inverted, SeedIndex::Partition,
-        // and the prefix store behind SeedIndex::Auto must release exactly
-        // the same records with the same counters (only records_examined may
-        // differ).
+        // seed, the scan oracle, the inverted index, the partition store, and
+        // the prefix store every session release runs through must release
+        // exactly the same records with the same counters (only
+        // records_examined may differ).
         let data = generate_acs(4000, 21);
         let bkt = acs_bucketizer(&acs_schema());
         let session = small_engine(21).train(&data, &bkt).unwrap();
-        assert!(
-            session.prefix_store().is_some(),
-            "Auto builds the prefix store"
-        );
-        assert_eq!(
+        for slot in [
             format!("{:?}", session.shared.index),
-            "StoreSlot(deferred)",
-            "Auto defers the inverted index"
+            format!("{:?}", session.shared.partition),
+        ] {
+            assert_eq!(slot, "StoreSlot(deferred)", "train defers both stores");
+        }
+        let (inverted, partition) = (
+            session.seed_store().unwrap() as &dyn SeedStore,
+            session.partition_store().unwrap() as &dyn SeedStore,
         );
         for request_seed in 0..3u64 {
             let base = GenerateRequest::new(20).with_seed(request_seed);
-            let scan = session
-                .generate(&base.with_seed_index(SeedIndex::Scan))
-                .unwrap();
-            let index = session
-                .generate(&base.with_seed_index(SeedIndex::Inverted))
-                .unwrap();
-            let partition = session
-                .generate(&base.with_seed_index(SeedIndex::Partition))
-                .unwrap();
             let prefix = session.generate(&base).unwrap();
+            let scan = replay(&session, None, None, &base);
+            let index = replay(&session, Some(inverted), None, &base);
+            let partition = replay(&session, Some(partition), None, &base);
             assert_eq!(prefix.provenance.store, "prefix");
-            assert_eq!(prefix.provenance.classes, None);
-            assert_eq!(scan.synthetics.records(), index.synthetics.records());
-            assert_eq!(scan.synthetics.records(), partition.synthetics.records());
-            assert_eq!(scan.synthetics.records(), prefix.synthetics.records());
-            assert_eq!(scan.stats.candidates, prefix.stats.candidates);
+            for (records, stats) in [&scan, &index, &partition] {
+                assert_eq!(prefix.synthetics.records(), &records[..]);
+                assert_eq!(prefix.stats.candidates, stats.candidates);
+                assert_eq!(prefix.stats.released, stats.released);
+            }
+            let (scan, index, partition) = (scan.1, index.1, partition.1);
             assert_eq!(prefix.stats.partition_tests, prefix.stats.candidates);
             assert_eq!(prefix.stats.records_examined, prefix.stats.candidates);
-            assert_eq!(scan.stats.candidates, index.stats.candidates);
-            assert_eq!(scan.stats.candidates, partition.stats.candidates);
-            assert_eq!(scan.stats.released, index.stats.released);
-            assert_eq!(scan.stats.released, partition.stats.released);
-            assert_eq!(scan.stats.index_tests, 0);
-            assert_eq!(scan.stats.partition_tests, 0);
-            assert_eq!(index.stats.scan_tests, 0);
-            assert_eq!(index.stats.index_tests, index.stats.candidates);
-            assert_eq!(partition.stats.scan_tests, 0);
-            assert_eq!(partition.stats.index_tests, 0);
-            assert_eq!(partition.stats.partition_tests, partition.stats.candidates);
+            assert_eq!(scan.index_tests, 0);
+            assert_eq!(scan.partition_tests, 0);
+            assert_eq!(index.scan_tests, 0);
+            assert_eq!(index.index_tests, index.candidates);
+            assert_eq!(partition.scan_tests, 0);
+            assert_eq!(partition.index_tests, 0);
+            assert_eq!(partition.partition_tests, partition.candidates);
             assert!(
-                index.stats.records_examined < scan.stats.records_examined,
+                index.records_examined < scan.records_examined,
                 "index {} vs scan {}",
-                index.stats.records_examined,
-                scan.stats.records_examined
+                index.records_examined,
+                scan.records_examined
             );
             assert!(
-                partition.stats.records_examined < index.stats.records_examined,
+                partition.records_examined < index.records_examined,
                 "partition {} vs index {}",
-                partition.stats.records_examined,
-                index.stats.records_examined
+                partition.records_examined,
+                index.records_examined
             );
         }
     }
 
     #[test]
     fn class_cache_never_perturbs_releases() {
-        // The instrumentation-equivalence bar for the class-match cache: a
-        // cache-on session and a cache-off session trained identically must
-        // release byte-identical records with identical candidate, count,
-        // and examined totals — only the hit/miss tallies may differ.
+        // The instrumentation-equivalence bar for the class-match cache: the
+        // session's cached partition store and a cache-less build over the
+        // same seeds must release byte-identical records with identical
+        // candidate, count, and examined totals — only the hit/miss tallies
+        // may differ.
         let data = generate_acs(4000, 44);
         let bkt = acs_bucketizer(&acs_schema());
-        let cached = small_engine(44).train(&data, &bkt).unwrap();
-        let uncached = SynthesisEngine::builder()
-            .privacy_test(
-                PrivacyTestConfig::randomized(20, 4.0, 1.0).with_limits(Some(40), Some(2000)),
-            )
-            .omega(OmegaSpec::Fixed(9))
-            .max_candidate_factor(30)
-            .class_cache(false)
-            .seed(44)
-            .train(&data, &bkt)
-            .unwrap();
-        assert!(cached.partition_store().unwrap().class_cache().is_some());
-        assert!(uncached.partition_store().unwrap().class_cache().is_none());
+        let session = small_engine(44).train(&data, &bkt).unwrap();
+        let cached = session.partition_store().unwrap();
+        let uncached = PartitionIndexStore::build(session.seeds(), cached.attributes()).unwrap();
+        assert!(cached.cache().is_some());
+        assert!(uncached.cache().is_none());
         for request_seed in 0..3u64 {
-            let request = GenerateRequest::new(15)
-                .with_seed(request_seed)
-                .with_seed_index(SeedIndex::Partition);
-            let a = cached.generate(&request).unwrap();
-            let b = uncached.generate(&request).unwrap();
-            assert_eq!(a.synthetics.records(), b.synthetics.records());
-            assert_eq!(a.stats.candidates, b.stats.candidates);
-            assert_eq!(a.stats.released, b.stats.released);
-            assert_eq!(a.stats.records_examined, b.stats.records_examined);
+            let request = GenerateRequest::new(15).with_seed(request_seed);
+            let (a_records, a) = replay(&session, Some(cached), None, &request);
+            let (b_records, b) = replay(&session, Some(&uncached), None, &request);
+            assert_eq!(a_records, b_records);
+            assert_eq!(
+                session.generate(&request).unwrap().synthetics.records(),
+                &a_records[..]
+            );
+            assert_eq!(a.candidates, b.candidates);
+            assert_eq!(a.released, b.released);
+            assert_eq!(a.records_examined, b.records_examined);
             // The seed synthesizer's likelihood set equals its exact-match
             // set, so every class-granularity test goes through the cache.
-            assert_eq!(
-                a.stats.class_cache_hits + a.stats.class_cache_misses,
-                a.stats.partition_tests
-            );
-            assert_eq!(b.stats.class_cache_hits, 0);
-            assert_eq!(b.stats.class_cache_misses, 0);
+            assert_eq!(a.class_cache_hits + a.class_cache_misses, a.partition_tests);
+            assert_eq!(b.class_cache_hits, 0);
+            assert_eq!(b.class_cache_misses, 0);
         }
-        // Re-running a seed the session already served finds every candidate
+        // Re-running a seed the store already served finds every candidate
         // projection warm: all hits, zero misses.
-        let request = GenerateRequest::new(15)
-            .with_seed(0)
-            .with_seed_index(SeedIndex::Partition);
-        let again = cached.generate(&request).unwrap();
-        assert_eq!(again.stats.class_cache_misses, 0);
-        assert_eq!(again.stats.class_cache_hits, again.stats.partition_tests);
-        assert!(again.stats.class_cache_hits > 0);
-        let rows = cached
-            .partition_store()
-            .unwrap()
-            .class_cache()
-            .unwrap()
-            .rows();
+        let request = GenerateRequest::new(15).with_seed(0);
+        let (_, again) = replay(&session, Some(cached), None, &request);
+        assert_eq!(again.class_cache_misses, 0);
+        assert_eq!(again.class_cache_hits, again.partition_tests);
+        assert!(again.class_cache_hits > 0);
+        let rows = cached.cache().unwrap().rows();
         assert!(rows > 0, "served requests must have populated rows");
     }
 
@@ -2223,24 +2050,22 @@ mod tests {
         // Fixed ω means every key attribute is exact-matched: the test is a
         // single class lookup, so each candidate examines at most one
         // representative.
-        let report = session
-            .generate(
-                &GenerateRequest::new(10)
-                    .with_seed(7)
-                    .with_seed_index(SeedIndex::Partition),
-            )
-            .unwrap();
-        assert_eq!(report.stats.partition_tests, report.stats.candidates);
+        let request = GenerateRequest::new(10).with_seed(7);
+        let (_, stats) = replay(&session, Some(store), None, &request);
+        assert_eq!(stats.partition_tests, stats.candidates);
         assert!(
-            report.stats.records_examined <= report.stats.candidates,
+            stats.records_examined <= stats.candidates,
             "fixed-omega partition tests are single-class lookups: {} examined for {} candidates",
-            report.stats.records_examined,
-            report.stats.candidates
+            stats.records_examined,
+            stats.candidates
         );
     }
 
     #[test]
     fn scan_only_sessions_reject_inverted_requests() {
+        // No session scans any more: every one tests its releases against
+        // the prefix store, keeps the inverted and partition stores one
+        // accessor call away, and reaches the scan only as the oracle.
         let data = generate_acs(3000, 22);
         let bkt = acs_bucketizer(&acs_schema());
         let session = SynthesisEngine::builder()
@@ -2248,32 +2073,27 @@ mod tests {
                 PrivacyTestConfig::randomized(20, 4.0, 1.0).with_limits(Some(40), Some(2000)),
             )
             .max_candidate_factor(30)
-            .seed_index(SeedIndex::Scan)
             .seed(22)
             .train(&data, &bkt)
             .unwrap();
-        assert!(session.seed_store().is_none());
-        assert!(session.partition_store().is_none());
-        assert_eq!(session.index_build_time(), Duration::ZERO);
-        assert!(session
-            .generate(&GenerateRequest::new(5).with_seed_index(SeedIndex::Inverted))
-            .is_err());
-        assert!(session
-            .generate(&GenerateRequest::new(5).with_seed_index(SeedIndex::Partition))
-            .is_err());
-        // Scan and Auto both degrade gracefully to the linear scan.
-        let report = session
-            .generate(&GenerateRequest::new(5).with_seed_index(SeedIndex::Auto))
-            .unwrap();
-        assert_eq!(report.stats.index_tests, 0);
+        assert!(session.seed_store().is_some());
+        assert!(session.partition_store().is_some());
+        let request = GenerateRequest::new(5);
+        let report = session.generate(&request).unwrap();
+        assert_eq!(report.provenance.store, "prefix");
+        assert_eq!(report.stats.scan_tests, 0);
+        let (records, scan) = replay(&session, None, None, &request);
+        assert_eq!(scan.index_tests, 0);
+        assert_eq!(scan.scan_tests, scan.candidates);
+        assert_eq!(report.synthetics.records(), &records[..]);
     }
 
     #[test]
     fn auto_policy_uses_the_index_only_for_large_seed_stores() {
-        // A range lookup beats the scan at any size, so `Auto` serves small
+        // A range lookup beats the scan at any size, so sessions serve small
         // (< 512 seeds) and large seed stores alike from the prefix store — at
-        // a fixed ω and at the paper's ω ∈R [5-11] — and releases exactly
-        // what the scan releases.
+        // a fixed ω and at the paper's ω ∈R [5-11] — and release exactly what
+        // the scan oracle releases.
         let bkt = acs_bucketizer(&acs_schema());
         for (population, below_old_crossover) in [(900, true), (6000, false)] {
             let data = generate_acs(population, 23);
@@ -2285,17 +2105,18 @@ mod tests {
             ] {
                 let base = GenerateRequest::new(8).with_seed(3).with_omega(omega);
                 let auto = session.generate(&base).unwrap();
-                let scan = session
-                    .generate(&base.with_seed_index(SeedIndex::Scan))
-                    .unwrap();
-                assert_eq!(auto.stats.scan_tests, 0, "Auto must use an index");
-                assert_eq!(auto.stats.index_tests, 0, "Auto skips the inverted index");
+                let (records, scan) = replay(&session, None, None, &base);
+                assert_eq!(auto.stats.scan_tests, 0, "sessions must use an index");
+                assert_eq!(
+                    auto.stats.index_tests, 0,
+                    "sessions skip the inverted index"
+                );
                 assert_eq!(auto.provenance.store, "prefix");
                 assert_eq!(auto.stats.partition_tests, auto.stats.candidates);
                 assert_eq!(auto.stats.records_examined, auto.stats.candidates);
-                assert_eq!(auto.synthetics.records(), scan.synthetics.records());
-                assert_eq!(auto.stats.candidates, scan.stats.candidates);
-                assert_eq!(scan.stats.scan_tests, scan.stats.candidates);
+                assert_eq!(auto.synthetics.records(), &records[..]);
+                assert_eq!(auto.stats.candidates, scan.candidates);
+                assert_eq!(scan.scan_tests, scan.candidates);
             }
         }
     }
@@ -2315,51 +2136,36 @@ mod tests {
         ] {
             let base = GenerateRequest::new(10).with_seed(4).with_omega(omega);
             let auto = session.generate_with(marginal, &base).unwrap();
-            let scan = session
-                .generate_with(marginal, &base.with_seed_index(SeedIndex::Scan))
-                .unwrap();
+            let (records, scan) = replay(&session, None, Some(marginal), &base);
             assert_eq!(auto.provenance.store, "prefix");
             assert_eq!(auto.stats.records_examined, auto.stats.candidates);
             assert_eq!(auto.stats.partition_tests, auto.stats.candidates);
-            assert_eq!(auto.synthetics.records(), scan.synthetics.records());
-            assert_eq!(auto.stats.candidates, scan.stats.candidates);
-            assert!(scan.stats.records_examined > scan.stats.candidates);
+            assert_eq!(auto.synthetics.records(), &records[..]);
+            assert_eq!(auto.stats.candidates, scan.candidates);
+            assert!(scan.records_examined > scan.candidates);
         }
     }
 
     #[test]
     fn auto_index_min_seeds_is_configurable() {
-        // With the `auto_index_min_seeds` knob removed, the store choice is
-        // configured through the session's `seed_index` default alone, and
-        // either choice releases the same records.
+        // With the `auto_index_min_seeds` knob and the store policy removed,
+        // nothing configures the store: a session above the removed 512
+        // crossover serves from the prefix store and releases what the scan
+        // oracle releases.
         let bkt = acs_bucketizer(&acs_schema());
         // ~1960 seeds: above the removed 512 crossover.
         let data = generate_acs(4000, 24);
-        let engine = |policy| {
-            SynthesisEngine::builder()
-                .privacy_test(
-                    PrivacyTestConfig::randomized(20, 4.0, 1.0).with_limits(Some(40), Some(2000)),
-                )
-                .omega(OmegaSpec::Fixed(9))
-                .max_candidate_factor(30)
-                .seed_index(policy)
-                .seed(24)
-                .train(&data, &bkt)
-                .unwrap()
-        };
-        let scanned = engine(SeedIndex::Scan)
-            .generate(&GenerateRequest::new(5).with_seed(2))
-            .unwrap();
+        let session = small_engine(24).train(&data, &bkt).unwrap();
+        let request = GenerateRequest::new(5).with_seed(2);
+        let (records, scanned) = replay(&session, None, None, &request);
         assert_eq!(
-            scanned.stats.scan_tests, scanned.stats.candidates,
-            "a Scan default keeps every test on the scan"
+            scanned.scan_tests, scanned.candidates,
+            "the oracle keeps every test on the scan"
         );
-        let auto = engine(SeedIndex::Auto)
-            .generate(&GenerateRequest::new(5).with_seed(2))
-            .unwrap();
-        assert_eq!(auto.stats.scan_tests, 0, "an Auto default always indexes");
+        let auto = session.generate(&request).unwrap();
+        assert_eq!(auto.stats.scan_tests, 0, "a session always indexes");
         assert_eq!(auto.provenance.store, "prefix");
-        assert_eq!(auto.synthetics.records(), scanned.synthetics.records());
+        assert_eq!(auto.synthetics.records(), &records[..]);
     }
 
     #[test]
@@ -2489,6 +2295,9 @@ mod tests {
         assert!(session
             .generate(&GenerateRequest::new(5).with_max_candidate_factor(0))
             .is_err());
+        assert!(session
+            .generate(&GenerateRequest::new(5).with_workers(MAX_WORKERS + 1))
+            .is_err());
         assert_eq!(session.ledger().requests, 0);
         assert_eq!(session.ledger().releases, 0);
     }
@@ -2519,8 +2328,8 @@ mod tests {
         let delta = small_delta(&data, 25, 40, 77);
         let updated = session.update(&delta).unwrap();
         assert_eq!(updated.epoch(), 1);
-        // Under Auto the update carries only the prefix store forward: the
-        // deferred inverted and partition stores stay unbuilt on both sides.
+        // The update carries only the prefix store forward: the deferred
+        // inverted and partition stores stay unbuilt on both sides.
         for slot in [
             format!("{:?}", session.shared.index),
             format!("{:?}", session.shared.partition),

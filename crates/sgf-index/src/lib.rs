@@ -27,19 +27,16 @@
 //!   path);
 //! * [`PrefixIndexStore`] — seeds sorted by their values in the dependency
 //!   order σ, so the plausible set of a seed-synthesizer candidate is one
-//!   contiguous range, found by binary search at every ω (the store
-//!   [`SeedIndex::Auto`] uses);
+//!   contiguous range, found by binary search at every ω (the store every
+//!   session release is tested against);
 //! * [`IndexPermutation`] / [`RandomSubset`] — O(1)-random-access seeded
 //!   permutations, so the `max_check_plausible` early-termination knob can
 //!   examine a random subset without the per-candidate O(n) shuffle, and so
-//!   scan and index derive the **same** subset from the same RNG draw;
-//! * [`SeedIndex`] — the `Scan | Inverted | Partition | Auto` selection
-//!   policy carried by pipeline configurations and generate requests.
+//!   scan and index derive the **same** subset from the same RNG draw.
 
 pub mod inverted;
 pub mod partition;
 pub mod permute;
-pub mod policy;
 pub mod prefix;
 pub mod store;
 
@@ -49,6 +46,5 @@ pub use partition::{
     DEFAULT_CLASS_CACHE_CAP,
 };
 pub use permute::{IndexPermutation, RandomSubset};
-pub use policy::SeedIndex;
 pub use prefix::PrefixIndexStore;
 pub use store::{CandidateIter, LinearScanStore, SeedStore};

@@ -394,7 +394,7 @@ impl PartitionIndexStore {
     }
 
     /// The attached class-match cache, if any.
-    pub fn class_cache(&self) -> Option<&Arc<ClassMatchCache>> {
+    pub fn cache(&self) -> Option<&Arc<ClassMatchCache>> {
         self.cache.as_ref()
     }
 
@@ -817,7 +817,7 @@ mod tests {
         let store = PartitionIndexStore::build(&dataset(), &[0, 1])
             .unwrap()
             .with_class_cache();
-        let cache = Arc::clone(store.class_cache().unwrap());
+        let cache = Arc::clone(store.cache().unwrap());
         let y = Record::new(vec![0, 0, 1]);
         let mut evals = 0usize;
         let lookup = store
@@ -891,7 +891,7 @@ mod tests {
                 .unwrap()
                 .hit
         );
-        assert_eq!(cached.class_cache().unwrap().rows(), 1);
+        assert_eq!(cached.cache().unwrap().rows(), 1);
         assert!(
             cached
                 .class_match_row(&y, Some(&[0, 1]), Some(&[1, 0]), &mut noop)
@@ -985,7 +985,7 @@ mod tests {
         let deletes = vec![0, 1];
         let inserts = vec![Record::new(vec![1, 2, 1]), Record::new(vec![3, 3, 0])];
         let updated = store.apply_delta(&deletes, &inserts).unwrap();
-        let cache = Arc::clone(updated.class_cache().unwrap());
+        let cache = Arc::clone(updated.cache().unwrap());
         assert_eq!(cache.rows(), 2, "resident rows survive the delta");
         let fresh = PartitionIndexStore::build(&final_dataset(&data, &deletes, &inserts), &[0, 1])
             .unwrap()
@@ -1028,7 +1028,7 @@ mod tests {
         let store = PartitionIndexStore::build(&dataset(), &[0, 1])
             .unwrap()
             .with_class_cache_capacity(2);
-        let cache = Arc::clone(store.class_cache().unwrap());
+        let cache = Arc::clone(store.cache().unwrap());
         assert_eq!(cache.capacity(), 2);
         let lookup = |y: &Record| {
             store

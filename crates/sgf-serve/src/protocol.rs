@@ -4,7 +4,7 @@
 //!
 //! | verb | fields |
 //! |---|---|
-//! | `generate` | `session` (default `"default"`), `target` (required), `seed`, `workers`, `max_candidate_factor`, `omega` (number or `{"lo","hi"}`), `seed_index` (`"scan"`/`"inverted"`/`"partition"`/`"auto"`), `stream` (bool), `model` (`"seed"`/`"marginal"`) |
+//! | `generate` | `session` (default `"default"`), `target` (required), `seed`, `workers`, `max_candidate_factor`, `omega` (number or `{"lo","hi"}`), `stream` (bool), `model` (`"seed"`/`"marginal"`) |
 //! | `update` | `session` (default `"default"`), `inserts` (array of records), `deletes` (array of records) — records are arrays of attribute value indices |
 //! | `status` | — |
 //! | `ledger` | `session` |
@@ -36,7 +36,7 @@
 //! server runs answer byte-identically.  `noisy:true` opts into the
 //! wall-clock-bearing variants.
 
-use sgf_core::{GenerateRequest, SeedIndex};
+use sgf_core::GenerateRequest;
 use sgf_data::Record;
 use sgf_metrics::Json;
 use sgf_model::OmegaSpec;
@@ -142,11 +142,6 @@ impl GenerateCall {
                 request.max_candidate_factor.map(Json::from),
             ),
             ("omega", omega),
-            // `SeedIndex`'s `Display` is the canonical lowercase wire name.
-            (
-                "seed_index",
-                request.seed_index.map(|p| p.to_string().into()),
-            ),
             ("stream", self.stream.then_some(Json::Bool(true))),
             (
                 "model",
@@ -370,19 +365,6 @@ fn parse_generate(value: &Json) -> Result<GenerateCall, String> {
     if let Some(omega) = value.get("omega") {
         request.omega = Some(parse_omega(omega)?);
     }
-    if let Some(policy) = value.get("seed_index") {
-        request.seed_index = Some(match policy.as_str() {
-            Some("scan") => SeedIndex::Scan,
-            Some("inverted") => SeedIndex::Inverted,
-            Some("partition") => SeedIndex::Partition,
-            Some("auto") => SeedIndex::Auto,
-            _ => {
-                return Err("field `seed_index` must be \"scan\", \"inverted\", \
-                     \"partition\" or \"auto\""
-                    .into())
-            }
-        });
-    }
     let stream = match value.get("stream") {
         None => false,
         Some(v) => v.as_bool().ok_or("field `stream` must be a boolean")?,
@@ -552,8 +534,7 @@ mod tests {
                         .with_seed(99)
                         .with_workers(4)
                         .with_max_candidate_factor(7)
-                        .with_omega(OmegaSpec::Fixed(9))
-                        .with_seed_index(SeedIndex::Inverted),
+                        .with_omega(OmegaSpec::Fixed(9)),
                 ),
             GenerateCall::new(5).with_request(
                 GenerateRequest::new(5).with_omega(OmegaSpec::UniformRange { lo: 8, hi: 11 }),
@@ -691,10 +672,6 @@ mod tests {
             (r#"{"verb":"generate","target":0}"#, "at least 1"),
             (r#"{"verb":"generate","target":4,"seed":-1}"#, "seed"),
             (r#"{"verb":"generate","target":4,"omega":"nine"}"#, "omega"),
-            (
-                r#"{"verb":"generate","target":4,"seed_index":"btree"}"#,
-                "seed_index",
-            ),
             (r#"{"verb":"generate","target":4,"model":"gpt"}"#, "model"),
             (r#"{"verb":"ledger","session":7}"#, "session"),
         ] {

@@ -5,10 +5,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 //!
-//! Migrating from the one-shot API: `SynthesisPipeline::run(&data, &bkt)` is
-//! now a thin wrapper over `SynthesisEngine::builder()...train(...)` followed
-//! by one `session.generate(...)` — switch to the session when you release
-//! more than once from the same model.
+//! A one-off release is `SynthesisEngine::builder()...train(...)` followed by
+//! one `session.generate(...)`; the same session serves every later release
+//! from the same model.
 
 use sgf::core::{GenerateRequest, PrivacyTestConfig, SynthesisEngine};
 use sgf::data::acs::{acs_bucketizer, acs_schema, generate_acs};

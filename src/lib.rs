@@ -9,7 +9,7 @@
 //! * [`stats`] — entropy, Laplace/Dirichlet sampling, statistical distance, DP composition;
 //! * [`model`] — structure learning, CPTs, seed-based synthesis, marginal baseline;
 //! * [`index`] — indexed seed stores making the plausible-deniability test sublinear;
-//! * [`core`] — plausible-deniability tests, Mechanism 1, Theorem-1 accounting, pipeline;
+//! * [`core`] — plausible-deniability tests, Mechanism 1, Theorem-1 accounting, sessions;
 //! * [`serve`] — the budget-capped TCP release service over a trained session;
 //! * [`ml`] — trees, forests, AdaBoost, LR/SVM, DP-ERM;
 //! * [`eval`] — the table/figure reproduction harness.
@@ -40,9 +40,6 @@
 //!          report.synthetics.len(), 100.0 * report.stats.pass_rate(),
 //!          session.ledger().total().epsilon);
 //! ```
-//!
-//! The one-shot `SynthesisPipeline::run` of earlier versions still works as a
-//! thin wrapper over builder → train → one `generate`.
 
 pub use sgf_core as core;
 pub use sgf_data as data;

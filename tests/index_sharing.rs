@@ -1,14 +1,14 @@
-//! Regression guard for the per-train store build: the σ-prefix store that
-//! `SeedIndex::Auto` serves from is built once by `SynthesisEngine::train`
-//! and shared — not rebuilt — by session clones and serve-owned handles over
-//! the same split; the inverted index an explicit override asks for is built
-//! once on first use and shared the same way.
+//! Regression guard for the per-train store build: the σ-prefix store every
+//! release is tested against is built once by `SynthesisEngine::train` and
+//! shared — not rebuilt — by session clones and serve-owned handles over the
+//! same split; the deferred inverted index is built once on first use and
+//! shared the same way.
 //!
 //! Sharing is asserted per instance (pointer equality of the stores the
 //! handles hand out), so the test holds however many other tests build
 //! stores concurrently in the same process.
 
-use sgf::core::{GenerateRequest, PrivacyTestConfig, SeedIndex, SynthesisEngine};
+use sgf::core::{GenerateRequest, PrivacyTestConfig, SynthesisEngine};
 use sgf::data::acs::{acs_bucketizer, acs_schema, generate_acs};
 use sgf::serve::{serve, Client, GenerateCall, ServeConfig, SessionEntry};
 
@@ -24,17 +24,15 @@ fn one_index_build_per_train_shared_across_clones_and_serve() {
         .seed(51)
         .train(&population, &bucketizer)
         .unwrap();
-    let prefix = session
-        .prefix_store()
-        .expect("Auto builds the prefix store");
+    let prefix = session.prefix_store();
 
     // Clones share the same instance — pointer-equal, not a rebuild.
     let clone_a = session.clone();
     let clone_b = clone_a.clone();
-    assert!(std::ptr::eq(prefix, clone_a.prefix_store().unwrap()));
-    assert!(std::ptr::eq(prefix, clone_b.prefix_store().unwrap()));
+    assert!(std::ptr::eq(prefix, clone_a.prefix_store()));
+    assert!(std::ptr::eq(prefix, clone_b.prefix_store()));
 
-    // Auto generation through a clone is served by that store and charges
+    // Generation through a clone is served by that store and charges
     // the shared ledger.
     let report = clone_a
         .generate(&GenerateRequest::new(8).with_seed(1))
@@ -43,17 +41,10 @@ fn one_index_build_per_train_shared_across_clones_and_serve() {
     assert_eq!(report.stats.partition_tests, report.stats.candidates);
     assert_eq!(session.ledger().requests, 1);
 
-    // An explicit `Inverted` override builds the deferred index once; every
-    // handle then sees that one instance.
-    let report = clone_b
-        .generate(
-            &GenerateRequest::new(8)
-                .with_seed(1)
-                .with_seed_index(SeedIndex::Inverted),
-        )
-        .unwrap();
-    assert_eq!(report.stats.index_tests, report.stats.candidates);
-    let index = session.seed_store().unwrap();
+    // The first accessor call through any handle builds the deferred index
+    // once; every handle then sees that one instance.
+    let index = clone_b.seed_store().unwrap();
+    assert!(std::ptr::eq(index, session.seed_store().unwrap()));
     assert!(std::ptr::eq(index, clone_a.seed_store().unwrap()));
     assert!(std::ptr::eq(index, clone_b.seed_store().unwrap()));
 
@@ -73,8 +64,8 @@ fn one_index_build_per_train_shared_across_clones_and_serve() {
 
     // The original handle sees the serve-side request on the shared ledger,
     // and nothing along the way replaced either store.
-    assert_eq!(session.ledger().requests, 3);
-    assert!(std::ptr::eq(prefix, session.prefix_store().unwrap()));
-    assert!(std::ptr::eq(prefix, clone_b.prefix_store().unwrap()));
+    assert_eq!(session.ledger().requests, 2);
+    assert!(std::ptr::eq(prefix, session.prefix_store()));
+    assert!(std::ptr::eq(prefix, clone_b.prefix_store()));
     assert!(std::ptr::eq(index, session.seed_store().unwrap()));
 }

@@ -4,10 +4,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sgf::core::{
-    satisfies_plausible_deniability, Mechanism, PipelineConfig, PrivacyTestConfig,
-    SynthesisPipeline,
+    learn_models, satisfies_plausible_deniability, GenerateRequest, Mechanism, PipelineConfig,
+    PrivacyTestConfig, ReleaseReport, SynthesisEngine, SynthesisSession,
 };
 use sgf::data::acs::{acs_bucketizer, acs_schema, generate_acs};
+use sgf::data::Dataset;
 use sgf::model::{OmegaSpec, SeedSynthesizer};
 use std::sync::Arc;
 
@@ -20,19 +21,26 @@ fn small_config(target: usize, seed: u64) -> PipelineConfig {
     config
 }
 
+/// Train a session on `population` and serve one request for the configured
+/// target, seeded with the configuration seed.
+fn release_once(config: PipelineConfig, population: &Dataset) -> (SynthesisSession, ReleaseReport) {
+    let bucketizer = acs_bucketizer(&acs_schema());
+    let session = SynthesisEngine::from_config(config)
+        .train(population, &bucketizer)
+        .unwrap();
+    let request = GenerateRequest::new(config.target_synthetics).with_seed(config.seed);
+    let report = session.generate(&request).unwrap();
+    (session, report)
+}
+
 /// Deterministic end-to-end smoke test on a small population: fixed seeds all
 /// the way down, so every run of the suite exercises the identical pipeline
 /// trace and checks the pass-rate / synthetic-count bookkeeping invariants.
 #[test]
 fn deterministic_smoke_run_upholds_count_and_pass_rate_invariants() {
     let population = generate_acs(3_000, 42);
-    let bucketizer = acs_bucketizer(&acs_schema());
     let config = small_config(25, 42);
-    let run = || {
-        SynthesisPipeline::new(config)
-            .run(&population, &bucketizer)
-            .unwrap()
-    };
+    let run = || release_once(config, &population).1;
     let result = run();
 
     // Count invariants: the mechanism releases at most the target, never more
@@ -63,10 +71,7 @@ fn deterministic_smoke_run_upholds_count_and_pass_rate_invariants() {
 #[test]
 fn end_to_end_release_respects_schema_and_budget() {
     let population = generate_acs(5_000, 1);
-    let bucketizer = acs_bucketizer(&acs_schema());
-    let result = SynthesisPipeline::new(small_config(60, 1))
-        .run(&population, &bucketizer)
-        .unwrap();
+    let (_, result) = release_once(small_config(60, 1), &population);
 
     assert!(!result.synthetics.is_empty());
     assert!(result.synthetics.len() <= 60);
@@ -78,30 +83,22 @@ fn end_to_end_release_respects_schema_and_budget() {
     }
     // Randomized test => a finite per-release (epsilon, delta) bound exists.
     let per_release = result
-        .budget
         .per_release
         .expect("randomized test provides a DP bound");
     assert!(per_release.epsilon.is_finite() && per_release.epsilon > 0.0);
     assert!(per_release.delta > 0.0 && per_release.delta < 1e-3);
     // The end-to-end total composes over the released records.
-    let total = result.budget.total();
+    let total = result.ledger.total();
     assert!(total.epsilon >= per_release.epsilon);
 }
 
 #[test]
 fn pipeline_is_reproducible_for_a_fixed_seed() {
     let population = generate_acs(4_000, 2);
-    let bucketizer = acs_bucketizer(&acs_schema());
-    let a = SynthesisPipeline::new(small_config(30, 7))
-        .run(&population, &bucketizer)
-        .unwrap();
-    let b = SynthesisPipeline::new(small_config(30, 7))
-        .run(&population, &bucketizer)
-        .unwrap();
+    let (_, a) = release_once(small_config(30, 7), &population);
+    let (_, b) = release_once(small_config(30, 7), &population);
     assert_eq!(a.synthetics.records(), b.synthetics.records());
-    let c = SynthesisPipeline::new(small_config(30, 8))
-        .run(&population, &bucketizer)
-        .unwrap();
+    let (_, c) = release_once(small_config(30, 8), &population);
     assert_ne!(a.synthetics.records(), c.synthetics.records());
 }
 
@@ -118,8 +115,7 @@ fn released_records_satisfy_the_deniability_criterion() {
         &mut rng,
     )
     .unwrap();
-    let pipeline = SynthesisPipeline::new(small_config(10, 3));
-    let models = pipeline.learn_models(&split, &bucketizer).unwrap();
+    let models = learn_models(&small_config(10, 3), &split, &bucketizer).unwrap();
     let synthesizer = SeedSynthesizer::new(Arc::clone(&models.cpts), 9).unwrap();
 
     let k = 15;
@@ -159,20 +155,17 @@ fn released_records_satisfy_the_deniability_criterion() {
 #[test]
 fn synthetics_preserve_pairwise_structure_better_than_marginals() {
     let population = generate_acs(16_000, 4);
-    let bucketizer = acs_bucketizer(&acs_schema());
     let mut config = small_config(800, 4);
     config.omega = OmegaSpec::Fixed(9);
-    let result = SynthesisPipeline::new(config)
-        .run(&population, &bucketizer)
-        .unwrap();
+    let (session, result) = release_once(config, &population);
     assert!(
         result.synthetics.len() >= 400,
         "need enough synthetics for a stable comparison"
     );
 
     let mut rng = StdRng::seed_from_u64(4);
-    let marginal_data = result
-        .models
+    let marginal_data = session
+        .models()
         .marginal
         .sample_dataset(result.synthetics.len(), &mut rng);
 
@@ -191,7 +184,8 @@ fn synthetics_preserve_pairwise_structure_better_than_marginals() {
         let mut pairs = 0usize;
         for (idx, &i) in moderate.iter().enumerate() {
             for &j in &moderate[idx + 1..] {
-                let reference = sgf::stats::JointHistogram::from_columns(&result.split.test, i, j);
+                let reference =
+                    sgf::stats::JointHistogram::from_columns(&session.split().test, i, j);
                 let cand = sgf::stats::JointHistogram::from_columns(candidate, i, j);
                 total +=
                     sgf::stats::total_variation(&reference.probabilities(), &cand.probabilities());

@@ -269,22 +269,18 @@ fn full_queue_rejects_with_retry_hint() {
     handle.join().unwrap();
 }
 
-/// Request folding equivalence: a folded, cache-warm serve run (multi-worker,
+/// Request folding equivalence: a folded serve run (multi-worker,
 /// multi-client, under the `service_delay` chaos knob) must release
 /// byte-identical records per request seed to an unfolded run against an
-/// identically-trained session with the class cache disabled — folding and
-/// caching are pure throughput mechanisms, invisible in every released byte.
+/// identically-trained session — folding is a pure throughput mechanism,
+/// invisible in every released byte.
 #[test]
 fn folded_cached_serve_matches_unfolded_cold_cache_run() {
     const CLIENTS: u64 = 12;
     const FOLD_TARGET: usize = 6;
     type Outcomes = Vec<(u64, Vec<sgf::data::Record>)>;
 
-    let run = |name: &'static str,
-               cache: bool,
-               max_fold: usize,
-               delay: Option<Duration>|
-     -> (Outcomes, u64) {
+    let run = |name: &'static str, max_fold: usize, delay: Option<Duration>| -> (Outcomes, u64) {
         let population = generate_acs(4_000, 77);
         let bucketizer = acs_bucketizer(&acs_schema());
         let session = SynthesisEngine::builder()
@@ -292,7 +288,6 @@ fn folded_cached_serve_matches_unfolded_cold_cache_run() {
                 PrivacyTestConfig::randomized(20, 4.0, 1.0).with_limits(Some(40), Some(2_000)),
             )
             .max_candidate_factor(30)
-            .class_cache(cache)
             .seed(77)
             .train(&population, &bucketizer)
             .unwrap();
@@ -339,10 +334,10 @@ fn folded_cached_serve_matches_unfolded_cold_cache_run() {
         (results, folded_requests)
     };
 
-    // Folded side: folding on, cache on, slowed workers so the queue builds
-    // up and pops genuinely coalesce.  Cold side: folding off, cache off.
-    let (folded, folded_requests) = run("folded", true, 8, Some(Duration::from_millis(150)));
-    let (cold, cold_folds) = run("cold", false, 1, None);
+    // Folded side: folding on, slowed workers so the queue builds up and
+    // pops genuinely coalesce.  Cold side: folding off.
+    let (folded, folded_requests) = run("folded", 8, Some(Duration::from_millis(150)));
+    let (cold, cold_folds) = run("cold", 1, None);
     assert!(
         folded_requests > 0,
         "the folded run must actually coalesce requests"

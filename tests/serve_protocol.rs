@@ -439,6 +439,55 @@ fn served_lines_are_fixed_points_of_the_codec() {
     handle.join().unwrap();
 }
 
+/// `seed_index` is no longer a `generate` field: a line that still carries
+/// it releases the same record bytes as the line without it, tested against
+/// the session's prefix store.
+#[test]
+fn retired_seed_index_field_has_no_effect() {
+    use sgf::serve::json::Value;
+    use std::io::{BufRead, BufReader, Write};
+
+    let handle = serve(
+        ServeConfig::default(),
+        vec![SessionEntry::new(train_session(46))],
+    )
+    .unwrap();
+    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    // The header's provenance store and the record lines of one release.
+    let mut release = |line: &str| {
+        writeln!(writer, "{line}").unwrap();
+        let mut lines = Vec::new();
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            if line.starts_with("{\"end\"") {
+                break;
+            }
+            lines.push(line);
+        }
+        let header = Value::parse(&lines.remove(0)).unwrap();
+        let store = header
+            .get("provenance")
+            .and_then(|p| p.get("store"))
+            .and_then(|s| s.as_str())
+            .map(str::to_string);
+        (store, lines)
+    };
+
+    let (store, plain) = release(r#"{"verb":"generate","target":8,"seed":4}"#);
+    let (retired_store, retired) =
+        release(r#"{"verb":"generate","target":8,"seed":4,"seed_index":"scan"}"#);
+    assert!(!plain.is_empty());
+    assert_eq!(plain, retired);
+    assert_eq!(store.as_deref(), Some("prefix"));
+    assert_eq!(retired_store.as_deref(), Some("prefix"));
+
+    handle.shutdown();
+    handle.join().unwrap();
+}
+
 #[test]
 fn rejections_carry_machine_readable_codes() {
     let session = train_session(43);

@@ -2,11 +2,17 @@
 //! many `generate` requests, accumulate the privacy ledger, and accept any
 //! `GenerativeModel` implementation through the mechanism.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sgf::core::{
-    GenerateRequest, PipelineConfig, PrivacyTestConfig, SynthesisEngine, SynthesisPipeline,
+    request_worker_seed, GenerateRequest, Mechanism, MechanismStats, PipelineConfig,
+    PrivacyTestConfig, SeedStore, SynthesisEngine, SynthesisSession,
 };
 use sgf::data::acs::{acs_bucketizer, acs_schema, generate_acs};
-use sgf::model::{GenerativeModel, MarginalModel, OmegaSpec};
+use sgf::data::Record;
+use sgf::model::{GenerativeModel, MarginalModel, OmegaSpec, SeedSynthesizer};
+use sgf::stats::DpBudget;
+use std::sync::Arc;
 
 fn small_config(target: usize, seed: u64) -> PipelineConfig {
     let mut config = PipelineConfig::paper_defaults(target);
@@ -15,6 +21,31 @@ fn small_config(target: usize, seed: u64) -> PipelineConfig {
     config.max_candidate_factor = 30;
     config.seed = seed;
     config
+}
+
+/// Replay the fixed-ω, `workers = 1` request `request` of `session` over
+/// `store` — the scan oracle when `None` — as `generate` runs it.
+fn replay(
+    session: &SynthesisSession,
+    store: Option<&dyn SeedStore>,
+    request: &GenerateRequest,
+) -> (Vec<Record>, MechanismStats) {
+    let config = session.config();
+    let OmegaSpec::Fixed(omega) = request.omega.unwrap_or(config.omega) else {
+        panic!("replay covers fixed-omega requests");
+    };
+    let synthesizer = SeedSynthesizer::new(Arc::clone(&session.models().cpts), omega).unwrap();
+    let (seeds, test) = (session.seeds(), config.privacy_test);
+    let mechanism = match store {
+        Some(store) => Mechanism::with_store(&synthesizer, seeds, store, test),
+        None => Mechanism::new(&synthesizer, seeds, test),
+    }
+    .unwrap();
+    let max_candidates = request.target * config.max_candidate_factor;
+    let mut rng = StdRng::seed_from_u64(request_worker_seed(request.seed, 0));
+    mechanism
+        .release_until(request.target, max_candidates, &mut rng)
+        .unwrap()
 }
 
 /// A session trains exactly once and serves ≥ 3 sequential requests; the
@@ -56,35 +87,36 @@ fn session_serves_three_requests_with_monotone_ledger() {
     assert_eq!(session.ledger().requests, 3);
 }
 
-/// The compatibility wrapper and the staged API agree: `SynthesisPipeline::run`
-/// releases exactly the records (and budget) of builder → train → one
-/// `generate` with the same parameters.
+/// Train → one `generate` is the one release path: it releases exactly the
+/// records the scan oracle releases from the same request seed, and the
+/// session ledger charges the one-shot (ε, δ) for them.
 #[test]
 fn one_shot_run_matches_train_then_generate() {
     let population = generate_acs(3_500, 22);
     let bucketizer = acs_bucketizer(&acs_schema());
     let config = small_config(25, 22);
 
-    let one_shot = SynthesisPipeline::new(config)
-        .run(&population, &bucketizer)
-        .unwrap();
-
     let session = SynthesisEngine::from_config(config)
         .train(&population, &bucketizer)
         .unwrap();
-    let report = session
-        .generate(
-            &GenerateRequest::new(25)
-                .with_omega(config.omega)
-                .with_seed(config.seed),
-        )
-        .unwrap();
+    let request = GenerateRequest::new(25)
+        .with_omega(config.omega)
+        .with_seed(config.seed);
+    let report = session.generate(&request).unwrap();
+    let (oracle, stats) = replay(&session, None, &request);
 
-    assert_eq!(one_shot.synthetics.records(), report.synthetics.records());
-    assert_eq!(one_shot.stats, report.stats);
-    assert_eq!(one_shot.budget.releases, report.ledger.releases);
-    assert_eq!(one_shot.budget.per_release, report.ledger.per_release);
-    assert_eq!(one_shot.budget.total(), report.ledger.total());
+    assert_eq!(report.synthetics.records(), &oracle[..]);
+    assert_eq!(report.stats.candidates, stats.candidates);
+    assert_eq!(report.stats.released, stats.released);
+    assert_eq!(report.ledger.releases, stats.released);
+    let per_release = report.per_release.expect("randomized test has a bound");
+    assert_eq!(report.ledger.per_release, Some(per_release));
+    let n = stats.released as f64;
+    let releases = DpBudget::new(n * per_release.epsilon, n * per_release.delta);
+    assert_eq!(
+        report.ledger.total(),
+        report.ledger.model_budget().max(releases)
+    );
 }
 
 /// Splitting one big request into several smaller ones over the same session
@@ -106,10 +138,10 @@ fn ledger_matches_equivalent_one_shot_accounting() {
     let ledger = session.ledger();
     assert_eq!(ledger.requests, 4);
     // The equivalent one-shot budget over the same number of releases.
-    let one_shot = ledger.as_pipeline_budget();
-    assert_eq!(one_shot.releases, ledger.releases);
-    assert_eq!(one_shot.total(), ledger.total());
     let per_release = ledger.per_release.expect("randomized test has a bound");
+    let n = ledger.releases as f64;
+    let one_shot = DpBudget::new(n * per_release.epsilon, n * per_release.delta);
+    assert_eq!(ledger.total(), ledger.model_budget().max(one_shot));
     assert!(
         (ledger.cumulative_release().epsilon - ledger.releases as f64 * per_release.epsilon).abs()
             < 1e-9
@@ -329,61 +361,37 @@ fn reserved_streaming_keeps_the_worst_case_exact() {
     assert_eq!(session.ledger().reserved, 0);
 }
 
-/// `Auto` has no seed-count crossover left to move: the `auto_index_min_seeds`
-/// knob is gone, and the default policy serves from the σ-prefix store at any
-/// size.  The store is chosen by the `seed_index` config or a per-request
-/// override, and every choice releases the same records.
+/// No seed-count crossover and no store policy are left to move: sessions
+/// serve from the σ-prefix store at any size, and the scan oracle and the
+/// partition store release the same records from the same request seed.
 #[test]
 fn auto_index_min_seeds_override_moves_the_crossover() {
-    use sgf::core::SeedIndex;
-
     let population = generate_acs(4_000, 33);
     let bucketizer = acs_bucketizer(&acs_schema());
 
-    // Paper defaults: Auto serves every test via the prefix store.
-    let default_cfg = small_config(1, 33);
-    assert_eq!(default_cfg.seed_index, SeedIndex::Auto);
-    let indexed = SynthesisEngine::from_config(default_cfg)
+    // Paper defaults: every test goes through the prefix store.
+    let indexed = SynthesisEngine::from_config(small_config(1, 33))
         .train(&population, &bucketizer)
         .unwrap();
-    let indexed_report = indexed
-        .generate(&GenerateRequest::new(10).with_seed(5))
-        .unwrap();
+    let request = GenerateRequest::new(10).with_seed(5);
+    let indexed_report = indexed.generate(&request).unwrap();
     assert_eq!(indexed_report.stats.scan_tests, 0);
     assert_eq!(indexed_report.provenance.store, "prefix");
 
-    // A Scan config keeps the same seed store on the scan...
-    let mut scan_cfg = small_config(1, 33);
-    scan_cfg.seed_index = SeedIndex::Scan;
-    let scanned = SynthesisEngine::from_config(scan_cfg)
-        .train(&population, &bucketizer)
-        .unwrap();
-    let scanned_report = scanned
-        .generate(&GenerateRequest::new(10).with_seed(5))
-        .unwrap();
-    assert_eq!(
-        scanned_report.stats.scan_tests,
-        scanned_report.stats.candidates
-    );
-    // ...releasing byte-identical records: the choice is pure performance.
-    assert_eq!(
-        indexed_report.synthetics.records(),
-        scanned_report.synthetics.records()
-    );
+    // The scan oracle over the same seed store...
+    let (scanned, scan_stats) = replay(&indexed, None, &request);
+    assert_eq!(scan_stats.scan_tests, scan_stats.candidates);
+    // ...releases byte-identical records: the store is pure performance.
+    assert_eq!(indexed_report.synthetics.records(), &scanned[..]);
 
-    // An explicit per-request override builds and uses the deferred store.
-    let forced = indexed
-        .generate(
-            &GenerateRequest::new(10)
-                .with_seed(5)
-                .with_seed_index(SeedIndex::Partition),
-        )
-        .unwrap();
-    assert_eq!(forced.stats.partition_tests, forced.stats.candidates);
-    assert_eq!(
-        forced.synthetics.records(),
-        scanned_report.synthetics.records()
+    // The deferred partition store is built on first use and agrees too.
+    let (forced, forced_stats) = replay(
+        &indexed,
+        indexed.partition_store().map(|p| p as _),
+        &request,
     );
+    assert_eq!(forced_stats.partition_tests, forced_stats.candidates);
+    assert_eq!(forced, scanned);
 }
 
 /// ω can vary per request without retraining; invalid overrides are rejected.
