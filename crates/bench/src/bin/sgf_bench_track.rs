@@ -354,9 +354,11 @@ fn render_notes(docs: &[BenchDoc], entry: &TrajectoryEntry) -> String {
     let _ = writeln!(
         out,
         "\n## Reading the tables\n\n\
-         * `fig_index`: scan, inverted index, and partition store released\n\
-         \x20 byte-identical records in every configuration — asserted by the\n\
-         \x20 binary itself, so a seed-store divergence fails `repro.sh` and CI.\n\
+         * `fig_index`: scan, inverted index, partition store, and σ-prefix\n\
+         \x20 store released byte-identical records in every configuration, and\n\
+         \x20 scan and σ-prefix store also under a `max_check_plausible` cap\n\
+         \x20 below the seed count — asserted by the binary itself, so a\n\
+         \x20 seed-store divergence fails `repro.sh` and CI.\n\
          * `fig5_workers`: the released records are deterministic at every\n\
          \x20 worker count (rank selection); `selection_locks` counts shared-heap\n\
          \x20 acquisitions and `outranked_passes` counts passing proposals that\n\

@@ -15,6 +15,11 @@
 //! candidate that terminates early without reaching the threshold is simply
 //! rejected.
 //!
+//! The stopping rule is one number, the count's `limit`: the smallest
+//! `p ≥ 1` with `p ≥ threshold` or `p ≥ max(max_plausible, k)`.  Every path
+//! reports `min(|plausible ∩ examined|, limit)`, a count that does not depend
+//! on the order the seeds are visited in.
+//!
 //! ## Seed stores and decision equivalence
 //!
 //! [`run_with_store`] runs the same test against any [`SeedStore`]: the store
@@ -32,8 +37,13 @@
 //!   randomness — and the per-candidate O(n) shuffle of the naive
 //!   implementation is gone;
 //! * a store that can name the exact plausible set
-//!   ([`SeedStore::prefix_members`]) skips the model entirely: the count is
-//!   replayed over that set with the same stopping rule and subset.
+//!   ([`SeedStore::prefix_members`]) skips the model entirely and counts
+//!   `min(|range ∩ subset|, limit)` directly: `min(|range|, limit)` with no
+//!   cap, `min(cap, limit)` when the range is every seed (depth 0, and the
+//!   marginal baseline), and otherwise [`RandomSubset::count_members`], which
+//!   runs the permutation over blocks of members and stops at the first
+//!   block that reaches the limit.  The partition store's classes count
+//!   their members the same way.
 
 use crate::deniability::{partition_index, validate_parameters};
 use crate::error::{CoreError, Result};
@@ -240,7 +250,7 @@ where
     // same subset for every store, which keeps decisions store-independent.
     // Without the cap the decision is a pure set cardinality and needs no
     // randomness at all.
-    let stop_at = config.max_plausible.map(|mp| mp.max(config.k));
+    let limit = count_limit(threshold, config.max_plausible.map(|mp| mp.max(config.k)));
     let examine_cap = config.max_check_plausible.unwrap_or(usize::MAX);
     let subset = if examine_cap < dataset.len() {
         Some(RandomSubset::new(dataset.len(), examine_cap, rng.gen()))
@@ -251,30 +261,15 @@ where
     // Range fast path: the prefix store hands back the exact plausible set
     // (every member shares the seed's probability, every other seed has
     // probability zero — see `SeedStore::prefix_members`), so no model
-    // evaluation is needed.  Replaying the stopping rule over the members
-    // gives min(members in the examined subset, stop point): a count that
-    // does not depend on visit order, so the decision, the count, and the
-    // RNG stream (threshold and subset were drawn above) match the scan.
+    // evaluation is needed.  The count min(|range ∩ subset|, limit) does not
+    // depend on visit order, so the decision, the count, and the RNG stream
+    // (threshold and subset were drawn above) match the scan.
     if let Some(members) = store.prefix_members(
         y,
         model.likelihood_attributes(),
         model.exact_match_attributes(),
     ) {
-        let mut plausible = 0usize;
-        for &member in members {
-            if subset
-                .as_ref()
-                .is_some_and(|subset| !subset.contains(member as usize))
-            {
-                continue;
-            }
-            plausible += 1;
-            let enough_for_threshold = plausible as f64 >= threshold;
-            let reached_cap = stop_at.is_some_and(|cap| plausible >= cap);
-            if enough_for_threshold || reached_cap {
-                break;
-            }
-        }
+        let plausible = count_examined(subset.as_ref(), members, dataset.len(), limit);
         return Ok(TestOutcome {
             passed: plausible as f64 >= threshold,
             seed_partition: Some(seed_partition),
@@ -291,11 +286,12 @@ where
     // Class-level fast path: a partition-aware store collapses seeds into
     // likelihood-equivalence classes — every member shares the representative's
     // generation probability for every candidate — so the γ-partition check
-    // runs once per class and members count with multiplicity.  The stopping
-    // rule is replayed member-by-member below, so the reported plausible count
-    // (and hence the decision) is bit-identical to the record-level walk; the
-    // threshold and subset randomness were already drawn above, identically
-    // for every store, so the RNG stream matches too.
+    // runs once per class and members count with multiplicity.  Each class
+    // adds its examined members up to the room left below the limit, so the
+    // reported plausible count (and hence the decision) is bit-identical to
+    // the record-level walk; the threshold and subset randomness were already
+    // drawn above, identically for every store, so the RNG stream matches
+    // too.
     if let Some(classes) = store.likelihood_classes(
         y,
         model.likelihood_attributes(),
@@ -320,7 +316,6 @@ where
         let cache_hit = lookup.as_ref().map(|l| l.hit);
         let mut plausible = 0usize;
         let mut examined = 0usize;
-        let mut stopped = false;
         for class in classes {
             examined += 1;
             let in_partition = match &lookup {
@@ -333,27 +328,13 @@ where
             if !in_partition {
                 continue;
             }
-            // Count the class members one at a time — restricted to the
-            // examined subset when one is in force — replaying the
-            // record-level stopping rule per member, so the count freezes at
-            // exactly the same value as the scan and no membership tests are
-            // paid past the stopping point.
-            for &member in class.members {
-                if subset
-                    .as_ref()
-                    .is_some_and(|subset| !subset.contains(member as usize))
-                {
-                    continue;
-                }
-                plausible += 1;
-                let enough_for_threshold = plausible as f64 >= threshold;
-                let reached_cap = stop_at.is_some_and(|cap| plausible >= cap);
-                if enough_for_threshold || reached_cap {
-                    stopped = true;
-                    break;
-                }
-            }
-            if stopped {
+            plausible += count_examined(
+                subset.as_ref(),
+                class.members,
+                dataset.len(),
+                limit - plausible,
+            );
+            if plausible >= limit {
                 break;
             }
         }
@@ -380,16 +361,8 @@ where
         let p = model.probability(dataset.record(idx), y);
         if partition_index(p, config.gamma) == Some(seed_partition) {
             plausible += 1;
-            // Deterministic test: k' >= k can be decided as soon as k is hit.
-            // Randomized test: stop at max_plausible (if configured) or once
-            // the count exceeds the (noisy) threshold.
-            let enough_for_threshold = plausible as f64 >= threshold;
-            let reached_cap = stop_at.is_some_and(|cap| plausible >= cap);
-            if enough_for_threshold || reached_cap {
-                return true;
-            }
         }
-        false
+        plausible >= limit
     };
     match (candidates, &subset) {
         // Unfiltered store + examine cap: enumerate the eligible subset
@@ -430,6 +403,33 @@ where
         via_classes: false,
         cache_hit: None,
     })
+}
+
+/// The count at which a test stops: the smallest `p ≥ 1` with
+/// `p as f64 >= threshold` (the noisy threshold is reached) or `p >= stop_at`
+/// (`max_plausible`, raised to k).  Counting further cannot change the
+/// decision, so every path reports `min(|plausible ∩ examined|, limit)`.
+fn count_limit(threshold: f64, stop_at: Option<usize>) -> usize {
+    // `as` saturates: a threshold at or below 1 stops at the first plausible
+    // seed, and one beyond `usize` never stops the count.
+    let by_threshold = if threshold.is_nan() {
+        usize::MAX
+    } else {
+        (threshold.ceil() as usize).max(1)
+    };
+    by_threshold.min(stop_at.unwrap_or(usize::MAX))
+}
+
+/// `min(|members ∩ examined|, limit)` for `members`, distinct seed indices
+/// of an `n`-seed store: every member is examined without a cap, and a cap's
+/// subset holds exactly `cap` of all `n` seeds; any other set goes through
+/// the block kernel.
+fn count_examined(subset: Option<&RandomSubset>, members: &[u32], n: usize, limit: usize) -> usize {
+    match subset {
+        None => members.len().min(limit),
+        Some(subset) if members.len() == n => subset.len().min(limit),
+        Some(subset) => subset.count_members(members, limit),
+    }
 }
 
 #[cfg(test)]

@@ -31,8 +31,9 @@
 //!   session release is tested against);
 //! * [`IndexPermutation`] / [`RandomSubset`] — O(1)-random-access seeded
 //!   permutations, so the `max_check_plausible` early-termination knob can
-//!   examine a random subset without the per-candidate O(n) shuffle, and so
-//!   scan and index derive the **same** subset from the same RNG draw.
+//!   examine a random subset without the per-candidate O(n) shuffle, so
+//!   every store derives the **same** subset from the same RNG draw, and so
+//!   an exact plausible set is counted against it in branch-free blocks.
 
 pub mod inverted;
 pub mod partition;

@@ -8,12 +8,15 @@
 //! over `[0, n)`: both the *position* of an index inside the permutation and
 //! the index *at* a given position are computable in O(1), so
 //!
-//! * a linear scan can enumerate the first `cap` positions lazily, and
+//! * a linear scan can enumerate the first `cap` positions lazily,
 //! * an indexed store can test membership of a posting-list survivor in the
-//!   examined subset without ever materialising the permutation —
+//!   examined subset without ever materialising the permutation, and
+//! * a store that names the exact plausible set counts how many of its
+//!   members fall in the subset in blocks of independent lanes
+//!   ([`RandomSubset::count_members`]), with no per-member branch —
 //!
-//! and, crucially, both visit **the same subset** for the same seed, which is
-//! what keeps scan and index byte-identical in their accept/reject decisions.
+//! and, crucially, all three see **the same subset** for the same seed, which
+//! is what keeps every store byte-identical in its accept/reject decisions.
 //!
 //! [Feistel-network]: https://en.wikipedia.org/wiki/Feistel_cipher
 
@@ -21,18 +24,27 @@
 /// enough for statistical (non-cryptographic) de-biasing of the visit order.
 const ROUNDS: usize = 4;
 
+/// Lanes per block of [`RandomSubset::count_members`]: enough independent
+/// Feistel passes in flight to hide the round latency, few enough that the
+/// early exit at the count limit wastes little work.
+const BLOCK: usize = 32;
+
 /// A keyed pseudorandom permutation of `[0, n)` built from a balanced Feistel
 /// network over the smallest even-bit-width domain covering `n`, narrowed to
 /// `[0, n)` by cycle-walking.
 ///
 /// Both directions are O(1) amortized: the Feistel domain is at most `4n`, so
-/// cycle-walking takes fewer than 4 extra steps in expectation.
+/// cycle-walking takes fewer than 4 extra steps in expectation.  The domain
+/// is at most 2³², so a Feistel half is at most 16 bits and every value fits
+/// a `u32`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexPermutation {
     n: u64,
     half_bits: u32,
-    half_mask: u64,
-    keys: [u64; ROUNDS],
+    half_mask: u32,
+    /// Round keys, folded to the 32 bits the round function reads (see
+    /// [`round`](Self::round)).
+    keys: [u32; ROUNDS],
 }
 
 /// SplitMix64 step — the standard stateless seed expander.
@@ -48,21 +60,26 @@ impl IndexPermutation {
     /// A permutation of `[0, n)` keyed by `seed`.  Different seeds give
     /// (statistically) unrelated permutations; the same seed always gives the
     /// same permutation.
+    ///
+    /// # Panics
+    /// Panics if `n > 2³²`.
     pub fn new(n: usize, seed: u64) -> Self {
         let n = n as u64;
+        assert!(n <= 1 << 32, "permutation domain {n} exceeds 2^32");
         // Smallest *even* bit width whose domain covers n, so the Feistel
         // halves are balanced.  Domain size is at most 4n.
         let bits = 64 - n.saturating_sub(1).leading_zeros();
         let half_bits = bits.div_ceil(2).max(1);
         let mut state = seed;
-        let mut keys = [0u64; ROUNDS];
+        let mut keys = [0u32; ROUNDS];
         for key in &mut keys {
-            *key = splitmix64(&mut state);
+            let wide = splitmix64(&mut state);
+            *key = wide as u32 ^ (wide >> 16) as u32;
         }
         IndexPermutation {
             n,
             half_bits,
-            half_mask: (1u64 << half_bits) - 1,
+            half_mask: (1u32 << half_bits) - 1,
             keys,
         }
     }
@@ -77,16 +94,20 @@ impl IndexPermutation {
         self.n == 0
     }
 
-    /// Keyed round function, masked to one Feistel half.
-    fn round(&self, r: u64, key: u64) -> u64 {
-        let mut z = r ^ key;
-        z = (z ^ (z >> 16)).wrapping_mul(0x45d9_f3b5_3c4b_a1a9);
-        z ^= z >> 15;
-        z & self.half_mask
+    /// Keyed round function, masked to one Feistel half: the 64-bit mix
+    /// `z = (r ^ k) ^ (r ^ k) >> 16; z *= 0x45d9_f3b5_3c4b_a1a9;
+    /// (z ^ z >> 15) & mask` of the 64-bit round key `k`, computed on the
+    /// 32 bits it reads.  A half is at most 16 bits, so the masked result
+    /// reads product bits 0..=30, which depend only on the low 32 bits of
+    /// both factors; with `r < 2¹⁶` those of the first are `r` xor the
+    /// folded key `k ^ k >> 16`.
+    fn round(&self, r: u32, key: u32) -> u32 {
+        let z = (r ^ key).wrapping_mul(0x3c4b_a1a9);
+        (z ^ (z >> 15)) & self.half_mask
     }
 
     /// One pass of the Feistel network over the full `2 * half_bits` domain.
-    fn encrypt_once(&self, x: u64) -> u64 {
+    fn encrypt_once(&self, x: u32) -> u32 {
         let mut l = (x >> self.half_bits) & self.half_mask;
         let mut r = x & self.half_mask;
         for &key in &self.keys {
@@ -98,7 +119,7 @@ impl IndexPermutation {
     }
 
     /// Inverse of [`encrypt_once`](Self::encrypt_once).
-    fn decrypt_once(&self, x: u64) -> u64 {
+    fn decrypt_once(&self, x: u32) -> u32 {
         let mut l = (x >> self.half_bits) & self.half_mask;
         let mut r = x & self.half_mask;
         for &key in self.keys.iter().rev() {
@@ -114,14 +135,17 @@ impl IndexPermutation {
     /// # Panics
     /// Panics if `index >= n`.
     pub fn position(&self, index: usize) -> usize {
-        let index = index as u64;
-        assert!(index < self.n, "index {index} out of range 0..{}", self.n);
+        assert!(
+            (index as u64) < self.n,
+            "index {index} out of range 0..{}",
+            self.n
+        );
         // Cycle-walking: the Feistel network permutes the power-of-two domain;
         // repeatedly re-encrypting values that land outside [0, n) restricts
         // it to a permutation of [0, n).  The walk terminates because the
         // orbit through `index` re-enters [0, n) (it contains `index` itself).
-        let mut x = self.encrypt_once(index);
-        while x >= self.n {
+        let mut x = self.encrypt_once(index as u32);
+        while u64::from(x) >= self.n {
             x = self.encrypt_once(x);
         }
         x as usize
@@ -132,10 +156,13 @@ impl IndexPermutation {
     /// # Panics
     /// Panics if `rank >= n`.
     pub fn at_rank(&self, rank: usize) -> usize {
-        let rank = rank as u64;
-        assert!(rank < self.n, "rank {rank} out of range 0..{}", self.n);
-        let mut x = self.decrypt_once(rank);
-        while x >= self.n {
+        assert!(
+            (rank as u64) < self.n,
+            "rank {rank} out of range 0..{}",
+            self.n
+        );
+        let mut x = self.decrypt_once(rank as u32);
+        while u64::from(x) >= self.n {
             x = self.decrypt_once(x);
         }
         x as usize
@@ -145,9 +172,10 @@ impl IndexPermutation {
 /// A pseudorandom `cap`-element subset of `[0, n)`: the first `cap` positions
 /// of an [`IndexPermutation`].
 ///
-/// Supports O(1) membership tests ([`contains`](Self::contains)) and lazy
-/// enumeration ([`iter`](Self::iter)) — the two access patterns of the
-/// linear-scan and inverted-index seed stores.
+/// Supports O(1) membership tests ([`contains`](Self::contains)), lazy
+/// enumeration ([`iter`](Self::iter)) and block counting
+/// ([`count_members`](Self::count_members)) — the access patterns of the
+/// inverted-index, linear-scan, and exact-set (prefix and class) paths.
 #[derive(Debug, Clone, Copy)]
 pub struct RandomSubset {
     perm: IndexPermutation,
@@ -184,6 +212,52 @@ impl RandomSubset {
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.cap).map(move |rank| self.perm.at_rank(rank))
     }
+
+    /// How many of `members` the subset contains, capped at `limit`:
+    /// `min(members.filter(contains).count(), limit)`, the same count for
+    /// any order of `members`.
+    ///
+    /// Members are taken 32 at a time as independent lanes.  Every
+    /// lane gets one Feistel pass; only the lanes still outside `[0, n)` are
+    /// re-encrypted, from a work list compacted without branches, so cycle
+    /// walking costs no mispredicted branch per member.  Counting returns
+    /// `limit` at the first block that reaches it.
+    pub fn count_members(&self, members: &[u32], limit: usize) -> usize {
+        let n = self.perm.n;
+        let cap = self.cap as u64;
+        let mut count = 0;
+        let mut x = [0u32; BLOCK];
+        let mut pending = [0u8; BLOCK];
+        for block in members.chunks(BLOCK) {
+            // A member outside [0, n) is never in the subset; it is not
+            // walked, since its Feistel orbit may never enter [0, n).
+            let mut walking = 0;
+            for (lane, &member) in block.iter().enumerate() {
+                x[lane] = self.perm.encrypt_once(member);
+                pending[walking] = lane as u8;
+                walking += usize::from(u64::from(x[lane]) >= n && u64::from(member) < n);
+            }
+            while walking > 0 {
+                let mut still = 0;
+                for at in 0..walking {
+                    let lane = usize::from(pending[at]);
+                    x[lane] = self.perm.encrypt_once(x[lane]);
+                    pending[still] = lane as u8;
+                    still += usize::from(u64::from(x[lane]) >= n);
+                }
+                walking = still;
+            }
+            count += block
+                .iter()
+                .zip(&x)
+                .filter(|&(&member, &position)| u64::from(member) < n && u64::from(position) < cap)
+                .count();
+            if count >= limit {
+                return limit;
+            }
+        }
+        count
+    }
 }
 
 #[cfg(test)]
@@ -202,6 +276,49 @@ mod tests {
                     assert!(!seen[p], "position {p} hit twice (n={n} seed={seed})");
                     seen[p] = true;
                     assert_eq!(perm.at_rank(p), i, "at_rank must invert position");
+                }
+            }
+        }
+    }
+
+    /// The round function as a plain 64-bit mix of the unfolded splitmix64
+    /// keys: the 32-bit round must compute the same permutation.
+    fn reference_encrypt(n: u64, seed: u64, x: u64) -> u64 {
+        let half_bits = (64 - n.saturating_sub(1).leading_zeros())
+            .div_ceil(2)
+            .max(1);
+        let mask = (1u64 << half_bits) - 1;
+        let mut state = seed;
+        let (mut l, mut r) = ((x >> half_bits) & mask, x & mask);
+        for _ in 0..ROUNDS {
+            let mut z = r ^ splitmix64(&mut state);
+            z = (z ^ (z >> 16)).wrapping_mul(0x45d9_f3b5_3c4b_a1a9);
+            z ^= z >> 15;
+            (l, r) = (r, l ^ (z & mask));
+        }
+        (l << half_bits) | r
+    }
+
+    #[test]
+    fn round_function_matches_the_64_bit_mix() {
+        let mut state = 5u64;
+        for &n in &[1u64, 2, 3, 100, 1_000, 23_471, 65_537, 1 << 32] {
+            for seed in [0u64, 1, 0xdead_beef] {
+                let perm = IndexPermutation::new(n as usize, seed);
+                let domain = 1u64 << (2 * perm.half_bits);
+                let xs: Vec<u64> = if domain <= 1 << 18 {
+                    (0..domain).collect()
+                } else {
+                    (0..4_096)
+                        .map(|_| splitmix64(&mut state) % domain)
+                        .collect()
+                };
+                for x in xs {
+                    assert_eq!(
+                        u64::from(perm.encrypt_once(x as u32)),
+                        reference_encrypt(n, seed, x),
+                        "n={n} seed={seed} x={x}"
+                    );
                 }
             }
         }
@@ -246,6 +363,50 @@ mod tests {
                     listed.contains(&i),
                     "n={n} cap={cap} i={i}"
                 );
+            }
+        }
+    }
+
+    /// The block kernel is the scalar filter, capped at the limit: around
+    /// every block boundary, every clamp of the cap, and every limit edge.
+    #[test]
+    fn count_members_matches_the_scalar_filter() {
+        let mut state = 11u64;
+        for &n in &[1usize, 2, 3, 31, 32, 33, 64, 65, 1_000, 23_471] {
+            let all: Vec<u32> = (0..n as u32).collect();
+            let half: Vec<u32> = all
+                .iter()
+                .copied()
+                .filter(|_| splitmix64(&mut state) & 1 == 1)
+                .collect();
+            let mut lists = vec![Vec::new(), all, half];
+            for len in [31, 32, 33, 63, 65] {
+                lists.push(
+                    (0..len)
+                        .map(|_| (splitmix64(&mut state) % n as u64) as u32)
+                        .collect(),
+                );
+            }
+            // Members outside [0, n) are never contained.
+            lists.push(vec![0, n as u32, n as u32 + 1, u32::MAX]);
+            for cap in [0, 1, n - 1, n, n + 5] {
+                for seed in 0..2u64 {
+                    let sub = RandomSubset::new(n, cap, seed);
+                    for members in &lists {
+                        let exact = members
+                            .iter()
+                            .filter(|&&m| sub.contains(m as usize))
+                            .count();
+                        for limit in [1, 31, 32, 33, members.len(), members.len() + 1] {
+                            assert_eq!(
+                                sub.count_members(members, limit),
+                                exact.min(limit),
+                                "n={n} cap={cap} seed={seed} members={} limit={limit}",
+                                members.len()
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -15,6 +15,14 @@
 //! O(depth · log n) whatever ω a request uses, so a single store serves every
 //! ω of a session.
 //!
+//! The privacy test then counts `min(|range ∩ subset|, limit)` over the
+//! range, where the subset is the `max_check_plausible` sample and `limit`
+//! is where the stopping rule ends the count.  That costs nothing more with
+//! no cap (`min(|range|, limit)`) or when the range is the whole store
+//! (`min(cap, limit)`); any other range pays one permutation pass per member
+//! up to the block that reaches the limit, in blocks of independent lanes
+//! ([`RandomSubset::count_members`](crate::RandomSubset::count_members)).
+//!
 //! The exact-set shortcut ([`SeedStore::prefix_members`]) applies to a model
 //! whose exact-match set is a σ-prefix and whose likelihood set lies inside
 //! it (`L ⊆ EM`), the soundness argument of

@@ -765,3 +765,103 @@ fn prefix_store_agrees_at_nonpositive_thresholds() {
     }
     assert!(nonpositive > 20, "only {nonpositive} thresholds were <= 0");
 }
+
+/// Every way the prefix path counts — no cap, the whole store, and the block
+/// kernel over empty, sub-block and multi-block ranges — against the scan on
+/// a dataset large enough that a capped count stops several blocks in.  The
+/// partition store keyed on the same prefix counts its one class with the
+/// same kernel and must agree too.
+#[test]
+fn prefix_count_strategies_match_the_scan() {
+    const BLOCK: usize = 32;
+    // σ = (X2, X0, X3, X1).  X2 = 2 only on the first 24 rows (a range
+    // shorter than one block) and X0 = 3 never beside X2 = 1 (an empty
+    // range); everything else is spread pseudorandomly.
+    let sigma = vec![2, 0, 3, 1];
+    let mut state = 0x5eed_u64;
+    let rows: Vec<Row> = (0..2_400)
+        .map(|i| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let h = state >> 24;
+            let x2 = if i < 24 { 2 } else { (h % 2) as u16 };
+            let x0 = if x2 == 1 { (h >> 8) % 3 } else { (h >> 8) % 4 } as u16;
+            (x0, ((h >> 24) % 6) as u16, x2, ((h >> 16) % 5) as u16)
+        })
+        .collect();
+    let n = rows.len();
+    let schema = Arc::new(schema());
+    let records: Vec<Record> = rows.into_iter().map(to_record).collect();
+    let dataset = Dataset::from_records_unchecked(Arc::clone(&schema), records);
+    let scan = LinearScanStore::new(&dataset);
+    let prefix = PrefixIndexStore::build(&dataset, &sigma).unwrap();
+
+    // (depth, candidate, range-size check): the seed is the candidate itself,
+    // which need not be a row of the dataset.
+    type RangeCheck = fn(usize, usize) -> bool;
+    let cases: [(usize, Row, RangeCheck); 5] = [
+        (2, (3, 0, 1, 0), |len, _| len == 0),
+        (1, (0, 0, 2, 0), |len, _| 0 < len && len < BLOCK),
+        (1, (1, 0, 0, 0), |len, _| len > 16 * BLOCK),
+        (3, (1, 0, 0, 2), |len, _| 2 * BLOCK < len && len < 8 * BLOCK),
+        (0, (2, 3, 1, 4), |len, n| len == n),
+    ];
+    let configs = [
+        PrivacyTestConfig::deterministic(1, 4.0),
+        PrivacyTestConfig::deterministic(20, 4.0),
+        PrivacyTestConfig::deterministic(70, 4.0).with_limits(Some(90), None),
+        PrivacyTestConfig::deterministic(2_000, 4.0),
+        PrivacyTestConfig::randomized(40, 4.0, 0.2),
+        PrivacyTestConfig::randomized(5, 4.0, 0.05),
+    ];
+    let caps = [
+        None,
+        Some(40),
+        Some(n / 3),
+        Some(n - 1),
+        Some(n),
+        Some(n + 5),
+    ];
+    for (depth, candidate, range_check) in cases {
+        let kept = sigma[..depth].to_vec();
+        let model = ProjectiveModel {
+            schema: (*schema).clone(),
+            kept: kept.clone(),
+        };
+        let y = to_record(candidate);
+        let range = prefix
+            .prefix_members(&y, model.likelihood_attributes(), Some(&kept))
+            .unwrap()
+            .len();
+        assert!(range_check(range, n), "depth {depth}: range of {range}");
+        let partition = PartitionIndexStore::build(&dataset, &kept).unwrap();
+        for base in configs {
+            for cap in caps {
+                let config = base.with_limits(base.max_plausible, cap);
+                for master in 0..6u64 {
+                    let mut rng_a = StdRng::seed_from_u64(master);
+                    let a = run_with_store(&model, &dataset, &scan, &y, &y, &config, &mut rng_a)
+                        .unwrap();
+                    let next_a = rng_a.next_u64();
+                    for store in [&prefix as &dyn SeedStore, &partition] {
+                        let mut rng_b = StdRng::seed_from_u64(master);
+                        let b =
+                            run_with_store(&model, &dataset, store, &y, &y, &config, &mut rng_b)
+                                .unwrap();
+                        let at = format!(
+                            "{} depth {depth} config {config:?} master {master}",
+                            store.kind()
+                        );
+                        assert_eq!(a.passed, b.passed, "{at}");
+                        assert_eq!(a.plausible_seeds, b.plausible_seeds, "{at}");
+                        assert_eq!(a.threshold, b.threshold, "{at}");
+                        assert_eq!(a.seed_partition, b.seed_partition, "{at}");
+                        assert_eq!(next_a, rng_b.next_u64(), "{at}");
+                        assert!(b.via_classes, "{at}");
+                    }
+                }
+            }
+        }
+    }
+}
