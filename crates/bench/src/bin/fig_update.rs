@@ -7,8 +7,9 @@
 //!    mixed delta (10 inserts, 5 deletes) is folded in with `update`, and a
 //!    second session is trained from scratch on the canonical post-delta
 //!    dataset.  Every split subset, the learned structure, the CPTs, the
-//!    marginals, both sufficient-statistic stores, the posting lists, the
-//!    equivalence classes, and the releases of identically-seeded requests
+//!    marginals, both sufficient-statistic stores, the σ-prefix store the
+//!    update splices, the inverted index and partition store each epoch
+//!    builds on first use, and the releases of identically-seeded requests
 //!    must be byte-identical.  The confirmation line is grepped by
 //!    `scripts/repro.sh`, and the point's counters are regression-gated by
 //!    `sgf-bench-track compare`.
@@ -19,11 +20,11 @@
 //!    the payoff of delta-maintainable stores and summable model counts.  The
 //!    retrain is timed as a *full* retrain: training plus every seed store a
 //!    session provides (the σ-prefix store train builds eagerly, and the
-//!    inverted index and partition store it defers), so the baseline does
-//!    not shrink when a store moves off the train path.  Both sides report
+//!    inverted index and partition store its accessors build on first use),
+//!    so the baseline does not shrink when a store moves off the train path.  Both sides report
 //!    the best of several repetitions, which keeps scheduler noise on a
-//!    shared host out of the ratio.  The deferred store splice that the first
-//!    request of the new epoch pays is reported as its own row so the
+//!    shared host out of the ratio.  The deferred prefix-store splice that the
+//!    first request of the new epoch pays is reported as its own row so the
 //!    amortized cost stays visible.
 
 use bench::track::{BenchPoint, SeriesRecorder};
@@ -148,12 +149,12 @@ fn main() {
     assert_eq!(
         updated.seed_store(),
         fresh.seed_store(),
-        "spliced posting lists equal the from-scratch build"
+        "the epoch's inverted index equals the from-scratch build"
     );
     assert_eq!(
         updated.partition_store(),
         fresh.partition_store(),
-        "moved equivalence classes equal the from-scratch build"
+        "the epoch's partition store equals the from-scratch build"
     );
 
     let mut table = TextTable::new(&["Request seed", "Released", "Candidates"]);

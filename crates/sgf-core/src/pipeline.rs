@@ -40,20 +40,12 @@ pub struct PipelineConfig {
     /// Number of synthetic records to release: the size of a one-request
     /// release (a session takes each request's target from the request).
     pub target_synthetics: usize,
-    /// Give up after `max_candidate_factor * target_synthetics` proposals.
+    /// A request gives up after `max_candidate_factor × request.target`
+    /// proposals (the session default; a request may override the factor).
     pub max_candidate_factor: usize,
     /// Number of worker threads for candidate generation (the process is
     /// embarrassingly parallel, Section 5).
     pub workers: usize,
-    /// Structure-drift tolerance of [`crate::SynthesisSession::update`]: a
-    /// delta touching `D_T` re-derives the correlation matrix from the
-    /// updated counts and re-learns the dependency graph only when the
-    /// entrywise max-abs drift from the previous matrix exceeds this
-    /// threshold.  `0.0` (the default) re-learns on any change, which keeps
-    /// incremental updates bit-identical to from-scratch retrains; a positive
-    /// tolerance trades that exactness for skipping CFS re-runs under small
-    /// drift.
-    pub drift_threshold: f64,
     /// Master seed for all randomness in the pipeline.
     pub seed: u64,
 }
@@ -72,7 +64,6 @@ impl PipelineConfig {
             target_synthetics,
             max_candidate_factor: 20,
             workers: 1,
-            drift_threshold: 0.0,
             seed: 0,
         }
     }
@@ -93,12 +84,6 @@ impl PipelineConfig {
             ));
         }
         crate::session::check_workers(self.workers)?;
-        if !self.drift_threshold.is_finite() || self.drift_threshold < 0.0 {
-            return Err(CoreError::InvalidParameter(format!(
-                "drift_threshold must be finite and non-negative, got {}",
-                self.drift_threshold
-            )));
-        }
         Ok(())
     }
 }
@@ -135,6 +120,8 @@ pub fn learn_models(
     split: &DataSplit,
     bucketizer: &Bucketizer,
 ) -> Result<TrainedModels> {
+    // The bucketizer must cover exactly the schema's value domains.
+    Bucketizer::new(split.seeds.schema(), bucketizer.per_attribute().to_vec())?;
     let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x5eed));
     // Learn from summable sufficient statistics so an incremental session
     // update can merge a delta into the same counts and re-derive the model
@@ -253,10 +240,9 @@ mod tests {
     }
 
     #[test]
-    fn explicit_seed_generation_rejects_the_inverted_policy() {
-        // There is no store policy left to reject: models learned from an
-        // explicit split release over that split's seeds through the scan
-        // oracle, which never consults an index.
+    fn explicit_split_releases_through_the_scan_oracle() {
+        // Models learned from an explicit split release over that split's
+        // seeds through the scan oracle, which never consults an index.
         let data = generate_acs(3000, 6);
         let bkt = acs_bucketizer(&acs_schema());
         let config = small_config(10);
@@ -294,5 +280,18 @@ mod tests {
             train(config, &data),
             Err(CoreError::DatasetTooSmall { .. })
         ));
+        // A bucketizer covering more values than the schema's domains.
+        let wider = sgf_data::Schema::new(
+            data.schema()
+                .attributes()
+                .iter()
+                .map(|a| sgf_data::Attribute::categorical_anon(a.name(), a.cardinality() + 1))
+                .collect(),
+        )
+        .unwrap();
+        let engine = SynthesisEngine::from_config(small_config(10));
+        assert!(engine.train(&data, &Bucketizer::identity(&wider)).is_err());
+        let bkt = acs_bucketizer(&acs_schema());
+        assert!(engine.train(&data, &bkt).is_ok());
     }
 }

@@ -121,14 +121,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Structure-drift tolerance of [`SynthesisSession::update`] (default
-    /// `0.0`: any correlation-matrix change re-learns the dependency graph,
-    /// keeping updates bit-identical to from-scratch retrains).
-    pub fn drift_threshold(mut self, threshold: f64) -> Self {
-        self.config.drift_threshold = threshold;
-        self
-    }
-
     /// Validate the schema-independent parts of the configuration and produce
     /// the engine.  (Schema-dependent checks — ω against the attribute count,
     /// the seed store against k — run at [`SynthesisEngine::train`] time.)
@@ -200,30 +192,12 @@ impl SynthesisEngine {
         let ledger = BudgetLedger::new(models.structure.budget, models.cpts.budget(), per_release);
         let training = start.elapsed();
         // Build the σ-prefix store once per session; every generate request
-        // shares it read-only.  The inverted and partition stores wait in
-        // deferred slots until their accessors ask for them.  The partition
-        // store is keyed on the largest likelihood-relevant attribute set of
-        // the session's ω spec — the kept attributes at the smallest
-        // admissible ω — so it covers every fixed-ω synthesizer the session's
-        // default spec can produce.
+        // shares it read-only.  The inverted index and partition store are
+        // built from the session's seeds only if their accessors ask.
         let build_start = Instant::now();
-        let weights = models.structure.attribute_weights();
         let synthesizer =
             SeedSynthesizer::new(Arc::clone(&models.cpts), smallest_omega(self.config.omega))?;
-        // Rule out every failure of the deferred builds here, so
-        // materializing them later is infallible.
-        Bucketizer::new(split.seeds.schema(), bucketizer.per_attribute().to_vec())?;
-        check_weights(&weights)?;
         let prefix = PrefixIndexStore::build(&split.seeds, synthesizer.sigma())?;
-        let (seeds, bucketizer) = (split.seeds.clone(), bucketizer.clone());
-        let index = StoreSlot::deferred(move || {
-            InvertedIndexStore::build(&seeds, &bucketizer, &weights, MAX_INTERSECT_LISTS)
-                .expect("build inputs were validated at train time")
-        });
-        let (seeds, kept) = (split.seeds.clone(), synthesizer.kept_attributes().to_vec());
-        let partition = StoreSlot::deferred(move || {
-            build_partition(&seeds, &kept).expect("build inputs were validated at train time")
-        });
         let index_build = build_start.elapsed();
         sgf_metrics::timer("core.train").observe(training);
         sgf_metrics::timer("core.index_build").observe(index_build);
@@ -243,9 +217,9 @@ impl SynthesisEngine {
             shared: Arc::new(SessionShared {
                 split,
                 models,
-                index,
-                partition,
                 prefix: StoreSlot::ready(prefix),
+                index: OnceLock::new(),
+                partition: OnceLock::new(),
                 training,
             }),
             per_release,
@@ -470,8 +444,8 @@ pub struct CandidateProbe {
 /// deterministic prefix of the proposal order at `workers = 1`.
 pub const MAX_TRACE_PROBES: usize = 32;
 
-/// A seed-store slot of [`SessionShared`]: either materialized up front or
-/// deferred behind a build/splice closure that the first accessor runs
+/// The prefix-store slot of [`SessionShared`]: either materialized up front
+/// or deferred behind a splice/re-sort closure that the first accessor runs
 /// exactly once.
 ///
 /// [`SynthesisSession::update`] defers store maintenance so the ingest
@@ -479,7 +453,7 @@ pub const MAX_TRACE_PROBES: usize = 32;
 /// request of the new epoch, which its privacy test dominates anyway.  Every
 /// failure mode of the deferred closure is ruled out before it is queued
 /// (schema validation covers insert arity and domains, delete indices are
-/// derived ascending, sizes and weights are checked), so materialization is
+/// derived ascending, the size is checked), so materialization is
 /// infallible.
 struct StoreSlot<S> {
     cell: OnceLock<Arc<S>>,
@@ -529,12 +503,6 @@ impl<S> StoreSlot<S> {
             Arc::new(work())
         })
     }
-
-    /// The store if it is already materialized, without running deferred
-    /// work.
-    fn peek_shared(&self) -> Option<Arc<S>> {
-        self.cell.get().cloned()
-    }
 }
 
 impl<S> std::fmt::Debug for StoreSlot<S> {
@@ -546,24 +514,24 @@ impl<S> std::fmt::Debug for StoreSlot<S> {
     }
 }
 
-/// The immutable trained artifacts of a session, shared (via `Arc`) across
-/// every clone: the data split, the learned models, and the seed stores.
-/// Training — and each store build — happen at most once per
-/// [`SynthesisEngine::train`] call no matter how many handles serve requests.
+/// The immutable trained artifacts of one session epoch, shared (via `Arc`)
+/// across every clone: the data split, the learned models, and the seed
+/// stores.  Training — and each store build — happen at most once per epoch
+/// no matter how many handles serve requests.
 #[derive(Debug)]
 struct SessionShared {
     split: DataSplit,
     models: TrainedModels,
-    /// The inverted seed index, built on first use and spliced lazily
-    /// after an [`update`](SynthesisSession::update).
-    index: StoreSlot<InvertedIndexStore>,
-    /// The partition-aware store of likelihood-equivalence classes (with its
-    /// class-match cache), built on first use and spliced lazily after an
-    /// [`update`](SynthesisSession::update).
-    partition: StoreSlot<PartitionIndexStore>,
     /// The σ-prefix store every release is tested against, built at train
     /// time and spliced lazily after an [`update`](SynthesisSession::update).
     prefix: StoreSlot<PrefixIndexStore>,
+    /// The inverted seed index over this epoch's seeds, built by the first
+    /// [`seed_store`](SynthesisSession::seed_store) call.
+    index: OnceLock<Option<InvertedIndexStore>>,
+    /// The partition store over this epoch's seeds (with its class-match
+    /// cache), built by the first
+    /// [`partition_store`](SynthesisSession::partition_store) call.
+    partition: OnceLock<Option<PartitionIndexStore>>,
     training: Duration,
 }
 
@@ -578,11 +546,11 @@ struct SessionShared {
 ///
 /// `SynthesisSession` is `Clone`, and clones are **handles to the same
 /// logical session**: they share the trained models, the seed split, the
-/// inverted index (no rebuild — one build per train), *and* the budget
-/// ledger.  Sharing the ledger is deliberate: releases from the same seed
-/// store compose sequentially no matter which handle served them
-/// (Section 8), so every handle must charge — and be capped against — the
-/// same cumulative (ε, δ).
+/// seed stores (no rebuild — each store is built at most once per epoch),
+/// *and* the budget ledger.  Sharing the ledger is deliberate: releases from
+/// the same seed store compose sequentially no matter which handle served
+/// them (Section 8), so every handle must charge — and be capped against —
+/// the same cumulative (ε, δ).
 #[derive(Debug, Clone)]
 pub struct SynthesisSession {
     config: PipelineConfig,
@@ -647,21 +615,40 @@ impl SynthesisSession {
         self.shared.training
     }
 
-    /// The inverted seed index, built by the first call (always `Some`).
-    /// Clones of the same session return the same shared instance.  After an
-    /// [`update`](SynthesisSession::update), the first call splices the
-    /// deferred delta into the store (exactly once).
+    /// The inverted seed index over this epoch's seeds, built by the first
+    /// call (`None` if the build fails).  Clones of the same session return
+    /// the same shared instance; each [`update`](SynthesisSession::update)
+    /// epoch builds its own.
     pub fn seed_store(&self) -> Option<&InvertedIndexStore> {
-        Some(self.shared.index.get())
+        let models = &self.shared.models;
+        self.shared
+            .index
+            .get_or_init(|| {
+                let weights = models.structure.attribute_weights();
+                let bucketizer = models.cpts.bucketizer();
+                InvertedIndexStore::build(self.seeds(), bucketizer, &weights, MAX_INTERSECT_LISTS)
+                    .ok()
+            })
+            .as_ref()
     }
 
-    /// The partition-aware store of likelihood-equivalence classes, with its
-    /// shared class-match cache, built by the first call (always `Some`).
-    /// Clones of the same session return the same shared instance.  After an
-    /// [`update`](SynthesisSession::update), the first call splices the
-    /// deferred delta into the store (exactly once).
+    /// The partition-aware store of likelihood-equivalence classes, keyed on
+    /// the kept attributes at the smallest ω of the session's ω spec (so it
+    /// covers every fixed-ω synthesizer that spec can produce), with its
+    /// class-match cache.  Built over this epoch's seeds by the first call
+    /// (`None` if the build fails); clones share it, and each
+    /// [`update`](SynthesisSession::update) epoch builds its own.
     pub fn partition_store(&self) -> Option<&PartitionIndexStore> {
-        Some(self.shared.partition.get())
+        self.shared
+            .partition
+            .get_or_init(|| {
+                let cpts = Arc::clone(&self.shared.models.cpts);
+                let synthesizer = SeedSynthesizer::new(cpts, smallest_omega(self.config.omega));
+                PartitionIndexStore::build(self.seeds(), synthesizer.ok()?.kept_attributes())
+                    .map(PartitionIndexStore::with_class_cache)
+                    .ok()
+            })
+            .as_ref()
     }
 
     /// The σ-prefix store every release is tested against.  Clones of the
@@ -990,18 +977,20 @@ impl SynthesisSession {
     /// Work scales with the delta, not the dataset: the deterministic hash
     /// split routes each ±record to its subset by value alone, model counts
     /// merge in O(|Δ|) ([`sgf_model::StructureCounts`],
-    /// [`sgf_model::CptCounts`], [`sgf_model::MarginalCounts`]), and the seed
-    /// indexes splice their posting lists / equivalence classes in place
-    /// instead of rebuilding.  A delta touching `D_T` re-derives the
-    /// correlation matrix from the merged counts and re-learns the dependency
-    /// graph when the entrywise drift exceeds the configured
-    /// `drift_threshold`; a graph change cascades into a full CPT re-learn
-    /// and (if the kept-attribute key changed) a partition-store rebuild.
+    /// [`sgf_model::CptCounts`], [`sgf_model::MarginalCounts`]), and the
+    /// σ-prefix store's splice is deferred to the new epoch's first request.
+    /// A delta touching `D_T` re-derives the correlation matrix from the
+    /// merged counts and re-learns the dependency graph whenever the matrix
+    /// changed; a graph change cascades into a full CPT re-learn (and, when
+    /// σ changes, a prefix-store re-sort).  The inverted index and partition
+    /// store are never carried across epochs: each epoch builds its own on
+    /// the first [`seed_store`](SynthesisSession::seed_store) /
+    /// [`partition_store`](SynthesisSession::partition_store) call.
     ///
-    /// **Equivalence invariant** (at the default `drift_threshold = 0.0`):
-    /// the returned session's split, models, classes, and posting lists are
-    /// bit-identical to `SynthesisEngine::train` on the post-delta dataset,
-    /// so identically-seeded `generate` calls release byte-identical records.
+    /// **Equivalence invariant:** the returned session's split, models and
+    /// stores are bit-identical to `SynthesisEngine::train` on the
+    /// post-delta dataset, so identically-seeded `generate` calls release
+    /// byte-identical records.
     ///
     /// The privacy ledger is **shared** with this session (same `Arc`):
     /// releases keep composing across epochs because they disclose the same
@@ -1064,10 +1053,9 @@ impl SynthesisSession {
         // Structure: merge the delta into the sufficient statistics, then
         // re-derive the correlation matrix from counts — no pass over D_T.
         // The rng seed matches `learn_models`, so the (possibly noisy) matrix
-        // is bit-identical to a from-scratch retrain.  The drift gate splits
-        // the relearn at the matrix: below the threshold the old structure is
-        // kept (the documented exactness relaxation) and the CFS parent-set
-        // search — the expensive half of the relearn — never runs.
+        // is bit-identical to a from-scratch retrain.  The CFS parent-set
+        // search is a pure function of the matrix, so it re-runs only when
+        // the matrix moved.
         let mut structure_counts = shared.models.structure_counts.clone();
         let structure = if structure_changed {
             structure_counts.apply_delta(&deletes[0], &inserts[0], bucketizer)?;
@@ -1084,7 +1072,7 @@ impl SynthesisSession {
                 .max_abs_diff(&correlations);
             sgf_metrics::summary("core.update.structure_drift")
                 .observe((drift * 1e6).min(u64::MAX as f64) as u64);
-            if drift > self.config.drift_threshold {
+            if drift > 0.0 {
                 structure_from_correlations(correlations, bucketizer, &self.config.structure)?
             } else {
                 shared.models.structure.clone()
@@ -1126,82 +1114,22 @@ impl SynthesisSession {
         };
         let training = start.elapsed();
 
-        // Indexes: a store the delta cannot have changed is shared with the
-        // parent epoch via `Arc`; a touched one defers its splice (or
-        // rebuild) into a [`StoreSlot`] that the first request of the new
-        // epoch materializes, keeping `update` itself O(|Δ|).  Every failure
-        // mode of the deferred work is ruled out *here*: delta records are
-        // schema-validated (arity and domains), delete indices are derived
-        // ascending, and sizes/weights are checked below.
+        // The prefix store: shared with the parent epoch via `Arc` when the
+        // delta left the seeds and σ alone, otherwise a splice (or, when a
+        // relearn changed σ, a re-sort) deferred into a [`StoreSlot`] that
+        // the first request of the new epoch materializes, keeping `update`
+        // itself O(|Δ|).  Every failure mode of the deferred work is ruled
+        // out *here*: delta records are schema-validated (arity and
+        // domains), delete indices are derived ascending, and the size is
+        // checked below.
         if seeds_data.len() > u32::MAX as usize {
             return Err(CoreError::InvalidParameter(
                 "seed stores support at most u32::MAX records".into(),
             ));
         }
-        let seeds_untouched = seed_deletes.is_empty() && inserts[2].is_empty();
-        let structure_same =
-            !graph_changed && models.structure.correlations == shared.models.structure.correlations;
-        let seed_deletes = Arc::new(seed_deletes);
-        let seed_inserts = Arc::new(std::mem::take(&mut inserts[2]));
-        // A deferred inverted or partition store stays deferred: an update
-        // carries a parent store forward only if it was materialized and
-        // never forces one into existence.
-        let weights = models.structure.attribute_weights();
-        check_weights(&weights)?;
-        let index = match self.shared.index.peek_shared() {
-            // Same seeds, same weights: the parent's posting lists are
-            // byte-identical to a fresh build — share them.
-            Some(old) if seeds_untouched && structure_same => StoreSlot::ready_shared(old),
-            Some(old) => {
-                let deletes = Arc::clone(&seed_deletes);
-                let ins = Arc::clone(&seed_inserts);
-                StoreSlot::deferred(move || {
-                    old.apply_delta(&deletes, &ins, &weights)
-                        .expect("splice inputs were validated at update time")
-                })
-            }
-            None => {
-                let seeds = seeds_data.clone();
-                let bucketizer = bucketizer.clone();
-                StoreSlot::deferred(move || {
-                    InvertedIndexStore::build(&seeds, &bucketizer, &weights, MAX_INTERSECT_LISTS)
-                        .expect("build inputs were validated at update time")
-                })
-            }
-        };
         let synthesizer =
             SeedSynthesizer::new(Arc::clone(&models.cpts), smallest_omega(self.config.omega))?;
-        let mut key: Vec<usize> = synthesizer.kept_attributes().to_vec();
-        key.sort_unstable();
-        key.dedup();
-        let reusable = self
-            .shared
-            .partition
-            .peek_shared()
-            .filter(|old| old.attributes() == key.as_slice());
-        let partition = match reusable {
-            // Same seeds, same kept-attribute key: the parent's classes are
-            // byte-identical to a fresh build.
-            Some(old) if seeds_untouched => StoreSlot::ready_shared(old),
-            Some(old) => {
-                let deletes = Arc::clone(&seed_deletes);
-                let ins = Arc::clone(&seed_inserts);
-                StoreSlot::deferred(move || {
-                    old.apply_delta(&deletes, &ins)
-                        .expect("splice inputs were validated at update time")
-                })
-            }
-            None => {
-                let seeds = seeds_data.clone();
-                let kept: Vec<usize> = synthesizer.kept_attributes().to_vec();
-                StoreSlot::deferred(move || {
-                    build_partition(&seeds, &kept)
-                        .expect("build inputs were validated at update time")
-                })
-            }
-        };
-        // The prefix store splices while σ holds; a new σ re-sorts it.
-        let old = self.shared.prefix.get_shared();
+        let old = Arc::clone(self.shared.prefix.get_shared());
         let prefix = if old.order() != synthesizer.sigma() {
             let seeds = seeds_data.clone();
             let sigma = synthesizer.sigma().to_vec();
@@ -1209,16 +1137,12 @@ impl SynthesisSession {
                 PrefixIndexStore::build(&seeds, &sigma)
                     .expect("build inputs were validated at update time")
             })
-        } else if seeds_untouched {
-            StoreSlot::ready_shared(Arc::clone(old))
+        } else if seed_deletes.is_empty() && inserts[2].is_empty() {
+            StoreSlot::ready_shared(old)
         } else {
-            let (old, deletes, ins) = (
-                Arc::clone(old),
-                Arc::clone(&seed_deletes),
-                Arc::clone(&seed_inserts),
-            );
+            let inserts = std::mem::take(&mut inserts[2]);
             StoreSlot::deferred(move || {
-                old.apply_delta(&deletes, &ins)
+                old.apply_delta(&seed_deletes, &inserts)
                     .expect("splice inputs were validated at update time")
             })
         };
@@ -1245,9 +1169,9 @@ impl SynthesisSession {
                     test: test_data,
                 },
                 models,
-                index,
-                partition,
                 prefix,
+                index: OnceLock::new(),
+                partition: OnceLock::new(),
                 training,
             }),
             per_release: self.per_release,
@@ -1273,7 +1197,7 @@ fn role_slot(role: SplitRole) -> Option<usize> {
 /// Apply one subset's delta: resolve `deletes` by value against the current
 /// records (first remaining occurrence, the canonical `DatasetDelta` rule),
 /// append `inserts` after the survivors, and return the **deleted** index
-/// list (ascending — what the index stores splice on) plus the new dataset.
+/// list (ascending — what the prefix store splices on) plus the new dataset.
 fn apply_subset_delta(
     dataset: &Dataset,
     deletes: &[Record],
@@ -1426,14 +1350,6 @@ fn smallest_omega(omega: OmegaSpec) -> usize {
     }
 }
 
-/// The partition store over `kept`, with its class-match cache.
-fn build_partition(
-    seeds: &Dataset,
-    kept: &[usize],
-) -> std::result::Result<PartitionIndexStore, sgf_data::DataError> {
-    PartitionIndexStore::build(seeds, kept).map(PartitionIndexStore::with_class_cache)
-}
-
 /// Most worker threads one request may fan out over.  Releases are
 /// byte-identical at every worker count, so the ceiling only bounds the
 /// threads a request can make the process spawn.
@@ -1447,16 +1363,6 @@ pub(crate) fn check_workers(workers: usize) -> Result<()> {
         )));
     }
     Ok(())
-}
-
-/// Attribute weights key the inverted index and must be finite.
-fn check_weights(weights: &[f64]) -> Result<()> {
-    match weights.iter().enumerate().find(|(_, w)| !w.is_finite()) {
-        Some((attr, w)) => Err(CoreError::InvalidParameter(format!(
-            "attribute weight {attr} of the structure is {w}; weights must be finite"
-        ))),
-        None => Ok(()),
-    }
 }
 
 /// Trace-label rendering of an optional build step.
@@ -1947,12 +1853,11 @@ mod tests {
         let data = generate_acs(4000, 21);
         let bkt = acs_bucketizer(&acs_schema());
         let session = small_engine(21).train(&data, &bkt).unwrap();
-        for slot in [
-            format!("{:?}", session.shared.index),
-            format!("{:?}", session.shared.partition),
-        ] {
-            assert_eq!(slot, "StoreSlot(deferred)", "train defers both stores");
-        }
+        assert!(
+            session.shared.index.get().is_none(),
+            "train builds no index"
+        );
+        assert!(session.shared.partition.get().is_none(), "nor a partition");
         let (inverted, partition) = (
             session.seed_store().unwrap() as &dyn SeedStore,
             session.partition_store().unwrap() as &dyn SeedStore,
@@ -2062,10 +1967,10 @@ mod tests {
     }
 
     #[test]
-    fn scan_only_sessions_reject_inverted_requests() {
-        // No session scans any more: every one tests its releases against
-        // the prefix store, keeps the inverted and partition stores one
-        // accessor call away, and reaches the scan only as the oracle.
+    fn sessions_test_against_the_prefix_store_and_match_the_scan_oracle() {
+        // Every session tests its releases against the prefix store, keeps
+        // the inverted and partition stores one accessor call away, and
+        // reaches the scan only as the oracle.
         let data = generate_acs(3000, 22);
         let bkt = acs_bucketizer(&acs_schema());
         let session = SynthesisEngine::builder()
@@ -2089,40 +1994,40 @@ mod tests {
     }
 
     #[test]
-    fn auto_policy_uses_the_index_only_for_large_seed_stores() {
+    fn small_and_large_seed_stores_release_what_the_scan_releases() {
         // A range lookup beats the scan at any size, so sessions serve small
         // (< 512 seeds) and large seed stores alike from the prefix store — at
         // a fixed ω and at the paper's ω ∈R [5-11] — and release exactly what
         // the scan oracle releases.
         let bkt = acs_bucketizer(&acs_schema());
-        for (population, below_old_crossover) in [(900, true), (6000, false)] {
-            let data = generate_acs(population, 23);
-            let session = small_engine(23).train(&data, &bkt).unwrap();
-            assert_eq!(session.seeds().len() < 512, below_old_crossover);
+        for (population, seed) in [(900, 23), (6000, 23), (4000, 24)] {
+            let data = generate_acs(population, seed);
+            let session = small_engine(seed).train(&data, &bkt).unwrap();
+            assert_eq!(session.seeds().len() < 512, population < 1000);
             for omega in [
                 OmegaSpec::Fixed(9),
                 OmegaSpec::UniformRange { lo: 5, hi: 11 },
             ] {
                 let base = GenerateRequest::new(8).with_seed(3).with_omega(omega);
-                let auto = session.generate(&base).unwrap();
+                let released = session.generate(&base).unwrap();
                 let (records, scan) = replay(&session, None, None, &base);
-                assert_eq!(auto.stats.scan_tests, 0, "sessions must use an index");
+                assert_eq!(released.stats.scan_tests, 0, "sessions must use an index");
                 assert_eq!(
-                    auto.stats.index_tests, 0,
+                    released.stats.index_tests, 0,
                     "sessions skip the inverted index"
                 );
-                assert_eq!(auto.provenance.store, "prefix");
-                assert_eq!(auto.stats.partition_tests, auto.stats.candidates);
-                assert_eq!(auto.stats.records_examined, auto.stats.candidates);
-                assert_eq!(auto.synthetics.records(), &records[..]);
-                assert_eq!(auto.stats.candidates, scan.candidates);
+                assert_eq!(released.provenance.store, "prefix");
+                assert_eq!(released.stats.partition_tests, released.stats.candidates);
+                assert_eq!(released.stats.records_examined, released.stats.candidates);
+                assert_eq!(released.synthetics.records(), &records[..]);
+                assert_eq!(released.stats.candidates, scan.candidates);
                 assert_eq!(scan.scan_tests, scan.candidates);
             }
         }
     }
 
     #[test]
-    fn marginal_requests_take_one_range_under_auto() {
+    fn marginal_requests_take_one_range_per_test() {
         // The marginal model is seed-independent (likelihood set ∅): every
         // seed is plausible, so the prefix store answers each test with its
         // whole range instead of evaluating the model seed by seed.
@@ -2135,37 +2040,15 @@ mod tests {
             OmegaSpec::UniformRange { lo: 5, hi: 11 },
         ] {
             let base = GenerateRequest::new(10).with_seed(4).with_omega(omega);
-            let auto = session.generate_with(marginal, &base).unwrap();
+            let released = session.generate_with(marginal, &base).unwrap();
             let (records, scan) = replay(&session, None, Some(marginal), &base);
-            assert_eq!(auto.provenance.store, "prefix");
-            assert_eq!(auto.stats.records_examined, auto.stats.candidates);
-            assert_eq!(auto.stats.partition_tests, auto.stats.candidates);
-            assert_eq!(auto.synthetics.records(), &records[..]);
-            assert_eq!(auto.stats.candidates, scan.candidates);
+            assert_eq!(released.provenance.store, "prefix");
+            assert_eq!(released.stats.records_examined, released.stats.candidates);
+            assert_eq!(released.stats.partition_tests, released.stats.candidates);
+            assert_eq!(released.synthetics.records(), &records[..]);
+            assert_eq!(released.stats.candidates, scan.candidates);
             assert!(scan.records_examined > scan.candidates);
         }
-    }
-
-    #[test]
-    fn auto_index_min_seeds_is_configurable() {
-        // With the `auto_index_min_seeds` knob and the store policy removed,
-        // nothing configures the store: a session above the removed 512
-        // crossover serves from the prefix store and releases what the scan
-        // oracle releases.
-        let bkt = acs_bucketizer(&acs_schema());
-        // ~1960 seeds: above the removed 512 crossover.
-        let data = generate_acs(4000, 24);
-        let session = small_engine(24).train(&data, &bkt).unwrap();
-        let request = GenerateRequest::new(5).with_seed(2);
-        let (records, scanned) = replay(&session, None, None, &request);
-        assert_eq!(
-            scanned.scan_tests, scanned.candidates,
-            "the oracle keeps every test on the scan"
-        );
-        let auto = session.generate(&request).unwrap();
-        assert_eq!(auto.stats.scan_tests, 0, "a session always indexes");
-        assert_eq!(auto.provenance.store, "prefix");
-        assert_eq!(auto.synthetics.records(), &records[..]);
     }
 
     #[test]
@@ -2318,25 +2201,21 @@ mod tests {
 
     #[test]
     fn update_matches_a_fresh_train_bit_for_bit() {
-        // The tentpole invariant: at the default drift threshold, an
-        // incremental update is indistinguishable from retraining on the
-        // post-delta dataset — same split subsets, same models, same posting
-        // lists and equivalence classes, and byte-identical releases.
+        // The tentpole invariant: an incremental update is
+        // indistinguishable from retraining on the post-delta dataset — same
+        // split subsets, same models, same posting lists and equivalence
+        // classes, and byte-identical releases.
         let data = generate_acs(4000, 31);
         let bkt = acs_bucketizer(&acs_schema());
         let session = small_engine(31).train(&data, &bkt).unwrap();
         let delta = small_delta(&data, 25, 40, 77);
         let updated = session.update(&delta).unwrap();
         assert_eq!(updated.epoch(), 1);
-        // The update carries only the prefix store forward: the deferred
-        // inverted and partition stores stay unbuilt on both sides.
-        for slot in [
-            format!("{:?}", session.shared.index),
-            format!("{:?}", session.shared.partition),
-            format!("{:?}", updated.shared.index),
-            format!("{:?}", updated.shared.partition),
-        ] {
-            assert_eq!(slot, "StoreSlot(deferred)");
+        // The update carries only the prefix store forward: the inverted
+        // and partition stores stay unbuilt on both sides.
+        for epoch in [&session, &updated] {
+            assert!(epoch.shared.index.get().is_none());
+            assert!(epoch.shared.partition.get().is_none());
         }
 
         let final_data = delta.apply(&data).unwrap();
@@ -2379,7 +2258,8 @@ mod tests {
             updated.models().marginal_counts,
             fresh.models().marginal_counts
         );
-        // Spliced index stores equal from-scratch builds.
+        // The spliced prefix store and the per-epoch inverted and partition
+        // builds equal from-scratch builds.
         assert_eq!(updated.prefix_store(), fresh.prefix_store());
         assert_eq!(updated.seed_store(), fresh.seed_store());
         assert_eq!(updated.partition_store(), fresh.partition_store());
@@ -2423,43 +2303,6 @@ mod tests {
         assert_eq!(
             third.shared.split.seeds.records(),
             updated.shared.split.seeds.records()
-        );
-    }
-
-    #[test]
-    fn positive_drift_threshold_keeps_the_old_structure() {
-        // Above-threshold drift re-learns (exercised by the equivalence
-        // tests, where threshold 0.0 re-learns on any change); here the
-        // documented relaxation: a huge threshold keeps the old graph and
-        // correlation matrix verbatim even though D_T changed.
-        let data = generate_acs(3500, 37);
-        let bkt = acs_bucketizer(&acs_schema());
-        let session = SynthesisEngine::builder()
-            .privacy_test(
-                PrivacyTestConfig::randomized(20, 4.0, 1.0).with_limits(Some(40), Some(2000)),
-            )
-            .omega(OmegaSpec::Fixed(9))
-            .max_candidate_factor(30)
-            .seed(37)
-            .drift_threshold(1e9)
-            .build()
-            .unwrap()
-            .train(&data, &bkt)
-            .unwrap();
-        let updated = session.update(&small_delta(&data, 30, 30, 41)).unwrap();
-        assert_eq!(
-            updated.models().structure.correlations,
-            session.models().structure.correlations
-        );
-        assert_eq!(
-            updated.models().structure.graph,
-            session.models().structure.graph
-        );
-        // The counts still merged — a later re-learn starts from the true
-        // post-delta statistics, not the stale ones.
-        assert_ne!(
-            updated.models().structure_counts,
-            session.models().structure_counts
         );
     }
 

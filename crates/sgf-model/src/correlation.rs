@@ -87,9 +87,8 @@ impl CorrelationMatrix {
     /// Largest absolute entry-wise difference to `other` — the *drift
     /// statistic* of the incremental-update path: a freshly recomputed matrix
     /// is compared against the one the current structure was learned from,
-    /// and full structure re-learning triggers only when the drift exceeds
-    /// the configured threshold.  Matrices of different sizes drift
-    /// infinitely.
+    /// and full structure re-learning triggers only when the drift is
+    /// positive.  Matrices of different sizes drift infinitely.
     pub fn max_abs_diff(&self, other: &CorrelationMatrix) -> f64 {
         if self.m != other.m {
             return f64::INFINITY;

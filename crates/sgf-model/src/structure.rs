@@ -130,9 +130,8 @@ pub fn learn_structure_from_counts<R: Rng + ?Sized>(
 /// correlation matrix plus the composition-theorem budget accounting.
 ///
 /// Exposed so incremental updates can split the relearn at the matrix: a
-/// caller that derives the matrix via [`StructureCounts::matrix`], finds its
-/// drift below threshold, and keeps the old structure never pays for the CFS
-/// search.  `structure_from_correlations(matrix, ...)` on the same matrix is
+/// caller that derives the matrix via [`StructureCounts::matrix`], finds it
+/// unchanged, and keeps the old structure never pays for the CFS search.  `structure_from_correlations(matrix, ...)` on the same matrix is
 /// bit-identical to the tail of [`learn_structure_from_counts`] /
 /// [`learn_dependency_structure`].
 ///

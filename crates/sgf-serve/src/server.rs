@@ -58,11 +58,13 @@ pub struct ServeConfig {
     pub service_delay: Option<Duration>,
     /// Request folding: a worker that pops a generate job also drains queued
     /// jobs for the *same session* and serves the whole fold in one turn, so
-    /// the fused sweep runs against a warm class-match cache and the queue
-    /// wakes fewer threads.  Folding never reorders a session's admitted
-    /// jobs, never crosses sessions, and each folded request still gets its
-    /// own response, reservation settlement, and service-time observation —
-    /// per-request outputs are byte-identical to an unfolded run.
+    /// the queue wakes fewer threads.  Session releases share no warm state
+    /// (each privacy test is one prefix-store range lookup), so a fold saves
+    /// only the per-turn queue overhead.  Folding never reorders a session's
+    /// admitted jobs, never crosses sessions, and each folded request still
+    /// gets its own response, reservation settlement, and service-time
+    /// observation — per-request outputs are byte-identical to an unfolded
+    /// run.
     ///
     /// `None` (the default) folds **adaptively** from the queue depth the
     /// worker observes at pop time: an empty queue never folds (sequential
@@ -314,14 +316,18 @@ fn join_thread(handle: JoinHandle<()>) -> std::io::Result<()> {
 }
 
 /// Bind and start serving `sessions` under `config`; returns immediately.
+///
+/// Session names must be unique: a repeated name is rejected with
+/// [`std::io::ErrorKind::InvalidInput`] before anything is bound.
 pub fn serve(config: ServeConfig, sessions: Vec<SessionEntry>) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    if config.trace {
-        sgf_metrics::trace().set_enabled(true);
-    }
     let mut map = HashMap::new();
     for entry in sessions {
+        if map.contains_key(&entry.name) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("session name {:?} is registered twice", entry.name),
+            ));
+        }
         // Every metric a session's requests emit lands in its own labeled
         // cell (plus the global rollup) — the `metrics` verb's per-session
         // view and the p95 retry hint both read that cell.
@@ -333,6 +339,11 @@ pub fn serve(config: ServeConfig, sessions: Vec<SessionEntry>) -> std::io::Resul
                 cap: entry.cap,
             },
         );
+    }
+    let listener = TcpListener::bind(&config.addr)?;
+    let addr = listener.local_addr()?;
+    if config.trace {
+        sgf_metrics::trace().set_enabled(true);
     }
     let workers = config.workers.max(1);
     let state = Arc::new(ServerState {
@@ -900,8 +911,9 @@ fn worker_loop(state: &Arc<ServerState>) {
         // Draining happens only at pop time — admission, capacity accounting,
         // and backpressure semantics are untouched — and the fold preserves
         // the session's admitted order, so per-request outputs stay exactly
-        // what the unfolded worker would have produced; the fused sweep just
-        // runs against a class-match cache the earlier members warmed.
+        // what the unfolded worker would have produced.  Members share no
+        // warm state (each privacy test is one prefix-store range lookup):
+        // a fold only saves queue wake-ups.
         //
         // The fold cap adapts to pressure unless a fixed override is set: the
         // queue depth observed right after the pop (the jobs still waiting)

@@ -103,10 +103,11 @@ echo "== request-folding equivalence gate passed (fig_folding) =="
 
 # Incremental-update equivalence gate: fig_update folds a mixed delta into a
 # trained session and asserts every artifact — split subsets, structure,
-# CPTs, marginals, sufficient statistics, posting lists, equivalence classes,
-# and identically-seeded releases — is byte-identical to a from-scratch
-# retrain on the post-delta dataset, printing the confirmation line below
-# only after every assertion held.  (At full scale the binary additionally
+# CPTs, marginals, sufficient statistics, the spliced prefix store, the
+# per-epoch inverted index and partition store, and identically-seeded
+# releases — is byte-identical to a from-scratch retrain on the post-delta
+# dataset, printing the confirmation line below only after every assertion
+# held.  (At full scale the binary additionally
 # asserts the >= 100x update-vs-retrain speedup internally.)
 if ! grep -q "matches a from-scratch retrain bit-for-bit" "$OUTDIR/fig_update.txt"; then
     echo "ERROR: fig_update did not confirm incremental-update equivalence" >&2

@@ -1,8 +1,8 @@
-//! Regression guard for the per-train store build: the σ-prefix store every
+//! Regression guard for the per-epoch store builds: the σ-prefix store every
 //! release is tested against is built once by `SynthesisEngine::train` and
 //! shared — not rebuilt — by session clones and serve-owned handles over the
-//! same split; the deferred inverted index is built once on first use and
-//! shared the same way.
+//! same split; the inverted index is built lazily, once per epoch, by the
+//! first `seed_store()` call through any handle and shared the same way.
 //!
 //! Sharing is asserted per instance (pointer equality of the stores the
 //! handles hand out), so the test holds however many other tests build
@@ -41,7 +41,7 @@ fn one_index_build_per_train_shared_across_clones_and_serve() {
     assert_eq!(report.stats.partition_tests, report.stats.candidates);
     assert_eq!(session.ledger().requests, 1);
 
-    // The first accessor call through any handle builds the deferred index
+    // The first accessor call through any handle builds the epoch's index
     // once; every handle then sees that one instance.
     let index = clone_b.seed_store().unwrap();
     assert!(std::ptr::eq(index, session.seed_store().unwrap()));

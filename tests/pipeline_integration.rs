@@ -9,6 +9,7 @@ use sgf::core::{
 };
 use sgf::data::acs::{acs_bucketizer, acs_schema, generate_acs};
 use sgf::data::Dataset;
+use sgf::index::PrefixIndexStore;
 use sgf::model::{OmegaSpec, SeedSynthesizer};
 use std::sync::Arc;
 
@@ -121,35 +122,56 @@ fn released_records_satisfy_the_deniability_criterion() {
     let k = 15;
     let gamma = 4.0;
     let test = PrivacyTestConfig::deterministic(k, gamma);
-    let mechanism = Mechanism::new(&synthesizer, &split.seeds, test).unwrap();
+    // The scan oracle, and the σ-prefix store every session release takes:
+    // uncapped (the closed-form count) and with a `max_check_plausible` cap
+    // below the seed count (the block-counting kernel over the examined
+    // subset).  The checker recomputes each plausible set from model
+    // probabilities, independently of either store.
+    let prefix = PrefixIndexStore::build(&split.seeds, synthesizer.sigma()).unwrap();
+    let capped = test.with_limits(None, Some(split.seeds.len() / 2));
+    let mechanisms = [
+        Mechanism::new(&synthesizer, &split.seeds, test).unwrap(),
+        Mechanism::with_store(&synthesizer, &split.seeds, &prefix, test).unwrap(),
+        Mechanism::with_store(&synthesizer, &split.seeds, &prefix, capped).unwrap(),
+    ];
 
-    let mut checked = 0;
-    for _ in 0..200 {
-        let report = mechanism.propose(&mut rng).unwrap();
-        if report.released() {
-            let seed = split.seeds.record(report.seed_index);
-            assert!(
-                satisfies_plausible_deniability(
-                    &synthesizer,
-                    &split.seeds,
-                    seed,
-                    &report.record,
-                    k,
-                    gamma
-                )
-                .unwrap(),
-                "released record must satisfy ({k}, {gamma})-plausible deniability"
+    for mechanism in &mechanisms {
+        let mut checked = 0;
+        for _ in 0..200 {
+            let report = mechanism.propose(&mut rng).unwrap();
+            // A prefix test is one range lookup, never a fallback scan.
+            assert_eq!(
+                report.outcome.via_classes,
+                mechanism.store_kind() == "prefix"
             );
-            checked += 1;
-            if checked >= 10 {
-                break;
+            if report.released() {
+                let seed = split.seeds.record(report.seed_index);
+                assert!(
+                    satisfies_plausible_deniability(
+                        &synthesizer,
+                        &split.seeds,
+                        seed,
+                        &report.record,
+                        k,
+                        gamma
+                    )
+                    .unwrap(),
+                    "released record must satisfy ({k}, {gamma})-plausible deniability \
+                     through the {} store",
+                    mechanism.store_kind()
+                );
+                checked += 1;
+                if checked >= 10 {
+                    break;
+                }
             }
         }
+        assert!(
+            checked > 0,
+            "at least one candidate should have been released through the {} store",
+            mechanism.store_kind()
+        );
     }
-    assert!(
-        checked > 0,
-        "at least one candidate should have been released"
-    );
 }
 
 #[test]

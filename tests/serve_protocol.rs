@@ -545,6 +545,37 @@ fn rejections_carry_machine_readable_codes() {
 }
 
 #[test]
+fn a_repeated_session_name_is_rejected_before_binding() {
+    use sgf::serve::cap_admitting;
+    use std::io::ErrorKind;
+
+    let session = train_session(46);
+    let cap = cap_admitting(&session, 4).unwrap();
+    let entries = || {
+        vec![
+            SessionEntry::new(session.clone()).named("x").capped(cap),
+            SessionEntry::new(session.clone()).named("x"),
+        ]
+    };
+    let config = ServeConfig {
+        trace: false,
+        ..ServeConfig::default()
+    };
+    // Serving only the last "x" would silently drop the first one's cap.
+    let kind = serve(config.clone(), entries()).err().map(|e| e.kind());
+    assert_eq!(kind, Some(ErrorKind::InvalidInput));
+    // The name check runs before the bind: an address already in use still
+    // reports the duplicate.
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let occupied = ServeConfig {
+        addr: taken.local_addr().unwrap().to_string(),
+        ..config
+    };
+    let kind = serve(occupied, entries()).err().map(|e| e.kind());
+    assert_eq!(kind, Some(ErrorKind::InvalidInput));
+}
+
+#[test]
 fn shutdown_drains_and_rejects_late_requests() {
     let session = train_session(44);
     let handle = serve(ServeConfig::default(), vec![SessionEntry::new(session)]).unwrap();
