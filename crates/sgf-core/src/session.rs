@@ -1994,16 +1994,16 @@ mod tests {
     }
 
     #[test]
-    fn small_and_large_seed_stores_release_what_the_scan_releases() {
-        // A range lookup beats the scan at any size, so sessions serve small
-        // (< 512 seeds) and large seed stores alike from the prefix store — at
-        // a fixed ω and at the paper's ω ∈R [5-11] — and release exactly what
-        // the scan oracle releases.
+    fn auto_policy_uses_the_index_only_for_large_seed_stores() {
+        // The store policy is gone. A range lookup beats the scan at any
+        // size, so sessions serve small (< 512 seeds) and large seed stores
+        // alike from the prefix store — at a fixed ω and at the paper's
+        // ω ∈R [5-11] — and release exactly what the scan oracle releases.
         let bkt = acs_bucketizer(&acs_schema());
-        for (population, seed) in [(900, 23), (6000, 23), (4000, 24)] {
-            let data = generate_acs(population, seed);
-            let session = small_engine(seed).train(&data, &bkt).unwrap();
-            assert_eq!(session.seeds().len() < 512, population < 1000);
+        for (population, below_old_crossover) in [(900, true), (6000, false)] {
+            let data = generate_acs(population, 23);
+            let session = small_engine(23).train(&data, &bkt).unwrap();
+            assert_eq!(session.seeds().len() < 512, below_old_crossover);
             for omega in [
                 OmegaSpec::Fixed(9),
                 OmegaSpec::UniformRange { lo: 5, hi: 11 },
@@ -2024,6 +2024,28 @@ mod tests {
                 assert_eq!(scan.scan_tests, scan.candidates);
             }
         }
+    }
+
+    #[test]
+    fn auto_index_min_seeds_is_configurable() {
+        // With the `auto_index_min_seeds` knob and the store policy removed,
+        // nothing configures the store: a session above the removed 512
+        // crossover serves from the prefix store and releases what the scan
+        // oracle releases.
+        let bkt = acs_bucketizer(&acs_schema());
+        // ~1960 seeds: above the removed 512 crossover.
+        let data = generate_acs(4000, 24);
+        let session = small_engine(24).train(&data, &bkt).unwrap();
+        let request = GenerateRequest::new(5).with_seed(2);
+        let (records, scanned) = replay(&session, None, None, &request);
+        assert_eq!(
+            scanned.scan_tests, scanned.candidates,
+            "the oracle keeps every test on the scan"
+        );
+        let released = session.generate(&request).unwrap();
+        assert_eq!(released.stats.scan_tests, 0, "a session always indexes");
+        assert_eq!(released.provenance.store, "prefix");
+        assert_eq!(released.synthetics.records(), &records[..]);
     }
 
     #[test]
