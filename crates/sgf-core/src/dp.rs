@@ -165,8 +165,8 @@ impl ReleaseBudget {
     }
 }
 
-/// Cumulative differential-privacy accounting across *all* the `generate`
-/// requests served by one [`crate::session::SynthesisSession`].
+/// Cumulative differential-privacy accounting across *all* the releases
+/// served by one [`crate::session::SynthesisSession`].
 ///
 /// The model budgets (structure, parameters) are paid once at training time;
 /// every released record afterwards spends one per-release budget (Theorem 1),
@@ -184,19 +184,22 @@ impl ReleaseBudget {
 /// 1. [`try_reserve`](BudgetLedger::try_reserve) atomically checks that the
 ///    worst case — every already-released record, every outstanding
 ///    reservation, and the new request all fully released — stays within the
-///    cap, and records the reservation;
-/// 2. [`commit`](BudgetLedger::commit) converts a reservation into actual
-///    releases (freeing any unused part — a request may release fewer records
-///    than it reserved); a streaming release instead converts its
-///    reservation one record at a time
-///    ([`convert_reserved_release`](BudgetLedger::convert_reserved_release))
+///    cap, and records the reservation (an uncapped release reserves its
+///    target with [`reserve`](BudgetLedger::reserve), so every release in
+///    flight shows in `reserved`);
+/// 2. a stream converts its reservation one record at a time as records pass
+///    ([`convert_reserved_release`](BudgetLedger::convert_reserved_release)),
 ///    so the worst case stays exact mid-stream;
-/// 3. [`abort`](BudgetLedger::abort) frees a reservation untouched (queue
-///    overflow, request failure, the unstreamed remainder).
+/// 3. one [`commit`](BudgetLedger::commit) settles the request: it converts
+///    the rest of its releases and frees any unused part (a request may
+///    release fewer records than it reserved), or
+///    [`abort`](BudgetLedger::abort) frees the reservation untouched (queue
+///    overflow, request failure).
 ///
-/// As long as every `try_reserve` is balanced by commits/conversions and one
-/// final abort of the remainder, `reserved` returns to zero and the ledger
-/// equals the sum of the committed releases — property-tested in this module.
+/// As long as every reservation is balanced by conversions and one final
+/// commit or abort of the remainder, `reserved` returns to zero and the
+/// ledger equals the sum of the released records — property-tested in this
+/// module.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BudgetLedger {
     /// Budget spent learning the model structure on D_T (paid once).
@@ -208,7 +211,7 @@ pub struct BudgetLedger {
     pub per_release: Option<DpBudget>,
     /// Total records released across all requests so far.
     pub releases: usize,
-    /// Number of `generate` requests (or streaming iterators) served so far.
+    /// Number of requests (batch or stream) served so far.
     pub requests: usize,
     /// Records reserved by admitted-but-unfinished requests (see the
     /// two-phase admission protocol in the type docs).
@@ -239,12 +242,21 @@ impl BudgetLedger {
     /// A successful reservation must later be balanced by exactly one
     /// [`commit`](BudgetLedger::commit) or [`abort`](BudgetLedger::abort).
     pub fn try_reserve(&mut self, records: usize, cap: DpBudget) -> Result<()> {
-        let requested = self.total_for_releases(self.releases + self.reserved + records);
+        let worst = self.releases.saturating_add(self.reserved);
+        let requested = self.total_for_releases(worst.saturating_add(records));
         if requested.epsilon > cap.epsilon || requested.delta > cap.delta {
             return Err(CoreError::BudgetCapExceeded { requested, cap });
         }
-        self.reserved += records;
+        self.reserve(records);
         Ok(())
+    }
+
+    /// Reserve `records` releases without a cap check (an uncapped release),
+    /// settled like any [`try_reserve`](BudgetLedger::try_reserve).  The
+    /// count saturates: an uncapped session admits any target, and a huge
+    /// one must not overflow the ledger every other request shares.
+    pub fn reserve(&mut self, records: usize) {
+        self.reserved = self.reserved.saturating_add(records);
     }
 
     /// The end-to-end (ε, δ) this session would carry if its cumulative
@@ -257,19 +269,19 @@ impl BudgetLedger {
             .max(compose_releases(self.per_release, releases))
     }
 
-    /// Convert one reserved record into an actual release — the streaming
-    /// counterpart of [`commit`](BudgetLedger::commit), called as each record
-    /// is yielded so `releases + reserved` (and hence the worst case checked
-    /// by admission) stays exact for the whole stream.
+    /// Convert one reserved record into an actual release — called as each
+    /// streamed record passes, so `releases + reserved` (and hence the worst
+    /// case checked by admission) stays exact for the whole stream.
     pub fn convert_reserved_release(&mut self) {
         debug_assert!(self.reserved > 0, "converting with nothing reserved");
         self.reserved = self.reserved.saturating_sub(1);
         self.releases += 1;
     }
 
-    /// Commit a reservation of `reserved` records of which `released` were
-    /// actually released: the unused part of the reservation is freed and the
-    /// request is charged like any completed `generate` call.
+    /// Settle a request that still holds `reserved` reserved records, of
+    /// which `released` were released (and not yet converted): the unused
+    /// part of the reservation is freed, the releases are charged, and the
+    /// request is counted.
     pub fn commit(&mut self, reserved: usize, released: usize) {
         debug_assert!(
             reserved <= self.reserved,
@@ -299,19 +311,13 @@ impl BudgetLedger {
     /// fully released — the quantity [`try_reserve`](BudgetLedger::try_reserve)
     /// compares against the cap.
     pub fn reserved_total(&self) -> DpBudget {
-        self.total_for_releases(self.releases + self.reserved)
+        self.total_for_releases(self.releases.saturating_add(self.reserved))
     }
 
     /// Charge one completed request that released `released` records.
     pub fn record_request(&mut self, released: usize) {
         self.requests += 1;
         self.releases += released;
-    }
-
-    /// Charge one record released by a streaming iterator (the iterator's
-    /// request was already counted when it was opened).
-    pub fn record_streamed_release(&mut self) {
-        self.releases += 1;
     }
 
     /// Budget of the generative model alone (disjoint subsets ⇒ maximum).
@@ -450,7 +456,8 @@ mod tests {
         assert_eq!(ledger.cumulative_release(), DpBudget::pure(0.0));
         ledger.record_request(3);
         ledger.record_request(2);
-        ledger.record_streamed_release();
+        ledger.reserve(1);
+        ledger.convert_reserved_release();
         assert_eq!(ledger.requests, 2);
         assert_eq!(ledger.releases, 6);
         let cumulative = ledger.cumulative_release();
@@ -525,6 +532,20 @@ mod tests {
         assert_eq!(ledger.releases, 0);
         assert!(ledger.try_reserve(1, cap).is_err());
         assert!(ledger.reserved_total().epsilon > ledger.total().epsilon);
+    }
+
+    #[test]
+    fn huge_uncapped_reservations_saturate_instead_of_overflowing() {
+        let per_release = ReleaseBudget::at(50, 4.0, 1.0, 20).unwrap().budget;
+        let mut ledger = capped_ledger(per_release);
+        ledger.reserve(3);
+        ledger.convert_reserved_release();
+        ledger.reserve(usize::MAX);
+        assert_eq!(ledger.reserved, usize::MAX);
+        // The worst case and admission stay computable (no overflow panic).
+        assert!(ledger.reserved_total().epsilon > ledger.total().epsilon);
+        assert!(ledger.try_reserve(1, cap_for(&ledger, 10)).is_err());
+        assert!(ledger.to_json().contains("\"releases\":1"));
     }
 
     #[test]

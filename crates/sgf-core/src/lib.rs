@@ -15,8 +15,9 @@
 //!   the cumulative [`BudgetLedger`] of a long-lived session;
 //! * [`session`] — the staged **train once, serve many** API and the one
 //!   release path: a [`SynthesisEngine`] trains an immutable
-//!   [`SynthesisSession`] that tests every [`GenerateRequest`], over any
-//!   [`sgf_model::GenerativeModel`], against its σ-prefix seed store;
+//!   [`SynthesisSession`] that tests every [`GenerateRequest`], batch or
+//!   streamed, over any [`sgf_model::GenerativeModel`], against its σ-prefix
+//!   seed store;
 //! * [`pipeline`] — the configuration (the Rust counterpart of the paper's
 //!   C++ tool config) and [`learn_models`], the training phase on its own.
 //!
@@ -55,8 +56,8 @@ pub use mechanism::{
 pub use pipeline::{learn_models, PipelineConfig, TrainedModels};
 pub use privacy_test::{run_privacy_test, run_with_store, PrivacyTestConfig, TestOutcome};
 pub use session::{
-    request_worker_seed, EngineBuilder, GenerateRequest, ReleaseIter, ReleaseReport,
-    SynthesisEngine, SynthesisSession,
+    request_worker_seed, EngineBuilder, GenerateRequest, ReleaseReport, SynthesisEngine,
+    SynthesisSession,
 };
 pub use sgf_index::{
     InvertedIndexStore, LinearScanStore, PartitionIndexStore, PrefixIndexStore, SeedStore,

@@ -169,8 +169,8 @@ impl MechanismStats {
 /// test configuration: sample a seed uniformly, generate a candidate, test it
 /// with the full linear scan.
 ///
-/// This is the validation-free hot path shared by [`Mechanism::propose`] and
-/// the owning session iterators; callers are responsible for having validated
+/// This is the validation-free hot path behind [`Mechanism::propose`];
+/// callers are responsible for having validated
 /// `test` (and the seed store size) up front, e.g. via [`Mechanism::new`].
 pub fn propose_candidate<M: GenerativeModel + ?Sized, R: Rng + ?Sized>(
     model: &M,
@@ -265,11 +265,6 @@ impl<'a, M: GenerativeModel + ?Sized> Mechanism<'a, M> {
             store,
             test,
         })
-    }
-
-    /// The privacy-test configuration in force.
-    pub fn test_config(&self) -> &PrivacyTestConfig {
-        &self.test
     }
 
     /// [`SeedStore::kind`] of the store the privacy tests query (`"scan"`

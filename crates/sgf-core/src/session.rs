@@ -11,24 +11,26 @@
 //!    with its own target, ω, seed, and worker count — while a cumulative
 //!    [`BudgetLedger`] composes the per-release (ε, δ) of Theorem 1 across
 //!    every request served;
-//! 4. [`SynthesisSession::release_iter`] streams released records one at a
-//!    time for services that consume them incrementally.
+//! 4. [`SynthesisSession::release_stream`] hands each released record to a
+//!    callback the moment it passes, for services that consume them
+//!    incrementally.
 //!
 //! The mechanism fan-out is generic over [`GenerativeModel`], so the marginal
 //! baseline (or any future model) plugs into the same plausible-deniability
 //! test via [`SynthesisSession::generate_with`].
 //!
-//! Every release — `generate`, `generate_with`, `release_iter` — is tested
-//! against the session's σ-prefix store ([`PrefixIndexStore`]), which counts
-//! the plausible seeds of a seed-synthesizer candidate with one range lookup
-//! at any ω.  All stores are decision-equivalent; the full scan stays the
-//! reference oracle, reached as [`sgf_index::LinearScanStore`] /
+//! Every release — `generate`, `generate_with`, `release_stream` — runs
+//! through one engine (`run_mechanism`), settles one ledger reservation, and
+//! is tested against the session's σ-prefix store ([`PrefixIndexStore`]),
+//! which counts the plausible seeds of a seed-synthesizer candidate with one
+//! range lookup at any ω.  All stores are decision-equivalent; the full scan
+//! stays the reference oracle, reached as [`sgf_index::LinearScanStore`] /
 //! [`Mechanism::new`], and a `workers = 1` request replays over any store
 //! from [`request_worker_seed`]`(request.seed, 0)`.
 
 use crate::dp::BudgetLedger;
 use crate::error::{CoreError, Result};
-use crate::mechanism::{propose_candidate_with_store, Mechanism, MechanismStats};
+use crate::mechanism::{Mechanism, MechanismStats};
 use crate::pipeline::{learn_models, marginal_config, PipelineConfig, TrainedModels};
 use crate::privacy_test::PrivacyTestConfig;
 use rand::rngs::StdRng;
@@ -239,10 +241,8 @@ pub struct GenerateRequest {
     /// Per-request ω override (`None` uses the session default).
     pub omega: Option<OmegaSpec>,
     /// Per-request worker-count override (`None` uses the session default;
-    /// 1 to 64).  Applies to [`SynthesisSession::generate`] /
-    /// [`SynthesisSession::generate_with`] only; the streaming
-    /// [`SynthesisSession::release_iter`] always proposes on the calling
-    /// thread.
+    /// 1 to 64).  [`SynthesisSession::release_stream`] validates it but
+    /// always proposes on one worker, on the calling thread.
     pub workers: Option<usize>,
     /// Per-request proposal-cap override (`None` uses the session default).
     pub max_candidate_factor: Option<usize>,
@@ -288,10 +288,11 @@ impl GenerateRequest {
     }
 }
 
-/// Everything one `generate` request produced.
+/// Everything one release request produced.
 #[derive(Debug)]
 pub struct ReleaseReport {
-    /// The released synthetic records.
+    /// The released synthetic records (empty for a stream: its records went
+    /// to the callback as they passed).
     pub synthetics: Dataset,
     /// Mechanism statistics for this request.
     pub stats: MechanismStats,
@@ -661,20 +662,11 @@ impl SynthesisSession {
 
     /// A snapshot of the cumulative privacy ledger.
     pub fn ledger(&self) -> BudgetLedger {
-        *self.ledger.lock().expect("ledger lock poisoned")
+        *self.lock_ledger()
     }
 
-    /// Flush the statistics of a finished streaming release into the metrics
-    /// registry (scoped to the session's label set when one was attached with
-    /// [`with_scope`](SynthesisSession::with_scope)).
-    ///
-    /// [`release_iter`](SynthesisSession::release_iter) itself never touches
-    /// the registry — a streaming caller decides when (and whether) the
-    /// request's counters are observed, typically once per drained iterator.
-    /// The scoped handles write both the global rollup and the scope cell, so
-    /// callers must invoke this at most once per iterator.
-    pub fn flush_stream_stats(&self, stats: &MechanismStats) {
-        stats.flush(self.scope.as_ref(), &[], None);
+    fn lock_ledger(&self) -> std::sync::MutexGuard<'_, BudgetLedger> {
+        self.ledger.lock().expect("ledger lock poisoned")
     }
 
     /// Atomically reserve budget for up to `records` releases under the
@@ -685,30 +677,25 @@ impl SynthesisSession {
     /// concurrent requests can never jointly overshoot the cap.  A successful
     /// reservation must be settled by exactly one
     /// [`generate_reserved`](SynthesisSession::generate_reserved) /
-    /// [`generate_reserved_with`](SynthesisSession::generate_reserved_with)
-    /// call or one [`abort_reservation`](SynthesisSession::abort_reservation).
+    /// [`generate_reserved_with`](SynthesisSession::generate_reserved_with) /
+    /// [`release_stream`](SynthesisSession::release_stream) call or one
+    /// [`abort_reservation`](SynthesisSession::abort_reservation).
     pub fn try_reserve(&self, records: usize, cap: DpBudget) -> Result<()> {
-        self.ledger
-            .lock()
-            .expect("ledger lock poisoned")
-            .try_reserve(records, cap)
+        self.lock_ledger().try_reserve(records, cap)
     }
 
     /// Free a reservation made with
     /// [`try_reserve`](SynthesisSession::try_reserve) without releasing
     /// anything (the request was rejected downstream or failed).
     pub fn abort_reservation(&self, records: usize) {
-        self.ledger
-            .lock()
-            .expect("ledger lock poisoned")
-            .abort(records);
+        self.lock_ledger().abort(records);
     }
 
     /// Serve one request with the session's own seed-based synthesizer: build
     /// one fixed-ω synthesizer per admissible ω and fan candidate generation
     /// out over the request's worker count.
     pub fn generate(&self, request: &GenerateRequest) -> Result<ReleaseReport> {
-        self.generate_seeded(request, None)
+        self.generate_seeded(request, None, None)
     }
 
     /// Serve one request against a prior reservation of `reserved` records
@@ -721,8 +708,7 @@ impl SynthesisSession {
         reserved: usize,
         request: &GenerateRequest,
     ) -> Result<ReleaseReport> {
-        self.generate_seeded(request, Some(reserved))
-            .inspect_err(|_| self.abort_reservation(reserved))
+        self.generate_seeded(request, Some(reserved), None)
     }
 
     /// [`generate_with`](SynthesisSession::generate_with) against a prior
@@ -734,34 +720,61 @@ impl SynthesisSession {
         reserved: usize,
         request: &GenerateRequest,
     ) -> Result<ReleaseReport> {
-        self.check_reservation(reserved, request)
-            .and_then(|_| self.generate_over(&[model], request, Some(reserved)))
-            .inspect_err(|_| self.abort_reservation(reserved))
+        self.generate_over(&[model], request, Some(reserved), None)
     }
 
-    /// The seed-synthesizer generate path, optionally settling a reservation.
+    /// Serve one request through an *arbitrary* generative model — the same
+    /// plausible-deniability mechanism and budget accounting, with `model`
+    /// (e.g. the marginal baseline, or a `&dyn GenerativeModel` trait object)
+    /// in place of the seed-based synthesizer.
+    pub fn generate_with<M: GenerativeModel + ?Sized>(
+        &self,
+        model: &M,
+        request: &GenerateRequest,
+    ) -> Result<ReleaseReport> {
+        self.generate_over(&[model], request, None, None)
+    }
+
+    /// Stream one seed-model release: each record goes to `emit` the moment
+    /// it passes the privacy test, and `emit` returning `false` (the consumer
+    /// hung up) stops proposing; the record it refused still counts as
+    /// released.
+    ///
+    /// A stream proposes on one worker, on the calling thread (the request's
+    /// `workers` override is validated, then ignored).  There every pass is
+    /// final and in rank order, so a stream releases exactly the records of a
+    /// `workers = 1` [`generate`](SynthesisSession::generate) with the same
+    /// seed, in the same order, and records the same metrics, trace spans and
+    /// report — except that the report's `synthetics` is empty, because the
+    /// engine does not buffer streamed records.
+    ///
+    /// `reserved` is a prior [`try_reserve`](SynthesisSession::try_reserve)
+    /// of at least `request.target` records (`None` reserves the target
+    /// without a cap check).  Each released record converts one reserved
+    /// record before it reaches `emit`, so `releases + reserved` stays exact
+    /// mid-stream, and the remainder is settled when the stream ends, on
+    /// error too.
+    pub fn release_stream(
+        &self,
+        request: &GenerateRequest,
+        reserved: Option<usize>,
+        mut emit: impl FnMut(Record) -> bool,
+    ) -> Result<ReleaseReport> {
+        self.generate_seeded(request, reserved, Some(&mut emit))
+    }
+
+    /// The seed-synthesizer release path.
     fn generate_seeded(
         &self,
         request: &GenerateRequest,
-        reservation: Option<usize>,
+        reserved: Option<usize>,
+        emit: Option<&mut dyn FnMut(Record) -> bool>,
     ) -> Result<ReleaseReport> {
-        if let Some(reserved) = reservation {
-            self.check_reservation(reserved, request)?;
-        }
-        let synthesizers = self.build_synthesizers(request.omega.unwrap_or(self.config.omega))?;
+        let synthesizers = self
+            .build_synthesizers(request.omega.unwrap_or(self.config.omega))
+            .inspect_err(|_| reserved.map_or((), |r| self.abort_reservation(r)))?;
         let refs: Vec<&SeedSynthesizer> = synthesizers.iter().collect();
-        self.generate_over(&refs, request, reservation)
-    }
-
-    /// A reserved request may not target more records than were admitted.
-    fn check_reservation(&self, reserved: usize, request: &GenerateRequest) -> Result<()> {
-        if request.target > reserved {
-            return Err(CoreError::InvalidParameter(format!(
-                "request targets {} records but only {} were reserved at admission",
-                request.target, reserved
-            )));
-        }
-        Ok(())
+        self.generate_over(&refs, request, reserved, emit)
     }
 
     /// One fixed-ω synthesizer per admissible ω of `omega` (the mechanism
@@ -776,77 +789,6 @@ impl SynthesisSession {
         Ok((lo..=hi)
             .map(|w| SeedSynthesizer::new(Arc::clone(&self.shared.models.cpts), w))
             .collect::<sgf_model::Result<_>>()?)
-    }
-
-    /// Serve one request through an *arbitrary* generative model — the same
-    /// plausible-deniability mechanism and budget accounting, with `model`
-    /// (e.g. the marginal baseline, or a `&dyn GenerativeModel` trait object)
-    /// in place of the seed-based synthesizer.
-    pub fn generate_with<M: GenerativeModel + ?Sized>(
-        &self,
-        model: &M,
-        request: &GenerateRequest,
-    ) -> Result<ReleaseReport> {
-        self.generate_over(&[model], request, None)
-    }
-
-    /// Open a streaming iterator over released records.  Records are proposed
-    /// and tested lazily as the iterator is advanced; each released record is
-    /// charged to the session ledger as it is yielded.
-    ///
-    /// Streaming is inherently sequential: proposals run on the calling
-    /// thread and the request's `workers` override is ignored.  Use
-    /// [`generate`](SynthesisSession::generate) for parallel fan-out.
-    pub fn release_iter(&self, request: GenerateRequest) -> Result<ReleaseIter<'_>> {
-        self.open_release_iter(request, false)
-    }
-
-    /// [`release_iter`](SynthesisSession::release_iter) against a prior
-    /// reservation of `reserved` records (`request.target` must not exceed
-    /// it).  Each yielded record *converts* one reserved record into a
-    /// release, so the ledger's worst case stays exact for the whole stream;
-    /// when the stream finishes, the caller settles the remainder with
-    /// [`abort_reservation`](SynthesisSession::abort_reservation)
-    /// (`reserved` minus the records actually yielded).  An open error
-    /// settles the whole reservation.
-    pub fn release_iter_reserved(
-        &self,
-        reserved: usize,
-        request: GenerateRequest,
-    ) -> Result<ReleaseIter<'_>> {
-        self.check_reservation(reserved, &request)
-            .and_then(|_| self.open_release_iter(request, true))
-            .inspect_err(|_| self.abort_reservation(reserved))
-    }
-
-    fn open_release_iter(
-        &self,
-        request: GenerateRequest,
-        from_reservation: bool,
-    ) -> Result<ReleaseIter<'_>> {
-        let (target, _workers, max_candidates) = self.request_limits(&request)?;
-        let models = self.build_synthesizers(request.omega.unwrap_or(self.config.omega))?;
-        let store = self.shared.prefix.get();
-        // Validate the mechanism inputs once; `next` uses the raw hot path.
-        Mechanism::with_store(&models[0], self.seeds(), store, self.config.privacy_test)?;
-        let ledger_before = {
-            let mut guard = self.ledger.lock().expect("ledger lock poisoned");
-            let before = *guard;
-            guard.record_request(0);
-            before
-        };
-        Ok(ReleaseIter {
-            session: self,
-            models,
-            store,
-            rng: StdRng::seed_from_u64(request_worker_seed(request.seed, 0)),
-            stats: MechanismStats::default(),
-            target,
-            max_candidates,
-            from_reservation,
-            request,
-            ledger_before,
-        })
     }
 
     /// Validate and resolve the per-request limits against session defaults.
@@ -873,30 +815,68 @@ impl SynthesisSession {
         ))
     }
 
+    /// Every session release: run Mechanism 1 under one reservation and
+    /// settle it exactly once.  `reserved: None` reserves the target without
+    /// a cap check, so an in-flight request always shows in
+    /// `ledger.reserved`.  A stream (`emit`) converts each released record as
+    /// it passes; a batch converts its releases at the end.  The settlement
+    /// then commits the remainder, or on error frees every record not yet
+    /// converted.
     fn generate_over<M: GenerativeModel + ?Sized>(
         &self,
         models: &[&M],
         request: &GenerateRequest,
-        reservation: Option<usize>,
+        reserved: Option<usize>,
+        emit: Option<&mut dyn FnMut(Record) -> bool>,
     ) -> Result<ReleaseReport> {
-        let (target, workers, max_candidates) = self.request_limits(request)?;
+        let reserved = reserved.unwrap_or_else(|| {
+            self.lock_ledger().reserve(request.target);
+            request.target
+        });
         let store = self.shared.prefix.get();
         let ledger_before = self.ledger();
         let tracing = sgf_metrics::trace().enabled();
         let mut probes: Vec<CandidateProbe> = Vec::new();
+        let mut converted = 0usize;
         let start = Instant::now();
-        let (records, stats) = run_mechanism(
-            models,
-            self.seeds(),
-            store,
-            self.config.privacy_test,
-            target,
-            max_candidates,
-            workers,
-            request.seed,
-            self.scope.as_ref(),
-            tracing.then_some(&mut probes),
-        )?;
+        let run = self.request_limits(request).and_then(|(target, workers, max_candidates)| {
+            if target > reserved {
+                return Err(CoreError::InvalidParameter(format!(
+                    "request targets {target} records but only {reserved} were reserved at admission"
+                )));
+            }
+            let workers = if emit.is_some() { 1 } else { workers };
+            let mut convert = emit.map(|emit| {
+                let converted = &mut converted;
+                move |record: Record| {
+                    self.lock_ledger().convert_reserved_release();
+                    *converted += 1;
+                    emit(record)
+                }
+            });
+            let (records, stats) = run_mechanism(
+                models,
+                self.seeds(),
+                store,
+                self.config.privacy_test,
+                target,
+                max_candidates,
+                workers,
+                request.seed,
+                self.scope.as_ref(),
+                tracing.then_some(&mut probes),
+                convert.as_mut().map(|f| f as &mut dyn FnMut(Record) -> bool),
+            )?;
+            Ok((records, stats, target, workers, max_candidates))
+        });
+        let (records, stats, target, workers, max_candidates) = match run {
+            Ok(run) => run,
+            Err(err) => {
+                // Records a stream already released stay charged.
+                self.abort_reservation(reserved - converted);
+                return Err(err);
+            }
+        };
         let synthesis = start.elapsed();
         match &self.scope {
             Some(scope) => sgf_metrics::scoped(scope)
@@ -905,11 +885,8 @@ impl SynthesisSession {
             None => sgf_metrics::timer("core.synthesis").observe(synthesis),
         }
         let ledger = {
-            let mut guard = self.ledger.lock().expect("ledger lock poisoned");
-            match reservation {
-                Some(reserved) => guard.commit(reserved, stats.released),
-                None => guard.record_request(stats.released),
-            }
+            let mut guard = self.lock_ledger();
+            guard.commit(reserved - converted, stats.released - converted);
             *guard
         };
         let trace_spans = if tracing {
@@ -957,7 +934,7 @@ impl SynthesisSession {
     /// while clones are still alive they are cloned instead (and the returned
     /// ledger is a snapshot of the shared one).
     pub fn into_parts(self) -> (DataSplit, TrainedModels, BudgetLedger) {
-        let ledger = *self.ledger.lock().expect("ledger lock poisoned");
+        let ledger = self.ledger();
         match Arc::try_unwrap(self.shared) {
             Ok(shared) => (shared.split, shared.models, ledger),
             Err(arc) => (arc.split.clone(), arc.models.clone(), ledger),
@@ -1231,93 +1208,6 @@ fn apply_subset_delta(
     ))
 }
 
-/// Streaming iterator over released records (see
-/// [`SynthesisSession::release_iter`]).  Yields `Ok(record)` for every
-/// candidate that passes the privacy test, stops after the request target or
-/// the proposal cap, whichever comes first.
-#[derive(Debug)]
-pub struct ReleaseIter<'s> {
-    session: &'s SynthesisSession,
-    models: Vec<SeedSynthesizer>,
-    store: &'s dyn SeedStore,
-    rng: StdRng,
-    stats: MechanismStats,
-    target: usize,
-    max_candidates: usize,
-    /// Opened via [`SynthesisSession::release_iter_reserved`]: each yielded
-    /// record converts one reserved record instead of charging anew.
-    from_reservation: bool,
-    /// The request this iterator serves, kept for the provenance block.
-    request: GenerateRequest,
-    /// Ledger snapshot taken just before this request was recorded.
-    ledger_before: BudgetLedger,
-}
-
-impl ReleaseIter<'_> {
-    /// Statistics over the candidates proposed so far.
-    pub fn stats(&self) -> MechanismStats {
-        self.stats
-    }
-
-    /// Provenance of this streaming release.  Streaming always proposes on
-    /// the calling thread (`workers: 1`) and commits no trace spans of its
-    /// own, so those fields are fixed; the ledger snapshot is the one taken
-    /// when the iterator was opened.
-    pub fn provenance(&self) -> Provenance {
-        Provenance {
-            store: self.store.kind(),
-            seeds: self.session.seeds().len(),
-            omega: self.request.omega.unwrap_or(self.session.config.omega),
-            workers: 1,
-            max_candidates: self.max_candidates,
-            k: self.session.config.privacy_test.k,
-            gamma: self.session.config.privacy_test.gamma,
-            epsilon0: self.session.config.privacy_test.epsilon0,
-            request_seed: self.request.seed,
-            epoch: self.session.epoch,
-            ledger_before: self.ledger_before,
-            trace_spans: 0,
-        }
-    }
-}
-
-impl Iterator for ReleaseIter<'_> {
-    type Item = Result<Record>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.stats.released < self.target && self.stats.candidates < self.max_candidates {
-            let which = if self.models.len() == 1 {
-                0
-            } else {
-                self.rng.gen_range(0..self.models.len())
-            };
-            let report = match propose_candidate_with_store(
-                &self.models[which],
-                self.session.seeds(),
-                self.store,
-                &self.session.config.privacy_test,
-                &mut self.rng,
-            ) {
-                Ok(report) => report,
-                Err(err) => return Some(Err(err)),
-            };
-            self.stats.observe(&report.outcome);
-            if report.released() {
-                self.stats.released += 1;
-                let mut ledger = self.session.ledger.lock().expect("ledger lock poisoned");
-                if self.from_reservation {
-                    ledger.convert_reserved_release();
-                } else {
-                    ledger.record_streamed_release();
-                }
-                drop(ledger);
-                return Some(Ok(report.record));
-            }
-        }
-        None
-    }
-}
-
 /// Theorem-1 per-release budget for a privacy-test configuration (tightest ε
 /// with δ ≤ 1e-6), or `None` for the deterministic test.
 pub(crate) fn per_release_budget(test: &PrivacyTestConfig) -> Option<DpBudget> {
@@ -1330,11 +1220,11 @@ pub(crate) fn per_release_budget(test: &PrivacyTestConfig) -> Option<DpBudget> {
 
 /// The RNG seed of worker `worker` of a request seeded with `request_seed`.
 ///
-/// Worker `w` of a `generate` drives its proposals from
-/// `StdRng::seed_from_u64(request_worker_seed(request.seed, w))`, and the
-/// streaming [`ReleaseIter`] from worker 0's stream, so a `workers = 1`
-/// request replays over any seed store as
-/// `Mechanism::with_store(..).release_until(..)` from that RNG.
+/// Worker `w` of a release drives its proposals from
+/// `StdRng::seed_from_u64(request_worker_seed(request.seed, w))`.  A stream
+/// runs worker 0 alone, so a stream or a `workers = 1` request replays over
+/// any seed store as `Mechanism::with_store(..).release_until(..)` from that
+/// RNG.
 pub fn request_worker_seed(request_seed: u64, worker: usize) -> u64 {
     request_seed
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -1461,6 +1351,7 @@ impl Ord for RankedRecord {
 struct WorkerProfile {
     /// Times this worker acquired the shared selection lock (once per
     /// *passing* candidate — failing candidates never touch shared state).
+    /// A stream hands each pass to its caller instead, counted the same way.
     selection_locks: u64,
     /// Passing candidates that lost to a full selection of smaller ranks
     /// (wasted proposals the rank threshold did not stop in time).
@@ -1474,31 +1365,31 @@ impl WorkerProfile {
     }
 }
 
-/// The model-generic parallel release engine behind every session `generate`:
-/// build (and validate) every [`Mechanism`] exactly once, then fan proposals
-/// out over the workers.
+/// The model-generic release engine behind every session release: build
+/// (and validate) every [`Mechanism`] exactly once, then fan proposals out
+/// over the workers.
 ///
 /// # Determinism and contention
 ///
-/// Earlier revisions coordinated workers through two shared atomics bumped on
-/// **every proposal** (a `fetch_add` candidate ticket plus a released-slot
-/// reservation counter) — a cache-line ping-pong between all workers, and the
-/// winner of the slot race varied run to run, so multi-worker releases were
-/// nondeterministic.  The loop now statically shards the proposal space:
-/// worker `w` owns ranks `w, w + workers, w + 2·workers, …  < max_candidates`
-/// (exactly the tickets it could win before, assigned up front), drives its
-/// private RNG stream, and touches shared state only when a candidate
-/// **passes** the privacy test.  Passing candidates enter a bounded max-heap
-/// of capacity `target` under a mutex — the release selection is the `target`
+/// The loop statically shards the proposal space: worker `w` owns ranks
+/// `w, w + workers, w + 2·workers, …  < max_candidates`, drives its private
+/// RNG stream, and touches shared state only when a candidate **passes** the
+/// privacy test.  Passing candidates enter a bounded max-heap of capacity
+/// `target` under a mutex — the release selection is the `target`
 /// *smallest-rank* passing candidates — and a lock-free threshold mirror of
 /// the heap's max rank lets workers stop early: once the heap is full, the
 /// threshold only decreases, so a worker whose next rank exceeds it can never
 /// displace a selected record (ranks are unique, and every later rank of that
 /// worker is larger still).  Skipped proposals therefore cannot change the
 /// selection, which makes the released records — sorted by rank on return —
-/// **identical across runs and byte-identical at `workers = 1`** to the
-/// sequential [`ReleaseIter`] order.  Per-proposal shared traffic is one
-/// relaxed load of a cache-padded threshold.
+/// **identical across runs**.  Per-proposal shared traffic is one relaxed
+/// load of a cache-padded threshold.
+///
+/// With `emit` (a stream) the engine runs one worker, where every pass is
+/// final and in rank order: each passing record goes straight to `emit`
+/// instead of the heap, and `emit` returning `false` stops proposing.  The
+/// stream therefore releases the records a `workers = 1` call selects, in
+/// the same order, from the same candidates.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
     models: &[&M],
@@ -1511,6 +1402,7 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
     request_seed: u64,
     scope: Option<&Scope>,
     probes_out: Option<&mut Vec<CandidateProbe>>,
+    emit: Option<&mut dyn FnMut(Record) -> bool>,
 ) -> Result<(Vec<Record>, MechanismStats)> {
     if models.is_empty() {
         return Err(CoreError::InvalidParameter(
@@ -1524,6 +1416,7 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
         .map(|m| Mechanism::with_store(*m, seeds, store, test))
         .collect::<Result<_>>()?;
 
+    debug_assert!(emit.is_none() || workers == 1, "a stream runs one worker");
     let workers = workers.min(max_candidates.max(1));
     // `target` and `workers` come from the request: the heap and the handle
     // list grow as they are used instead of preallocating from them.
@@ -1544,6 +1437,7 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
             &selection,
             &threshold,
             collect_probes,
+            emit,
         )]
     } else {
         std::thread::scope(|scope| {
@@ -1563,6 +1457,7 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
                         selection,
                         threshold,
                         collect_probes,
+                        None,
                     )
                 }));
             }
@@ -1599,11 +1494,11 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
         .into_iter()
         .map(|ranked| ranked.record)
         .collect();
-    debug_assert!(records.len() <= target, "selection grew past the target");
     // The heap caps releases at the target; workers cannot know which of
     // their passes survive the selection, so the released total is settled
-    // here instead of per worker.
-    stats.released = records.len();
+    // here instead of per worker.  A stream counted its emitted records.
+    stats.released += records.len();
+    debug_assert!(stats.released <= target, "released past the target");
 
     let contention = [
         ("selection_locks", profile.selection_locks),
@@ -1625,6 +1520,7 @@ fn worker_loop<M: GenerativeModel + ?Sized>(
     selection: &Mutex<BinaryHeap<RankedRecord>>,
     threshold: &AtomicUsize,
     collect_probes: bool,
+    mut emit: Option<&mut dyn FnMut(Record) -> bool>,
 ) -> Result<(MechanismStats, WorkerProfile, Vec<CandidateProbe>)> {
     let mut rng = StdRng::seed_from_u64(worker_seed);
     let mut stats = MechanismStats::default();
@@ -1659,10 +1555,19 @@ fn worker_loop<M: GenerativeModel + ?Sized>(
             });
         }
         if report.released() {
+            profile.selection_locks += 1;
+            if let Some(emit) = emit.as_deref_mut() {
+                // A stream's lone worker: every pass is final, in rank order.
+                stats.released += 1;
+                if !emit(report.record) || stats.released == target {
+                    break;
+                }
+                rank += workers;
+                continue;
+            }
             let mut heap = selection
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
-            profile.selection_locks += 1;
             if heap.len() < target {
                 heap.push(RankedRecord {
                     rank,
@@ -1694,7 +1599,7 @@ fn worker_loop<M: GenerativeModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanism::propose_candidate;
+    use crate::mechanism::{propose_candidate, propose_candidate_with_store};
     use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
 
     /// Replay a `workers = 1` request the way `generate` runs it, over
@@ -1805,27 +1710,29 @@ mod tests {
     }
 
     #[test]
-    fn release_iter_streams_and_charges_the_ledger() {
+    fn release_stream_emits_and_charges_the_ledger() {
         let data = generate_acs(3500, 13);
         let bkt = acs_bucketizer(&acs_schema());
         let session = small_engine(13).train(&data, &bkt).unwrap();
-        let mut iter = session
-            .release_iter(GenerateRequest::new(8).with_seed(5))
+        let mut streamed: Vec<Record> = Vec::new();
+        let stream = session
+            .release_stream(&GenerateRequest::new(8).with_seed(5), None, |record| {
+                data.schema().validate_values(record.values()).unwrap();
+                streamed.push(record);
+                // Each record is charged before it reaches the callback.
+                assert_eq!(session.ledger().releases, streamed.len());
+                true
+            })
             .unwrap();
-        let first = iter.next().unwrap().unwrap();
-        data.schema().validate_values(first.values()).unwrap();
-        assert_eq!(session.ledger().releases, 1);
-        let rest: Vec<_> = iter.by_ref().map(|r| r.unwrap()).collect();
-        assert!(rest.len() <= 7);
-        assert_eq!(session.ledger().releases, 1 + rest.len());
-        assert_eq!(iter.stats().released, 1 + rest.len());
-        assert!(iter.stats().candidates >= iter.stats().released);
+        assert!(!streamed.is_empty() && streamed.len() <= 8);
+        assert_eq!(session.ledger().releases, streamed.len());
+        assert_eq!(stream.stats.released, streamed.len());
+        assert!(stream.stats.candidates >= stream.stats.released);
+        assert!(stream.synthetics.is_empty(), "a stream buffers nothing");
         // A single-worker generate with the same seed releases the same records.
         let report = session
             .generate(&GenerateRequest::new(8).with_seed(5).with_workers(1))
             .unwrap();
-        let mut streamed = vec![first];
-        streamed.extend(rest);
         assert_eq!(report.synthetics.records(), &streamed[..]);
     }
 
@@ -2106,11 +2013,13 @@ mod tests {
         let generated = session
             .generate(&GenerateRequest::new(10).with_seed(9).with_workers(1))
             .unwrap();
-        let streamed: Vec<Record> = session
-            .release_iter(GenerateRequest::new(10).with_seed(9))
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
+        let mut streamed: Vec<Record> = Vec::new();
+        session
+            .release_stream(&GenerateRequest::new(10).with_seed(9), None, |r| {
+                streamed.push(r);
+                true
+            })
+            .unwrap();
         assert_eq!(generated.synthetics.records(), &streamed[..]);
     }
 

@@ -9,7 +9,7 @@
 
 use rand::Rng;
 use sgf_data::Dataset;
-use sgf_ml::{encode_dataset, Classifier, Encoding, ForestConfig, RandomForest};
+use sgf_ml::{Classifier, ForestConfig, RandomForest};
 use sgf_model::{BayesNetModel, MarginalModel};
 use sgf_stats::Histogram;
 
@@ -162,20 +162,6 @@ pub fn model_accuracy<R: Rng + ?Sized>(
         marginals: marginal_accuracy(marginal, evaluation),
         random: random_guess_accuracy(evaluation),
     }
-}
-
-/// Convenience wrapper: evaluate the income-classification usefulness of the
-/// generative model (not used by a figure directly, but handy in examples).
-pub fn income_prediction_accuracy<R: Rng + ?Sized>(
-    train: &Dataset,
-    evaluation: &Dataset,
-    target_attr: usize,
-    rng: &mut R,
-) -> f64 {
-    let train_ml = encode_dataset(train, target_attr, Encoding::Ordinal);
-    let eval_ml = encode_dataset(evaluation, target_attr, Encoding::Ordinal);
-    let forest = RandomForest::fit(&train_ml, &ForestConfig::default(), rng);
-    sgf_ml::accuracy(&forest, &eval_ml)
 }
 
 #[cfg(test)]

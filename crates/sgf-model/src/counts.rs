@@ -87,11 +87,6 @@ impl StructureCounts {
         self.records
     }
 
-    /// Number of attributes.
-    pub fn attribute_count(&self) -> usize {
-        self.m
-    }
-
     fn add_record(&mut self, record: &Record, bucketizer: &Bucketizer) {
         let buckets: Vec<usize> = (0..self.m)
             .map(|attr| bucketizer.bucket_of(attr, record.get(attr)) as usize)

@@ -82,8 +82,8 @@ pub struct GenerateCall {
     pub session: String,
     /// The core request (target, seed, per-request overrides).
     pub request: GenerateRequest,
-    /// Stream records as they are released (via the session's `ReleaseIter`)
-    /// instead of generating the whole batch first.
+    /// Stream each record the moment it passes (through the session's
+    /// `release_stream`) instead of generating the whole batch first.
     pub stream: bool,
     /// Which generative model to run.
     pub model: ModelKind,

@@ -1032,8 +1032,8 @@ fn serve_job(job: Job, fold: Option<&FoldInfo>) {
         out,
         request_id,
     } = job;
-    // The worker takes over the reservation: from here, the generate path (or
-    // the explicit abort on the streaming path) settles it exactly once.
+    // The worker takes over the reservation: from here, the session's release
+    // (or the marginal-stream rejection) settles it exactly once.
     let reserved = reservation.map(ReservationGuard::take);
     let fold = fold.map(|info| (info, request_id));
     if call.stream {
@@ -1102,26 +1102,6 @@ fn serve_batch(
     }
 }
 
-/// Settle the part of a stream's reservation it did not convert into
-/// releases.  An over-delivering stream (`released > reserved`) breaks the
-/// reservation invariant — the ledger may now undercount the session's
-/// worst case — so beyond settling to zero (never underflow-panicking the
-/// worker), the violation is made observable: a `serve.over_delivered`
-/// counter tick plus one structured warning line on stderr.
-fn settle_stream_reservation(session: &SynthesisSession, reserved: usize, released: usize) {
-    if released > reserved {
-        sgf_metrics::counter("serve.over_delivered").incr();
-        // Never `eprintln!`: a closed stderr must not panic a worker (R3).
-        let line = Json::obj([
-            ("log", "serve.over_delivered".into()),
-            ("reserved", reserved.into()),
-            ("released", released.into()),
-        ]);
-        let _ = writeln!(std::io::stderr().lock(), "{}", line.render());
-    }
-    session.abort_reservation(reserved.saturating_sub(released));
-}
-
 fn serve_stream(
     session: &SynthesisSession,
     call: GenerateCall,
@@ -1130,8 +1110,8 @@ fn serve_stream(
     out: &Mutex<TcpStream>,
 ) {
     if call.model == ModelKind::Marginal {
-        // Streaming runs through the session's ReleaseIter, which is bound to
-        // the seed synthesizer; keep the protocol surface honest about it.
+        // Streaming releases through the seed synthesizer only; keep the
+        // protocol surface honest about it.
         if let Some(r) = reserved {
             session.abort_reservation(r);
         }
@@ -1145,80 +1125,50 @@ fn serve_stream(
         );
         return;
     }
-    // A reservation-backed iterator converts one reserved record into a
-    // release per yield, so the ledger's worst case stays exact mid-stream;
-    // the unstreamed remainder is aborted below.  (An open error settles the
-    // whole reservation inside release_iter_reserved.)
-    let open = match reserved {
-        Some(r) => session.release_iter_reserved(r, call.request),
-        None => session.release_iter(call.request),
-    };
-    let mut iter = match open {
-        Ok(iter) => iter,
-        Err(err) => {
-            write_line(
-                out,
-                &protocol::reject_line(reject::GENERATE_FAILED, &err.to_string(), &[]),
-            );
-            return;
-        }
-    };
     // Hold the connection for the whole stream so no other response can
-    // interleave with the record lines.
+    // interleave with the record lines.  The header goes out with the first
+    // record (or the trailer), so a request the session rejects before any
+    // release gets a bare rejection line.
     let mut stream = locked(out);
-    let header_ok = writeln!(stream, "{}", protocol::stream_header_line()).is_ok();
-    let mut released = 0usize;
-    if header_ok {
-        for item in iter.by_ref() {
-            match item {
-                Ok(record) => {
-                    released += 1;
-                    // The client hung up: stop proposing — and charging the
-                    // ledger for — records nobody will receive.
-                    if writeln!(stream, "{}", protocol::record_line(&record)).is_err() {
-                        break;
-                    }
-                }
-                Err(err) => {
-                    let _ = writeln!(
-                        stream,
-                        "{}",
-                        protocol::reject_line(reject::GENERATE_FAILED, &err.to_string(), &[])
-                    );
-                    break;
-                }
+    let mut sent = 0usize;
+    let result = session.release_stream(&call.request, reserved, |record| {
+        sent += 1;
+        let header_ok = sent > 1 || writeln!(stream, "{}", protocol::stream_header_line()).is_ok();
+        // The client hung up: stop proposing — and charging the ledger for
+        // — records nobody will receive.
+        header_ok && writeln!(stream, "{}", protocol::record_line(&record)).is_ok()
+    });
+    match result {
+        Ok(report) => {
+            if sent == 0 {
+                let _ = writeln!(stream, "{}", protocol::stream_header_line());
+            }
+            let trailer = protocol::stream_end_line(
+                report.stats.released,
+                report.stats.as_json(),
+                report.ledger.as_json(),
+                provenance_with_fold(report.provenance_json(), fold),
+            );
+            let _ = writeln!(stream, "{trailer}");
+        }
+        Err(err) => {
+            let reject = protocol::reject_line(reject::GENERATE_FAILED, &err.to_string(), &[]);
+            let _ = writeln!(stream, "{reject}");
+            // A mid-stream failure still ends with a trailer, which the
+            // client drains before it reports the rejection.
+            if sent > 0 {
+                let ledger = session.ledger().as_json();
+                let trailer = protocol::stream_end_line(sent, Json::Null, ledger, Json::Null);
+                let _ = writeln!(stream, "{trailer}");
             }
         }
     }
-    let stats = iter.stats();
-    let provenance = iter.provenance();
-    // Settle the part of the reservation the stream did not convert (and
-    // surface the over-delivery invariant violation if it ever fires).
-    if let Some(r) = reserved {
-        settle_stream_reservation(session, r, stats.released);
-    }
-    // The iterator never touches the metrics registry itself; the server
-    // flushes the finished stream's counters into the session's scope cell
-    // exactly once, here.
-    session.flush_stream_stats(&stats);
-    let _ = writeln!(
-        stream,
-        "{}",
-        protocol::stream_end_line(
-            released,
-            stats.as_json(),
-            session.ledger().as_json(),
-            provenance_with_fold(provenance.to_json(&session.ledger()), fold)
-        )
-    );
     let _ = stream.flush();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgf_core::{PrivacyTestConfig, SynthesisEngine};
-    use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
 
     #[test]
     fn provenance_fold_injection_preserves_object_shape() {
@@ -1238,29 +1188,5 @@ mod tests {
         assert_eq!(with_fold("{\"seed\":5}", None).render(), "{\"seed\":5}");
         // Defensive: a non-object passes through unmodified.
         assert_eq!(with_fold("null", Some((&fold, 7))), Json::Null);
-    }
-
-    #[test]
-    fn over_delivered_stream_is_counted_not_swallowed() {
-        let population = generate_acs(600, 11);
-        let bucketizer = acs_bucketizer(&acs_schema());
-        let session = SynthesisEngine::builder()
-            .privacy_test(
-                PrivacyTestConfig::randomized(20, 4.0, 1.0).with_limits(Some(40), Some(500)),
-            )
-            .seed(11)
-            .train(&population, &bucketizer)
-            .unwrap();
-        let cap = cap_admitting(&session, 20).unwrap();
-        session.try_reserve(5, cap).unwrap();
-        let counter = sgf_metrics::counter("serve.over_delivered");
-        let before = counter.get();
-        // A well-behaved stream (released <= reserved) settles silently.
-        settle_stream_reservation(&session, 5, 5);
-        assert_eq!(counter.get(), before);
-        // An over-delivering stream settles to zero *and* is observable.
-        session.try_reserve(3, cap).unwrap();
-        settle_stream_reservation(&session, 3, 7);
-        assert_eq!(counter.get(), before + 1);
     }
 }

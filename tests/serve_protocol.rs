@@ -20,7 +20,7 @@ fn train_session(seed: u64) -> SynthesisSession {
 }
 
 /// Streaming a release across the serve worker boundary (the session's
-/// `ReleaseIter` feeding record lines onto the wire) yields byte-identical
+/// `release_stream` feeding record lines onto the wire) yields byte-identical
 /// records to an in-process single-worker `generate` with the same seed —
 /// and so does the batched protocol path.
 #[test]
@@ -33,9 +33,9 @@ fn tcp_release_is_byte_identical_to_in_process_generate() {
     let request = GenerateRequest::new(12).with_seed(5).with_workers(1);
     let reference = local.generate(&request).unwrap();
 
-    // The streaming path proposes lazily through a ReleaseIter on a serve
-    // worker; the batch path fans out through generate.  Same seed, same
-    // records, on both sides of the wire.
+    // The streaming path emits each record as it passes on a serve worker;
+    // the batch path fans out through generate.  Same seed, same records, on
+    // both sides of the wire.
     let streamed = client
         .generate(
             &GenerateCall::new(12)
@@ -174,6 +174,68 @@ fn capped_streaming_settles_the_reservation_exactly() {
         .unwrap();
     assert!(!second.records.is_empty());
     assert!(local.ledger().total().epsilon <= cap.epsilon);
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// A client that hangs up mid-stream on a capped session leaves the ledger
+/// settled: once the worker is idle again nothing stays reserved, no more
+/// than the target was released, and the total stays under the cap.  (How
+/// early the worker notices the hang-up depends on socket buffering, so the
+/// release count is only bounded.)
+#[test]
+fn hanging_up_mid_stream_settles_the_capped_reservation() {
+    use sgf::serve::cap_admitting;
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::{Duration, Instant};
+
+    let session = train_session(48);
+    let local = session.clone();
+    let target = 2_000usize;
+    let cap = cap_admitting(&session, target).unwrap();
+    let handle = serve(
+        ServeConfig::default(),
+        vec![SessionEntry::new(session).capped(cap)],
+    )
+    .unwrap();
+
+    let socket = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut writer = socket.try_clone().unwrap();
+    let mut reader = BufReader::new(socket);
+    let call = GenerateCall::new(target)
+        .with_stream(true)
+        .with_request(GenerateRequest::new(target).with_seed(7));
+    writeln!(writer, "{}", call.encode()).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"streaming\":true"), "{line}");
+    for _ in 0..3 {
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.starts_with("{\"record\":"), "{line}");
+    }
+    drop(reader);
+    drop(writer);
+
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let status = client.status().unwrap();
+        if status.get("busy_workers").and_then(|v| v.as_u64()) == Some(0) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the stream worker never finished"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let ledger = local.ledger();
+    assert_eq!(ledger.reserved, 0, "the stream must settle its reservation");
+    assert!(ledger.releases >= 3 && ledger.releases <= target);
+    assert!(ledger.total().epsilon <= cap.epsilon);
+    assert!(ledger.total().delta <= cap.delta);
 
     client.shutdown().unwrap();
     handle.join().unwrap();

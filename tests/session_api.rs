@@ -206,10 +206,45 @@ fn trait_object_model_serves_through_the_session() {
     assert_eq!(session.ledger().releases, 12 + second.stats.released);
 }
 
-/// The streaming iterator releases the same records as a single-worker
-/// `generate` with the same request seed, charging the ledger incrementally.
+/// Stream `request` on `session`, collecting the records.  Every record must
+/// be charged before it reaches the callback: mid-stream, `releases` counts
+/// the records so far on top of `releases_before`, and the request's
+/// reservation of `reserved` records (its target when uncapped) shrinks by
+/// one per record, so `releases + reserved` never moves.
+fn stream(
+    session: &SynthesisSession,
+    request: &GenerateRequest,
+    reserved: Option<usize>,
+) -> (Vec<Record>, MechanismStats) {
+    let before = session.ledger();
+    let mut streamed = Vec::new();
+    let report = session
+        .release_stream(request, reserved, |record| {
+            streamed.push(record);
+            let ledger = session.ledger();
+            assert_eq!(
+                ledger.releases,
+                before.releases + streamed.len(),
+                "every streamed record is charged as it is emitted"
+            );
+            assert_eq!(
+                ledger.releases + ledger.reserved,
+                before.releases + before.reserved + reserved.map_or(request.target, |_| 0),
+                "conversion, not double-charging: the approved total never moves"
+            );
+            true
+        })
+        .unwrap();
+    assert!(report.synthetics.is_empty(), "a stream buffers nothing");
+    (streamed, report.stats)
+}
+
+/// A stream releases the same records as a single-worker `generate` with the
+/// same request seed, charging the ledger incrementally — also when it stops
+/// at its proposal cap, where it spends exactly the candidates `generate`
+/// spends.
 #[test]
-fn release_iter_matches_generate_and_streams_budget() {
+fn release_stream_matches_generate_and_streams_budget() {
     let population = generate_acs(3_500, 26);
     let bucketizer = acs_bucketizer(&acs_schema());
     let session = SynthesisEngine::from_config(small_config(1, 26))
@@ -218,26 +253,41 @@ fn release_iter_matches_generate_and_streams_budget() {
 
     let request = GenerateRequest::new(10).with_seed(4).with_workers(1);
     let reference = session.generate(&request).unwrap();
-    let after_reference = session.ledger().releases;
 
-    let mut streamed = Vec::new();
-    let mut iter = session.release_iter(request).unwrap();
-    for record in iter.by_ref() {
-        streamed.push(record.unwrap());
-        assert_eq!(
-            session.ledger().releases,
-            after_reference + streamed.len(),
-            "every streamed record is charged as it is yielded"
-        );
-    }
+    let (streamed, stats) = stream(&session, &request, None);
     assert_eq!(reference.synthetics.records(), &streamed[..]);
-    assert_eq!(iter.stats().released, streamed.len());
+    assert_eq!(stats.released, streamed.len());
+    assert_eq!(stats.candidates, reference.stats.candidates);
     assert_eq!(session.ledger().requests, 2);
+    assert_eq!(session.ledger().reserved, 0);
+
+    // A strict k and a tiny proposal cap: the stream ends at the cap, short
+    // of its target, and still releases what the batch releases.
+    let strict = SynthesisEngine::from_config(PipelineConfig {
+        privacy_test: PrivacyTestConfig::randomized(120, 4.0, 1.0)
+            .with_limits(Some(240), Some(2_000)),
+        ..small_config(1, 26)
+    })
+    .train(&population, &bucketizer)
+    .unwrap();
+    let capped = GenerateRequest::new(20)
+        .with_seed(4)
+        .with_workers(1)
+        .with_max_candidate_factor(2);
+    let reference = strict.generate(&capped).unwrap();
+    let (streamed, stats) = stream(&strict, &capped, None);
+    assert_eq!(stats.candidates, 40, "the stream stops at max_candidates");
+    assert_eq!(reference.stats.candidates, 40);
+    assert!(stats.released < 20, "the cap must bind before the target");
+    assert_eq!(reference.synthetics.records(), &streamed[..]);
+    assert_eq!(stats.released, reference.stats.released);
+    assert_eq!(strict.ledger().reserved, 0);
+    assert_eq!(strict.ledger().releases, 2 * streamed.len());
 }
 
-/// Session clones are handles to the same logical session: a `ReleaseIter`
-/// streaming on a clone yields byte-identical records to a single-worker
-/// `generate` on the original, and both charge the one shared ledger.
+/// Session clones are handles to the same logical session: a stream on a
+/// clone yields byte-identical records to a single-worker `generate` on the
+/// original, and both charge the one shared ledger.
 #[test]
 fn cloned_session_streams_identically_and_shares_the_ledger() {
     let population = generate_acs(3_500, 28);
@@ -250,8 +300,7 @@ fn cloned_session_streams_identically_and_shares_the_ledger() {
     let request = GenerateRequest::new(10).with_seed(9).with_workers(1);
     let reference = session.generate(&request).unwrap();
 
-    let mut iter = clone.release_iter(request).unwrap();
-    let streamed: Vec<_> = iter.by_ref().map(|r| r.unwrap()).collect();
+    let (streamed, _) = stream(&clone, &request, None);
     assert_eq!(reference.synthetics.records(), &streamed[..]);
 
     // One ledger across both handles: two requests, double the releases.
@@ -316,8 +365,8 @@ fn reservation_api_caps_generation_without_leaks() {
     assert!(ledger.total().epsilon <= cap.epsilon);
 }
 
-/// A reservation-backed `ReleaseIter` keeps the ledger's worst case exact for
-/// the whole stream: each yielded record converts one reserved record, so
+/// A reservation-backed stream keeps the ledger's worst case exact for the
+/// whole stream: each emitted record converts one reserved record, so
 /// `releases + reserved` never exceeds what admission approved.
 #[test]
 fn reserved_streaming_keeps_the_worst_case_exact() {
@@ -330,33 +379,35 @@ fn reserved_streaming_keeps_the_worst_case_exact() {
     let cap = sgf::serve::cap_admitting(&session, target).unwrap();
 
     session.try_reserve(target, cap).unwrap();
-    let mut iter = session
-        .release_iter_reserved(target, GenerateRequest::new(target).with_seed(3))
-        .unwrap();
     let mut streamed = 0usize;
-    for record in iter.by_ref() {
-        record.unwrap();
-        streamed += 1;
-        let ledger = session.ledger();
-        // Conversion, not double-charging: the approved total never moves.
-        assert_eq!(ledger.releases, streamed);
-        assert_eq!(ledger.releases + ledger.reserved, target);
-        assert!(ledger.reserved_total().epsilon <= cap.epsilon);
-        assert!(ledger.reserved_total().delta <= cap.delta);
-    }
-    // Settle the unstreamed remainder; nothing leaks.
-    session.abort_reservation(target - streamed);
+    session
+        .release_stream(
+            &GenerateRequest::new(target).with_seed(3),
+            Some(target),
+            |_| {
+                streamed += 1;
+                let ledger = session.ledger();
+                // Conversion, not double-charging: the approved total never moves.
+                assert_eq!(ledger.releases, streamed);
+                assert_eq!(ledger.releases + ledger.reserved, target);
+                assert!(ledger.reserved_total().epsilon <= cap.epsilon);
+                assert!(ledger.reserved_total().delta <= cap.delta);
+                true
+            },
+        )
+        .unwrap();
+    // The stream settled the unstreamed remainder; nothing leaks.
     let ledger = session.ledger();
     assert_eq!(ledger.reserved, 0);
     assert_eq!(ledger.releases, streamed);
     assert_eq!(ledger.requests, 1);
 
-    // A reserved stream whose target exceeds its reservation fails to open
-    // and settles (aborts) the reservation on the way out.
+    // A reserved stream whose target exceeds its reservation fails before
+    // its first proposal and settles (aborts) the reservation on the way out.
     let wider_cap = sgf::serve::cap_admitting(&session, streamed + 3).unwrap();
     session.try_reserve(3, wider_cap).unwrap();
     assert!(session
-        .release_iter_reserved(3, GenerateRequest::new(4).with_seed(4))
+        .release_stream(&GenerateRequest::new(4).with_seed(4), Some(3), |_| true)
         .is_err());
     assert_eq!(session.ledger().reserved, 0);
 }
