@@ -10,7 +10,8 @@
 //!   Eq. 4 under the acyclicity and `maxcost` (Eq. 6) constraints;
 //! * [`structure`] — end-to-end (privacy-preserving) structure learning;
 //! * [`parameters`] — Dirichlet-multinomial CPTs with DP noisy counts (Eq. 14),
-//!   materialized lazily with per-configuration deterministic noise;
+//!   materialized lazily into lock-free per-configuration slots with
+//!   deterministic noise;
 //! * [`model`] — the [`GenerativeModel`] abstraction plus the Bayesian-network
 //!   model (ancestral sampling, likelihood, most-likely-value prediction);
 //! * [`synthesis`] — the seed-based synthesizer with re-sampling order σ and

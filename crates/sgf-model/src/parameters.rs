@@ -8,13 +8,14 @@
 //! with sensitivity 1 and is clamped at zero (Eq. 14).
 //!
 //! Tables are materialized lazily per configuration — exactly like the paper's
-//! tool (Section 5) — and the noise drawn for a configuration comes from an
-//! RNG seeded by a deterministic hash of that configuration, so concurrent
-//! workers observe identical noisy parameters.
+//! tool (Section 5) — into one write-once slot per configuration.  The noise
+//! drawn for a configuration comes from an RNG seeded by a deterministic hash
+//! of that configuration, so whichever worker fills a slot first computes the
+//! same values: concurrent workers observe identical noisy parameters without
+//! a lock, and a filled slot is read with a single atomic load.
 
 use crate::error::{ModelError, Result};
 use crate::graph::DependencyGraph;
-use parking_lot::RwLock;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sgf_data::{Bucketizer, Dataset, Schema};
@@ -22,8 +23,7 @@ use sgf_stats::{
     advanced_composition, configuration_rng, dirichlet_posterior_mean, sample_dirichlet, DpBudget,
     Laplace,
 };
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Configuration of parameter learning.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -97,6 +97,9 @@ struct AttributeTable {
     counts: Vec<u32>,
 }
 
+/// One attribute's conditionals: a write-once slot per parent configuration.
+type ConditionalSlots = Box<[OnceLock<Box<[f64]>>]>;
+
 /// The learned conditional-probability store: counts from `D_P` plus lazily
 /// materialized (noisy) probability tables.
 pub struct CptStore {
@@ -105,11 +108,12 @@ pub struct CptStore {
     graph: DependencyGraph,
     config: ParameterConfig,
     tables: Vec<AttributeTable>,
-    /// Lazily materialized conditionals per attribute.  A BTreeMap (R2,
-    /// ordered-iteration discipline): lookups dominate, but diagnostics such
-    /// as [`CptStore::cached_configurations`] traverse the cache, and on the
-    /// synthesis decision path every traversal must have one canonical order.
-    cache: Vec<RwLock<BTreeMap<u64, Arc<Vec<f64>>>>>,
+    /// Lazily materialized conditionals: per attribute, a dense slice of
+    /// write-once slots indexed by configuration, so it is ordered by
+    /// construction (R2) and a filled slot is read without a lock or a
+    /// refcount.  Slots start empty; [`CptStore::conditional`] fills one on
+    /// first use.
+    cache: Vec<ConditionalSlots>,
     budget: DpBudget,
     training_records: usize,
 }
@@ -316,8 +320,9 @@ impl CptStore {
             Some(eps) => advanced_composition(eps, 0.0, schema.len() as u64, config.delta_slack),
         };
 
-        let cache = (0..schema.len())
-            .map(|_| RwLock::new(BTreeMap::new()))
+        let cache = tables
+            .iter()
+            .map(|table| (0..table.configurations).map(|_| OnceLock::new()).collect())
             .collect();
         Ok(CptStore {
             schema,
@@ -403,21 +408,33 @@ impl CptStore {
     }
 
     /// The (possibly noisy, possibly sampled) conditional distribution
-    /// `Pr{x_attr | configuration}` — materialized lazily and cached.
-    pub fn conditional(&self, attr: usize, configuration: u64) -> Arc<Vec<f64>> {
-        if let Some(hit) = self.cache[attr].read().get(&configuration) {
-            return Arc::clone(hit);
-        }
-        let computed = Arc::new(self.materialize(attr, configuration));
-        let mut guard = self.cache[attr].write();
-        Arc::clone(guard.entry(configuration).or_insert(computed))
+    /// `Pr{x_attr | configuration}`, borrowed from the store.  The first call
+    /// for a configuration materializes it into that configuration's slot;
+    /// every later call is a lock-free read of the filled slot.
+    ///
+    /// # Panics
+    ///
+    /// If `configuration` is not below [`Self::configurations`]`(attr)`.
+    pub fn conditional(&self, attr: usize, configuration: u64) -> &[f64] {
+        let slot = usize::try_from(configuration)
+            .ok()
+            .and_then(|index| self.cache[attr].get(index))
+            .unwrap_or_else(|| {
+                panic!(
+                    "configuration {configuration} out of range for attribute {attr} \
+                     ({} configurations)",
+                    self.tables[attr].configurations
+                )
+            });
+        slot.get_or_init(|| self.materialize(attr, configuration))
     }
 
-    fn materialize(&self, attr: usize, configuration: u64) -> Vec<f64> {
+    /// Compute the conditional of an in-range `configuration`: its counts and
+    /// its noise RNG are both keyed by `configuration` itself.
+    fn materialize(&self, attr: usize, configuration: u64) -> Box<[f64]> {
         let table = &self.tables[attr];
         let card = table.cardinality;
-        let start =
-            (configuration as usize).min(table.configurations.saturating_sub(1) as usize) * card;
+        let start = configuration as usize * card;
         let raw: Vec<f64> = table.counts[start..start + card]
             .iter()
             .map(|&c| c as f64)
@@ -453,6 +470,7 @@ impl CptStore {
         } else {
             dirichlet_posterior_mean(&alphas, &noisy)
         }
+        .into_boxed_slice()
     }
 
     /// Conditional probability of `value` for attribute `attr` given the full
@@ -475,13 +493,16 @@ impl CptStore {
         rng: &mut R,
     ) -> u16 {
         let config = self.configuration_index(attr, &value_of);
-        let dist = self.conditional(attr, config);
-        sgf_stats::sample_categorical(&dist, rng) as u16
+        sgf_stats::sample_categorical(self.conditional(attr, config), rng) as u16
     }
 
     /// Number of CPT cells materialized so far (for diagnostics/benchmarks).
     pub fn cached_configurations(&self) -> usize {
-        self.cache.iter().map(|c| c.read().len()).sum()
+        self.cache
+            .iter()
+            .flat_map(|slots| slots.iter())
+            .filter(|slot| slot.get().is_some())
+            .count()
     }
 }
 
@@ -604,10 +625,9 @@ mod tests {
     fn identically_seeded_runs_produce_identical_tables() {
         // Determinism regression (R2): two stores learned from the same data
         // with the same seed must expose byte-identical conditionals even when
-        // their caches are populated in different orders.  With the old
-        // HashMap cache the *values* already agreed, but any future code that
-        // iterates the cache would have observed a random order; the BTreeMap
-        // makes the traversal canonical.
+        // their caches are populated in different orders.  The cache is a
+        // dense slice indexed by configuration, so any traversal of it is
+        // canonical by construction.
         let d = dataset(2000);
         let bkt = Bucketizer::identity(d.schema());
         let config = ParameterConfig {
@@ -708,6 +728,123 @@ mod tests {
         assert!(CptStore::learn(&empty, &bkt, &graph(), ParameterConfig::default()).is_err());
         let wrong_graph = DependencyGraph::empty(5);
         assert!(CptStore::learn(&d, &bkt, &wrong_graph, ParameterConfig::default()).is_err());
+    }
+
+    #[test]
+    fn out_of_range_configuration_is_rejected_without_filling_a_slot() {
+        let d = dataset(500);
+        let bkt = Bucketizer::identity(d.schema());
+        let config = ParameterConfig {
+            epsilon_p: Some(0.3),
+            sample_parameters: true,
+            global_seed: 5,
+            ..ParameterConfig::default()
+        };
+        let store = CptStore::learn(&d, &bkt, &graph(), config).unwrap();
+        assert_eq!(store.configurations(1), 3);
+        for configuration in [3, u64::MAX] {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                store.conditional(1, configuration).to_vec()
+            }))
+            .unwrap_err();
+            let message = panic.downcast_ref::<String>().unwrap();
+            assert!(
+                message.contains(&format!(
+                    "configuration {configuration} out of range for attribute 1"
+                )),
+                "{message}"
+            );
+        }
+        // The rejected calls filled nothing: the last slot is still keyed,
+        // counted and seeded by its own configuration.
+        assert_eq!(store.cached_configurations(), 0);
+        let fresh = CptStore::learn(&d, &bkt, &graph(), config).unwrap();
+        assert_eq!(store.conditional(1, 2), fresh.conditional(1, 2));
+    }
+
+    /// Three attributes with 1 + 4 + 20 parent configurations: A (4 values),
+    /// B | A (5 values) and C | A, B (6 values).
+    fn wide_dataset(n: usize) -> (Dataset, DependencyGraph) {
+        let schema = StdArc::new(
+            sgf_data::Schema::new(vec![
+                Attribute::categorical_anon("A", 4),
+                Attribute::categorical_anon("B", 5),
+                Attribute::categorical_anon("C", 6),
+            ])
+            .unwrap(),
+        );
+        let mut rng = StdRng::seed_from_u64(3);
+        let records = (0..n)
+            .map(|_| {
+                let a: u16 = rng.gen_range(0..4);
+                let b = (a + rng.gen_range(0..2u16)) % 5;
+                let c = (a + b + rng.gen_range(0..2u16)) % 6;
+                Record::new(vec![a, b, c])
+            })
+            .collect();
+        let graph = DependencyGraph::from_parent_sets(vec![vec![], vec![0], vec![0, 1]]).unwrap();
+        (Dataset::from_records_unchecked(schema, records), graph)
+    }
+
+    #[test]
+    fn concurrent_first_use_fills_each_slot_once_with_the_same_values() {
+        let (d, g) = wide_dataset(3000);
+        let bkt = Bucketizer::identity(d.schema());
+        let config = ParameterConfig {
+            epsilon_p: Some(0.4),
+            sample_parameters: true,
+            global_seed: 23,
+            ..ParameterConfig::default()
+        };
+        let reference = CptStore::learn(&d, &bkt, &g, config).unwrap();
+        let shared = CptStore::learn(&d, &bkt, &g, config).unwrap();
+        let cells: Vec<(usize, u64)> = (0..3)
+            .flat_map(|attr| (0..shared.configurations(attr)).map(move |c| (attr, c)))
+            .collect();
+        assert_eq!(cells.len(), 25);
+
+        // Four threads start together and walk every configuration in a
+        // different order (rotated, odd threads reversed).  Each records the
+        // address of the slice it was handed.
+        let threads = 4;
+        let barrier = std::sync::Barrier::new(threads);
+        let seen: Vec<Vec<((usize, u64), usize)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (shared, cells, barrier) = (&shared, &cells, &barrier);
+                    scope.spawn(move || {
+                        let mut order = cells.clone();
+                        order.rotate_left(t * cells.len() / threads);
+                        if t % 2 == 1 {
+                            order.reverse();
+                        }
+                        barrier.wait();
+                        order
+                            .into_iter()
+                            .map(|(attr, c)| {
+                                ((attr, c), shared.conditional(attr, c).as_ptr() as usize)
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+
+        // Every thread was handed the same allocation: each slot was filled
+        // exactly once.
+        for &(attr, c) in &cells {
+            let address = shared.conditional(attr, c).as_ptr() as usize;
+            for thread in &seen {
+                assert!(thread.contains(&((attr, c), address)), "{attr}/{c}");
+            }
+        }
+        assert_eq!(shared.cached_configurations(), cells.len());
+        // And the values equal a single-threaded store's, filled in order.
+        for &(attr, c) in &cells {
+            assert_eq!(shared.conditional(attr, c), reference.conditional(attr, c));
+        }
+        assert_eq!(reference.cached_configurations(), cells.len());
     }
 
     #[test]
