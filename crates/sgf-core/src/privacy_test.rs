@@ -41,9 +41,11 @@
 //!   `min(|range ∩ subset|, limit)` directly: `min(|range|, limit)` with no
 //!   cap, `min(cap, limit)` when the range is every seed (depth 0, and the
 //!   marginal baseline), and otherwise [`RandomSubset::count_members`], which
-//!   runs the permutation over blocks of members and stops at the first
-//!   block that reaches the limit.  The partition store's classes count
-//!   their members the same way.
+//!   runs the permutation over blocks of `u32` lanes — its first passes as
+//!   masked select loops, in an AVX2 build where the CPU has one — and stops
+//!   at the first block that reaches the limit.  The build changes only the
+//!   speed, never the count.  The partition store's classes count their
+//!   members the same way.
 
 use crate::deniability::{partition_index, validate_parameters};
 use crate::error::{CoreError, Result};

@@ -12,11 +12,16 @@
 //! * an indexed store can test membership of a posting-list survivor in the
 //!   examined subset without ever materialising the permutation, and
 //! * a store that names the exact plausible set counts how many of its
-//!   members fall in the subset in blocks of independent lanes
-//!   ([`RandomSubset::count_members`]), with no per-member branch —
+//!   members fall in the subset in blocks of `u32` lanes
+//!   ([`RandomSubset::count_members`]): the first Feistel pass, and on a
+//!   sparse domain the first cycle-walk passes, are masked select loops over
+//!   the whole block, with no per-member branch, and on a CPU with AVX2 the
+//!   same kernel runs in a build compiled for it —
 //!
 //! and, crucially, all three see **the same subset** for the same seed, which
 //! is what keeps every store byte-identical in its accept/reject decisions.
+//! Which build counts, and how many passes are masked, changes only the
+//! speed: the count is `min(|members ∩ subset|, limit)` either way.
 //!
 //! [Feistel-network]: https://en.wikipedia.org/wiki/Feistel_cipher
 
@@ -25,9 +30,14 @@
 const ROUNDS: usize = 4;
 
 /// Lanes per block of [`RandomSubset::count_members`]: enough independent
-/// Feistel passes in flight to hide the round latency, few enough that the
+/// Feistel passes in flight to fill the vector lanes, few enough that the
 /// early exit at the count limit wastes little work.
 const BLOCK: usize = 32;
+
+/// Cycle-walk passes [`RandomSubset::count_members`] runs over every lane of
+/// a block, when the Feistel domain is sparse enough to need them, before it
+/// walks the remaining lanes one by one.
+const MASKED_WALKS: usize = 3;
 
 /// A keyed pseudorandom permutation of `[0, n)` built from a balanced Feistel
 /// network over the smallest even-bit-width domain covering `n`, narrowed to
@@ -101,12 +111,14 @@ impl IndexPermutation {
     /// reads product bits 0..=30, which depend only on the low 32 bits of
     /// both factors; with `r < 2¹⁶` those of the first are `r` xor the
     /// folded key `k ^ k >> 16`.
+    #[inline(always)]
     fn round(&self, r: u32, key: u32) -> u32 {
         let z = (r ^ key).wrapping_mul(0x3c4b_a1a9);
         (z ^ (z >> 15)) & self.half_mask
     }
 
     /// One pass of the Feistel network over the full `2 * half_bits` domain.
+    #[inline(always)]
     fn encrypt_once(&self, x: u32) -> u32 {
         let mut l = (x >> self.half_bits) & self.half_mask;
         let mut r = x & self.half_mask;
@@ -217,25 +229,87 @@ impl RandomSubset {
     /// `min(members.filter(contains).count(), limit)`, the same count for
     /// any order of `members`.
     ///
-    /// Members are taken 32 at a time as independent lanes.  Every
-    /// lane gets one Feistel pass; only the lanes still outside `[0, n)` are
-    /// re-encrypted, from a work list compacted without branches, so cycle
-    /// walking costs no mispredicted branch per member.  Counting returns
-    /// `limit` at the first block that reaches it.
+    /// Members are taken 32 at a time as `u32` lanes.  Every lane gets one
+    /// Feistel pass.  When at least a quarter of the Feistel domain lies
+    /// outside `[0, n)`, three cycle-walk passes follow that re-encrypt all
+    /// lanes and keep the result only where the lane is still outside —
+    /// select loops with no branch, which the compiler runs on wide vector
+    /// lanes.  Only the few lanes still outside after them are walked
+    /// further, from a work list compacted without branches; a partial last
+    /// block is counted member by member.  On a CPU with AVX2 the same kernel
+    /// runs in a build compiled for it.  The result does not depend on the
+    /// build or the passes: counting returns `limit` at the first block that
+    /// reaches it.
     pub fn count_members(&self, members: &[u32], limit: usize) -> usize {
-        let n = self.perm.n;
-        let cap = self.cap as u64;
+        self.count_members_avx2(members, limit)
+            .unwrap_or_else(|| self.count_lanes(members, limit))
+    }
+
+    /// [`count_members`](Self::count_members) in the AVX2 build, or `None`
+    /// when this CPU has no AVX2.
+    #[cfg(target_arch = "x86_64")]
+    fn count_members_avx2(&self, members: &[u32], limit: usize) -> Option<usize> {
+        if !std::is_x86_feature_detected!("avx2") {
+            return None;
+        }
+        // SAFETY: `count_lanes_avx2` only needs the CPU to support AVX2,
+        // which the check above established.
+        Some(unsafe { self.count_lanes_avx2(members, limit) })
+    }
+
+    /// Without x86-64 there is no AVX2 build.
+    #[cfg(not(target_arch = "x86_64"))]
+    fn count_members_avx2(&self, _members: &[u32], _limit: usize) -> Option<usize> {
+        None
+    }
+
+    /// [`count_lanes`](Self::count_lanes) compiled with AVX2 enabled; the
+    /// CPU running it must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn count_lanes_avx2(&self, members: &[u32], limit: usize) -> usize {
+        self.count_lanes(members, limit)
+    }
+
+    /// The lane kernel behind [`count_members`](Self::count_members), inlined
+    /// into each build that calls it.
+    #[inline(always)]
+    fn count_lanes(&self, members: &[u32], limit: usize) -> usize {
+        if self.cap == 0 {
+            return 0;
+        }
+        // n ≤ 2³² and 1 ≤ cap ≤ n, so both bounds fit a u32 lane.
+        let last = (self.perm.n - 1) as u32;
+        let cap_last = (self.cap - 1) as u32;
+        // A pass leaves a lane outside [0, n) with chance (domain − n) /
+        // domain.  Below a quarter, the few such lanes are cheaper to walk
+        // one by one than every lane is to re-encrypt.
+        let domain = 1u64 << (2 * self.perm.half_bits);
+        let masked = (domain - self.perm.n) * 4 >= domain;
+        let (blocks, tail) = members.as_chunks::<BLOCK>();
         let mut count = 0;
-        let mut x = [0u32; BLOCK];
-        let mut pending = [0u8; BLOCK];
-        for block in members.chunks(BLOCK) {
-            // A member outside [0, n) is never in the subset; it is not
-            // walked, since its Feistel orbit may never enter [0, n).
+        for block in blocks {
+            // A member outside [0, n) is never in the subset.  Its Feistel
+            // orbit may never enter [0, n), so it is parked at 0 instead of
+            // walked, and left out of the count below.
+            let mut x = [0u32; BLOCK];
+            for (x, &member) in x.iter_mut().zip(block) {
+                let position = self.perm.encrypt_once(member);
+                *x = if member > last { 0 } else { position };
+            }
+            if masked {
+                for _ in 0..MASKED_WALKS {
+                    for x in &mut x {
+                        let next = self.perm.encrypt_once(*x);
+                        *x = if *x > last { next } else { *x };
+                    }
+                }
+            }
+            let mut pending = [0u8; BLOCK];
             let mut walking = 0;
-            for (lane, &member) in block.iter().enumerate() {
-                x[lane] = self.perm.encrypt_once(member);
+            for (lane, &position) in x.iter().enumerate() {
                 pending[walking] = lane as u8;
-                walking += usize::from(u64::from(x[lane]) >= n && u64::from(member) < n);
+                walking += usize::from(position > last);
             }
             while walking > 0 {
                 let mut still = 0;
@@ -243,20 +317,24 @@ impl RandomSubset {
                     let lane = usize::from(pending[at]);
                     x[lane] = self.perm.encrypt_once(x[lane]);
                     pending[still] = lane as u8;
-                    still += usize::from(u64::from(x[lane]) >= n);
+                    still += usize::from(x[lane] > last);
                 }
                 walking = still;
             }
-            count += block
-                .iter()
-                .zip(&x)
-                .filter(|&(&member, &position)| u64::from(member) < n && u64::from(position) < cap)
-                .count();
+            let mut hits = 0u32;
+            for (&member, &position) in block.iter().zip(&x) {
+                hits += u32::from(member <= last && position <= cap_last);
+            }
+            count += hits as usize;
             if count >= limit {
                 return limit;
             }
         }
-        count
+        count += tail
+            .iter()
+            .filter(|&&member| self.contains(member as usize))
+            .count();
+        count.min(limit)
     }
 }
 
@@ -367,28 +445,37 @@ mod tests {
         }
     }
 
-    /// The block kernel is the scalar filter, capped at the limit: around
-    /// every block boundary, every clamp of the cap, and every limit edge.
+    /// Both builds of the block kernel are the scalar filter, capped at the
+    /// limit: around every block boundary, every clamp of the cap, every
+    /// limit edge, and at n = 2³², where the lane bound `n − 1` is
+    /// `u32::MAX`.
     #[test]
     fn count_members_matches_the_scalar_filter() {
         let mut state = 11u64;
-        for &n in &[1usize, 2, 3, 31, 32, 33, 64, 65, 1_000, 23_471] {
-            let all: Vec<u32> = (0..n as u32).collect();
-            let half: Vec<u32> = all
-                .iter()
-                .copied()
-                .filter(|_| splitmix64(&mut state) & 1 == 1)
-                .collect();
-            let mut lists = vec![Vec::new(), all, half];
-            for len in [31, 32, 33, 63, 65] {
-                lists.push(
-                    (0..len)
-                        .map(|_| (splitmix64(&mut state) % n as u64) as u32)
-                        .collect(),
-                );
+        for &n in &[1usize, 2, 3, 31, 32, 33, 64, 65, 1_000, 23_471, 1 << 32] {
+            let mut random = |len: usize| -> Vec<u32> {
+                (0..len)
+                    .map(|_| (splitmix64(&mut state) % n as u64) as u32)
+                    .collect()
+            };
+            let mut lists = vec![Vec::new()];
+            for len in [31, 32, 33, 63, 64, 65] {
+                lists.push(random(len));
             }
-            // Members outside [0, n) are never contained.
-            lists.push(vec![0, n as u32, n as u32 + 1, u32::MAX]);
+            // Members outside [0, n) are never contained; the lane edges
+            // go first in a list long enough to fill a block.
+            let edges = if n < 1 << 32 {
+                vec![0, n as u32, n as u32 + 1, u32::MAX]
+            } else {
+                vec![0, 1, u32::MAX]
+            };
+            lists.push(edges.iter().copied().chain(random(62)).collect());
+            lists.push(edges);
+            if n < 1 << 32 {
+                let all: Vec<u32> = (0..n as u32).collect();
+                let half = all.iter().copied().filter(|&m| m % 2 == 1).collect();
+                lists.extend([half, all]);
+            }
             for cap in [0, 1, n - 1, n, n + 5] {
                 for seed in 0..2u64 {
                     let sub = RandomSubset::new(n, cap, seed);
@@ -398,12 +485,20 @@ mod tests {
                             .filter(|&&m| sub.contains(m as usize))
                             .count();
                         for limit in [1, 31, 32, 33, members.len(), members.len() + 1] {
-                            assert_eq!(
-                                sub.count_members(members, limit),
-                                exact.min(limit),
+                            let context = format!(
                                 "n={n} cap={cap} seed={seed} members={} limit={limit}",
                                 members.len()
                             );
+                            let expected = exact.min(limit);
+                            assert_eq!(sub.count_members(members, limit), expected, "{context}");
+                            assert_eq!(
+                                sub.count_lanes(members, limit),
+                                expected,
+                                "baseline build, {context}"
+                            );
+                            if let Some(count) = sub.count_members_avx2(members, limit) {
+                                assert_eq!(count, expected, "AVX2 build, {context}");
+                            }
                         }
                     }
                 }

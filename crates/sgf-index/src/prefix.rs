@@ -19,9 +19,12 @@
 //! range, where the subset is the `max_check_plausible` sample and `limit`
 //! is where the stopping rule ends the count.  That costs nothing more with
 //! no cap (`min(|range|, limit)`) or when the range is the whole store
-//! (`min(cap, limit)`); any other range pays one permutation pass per member
-//! up to the block that reaches the limit, in blocks of independent lanes
+//! (`min(cap, limit)`); any other range pays the permutation's passes per
+//! member up to the block that reaches the limit, in blocks of `u32` lanes
+//! whose first passes are masked select loops, compiled for AVX2 where the
+//! CPU has it
 //! ([`RandomSubset::count_members`](crate::RandomSubset::count_members)).
+//! The count, and so every release, is the same in either build.
 //!
 //! The exact-set shortcut ([`SeedStore::prefix_members`]) applies to a model
 //! whose exact-match set is a σ-prefix and whose likelihood set lies inside
