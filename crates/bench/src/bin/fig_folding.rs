@@ -1,25 +1,17 @@
-//! `fig_folding`: request folding + shared class-match cache — the served
-//! requests × concurrency throughput curve behind the serve-layer fold path.
+//! `fig_folding`: the shared class-match cache's equivalence gate.
 //!
-//! Two parts:
+//! One trained session's partition store (which carries the class-match
+//! cache) and a cache-less `PartitionIndexStore::build` over the same seeds
+//! each replay the same seeded `workers = 1` requests through
+//! `Mechanism::with_store`.  Both replays must release the bytes the
+//! session's own (σ-prefix) release does, and the cached store must report a
+//! non-zero hit rate.  The `serial` point carries the deterministic
+//! `class_cache_hits` / `class_cache_misses` counters and is
+//! regression-gated by `sgf-bench-track compare`.
 //!
-//! 1. **Equivalence gate (deterministic).**  One trained session's partition
-//!    store (which carries the class-match cache) and a cache-less
-//!    `PartitionIndexStore::build` over the same seeds each replay the same
-//!    seeded `workers = 1` requests through `Mechanism::with_store`; both
-//!    replays must release the bytes the session's own (σ-prefix) release
-//!    does, and the cached store must report a non-zero hit rate.  These
-//!    points carry the deterministic `class_cache_hits` /
-//!    `class_cache_misses` counters and are regression-gated by
-//!    `sgf-bench-track compare`.
-//! 2. **Folding sweep (noisy).**  The same session is served through
-//!    `sgf_serve::serve` twice — folding on (`max_fold = 8`, the `on_*`
-//!    points) versus folding off (`max_fold = 1`, the `off_*` points) — and
-//!    hit by 1–8 concurrent same-session clients with default requests,
-//!    which the σ-prefix store serves, so a fold has no cache left to warm.
-//!    Throughput and the `serve.folds` / `serve.folded_requests` deltas with
-//!    more than one client depend on thread timing, so those points are
-//!    marked noisy and exempt from gating.
+//! The binary keeps its name (and its series) from the request-folding
+//! sweep it used to run beside the gate, so `serial` stays comparable with
+//! its recorded baselines.
 
 use bench::track::{BenchPoint, SeriesRecorder};
 use bench::{base_population, scale_from_args, smoke_mode};
@@ -33,14 +25,9 @@ use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
 use sgf_data::Record;
 use sgf_eval::TextTable;
 use sgf_model::{OmegaSpec, SeedSynthesizer};
-use sgf_serve::{serve, Client, GenerateCall, ServeConfig, SessionEntry};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Concurrent same-session clients in the folding sweep.
-const CONCURRENCY: [usize; 4] = [1, 2, 4, 8];
-
-/// The session both parts share (ω = 9, k = 20).
+/// The session under test (ω = 9, k = 20).
 fn train_session(population_scale: usize) -> SynthesisSession {
     let population = generate_acs(base_population() * population_scale, 117);
     let bucketizer = acs_bucketizer(&acs_schema());
@@ -79,7 +66,6 @@ fn main() {
     let scale = scale_from_args();
     let target = if smoke_mode() { 12 } else { 25 };
     let serial_requests: u64 = 6;
-    let per_client = if smoke_mode() { 4 } else { 16 };
 
     let session = train_session(scale);
     let synthesizer =
@@ -90,7 +76,7 @@ fn main() {
     let cold = PartitionIndexStore::build(session.seeds(), cached.attributes())
         .expect("the session's partition key is valid");
 
-    // Part 1: byte-identical equivalence + deterministic cache counters.
+    // Byte-identical equivalence + deterministic cache counters.
     let mut recorder = SeriesRecorder::new("fig_folding", scale);
     let mut table = TextTable::new(&[
         "Request seed",
@@ -148,101 +134,12 @@ fn main() {
             .counter("cache_hits", hits)
             .counter("cache_misses", misses),
     );
-    println!("Request folding: class-match cache equivalence (omega = 9, k = 20, scale {scale})\n");
+    println!("Class-match cache equivalence (omega = 9, k = 20, scale {scale})\n");
     println!("{}", table.render());
     println!(
         "fig_folding: byte-identical releases with class cache on vs off \
          ({serial_requests} request seeds, cache hit rate {:.1}%)\n",
         100.0 * hit_rate
     );
-
-    // Part 2: the served folding curve — concurrency sweep per variant.
-    let mut table = TextTable::new(&[
-        "Variant",
-        "Clients",
-        "Released",
-        "Folds",
-        "Folded reqs",
-        "Wall (s)",
-        "Throughput (req/s)",
-    ]);
-    for (tag, max_fold) in [("on", 8usize), ("off", 1usize)] {
-        let config = ServeConfig {
-            workers: 2,
-            queue_capacity: 64,
-            max_fold: Some(max_fold),
-            ..ServeConfig::default()
-        };
-        let name = format!("folding-{tag}");
-        let handle = serve(
-            config,
-            vec![SessionEntry::new(session.clone()).named(&name)],
-        )
-        .expect("server binds an ephemeral port");
-        let addr = handle.addr();
-        for &clients in &CONCURRENCY {
-            let before = sgf_metrics::global().snapshot();
-            let started = Instant::now();
-            let served: usize = std::thread::scope(|scope| {
-                let name = &name;
-                let workers: Vec<_> = (0..clients)
-                    .map(|client_idx| {
-                        scope.spawn(move || {
-                            let mut client =
-                                Client::connect(addr).expect("client connects to the sweep server");
-                            let mut served = 0usize;
-                            for turn in 0..per_client {
-                                let seed = 1_000 + (clients * 100 + client_idx * 10 + turn) as u64;
-                                let call = GenerateCall::new(target)
-                                    .with_session(name)
-                                    .with_request(GenerateRequest::new(target).with_seed(seed));
-                                let release =
-                                    client.generate(&call).expect("sweep generate succeeds");
-                                assert!(!release.records.is_empty(), "empty sweep release");
-                                served += release.records.len();
-                            }
-                            served
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|worker| worker.join().expect("sweep client thread completes"))
-                    .sum()
-            });
-            let seconds = started.elapsed().as_secs_f64();
-            let profile = sgf_metrics::global().snapshot().delta(&before);
-            let folds = profile.counter("serve.folds");
-            let folded = profile.counter("serve.folded_requests");
-            let requests = (clients * per_client) as u64;
-            let throughput = requests as f64 / seconds.max(1e-9);
-            table.add_row(&[
-                tag.to_string(),
-                clients.to_string(),
-                served.to_string(),
-                folds.to_string(),
-                folded.to_string(),
-                format!("{seconds:.2}"),
-                format!("{throughput:.1}"),
-            ]);
-            let mut point = BenchPoint::new(format!("{tag}_c{clients:02}"))
-                .counter("concurrency", clients as u64)
-                .counter("requests", requests)
-                .counter("released", served as u64)
-                .counter("folds", folds)
-                .counter("folded_requests", folded)
-                .value("wall_seconds", seconds)
-                .value("throughput_rps", throughput);
-            if clients > 1 {
-                point = point.noisy();
-            }
-            recorder.add(point);
-        }
-        let mut client = Client::connect(addr).expect("shutdown client connects");
-        client.shutdown().expect("server accepts shutdown");
-        handle.join().expect("server drains and joins");
-    }
-    println!("Request folding: served concurrency sweep ({per_client} requests per client)\n");
-    println!("{}", table.render());
     recorder.finish();
 }

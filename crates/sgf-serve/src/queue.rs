@@ -110,43 +110,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Remove up to `limit` items matching `matches` from anywhere in the
-    /// queue (preserving their relative order) without blocking.
-    ///
-    /// This is the coalescing primitive: a worker that just popped a job
-    /// calls it to fold queued same-session requests into its service turn.
-    /// It only ever *removes* work that was already admitted — capacity
-    /// accounting, backpressure, and close semantics are untouched, and an
-    /// empty queue returns an empty vec immediately.
-    pub fn drain_matching<F>(&self, mut matches: F, limit: usize) -> Vec<T>
-    where
-        F: FnMut(&T) -> bool,
-    {
-        let mut drained = Vec::new();
-        if limit == 0 {
-            return drained;
-        }
-        let mut inner = self.locked();
-        let mut idx = 0;
-        while drained.len() < limit {
-            let Some(item) = inner.items.get(idx) else {
-                break;
-            };
-            if matches(item) {
-                if let Some(item) = inner.items.remove(idx) {
-                    drained.push(item);
-                }
-            } else {
-                idx += 1;
-            }
-        }
-        drop(inner);
-        for _ in &drained {
-            sgf_metrics::counter("serve.queue.popped").incr();
-        }
-        drained
-    }
-
     /// Close the queue: subsequent pushes fail with [`PushError::Closed`],
     /// already-queued items still drain, and idle consumers wake up to exit.
     pub fn close(&self) {
@@ -193,27 +156,6 @@ mod tests {
         assert_eq!(queue.capacity(), 1);
         queue.try_push(1).unwrap();
         assert!(matches!(queue.try_push(2), Err(PushError::Full(2))));
-    }
-
-    #[test]
-    fn drain_matching_pulls_matches_in_order_up_to_limit() {
-        let queue = BoundedQueue::new(8);
-        for item in [1, 2, 3, 4, 5, 6] {
-            queue.try_push(item).unwrap();
-        }
-        // Evens drain in their queue order, odds keep their relative order.
-        let drained = queue.drain_matching(|v| v % 2 == 0, 2);
-        assert_eq!(drained, vec![2, 4]);
-        assert_eq!(queue.len(), 4);
-        assert_eq!(queue.pop(), Some(1));
-        assert_eq!(queue.pop(), Some(3));
-        assert_eq!(queue.pop(), Some(5));
-        assert_eq!(queue.pop(), Some(6));
-        // Nothing to match, zero limit: both are quiet no-ops.
-        queue.try_push(7).unwrap();
-        assert!(queue.drain_matching(|v| *v == 9, 4).is_empty());
-        assert!(queue.drain_matching(|_| true, 0).is_empty());
-        assert_eq!(queue.len(), 1);
     }
 
     #[test]

@@ -15,10 +15,12 @@
 //!    * the job must fit the bounded queue — a full queue rejects with
 //!      `queue_full` and a `retry_after_ms` hint (and releases the
 //!      reservation).
-//! 2. A worker pops the job, runs the session's generate path (batch or
-//!    streaming, seed or marginal model), settles the reservation (actual
-//!    releases committed, unused budget freed; aborted on failure), and
-//!    writes the response to the job's connection.
+//! 2. A worker pops one job per turn, runs the session's generate path
+//!    (batch or streaming, seed or marginal model), settles the reservation
+//!    (actual releases committed, unused budget freed; aborted on failure),
+//!    and writes the response to the job's connection.  Jobs share no state
+//!    (each privacy test is one prefix-store range lookup), so a turn has
+//!    nothing to gain from serving several at once.
 //! 3. `shutdown` (or [`ServerHandle::shutdown`]) starts the drain: admission
 //!    closes, queued jobs still complete, workers then exit, and
 //!    [`ServerHandle::join`] returns once every thread is down.
@@ -56,22 +58,9 @@ pub struct ServeConfig {
     /// knob making queue backpressure deterministic to exercise; `None` in
     /// production.
     pub service_delay: Option<Duration>,
-    /// Request folding: a worker that pops a generate job also drains queued
-    /// jobs for the *same session* and serves the whole fold in one turn, so
-    /// the queue wakes fewer threads.  Session releases share no warm state
-    /// (each privacy test is one prefix-store range lookup), so a fold saves
-    /// only the per-turn queue overhead.  Folding never reorders a session's
-    /// admitted jobs, never crosses sessions, and each folded request still
-    /// gets its own response, reservation settlement, and service-time
-    /// observation — per-request outputs are byte-identical to an unfolded
-    /// run.
-    ///
-    /// `None` (the default) folds **adaptively** from the queue depth the
-    /// worker observes at pop time: an empty queue never folds (sequential
-    /// traffic is served one-for-one, byte-identical to a fold-free server,
-    /// with no fold metrics or spans), and a backed-up queue folds up to
-    /// [`MAX_ADAPTIVE_FOLD`] jobs per turn.  `Some(n)` overrides with a fixed
-    /// cap (`Some(1)` disables folding entirely; `Some(0)` is treated as 1).
+    /// Ignored: every worker turn serves exactly one job.  The field stays
+    /// only because the benchmark harness (`perfbench/src/common.rs`) still
+    /// sets it; delete both together.
     pub max_fold: Option<usize>,
     /// Turn the process-wide deterministic trace ring on at startup, so the
     /// `trace` verb has spans to report.  (Never turned back off: the ring
@@ -149,10 +138,6 @@ pub fn cap_admitting(session: &SynthesisSession, releases: usize) -> Option<DpBu
     ))
 }
 
-/// The largest fold an adaptive worker turn coalesces, however deep the
-/// queue is (matches the old fixed default).
-pub const MAX_ADAPTIVE_FOLD: usize = 8;
-
 /// A registered session slot.  The handle sits behind a mutex so the
 /// `update` verb can swap in the next session epoch while requests already
 /// holding a clone keep serving the epoch they were admitted against; every
@@ -223,7 +208,6 @@ struct ServerState {
     workers: usize,
     retry_after_ms: u64,
     service_delay: Option<Duration>,
-    max_fold: Option<usize>,
     log_requests: bool,
     addr: SocketAddr,
     next_request_id: AtomicU64,
@@ -354,7 +338,6 @@ pub fn serve(config: ServeConfig, sessions: Vec<SessionEntry>) -> std::io::Resul
         workers,
         retry_after_ms: config.retry_after_ms,
         service_delay: config.service_delay,
-        max_fold: config.max_fold,
         log_requests: config.log_requests,
         addr,
         next_request_id: AtomicU64::new(1),
@@ -895,103 +878,28 @@ fn admit_generate(
     }
 }
 
-/// Folded-batch membership shared by every job of one coalesced worker turn.
-/// Only materialized for real folds (size > 1), so unfolded traffic —
-/// including the sequential smoke — renders byte-identical responses to a
-/// server without folding.
-struct FoldInfo {
-    /// Request ids of the fold's members, in service order.
-    members: Vec<u64>,
-}
-
 fn worker_loop(state: &Arc<ServerState>) {
     while let Some(job) = state.queue.pop() {
         state.busy_workers.fetch_add(1, Ordering::SeqCst);
-        // Coalescing: fold queued same-session jobs into this service turn.
-        // Draining happens only at pop time — admission, capacity accounting,
-        // and backpressure semantics are untouched — and the fold preserves
-        // the session's admitted order, so per-request outputs stay exactly
-        // what the unfolded worker would have produced.  Members share no
-        // warm state (each privacy test is one prefix-store range lookup):
-        // a fold only saves queue wake-ups.
-        //
-        // The fold cap adapts to pressure unless a fixed override is set: the
-        // queue depth observed right after the pop (the jobs still waiting)
-        // is exactly how far behind this worker is, so an empty queue folds
-        // nothing — sequential traffic stays a strict one-request-per-turn
-        // server — and a backlog folds up to MAX_ADAPTIVE_FOLD jobs at once.
-        let fold_cap = match state.max_fold {
-            Some(fixed) => fixed.max(1),
-            None => {
-                let cap = state.queue.len().min(MAX_ADAPTIVE_FOLD - 1) + 1;
-                if cap > 1 {
-                    sgf_metrics::summary("serve.adaptive_fold_cap").observe(cap as u64);
-                }
-                cap
-            }
-        };
-        let folded = if fold_cap > 1 {
-            state.queue.drain_matching(
-                |queued| queued.call.session == job.call.session,
-                fold_cap - 1,
-            )
-        } else {
-            Vec::new()
-        };
-        let fold = if folded.is_empty() {
-            None
-        } else {
-            let members: Vec<u64> = std::iter::once(job.request_id)
-                .chain(folded.iter().map(|j| j.request_id))
-                .collect();
-            record_fold(&job.call.session, &members);
-            Some(FoldInfo { members })
-        };
-        for job in std::iter::once(job).chain(folded) {
-            // The injected delay is part of the simulated service time, so
-            // the clock starts before it: the p95 retry hint must reflect
-            // what a client actually waits for.
-            let started = Instant::now();
-            if let Some(delay) = state.service_delay {
-                std::thread::sleep(delay);
-            }
-            let session_name = job.call.session.clone();
-            let request_id = job.request_id;
-            let streaming = job.call.stream;
-            sgf_metrics::timer("serve.job").time(|| serve_job(job, fold.as_ref()));
-            observe_service_time(
-                state,
-                &session_name,
-                request_id,
-                streaming,
-                started.elapsed(),
-            );
+        // The injected delay is part of the simulated service time, so the
+        // clock starts before it: the p95 retry hint must reflect what a
+        // client actually waits for.
+        let started = Instant::now();
+        if let Some(delay) = state.service_delay {
+            std::thread::sleep(delay);
         }
+        let session_name = job.call.session.clone();
+        let request_id = job.request_id;
+        let streaming = job.call.stream;
+        sgf_metrics::timer("serve.job").time(|| serve_job(job));
+        observe_service_time(
+            state,
+            &session_name,
+            request_id,
+            streaming,
+            started.elapsed(),
+        );
         state.busy_workers.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Observability for one real fold (size > 1): the session-scoped
-/// `serve.folds` / `serve.folded_requests` counters plus a `serve.fold` span
-/// recording the batch size and first member.  Strictly before the fold is
-/// served — and never emitted for unfolded traffic, so deterministic
-/// sequential runs see no new metrics or spans at all.
-fn record_fold(session_name: &str, members: &[u64]) {
-    let scope = session_scope(session_name);
-    let view = sgf_metrics::scoped(&scope);
-    view.counter("serve.folds").incr();
-    view.counter("serve.folded_requests")
-        .add(members.len().saturating_sub(1) as u64);
-    let trace = sgf_metrics::trace();
-    if trace.enabled() {
-        let mut batch = TraceBatch::new();
-        let root = batch.span("serve.fold", SpanId::NONE);
-        batch.scope_labels(root, &scope);
-        batch.counter(root, "fold_size", members.len() as u64);
-        if let Some(&first) = members.first() {
-            batch.counter(root, "first_request_id", first);
-        }
-        trace.commit(batch);
     }
 }
 
@@ -1024,47 +932,28 @@ fn observe_service_time(
     log_request(state, request_id, "generate", session_name, "done");
 }
 
-fn serve_job(job: Job, fold: Option<&FoldInfo>) {
+fn serve_job(job: Job) {
     let Job {
         session,
         call,
         reservation,
         out,
-        request_id,
+        ..
     } = job;
     // The worker takes over the reservation: from here, the session's release
     // (or the marginal-stream rejection) settles it exactly once.
     let reserved = reservation.map(ReservationGuard::take);
-    let fold = fold.map(|info| (info, request_id));
     if call.stream {
-        serve_stream(&session, call, reserved, fold, &out);
+        serve_stream(&session, call, reserved, &out);
     } else {
-        serve_batch(&session, &call, reserved, fold, &out);
+        serve_batch(&session, &call, reserved, &out);
     }
-}
-
-/// Add folded-batch membership to a provenance object as its `fold` field:
-/// `{"size":N,"request_id":R,"members":[..]}`.  Identity for unfolded
-/// requests (and, defensively, for non-objects), so their provenance bytes
-/// are unchanged.
-fn provenance_with_fold(mut provenance: Json, fold: Option<(&FoldInfo, u64)>) -> Json {
-    if let (Some((info, request_id)), Json::Obj(fields)) = (fold, &mut provenance) {
-        let members = info.members.iter().map(|&id| Json::from(id)).collect();
-        let fold = Json::obj([
-            ("size", info.members.len().into()),
-            ("request_id", request_id.into()),
-            ("members", Json::Arr(members)),
-        ]);
-        fields.insert("fold".to_string(), fold);
-    }
-    provenance
 }
 
 fn serve_batch(
     session: &SynthesisSession,
     call: &GenerateCall,
     reserved: Option<usize>,
-    fold: Option<(&FoldInfo, u64)>,
     out: &Mutex<TcpStream>,
 ) {
     let result: sgf_core::Result<ReleaseReport> = match (call.model, reserved) {
@@ -1088,7 +977,7 @@ fn serve_batch(
                 &report.stats.to_json(),
                 report.request_budget().epsilon,
                 &report.ledger.to_json(),
-                &provenance_with_fold(report.provenance_json(), fold).render(),
+                &report.provenance_json().render(),
             );
             text.push('\n');
             for record in report.synthetics.records() {
@@ -1106,7 +995,6 @@ fn serve_stream(
     session: &SynthesisSession,
     call: GenerateCall,
     reserved: Option<usize>,
-    fold: Option<(&FoldInfo, u64)>,
     out: &Mutex<TcpStream>,
 ) {
     if call.model == ModelKind::Marginal {
@@ -1147,7 +1035,7 @@ fn serve_stream(
                 report.stats.released,
                 report.stats.as_json(),
                 report.ledger.as_json(),
-                provenance_with_fold(report.provenance_json(), fold),
+                report.provenance_json(),
             );
             let _ = writeln!(stream, "{trailer}");
         }
@@ -1164,29 +1052,4 @@ fn serve_stream(
         }
     }
     let _ = stream.flush();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn provenance_fold_injection_preserves_object_shape() {
-        let fold = FoldInfo {
-            members: vec![7, 9, 12],
-        };
-        let with_fold = |text: &str, fold| provenance_with_fold(Json::parse(text).unwrap(), fold);
-        assert_eq!(
-            with_fold("{\"seed\":5}", Some((&fold, 9))).render(),
-            "{\"fold\":{\"members\":[7,9,12],\"request_id\":9,\"size\":3},\"seed\":5}"
-        );
-        assert_eq!(
-            with_fold("{}", Some((&fold, 7))).render(),
-            "{\"fold\":{\"members\":[7,9,12],\"request_id\":7,\"size\":3}}"
-        );
-        // Unfolded requests keep their provenance bytes untouched.
-        assert_eq!(with_fold("{\"seed\":5}", None).render(), "{\"seed\":5}");
-        // Defensive: a non-object passes through unmodified.
-        assert_eq!(with_fold("null", Some((&fold, 7))), Json::Null);
-    }
 }

@@ -89,7 +89,7 @@ fi
 echo
 echo "== seed-store decision-equivalence gate passed (fig_index) =="
 
-# Request-folding equivalence gate: fig_folding asserts that the shared
+# Class-cache equivalence gate: fig_folding asserts that the shared
 # class-match cache never changes a release (byte-identical records, cache
 # on vs off, every request seed) and that the cache actually hits, then
 # prints the confirmation line below.  A cache-soundness regression fails
@@ -99,7 +99,7 @@ if ! grep -q "byte-identical releases with class cache on vs off" "$OUTDIR/fig_f
     exit 1
 fi
 echo
-echo "== request-folding equivalence gate passed (fig_folding) =="
+echo "== class-cache equivalence gate passed (fig_folding) =="
 
 # Incremental-update equivalence gate: fig_update folds a mixed delta into a
 # trained session and asserts every artifact — split subsets, structure,

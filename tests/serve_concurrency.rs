@@ -269,18 +269,19 @@ fn full_queue_rejects_with_retry_hint() {
     handle.join().unwrap();
 }
 
-/// Request folding equivalence: a folded serve run (multi-worker,
-/// multi-client, under the `service_delay` chaos knob) must release
-/// byte-identical records per request seed to an unfolded run against an
-/// identically-trained session — folding is a pure throughput mechanism,
-/// invisible in every released byte.
+/// One job per worker turn: a backlogged serve run (multi-worker,
+/// multi-client, under the `service_delay` chaos knob, so the queue builds
+/// up) must release byte-identical records per request seed to an
+/// undelayed run against an identically-trained session, and no worker may
+/// fold queued jobs into its turn: no provenance carries a `fold` block and
+/// the session's metrics cell has no fold counter.
 #[test]
 fn folded_cached_serve_matches_unfolded_cold_cache_run() {
     const CLIENTS: u64 = 12;
-    const FOLD_TARGET: usize = 6;
+    const BACKLOG_TARGET: usize = 6;
     type Outcomes = Vec<(u64, Vec<sgf::data::Record>)>;
 
-    let run = |name: &'static str, max_fold: usize, delay: Option<Duration>| -> (Outcomes, u64) {
+    let run = |name: &'static str, delay: Option<Duration>| -> Outcomes {
         let population = generate_acs(4_000, 77);
         let bucketizer = acs_bucketizer(&acs_schema());
         let session = SynthesisEngine::builder()
@@ -294,7 +295,6 @@ fn folded_cached_serve_matches_unfolded_cold_cache_run() {
         let handle = serve(
             ServeConfig {
                 workers: 2,
-                max_fold: Some(max_fold),
                 service_delay: delay,
                 queue_capacity: CLIENTS as usize * 2,
                 ..ServeConfig::default()
@@ -308,10 +308,15 @@ fn folded_cached_serve_matches_unfolded_cold_cache_run() {
                 .map(|seed| {
                     scope.spawn(move || {
                         let mut client = Client::connect(addr).unwrap();
-                        let call = GenerateCall::new(FOLD_TARGET)
+                        let call = GenerateCall::new(BACKLOG_TARGET)
                             .with_session(name)
-                            .with_request(GenerateRequest::new(FOLD_TARGET).with_seed(seed));
-                        (seed, client.generate(&call).unwrap().records)
+                            .with_request(GenerateRequest::new(BACKLOG_TARGET).with_seed(seed));
+                        let release = client.generate(&call).unwrap();
+                        assert!(
+                            release.provenance.get("fold").is_none(),
+                            "request seed {seed} was served inside a fold"
+                        );
+                        (seed, release.records)
                     })
                 })
                 .collect::<Vec<_>>()
@@ -321,30 +326,25 @@ fn folded_cached_serve_matches_unfolded_cold_cache_run() {
         });
         results.sort_by_key(|(seed, _)| *seed);
         let mut client = Client::connect(addr).unwrap();
-        let folded_requests = client
-            .metrics(Some(name), false)
-            .unwrap()
+        let metrics = client.metrics(Some(name), false).unwrap();
+        let counters = metrics
             .get("metrics")
             .and_then(|m| m.get("counters"))
-            .and_then(|c| c.get("serve.folded_requests"))
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0);
+            .expect("the session served requests, so its cell has counters");
+        for key in ["serve.folds", "serve.folded_requests"] {
+            assert!(counters.get(key).is_none(), "{name} recorded {key}");
+        }
         client.shutdown().unwrap();
         handle.join().unwrap();
-        (results, folded_requests)
+        results
     };
 
-    // Folded side: folding on, slowed workers so the queue builds up and
-    // pops genuinely coalesce.  Cold side: folding off.
-    let (folded, folded_requests) = run("folded", 8, Some(Duration::from_millis(150)));
-    let (cold, cold_folds) = run("cold", 1, None);
-    assert!(
-        folded_requests > 0,
-        "the folded run must actually coalesce requests"
-    );
-    assert_eq!(cold_folds, 0, "max_fold = 1 must disable folding");
-    assert_eq!(folded.len(), cold.len());
-    for ((seed_a, a), (seed_b, b)) in folded.iter().zip(&cold) {
+    // Backlogged side: slowed workers so the queue builds up.  Undelayed
+    // side: the same requests served as fast as they arrive.
+    let backlogged = run("backlogged", Some(Duration::from_millis(150)));
+    let undelayed = run("undelayed", None);
+    assert_eq!(backlogged.len(), undelayed.len());
+    for ((seed_a, a), (seed_b, b)) in backlogged.iter().zip(&undelayed) {
         assert_eq!(seed_a, seed_b);
         assert!(!a.is_empty(), "seed {seed_a} released nothing");
         assert_eq!(
@@ -354,20 +354,16 @@ fn folded_cached_serve_matches_unfolded_cold_cache_run() {
     }
 }
 
-/// Adaptive folding regression: with the default (adaptive) fold cap,
-/// strictly sequential traffic — each request completing before the next is
-/// sent — must never fold, because the worker always observes an empty queue
-/// at pop time.  This is what keeps the sequential smoke documents
-/// byte-identical to a fold-free server: no fold metrics, no fold spans, no
-/// `fold` block in any provenance.
+/// Folding regression: strictly sequential traffic — each request
+/// completing before the next is sent — never folds.  This is what keeps the
+/// sequential smoke documents byte-identical: no fold metrics, no fold
+/// spans, no `fold` block in any provenance.
 #[test]
 fn sequential_traffic_never_folds_under_the_adaptive_cap() {
     let session = train_session(35);
     let handle = serve(
         ServeConfig {
             workers: 4,
-            // The default: adaptive folding from observed queue depth.
-            max_fold: None,
             ..ServeConfig::default()
         },
         vec![SessionEntry::new(session).named("sequential")],
