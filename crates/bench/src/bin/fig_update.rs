@@ -17,11 +17,16 @@
 //!    versus the O(|Δ|) incremental fold-in of a 10-record ingest, at the
 //!    paper-scale session (32,000 ACS draws hash-split to ~15,680 seeds at
 //!    scale 1).  At full (non-smoke) scale the update must be ≥ 100x faster —
-//!    the payoff of delta-maintainable stores and summable model counts.  The
-//!    retrain is timed as a *full* retrain: training plus every seed store a
-//!    session provides (the σ-prefix store train builds eagerly, and the
-//!    inverted index and partition store its accessors build on first use),
-//!    so the baseline does not shrink when a store moves off the train path.  Both sides report
+//!    the payoff of delta-maintainable stores and summable model counts.  A
+//!    second timed point, `timing_mixed`, folds 10 deletes spread through the
+//!    population plus 10 inserts; a delete costs one pass over its subset and
+//!    one contiguous copy of the survivors, and the loop drops each previous
+//!    epoch, so at full scale that update must be ≥ 8x faster than the
+//!    retrain.  The retrain is timed as a *full* retrain: training plus
+//!    every seed store a session provides (the σ-prefix store train builds
+//!    eagerly, and the inverted index and partition store its accessors
+//!    build on first use), so the baseline does not shrink when a store
+//!    moves off the train path.  Both sides report
 //!    the best of several repetitions, which keeps scheduler noise on a
 //!    shared host out of the ratio.  The deferred prefix-store splice that the
 //!    first request of the new epoch pays is reported as its own row so the
@@ -40,6 +45,9 @@ use std::time::Instant;
 const DELETES: usize = 5;
 const INSERTS: usize = 10;
 
+/// Records retracted by the timed mixed delta (beside `INSERTS` inserts).
+const TIMED_DELETES: usize = 10;
+
 /// Timed full retrains and timed batches of updates; each side reports its
 /// fastest repetition.
 const RETRAIN_REPS: usize = 3;
@@ -57,12 +65,12 @@ fn train(population: &Dataset, bucketizer: &Bucketizer) -> SynthesisSession {
         .expect("model learning on the generated population succeeds")
 }
 
-/// The equivalence-gate delta: retract `DELETES` records spread through the
-/// population, ingest `INSERTS` fresh ACS draws.
-fn mixed_delta(population: &Dataset) -> DatasetDelta {
+/// A mixed delta: retract `deletes` records spread through the population,
+/// ingest `INSERTS` fresh ACS draws.
+fn mixed_delta(population: &Dataset, deletes: usize) -> DatasetDelta {
     let mut delta = DatasetDelta::new(population.schema_arc());
-    let stride = (population.len() / DELETES).max(1);
-    for i in 0..DELETES {
+    let stride = (population.len() / deletes).max(1);
+    for i in 0..deletes {
         delta
             .delete(population.record(i * stride).clone())
             .expect("population records delete cleanly");
@@ -103,7 +111,7 @@ fn main() {
 
     // Part 1: the equivalence gate — every artifact byte-identical after a
     // mixed (inserts + deletes) delta.
-    let delta = mixed_delta(&population);
+    let delta = mixed_delta(&population, DELETES);
     let updated = session.update(&delta).expect("update succeeds");
     let final_data = delta.apply(&population).expect("delta applies cleanly");
     let fresh = train(&final_data, &bucketizer);
@@ -271,6 +279,47 @@ fn main() {
             .value("materialize_seconds", materialize_seconds)
             .value("speedup", speedup),
     );
+    // The timed mixed delta: every update retracts and ingests, and each
+    // reassignment drops the previous epoch inside the timed loop, as a
+    // serving loop does.
+    let mixed = mixed_delta(&population, TIMED_DELETES);
+    let mut mixed_epoch = session.update(&mixed).expect("update succeeds");
+    let mixed_seconds = (0..UPDATE_BATCHES)
+        .map(|_| {
+            let started = Instant::now();
+            for _ in 0..reps {
+                mixed_epoch = session.update(&mixed).expect("update succeeds");
+            }
+            started.elapsed().as_secs_f64() / reps as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+    let started = Instant::now();
+    let _ = mixed_epoch.prefix_store();
+    let mixed_materialize_seconds = started.elapsed().as_secs_f64();
+    let mixed_speedup = retrain_seconds / mixed_seconds.max(1e-9);
+    table.add_row(&[
+        format!(
+            "update ({TIMED_DELETES} deletes + {INSERTS} inserts, best mean of \
+             {UPDATE_BATCHES}x{reps})"
+        ),
+        format!("{mixed_seconds:.6}"),
+        format!("{mixed_speedup:.1}x"),
+    ]);
+    table.add_row(&[
+        "deferred store splice after the mixed delta (first query)".into(),
+        format!("{mixed_materialize_seconds:.6}"),
+        "-".into(),
+    ]);
+    recorder.add(
+        BenchPoint::new("timing_mixed")
+            .counter("update_reps", reps as u64)
+            .counter("delta_deletes", TIMED_DELETES as u64)
+            .counter("delta_inserts", INSERTS as u64)
+            .counter("seeds_after", mixed_epoch.seeds().len() as u64)
+            .value("update_seconds", mixed_seconds)
+            .value("materialize_seconds", mixed_materialize_seconds)
+            .value("speedup", mixed_speedup),
+    );
     println!("Incremental update: cost vs from-scratch retrain\n");
     println!("{}", table.render());
     if !smoke_mode() {
@@ -280,6 +329,15 @@ fn main() {
              (update {update_seconds:.6}s vs retrain {retrain_seconds:.3}s, {speedup:.0}x)"
         );
         println!("fig_update: small-delta update is {speedup:.0}x faster than a full retrain\n");
+        assert!(
+            mixed_speedup >= 8.0,
+            "a {TIMED_DELETES}-delete, {INSERTS}-insert delta must fold in >= 8x faster than \
+             a retrain (update {mixed_seconds:.6}s vs retrain {retrain_seconds:.3}s, \
+             {mixed_speedup:.1}x)"
+        );
+        println!(
+            "fig_update: mixed-delta update is {mixed_speedup:.1}x faster than a full retrain\n"
+        );
     }
     recorder.finish();
 }

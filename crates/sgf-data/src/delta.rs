@@ -102,17 +102,52 @@ impl DatasetDelta {
     /// occurrence to retract.
     pub fn apply(&self, dataset: &Dataset) -> Result<Dataset> {
         self.validate_against(dataset.schema())?;
-        let survivors = apply_deletes(dataset.records(), &self.deletes)?;
-        let mut records: Vec<Record> = survivors
-            .into_iter()
-            .map(|i| dataset.record(i).clone())
-            .collect();
-        records.extend(self.inserts.iter().cloned());
-        Ok(Dataset::from_records_unchecked(
-            dataset.schema_arc(),
-            records,
-        ))
+        retract_and_append(dataset, &self.deletes, &self.inserts).map(|(_, data)| data)
     }
+}
+
+/// Retract `deletes` from `dataset` by value and append `inserts` after the
+/// survivors — [`DatasetDelta::apply`]'s rule on one dataset.  Returns the
+/// **retracted** positions (ascending) together with the new dataset.
+///
+/// Without deletes the new dataset shares every existing record with
+/// `dataset` ([`Dataset::with_appended`]), so the cost is O(|inserts|).
+/// Otherwise the deletes are resolved in one pass over the rows, and the
+/// survivors are copied as the contiguous runs between retracted positions.
+/// The rows are read segment by segment, so a dataset with an appended tail
+/// is never materialized.
+pub fn retract_and_append(
+    dataset: &Dataset,
+    deletes: &[Record],
+    inserts: &[Record],
+) -> Result<(Vec<usize>, Dataset)> {
+    if deletes.is_empty() {
+        return Ok((Vec::new(), dataset.with_appended(inserts.to_vec())?));
+    }
+    let [base, tail] = dataset.segments();
+    let retracted = retracted_positions([base, tail], deletes)?;
+    let mut records = Vec::with_capacity(dataset.len() - retracted.len() + inserts.len());
+    // Copy rows `from..to` of `base ++ tail`.
+    let mut copy_run = |from: usize, to: usize| {
+        let split = base.len();
+        if from < split {
+            records.extend_from_slice(&base[from..to.min(split)]);
+        }
+        if to > split {
+            records.extend_from_slice(&tail[from.max(split) - split..to - split]);
+        }
+    };
+    let mut from = 0;
+    for &position in &retracted {
+        copy_run(from, position);
+        from = position + 1;
+    }
+    copy_run(from, dataset.len());
+    records.extend_from_slice(inserts);
+    Ok((
+        retracted,
+        Dataset::from_records_unchecked(dataset.schema_arc(), records),
+    ))
 }
 
 /// Resolve `deletes` against `records` by value, retracting the first
@@ -124,23 +159,44 @@ impl DatasetDelta {
 /// and class member lists, and the model counts subtract exactly these
 /// records.
 pub fn apply_deletes(records: &[Record], deletes: &[Record]) -> Result<Vec<usize>> {
-    let mut removed = vec![false; records.len()];
-    for del in deletes {
-        let found = records
-            .iter()
-            .enumerate()
-            .position(|(i, r)| !removed[i] && r == del);
-        match found {
-            Some(i) => removed[i] = true,
-            None => {
-                return Err(DataError::InvalidParameter(format!(
-                    "delta deletes a record with no remaining occurrence: {:?}",
-                    del.values()
-                )))
-            }
+    let retracted = retracted_positions([records, &[]], deletes)?;
+    let mut next = retracted.iter().peekable();
+    Ok((0..records.len())
+        .filter(|&i| next.next_if_eq(&&i).is_none())
+        .collect())
+}
+
+/// The positions (ascending) `deletes` retract from the rows of `segments`,
+/// read in order as one sequence.  Each delete retracts the first remaining
+/// occurrence of its value, so one pass over the rows resolves them all: a
+/// row retracts the earliest unresolved delete of its value.  The pass stops
+/// as soon as every delete is resolved.  A row is compared with the
+/// unresolved deletes only: a few comparisons per row for the small deltas
+/// a serving session folds in, and at worst O(n · |deletes|), the bound of
+/// a delete-by-delete scan.
+///
+/// A delete with no remaining occurrence fails, naming the earliest
+/// unresolved delete in delta order — the one a delete-by-delete scan stops
+/// at, since the deletes of one value resolve in delta order.
+fn retracted_positions(segments: [&[Record]; 2], deletes: &[Record]) -> Result<Vec<usize>> {
+    let mut pending: Vec<&Record> = deletes.iter().collect();
+    let mut positions = Vec::with_capacity(deletes.len());
+    for (position, row) in segments.into_iter().flatten().enumerate() {
+        if pending.is_empty() {
+            break;
+        }
+        if let Some(k) = pending.iter().position(|&del| del == row) {
+            pending.remove(k);
+            positions.push(position);
         }
     }
-    Ok((0..records.len()).filter(|&i| !removed[i]).collect())
+    match pending.first() {
+        None => Ok(positions),
+        Some(del) => Err(DataError::InvalidParameter(format!(
+            "delta deletes a record with no remaining occurrence: {:?}",
+            del.values()
+        ))),
+    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ pub mod schema;
 pub mod split;
 
 pub use bucketize::{AttributeBuckets, Bucketizer};
-pub use delta::{apply_deletes, DatasetDelta};
+pub use delta::{apply_deletes, retract_and_append, DatasetDelta};
 pub use error::{DataError, Result};
 pub use record::{Dataset, Record};
 pub use schema::{Attribute, AttributeKind, Schema};

@@ -11,59 +11,138 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::num::NonZeroU16;
 use std::sync::{Arc, OnceLock};
 
+/// Most values a record stores inline; wider records keep theirs on the heap.
+const INLINE_VALUES: usize = 15;
+
 /// A single data record: value indices against a schema.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Records of up to 15 attributes (the ACS schema has 11) store their values
+/// inline, so a record owns no heap allocation and a `Vec<Record>` is one
+/// row-major arena with a 32-byte stride: cloning, copying a run of records
+/// and dropping a batch never touch the allocator per record.  Wider records
+/// keep their values in a `Vec<u16>`.  The storage is private and each value
+/// sequence has exactly one representation, so equality and hashing are
+/// those of [`values`](Record::values).
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Record {
-    values: Vec<u16>,
+    values: Values,
+}
+
+/// A record's value storage: inline up to [`INLINE_VALUES`], else the heap.
+///
+/// A sequence of at most [`INLINE_VALUES`] values is always `Inline`, and
+/// the inline slots past the length are always zero, so two storages are
+/// equal exactly when their value sequences are: the derived comparison of
+/// two inline records is a fixed-size compare of 32 bytes.
+#[derive(Clone, PartialEq, Eq)]
+enum Values {
+    Inline {
+        values: [u16; INLINE_VALUES],
+        /// The number of values plus one.  Zero never occurs here, so the
+        /// enum marks its `Heap` arm with it instead of a separate tag
+        /// byte: the record stays 32 bytes, and cloning an inline record
+        /// copies its two fields (a tag byte beside a `u8` length measured
+        /// about twice as slow to clone in bulk).
+        len_plus_one: NonZeroU16,
+    },
+    Heap(Vec<u16>),
 }
 
 impl Record {
     /// Build a record from raw value indices (no schema validation; use
     /// [`Dataset::push`] or [`Record::validated`] when validation is required).
     pub fn new(values: Vec<u16>) -> Self {
-        Record { values }
+        if values.len() > INLINE_VALUES {
+            return Record {
+                values: Values::Heap(values),
+            };
+        }
+        let mut inline = [0u16; INLINE_VALUES];
+        inline[..values.len()].copy_from_slice(&values);
+        Record {
+            values: Values::Inline {
+                values: inline,
+                len_plus_one: NonZeroU16::MIN.saturating_add(values.len() as u16),
+            },
+        }
     }
 
     /// Build a record and validate it against a schema.
     pub fn validated(values: Vec<u16>, schema: &Schema) -> Result<Self> {
         schema.validate_values(&values)?;
-        Ok(Record { values })
+        Ok(Record::new(values))
     }
 
     /// Value index of attribute `i`.
+    #[inline]
     pub fn get(&self, i: usize) -> u16 {
-        self.values[i]
+        self.values()[i]
     }
 
     /// Set the value index of attribute `i`.
+    #[inline]
     pub fn set(&mut self, i: usize, value: u16) {
-        self.values[i] = value;
+        let values = match &mut self.values {
+            Values::Inline {
+                values,
+                len_plus_one,
+            } => &mut values[..usize::from(len_plus_one.get() - 1)],
+            Values::Heap(values) => values.as_mut_slice(),
+        };
+        values[i] = value;
     }
 
     /// Number of attributes in the record.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.values().len()
     }
 
     /// Whether the record has zero attributes.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.values().is_empty()
     }
 
     /// Raw value slice.
+    #[inline]
     pub fn values(&self) -> &[u16] {
-        &self.values
+        match &self.values {
+            Values::Inline {
+                values,
+                len_plus_one,
+            } => &values[..usize::from(len_plus_one.get() - 1)],
+            Values::Heap(values) => values,
+        }
     }
 
     /// Number of attribute positions on which two records differ.
     pub fn hamming_distance(&self, other: &Record) -> usize {
-        self.values
+        self.values()
             .iter()
-            .zip(other.values.iter())
+            .zip(other.values().iter())
             .filter(|(a, b)| a != b)
             .count()
+    }
+}
+
+impl Hash for Record {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // The bytes a derived hash of a `values: Vec<u16>` field feeds.
+        self.values().hash(state);
+    }
+}
+
+impl fmt::Debug for Record {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Record")
+            .field("values", &self.values())
+            .finish()
     }
 }
 
@@ -76,11 +155,15 @@ impl From<Vec<u16>> for Record {
 /// A dataset: a schema plus a collection of records conforming to it.
 ///
 /// Records live in two structurally-shared segments: a `base` block and an
-/// appended `tail`, both behind `Arc`.  Cloning a dataset is O(1), and
-/// [`with_appended`](Dataset::with_appended) derives a dataset sharing the
-/// entire base with its parent — the representation that makes incremental
-/// session updates (`SynthesisSession::update` in `sgf-core`) cost O(|Δ|)
-/// instead of O(n) for insert-only deltas.  The segmentation is invisible to
+/// appended `tail`, both behind `Arc`.  Each segment is a flat row arena:
+/// records store their values inline (see [`Record`]), so a segment is one
+/// contiguous allocation, and copying or dropping a run of records makes no
+/// allocator call per record.
+/// Cloning a dataset is O(1), and [`with_appended`](Dataset::with_appended)
+/// derives a dataset sharing the entire base with its parent, so an
+/// insert-only session update (`SynthesisSession::update` in `sgf-core`)
+/// costs O(|Δ|); a delete costs one pass over the segments and one
+/// contiguous copy of the survivors.  The segmentation is invisible to
 /// readers: [`records`](Dataset::records) returns one contiguous slice,
 /// materializing (and caching) the concatenation on first use when a tail is
 /// present.
@@ -173,6 +256,12 @@ impl Dataset {
             tail: Arc::new(tail),
             full: OnceLock::new(),
         })
+    }
+
+    /// The `base` and `tail` segments, in record order, without
+    /// materializing their concatenation.
+    pub(crate) fn segments(&self) -> [&[Record]; 2] {
+        [&self.base, &self.tail]
     }
 
     /// The schema of this dataset.
@@ -349,6 +438,76 @@ mod tests {
             d.push(Record::new(vec![a, b])).unwrap();
         }
         d
+    }
+
+    fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    #[test]
+    fn records_are_32_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 32);
+    }
+
+    #[test]
+    fn inline_and_heap_records_agree_with_their_values() {
+        for width in [3usize, 15, 16] {
+            let mut values: Vec<u16> = (0..width as u16).map(|v| v * 3 + 1).collect();
+            let mut record = Record::new(values.clone());
+            assert_eq!(record.len(), values.len());
+            assert_eq!(record.values(), values.as_slice());
+            for (i, &v) in values.iter().enumerate() {
+                assert_eq!(record.get(i), v);
+            }
+            record.set(width - 1, 999);
+            values[width - 1] = 999;
+            assert_eq!(record.values(), values.as_slice());
+            assert_eq!(record.get(width - 1), 999);
+            assert_eq!(record, Record::from(values.clone()));
+            assert_eq!(record.clone(), record);
+            values[0] += 1;
+            assert_ne!(record, Record::new(values));
+        }
+        // Records of different widths differ even where one is a prefix.
+        assert_ne!(Record::new(vec![1, 2]), Record::new(vec![1, 2, 0]));
+        assert!(Record::new(Vec::new()).is_empty());
+    }
+
+    #[test]
+    #[should_panic]
+    fn set_past_the_end_panics() {
+        Record::new(vec![0, 1, 2]).set(3, 7);
+    }
+
+    #[test]
+    fn equal_records_hash_equal_and_like_their_values() {
+        for width in [3usize, 15, 16] {
+            let values: Vec<u16> = (0..width as u16).collect();
+            let a = Record::new(values.clone());
+            let mut b = Record::new(vec![0; width]);
+            for (i, &v) in values.iter().enumerate() {
+                b.set(i, v);
+            }
+            assert_eq!(a, b);
+            assert_eq!(hash_of(&a), hash_of(&b));
+            // The bytes a derived hash over a `Vec<u16>` field feeds.
+            assert_eq!(hash_of(&a), hash_of(&values));
+        }
+    }
+
+    #[test]
+    fn debug_prints_the_value_sequence() {
+        assert_eq!(
+            format!("{:?}", Record::new(vec![1, 2, 3])),
+            "Record { values: [1, 2, 3] }"
+        );
+        let wide: Vec<u16> = (0..16).collect();
+        assert_eq!(
+            format!("{:?}", Record::new(wide.clone())),
+            format!("Record {{ values: {wide:?} }}")
+        );
     }
 
     #[test]
