@@ -62,10 +62,9 @@ fn main() {
     recorder.finish();
 
     // Worker-scaling sweep: the same request served at 1-32 workers from one
-    // trained session.  The released records are deterministic at every
-    // worker count (rank selection), but proposal counters at >1 workers
-    // depend on thread timing, so those points are marked noisy and exempt
-    // from regression gating.
+    // trained session.  The released records are identical at every worker
+    // count, but proposal counters at >1 workers depend on thread timing, so
+    // those points are marked noisy and exempt from regression gating.
     let mut recorder = SeriesRecorder::new("fig5_workers", scale);
     let target = base_sizes[1] * scale;
     let session = SynthesisEngine::from_config(config)

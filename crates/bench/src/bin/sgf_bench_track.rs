@@ -34,7 +34,7 @@ commands:
 defaults: --dir artifacts, --trajectory BENCH_TRAJECTORY.jsonl, --tolerance 0.05";
 
 /// The reproduction binaries `run` executes, in suite order.
-const SUITE: [&str; 14] = [
+const SUITE: [&str; 13] = [
     "fig1",
     "fig2",
     "fig3",
@@ -42,7 +42,6 @@ const SUITE: [&str; 14] = [
     "fig5",
     "fig6",
     "fig_index",
-    "fig_folding",
     "fig_update",
     "table1",
     "table2",
@@ -359,11 +358,11 @@ fn render_notes(docs: &[BenchDoc], entry: &TrajectoryEntry) -> String {
          \x20 scan and σ-prefix store also under a `max_check_plausible` cap\n\
          \x20 below the seed count — asserted by the binary itself, so a\n\
          \x20 seed-store divergence fails `repro.sh` and CI.\n\
-         * `fig5_workers`: the released records are deterministic at every\n\
-         \x20 worker count (rank selection); `selection_locks` counts shared-heap\n\
-         \x20 acquisitions and `outranked_passes` counts passing proposals that\n\
-         \x20 lost the rank race — together they profile the parallel release\n\
-         \x20 loop's remaining shared-state traffic.\n\
+         * `fig5_workers`: the released records are identical at every\n\
+         \x20 worker count. `candidates`, `selection_locks` (shared-heap\n\
+         \x20 acquisitions) and `outranked_passes` (passing proposals that lost\n\
+         \x20 the rank race) still depend on thread timing at more than one\n\
+         \x20 worker, so those points stay noisy.\n\
          * Smoke mode (`scripts/repro.sh --smoke`) runs the same suite at\n\
          \x20 reduced sizes; its deterministic counters form the CI baseline in\n\
          \x20 `BENCH_TRAJECTORY.jsonl`."

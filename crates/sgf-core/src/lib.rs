@@ -56,8 +56,7 @@ pub use mechanism::{
 pub use pipeline::{learn_models, PipelineConfig, TrainedModels};
 pub use privacy_test::{run_privacy_test, run_with_store, PrivacyTestConfig, TestOutcome};
 pub use session::{
-    request_worker_seed, EngineBuilder, GenerateRequest, ReleaseReport, SynthesisEngine,
-    SynthesisSession,
+    proposal_seed, EngineBuilder, GenerateRequest, ReleaseReport, SynthesisEngine, SynthesisSession,
 };
 pub use sgf_index::{
     InvertedIndexStore, LinearScanStore, PartitionIndexStore, PrefixIndexStore, SeedStore,

@@ -237,6 +237,9 @@ mod tests {
         // for the last slots near the target.
         assert_eq!(report.synthetics.len(), report.stats.released);
         assert!(report.stats.released <= report.stats.candidates);
+        config.workers = 1;
+        let single = release_once(config, &data);
+        assert_eq!(report.synthetics.records(), single.synthetics.records());
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! 2. [`SynthesisEngine::train`] splits the data, learns the models **once**,
 //!    and produces an immutable [`SynthesisSession`];
 //! 3. the session serves repeated [`SynthesisSession::generate`] calls — each
-//!    with its own target, ω, seed, and worker count — while a cumulative
-//!    [`BudgetLedger`] composes the per-release (ε, δ) of Theorem 1 across
-//!    every request served;
+//!    with its own target, ω and seed, on any number of workers — while a
+//!    cumulative [`BudgetLedger`] composes the per-release (ε, δ) of
+//!    Theorem 1 across every request served;
 //! 4. [`SynthesisSession::release_stream`] hands each released record to a
 //!    callback the moment it passes, for services that consume them
 //!    incrementally.
@@ -25,8 +25,8 @@
 //! which counts the plausible seeds of a seed-synthesizer candidate with one
 //! range lookup at any ω.  All stores are decision-equivalent; the full scan
 //! stays the reference oracle, reached as [`sgf_index::LinearScanStore`] /
-//! [`Mechanism::new`], and a `workers = 1` request replays over any store
-//! from [`request_worker_seed`]`(request.seed, 0)`.
+//! [`Mechanism::new`], and any rank of a request replays over any store
+//! from [`proposal_seed`].
 
 use crate::dp::BudgetLedger;
 use crate::error::{CoreError, Result};
@@ -440,9 +440,8 @@ pub struct CandidateProbe {
 }
 
 /// Per-request cap on traced privacy tests: each worker keeps its first
-/// `MAX_TRACE_PROBES` probes (ranks increase monotonically per worker), the
-/// merge keeps the globally smallest-ranked `MAX_TRACE_PROBES` — a
-/// deterministic prefix of the proposal order at `workers = 1`.
+/// `MAX_TRACE_PROBES` probes (ranks increase monotonically per worker), and
+/// the merge keeps the globally smallest-ranked `MAX_TRACE_PROBES`.
 pub const MAX_TRACE_PROBES: usize = 32;
 
 /// The prefix-store slot of [`SessionShared`]: either materialized up front
@@ -693,7 +692,7 @@ impl SynthesisSession {
 
     /// Serve one request with the session's own seed-based synthesizer: build
     /// one fixed-ω synthesizer per admissible ω and fan candidate generation
-    /// out over the request's worker count.
+    /// out over the request's workers.
     pub fn generate(&self, request: &GenerateRequest) -> Result<ReleaseReport> {
         self.generate_seeded(request, None, None)
     }
@@ -742,11 +741,11 @@ impl SynthesisSession {
     ///
     /// A stream proposes on one worker, on the calling thread (the request's
     /// `workers` override is validated, then ignored).  There every pass is
-    /// final and in rank order, so a stream releases exactly the records of a
-    /// `workers = 1` [`generate`](SynthesisSession::generate) with the same
-    /// seed, in the same order, and records the same metrics, trace spans and
-    /// report — except that the report's `synthetics` is empty, because the
-    /// engine does not buffer streamed records.
+    /// final and in rank order, so a stream releases exactly the records of
+    /// [`generate`](SynthesisSession::generate), in the same order, and
+    /// records the metrics, trace spans and report of a one-worker generate —
+    /// except that the report's `synthetics` is empty, because the engine
+    /// does not buffer streamed records.
     ///
     /// `reserved` is a prior [`try_reserve`](SynthesisSession::try_reserve)
     /// of at least `request.target` records (`None` reserves the target
@@ -1191,17 +1190,29 @@ pub(crate) fn per_release_budget(test: &PrivacyTestConfig) -> Option<DpBudget> {
         .map(|b| b.budget)
 }
 
-/// The RNG seed of worker `worker` of a request seeded with `request_seed`.
+/// The RNG seed of the candidate at rank `rank` of a request seeded with
+/// `request_seed`.
 ///
-/// Worker `w` of a release drives its proposals from
-/// `StdRng::seed_from_u64(request_worker_seed(request.seed, w))`.  A stream
-/// runs worker 0 alone, so a stream or a `workers = 1` request replays over
-/// any seed store as `Mechanism::with_store(..).release_until(..)` from that
-/// RNG.
-pub fn request_worker_seed(request_seed: u64, worker: usize) -> u64 {
-    request_seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(worker as u64)
+/// Every release draws rank `r`'s candidate — the ω-model choice, then the
+/// proposal — from its own `StdRng::seed_from_u64(proposal_seed(seed, r))`
+/// stream, and releases the `target` smallest passing ranks.  A rank's
+/// candidate is therefore a function of (request seed, rank) alone: every
+/// worker count, every thread schedule and a stream release the same
+/// records, and any one rank replays over any seed store by itself.
+///
+/// The seed nests two SplitMix64 steps, `splitmix64(splitmix64(request_seed)
+/// ^ rank)`, so requests whose seeds lie a fixed arithmetic offset apart do
+/// not share candidate streams.
+pub fn proposal_seed(request_seed: u64, rank: usize) -> u64 {
+    splitmix64(splitmix64(request_seed) ^ rank as u64)
+}
+
+/// One SplitMix64 step from state `x`: a bijective 64-bit mix.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// The smallest ω an ω spec admits: its synthesizer keeps the most
@@ -1213,11 +1224,8 @@ fn smallest_omega(omega: OmegaSpec) -> usize {
     }
 }
 
-/// Most worker threads one request may fan out over.  Each worker draws
-/// its own RNG stream ([`request_worker_seed`]), so a release depends on
-/// its worker count: the same request at `workers = 1` and `workers = 2`
-/// releases different records.  The ceiling bounds the threads a request
-/// can make the process spawn.
+/// Most worker threads one request may fan out over.  The ceiling bounds
+/// the threads a request can make the process spawn.
 pub(crate) const MAX_WORKERS: usize = 64;
 
 /// A worker count must be at least 1 and at most [`MAX_WORKERS`].
@@ -1288,9 +1296,9 @@ fn commit_generate_trace(
     sgf_metrics::trace().commit(batch)
 }
 
-/// A passing candidate tagged with its global proposal rank.
+/// A passing candidate tagged with its proposal rank.
 ///
-/// Worker `w`'s `i`-th proposal has rank `w + workers * i` — globally unique
+/// Worker `w` proposes ranks `w, w + workers, …` — globally unique
 /// (distinct residues mod `workers`) and strictly increasing within each
 /// worker.  Ordering is by rank alone so the shared selection heap can evict
 /// its largest-rank member first.
@@ -1347,24 +1355,22 @@ impl WorkerProfile {
 /// # Determinism and contention
 ///
 /// The loop statically shards the proposal space: worker `w` owns ranks
-/// `w, w + workers, w + 2·workers, …  < max_candidates`, drives its private
-/// RNG stream, and touches shared state only when a candidate **passes** the
-/// privacy test.  Passing candidates enter a bounded max-heap of capacity
-/// `target` under a mutex — the release selection is the `target`
-/// *smallest-rank* passing candidates — and a lock-free threshold mirror of
-/// the heap's max rank lets workers stop early: once the heap is full, the
-/// threshold only decreases, so a worker whose next rank exceeds it can never
-/// displace a selected record (ranks are unique, and every later rank of that
-/// worker is larger still).  Skipped proposals therefore cannot change the
+/// `w, w + workers, w + 2·workers, …  < max_candidates`, draws each rank's
+/// candidate from that rank's own [`proposal_seed`] stream, and touches
+/// shared state only when a candidate **passes** the privacy test.  Passing
+/// candidates enter a bounded max-heap of capacity `target` under a mutex —
+/// the release selection is the `target` *smallest-rank* passing candidates
+/// — and a lock-free threshold mirror of the heap's max rank lets workers
+/// stop early: once the heap is full, the threshold only decreases, so a
+/// worker whose next rank exceeds it can never displace a selected record
+/// (ranks are unique, and every later rank of that worker is larger still).  Skipped proposals therefore cannot change the
 /// selection, which makes the released records — sorted by rank on return —
-/// **identical across runs**.  Per-proposal shared traffic is one relaxed
-/// load of a cache-padded threshold.
+/// **identical across runs and worker counts**.  Per-proposal shared traffic
+/// is one relaxed load of a cache-padded threshold.
 ///
 /// With `emit` (a stream) the engine runs one worker, where every pass is
 /// final and in rank order: each passing record goes straight to `emit`
-/// instead of the heap, and `emit` returning `false` stops proposing.  The
-/// stream therefore releases the records a `workers = 1` call selects, in
-/// the same order, from the same candidates.
+/// instead of the heap, and `emit` returning `false` stops proposing.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
     models: &[&M],
@@ -1403,7 +1409,7 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
     type WorkerResult = Result<(MechanismStats, WorkerProfile, Vec<CandidateProbe>)>;
     let worker_results: Vec<WorkerResult> = if workers <= 1 {
         vec![worker_loop(
-            request_worker_seed(request_seed, 0),
+            request_seed,
             0,
             1,
             &mechanisms,
@@ -1423,7 +1429,7 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
                 let threshold = &threshold;
                 handles.push(scope.spawn(move || {
                     worker_loop(
-                        request_worker_seed(request_seed, worker),
+                        request_seed,
                         worker,
                         workers,
                         mechanisms,
@@ -1462,8 +1468,7 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
     let heap = selection
         .into_inner()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    // Ascending rank order: deterministic, and at workers = 1 exactly the
-    // proposal order of the sequential path.
+    // Ascending rank order, the order a stream emits.
     let records: Vec<Record> = heap
         .into_sorted_vec()
         .into_iter()
@@ -1486,7 +1491,7 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
 
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<M: GenerativeModel + ?Sized>(
-    worker_seed: u64,
+    request_seed: u64,
     worker: usize,
     workers: usize,
     mechanisms: &[Mechanism<'_, M>],
@@ -1497,7 +1502,6 @@ fn worker_loop<M: GenerativeModel + ?Sized>(
     collect_probes: bool,
     mut emit: Option<&mut dyn FnMut(Record) -> bool>,
 ) -> Result<(MechanismStats, WorkerProfile, Vec<CandidateProbe>)> {
-    let mut rng = StdRng::seed_from_u64(worker_seed);
     let mut stats = MechanismStats::default();
     let mut profile = WorkerProfile::default();
     let mut probes: Vec<CandidateProbe> = Vec::new();
@@ -1509,6 +1513,7 @@ fn worker_loop<M: GenerativeModel + ?Sized>(
         if threshold.load(Ordering::Relaxed) <= rank {
             break;
         }
+        let mut rng = StdRng::seed_from_u64(proposal_seed(request_seed, rank));
         let which = if mechanisms.len() == 1 {
             0
         } else {
@@ -1577,7 +1582,7 @@ mod tests {
     use crate::mechanism::{propose_candidate, propose_candidate_with_store};
     use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
 
-    /// Replay a `workers = 1` request the way `generate` runs it, over
+    /// Replay a request rank by rank the way `generate` selects it, over
     /// `store` — the scan oracle when `None` — with the request's synthesizers
     /// built from `session`, or `model` in their place.
     fn replay(
@@ -1598,9 +1603,10 @@ mod tests {
                 .collect(),
         };
         let (seeds, test) = (session.seeds(), &session.config().privacy_test);
-        let mut rng = StdRng::seed_from_u64(request_worker_seed(request.seed, 0));
         let (mut released, mut stats) = (Vec::new(), MechanismStats::default());
         while released.len() < target && stats.candidates < max_candidates {
+            // `candidates` counts the ranks proposed so far.
+            let mut rng = StdRng::seed_from_u64(proposal_seed(request.seed, stats.candidates));
             let which = if models.len() == 1 {
                 0
             } else {
@@ -1957,31 +1963,79 @@ mod tests {
 
     #[test]
     fn multi_worker_releases_are_deterministic_and_exact() {
-        // The rank-ordered selection makes parallel releases reproducible:
-        // two runs with the same seed and worker count must release the same
-        // records in the same order, with exact accounting.
+        // Rank r's candidate depends on (request seed, r) alone and the
+        // selection keeps the smallest passing ranks, so every run, every
+        // worker count and a stream release the same records in the same
+        // order, with exact accounting.  The ω range draws each rank's model
+        // from that rank's stream too.
         let data = generate_acs(4000, 41);
         let bkt = acs_bucketizer(&acs_schema());
         let session = small_engine(41).train(&data, &bkt).unwrap();
-        for workers in [2usize, 4, 8] {
-            let request = GenerateRequest::new(15).with_seed(7).with_workers(workers);
-            let a = session.generate(&request).unwrap();
-            let b = session.generate(&request).unwrap();
-            assert_eq!(
-                a.synthetics.records(),
-                b.synthetics.records(),
-                "workers = {workers} must be run-to-run deterministic"
+        for omega in [
+            OmegaSpec::Fixed(9),
+            OmegaSpec::UniformRange { lo: 5, hi: 11 },
+        ] {
+            for seed in [7u64, 8, 9] {
+                let base = GenerateRequest::new(15).with_seed(seed).with_omega(omega);
+                let single = session.generate(&base.with_workers(1)).unwrap();
+                assert!(!single.synthetics.is_empty());
+                let mut streamed: Vec<Record> = Vec::new();
+                session
+                    .release_stream(&base, None, |r| {
+                        streamed.push(r);
+                        true
+                    })
+                    .unwrap();
+                assert_eq!(single.synthetics.records(), &streamed[..]);
+                for workers in [2usize, 4, 8] {
+                    let request = base.with_workers(workers);
+                    let a = session.generate(&request).unwrap();
+                    let b = session.generate(&request).unwrap();
+                    assert_eq!(
+                        a.synthetics.records(),
+                        b.synthetics.records(),
+                        "workers = {workers} must be run-to-run deterministic"
+                    );
+                    assert_eq!(
+                        a.synthetics.records(),
+                        single.synthetics.records(),
+                        "workers = {workers} must release the one-worker records"
+                    );
+                    assert_eq!(a.stats.released, a.synthetics.records().len());
+                    assert!(a.stats.released <= 15);
+                    assert!(a.stats.candidates >= a.stats.released);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn proposal_seeds_do_not_collide() {
+        // The old `seed·C + worker` rule mapped (s, 1) and (s + C⁻¹, 0) to
+        // one stream; the nested mix keeps them apart.
+        const C_INVERSE: u64 = 0xf1de_83e1_9937_733d;
+        assert_eq!(C_INVERSE.wrapping_mul(0x9e37_79b9_7f4a_7c15), 1);
+        for s in [0u64, 1, 7, 1 << 40, u64::MAX] {
+            assert_ne!(
+                proposal_seed(s, 1),
+                proposal_seed(s.wrapping_add(C_INVERSE), 0)
             );
-            assert_eq!(a.stats.released, a.synthetics.records().len());
-            assert!(a.stats.released <= 15);
-            assert!(a.stats.candidates >= a.stats.released);
+        }
+        let mut seen = std::collections::HashSet::new();
+        for request_seed in 0..64u64 {
+            for rank in 0..1024usize {
+                assert!(
+                    seen.insert(proposal_seed(request_seed, rank)),
+                    "duplicate seed at ({request_seed}, {rank})"
+                );
+            }
         }
     }
 
     #[test]
     fn single_worker_and_parallel_runs_agree_at_workers_one() {
-        // The rank selection at workers = 1 is plain proposal order: it must
-        // match the sequential streaming path byte for byte.
+        // A one-worker rank selection is plain proposal order: it must match
+        // the sequential streaming path byte for byte.
         let data = generate_acs(3500, 42);
         let bkt = acs_bucketizer(&acs_schema());
         let session = small_engine(42).train(&data, &bkt).unwrap();

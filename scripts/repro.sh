@@ -29,7 +29,7 @@ for arg in "$@"; do
     esac
 done
 
-BINARIES=(fig1 fig2 fig3 fig4 fig5 fig6 fig_index fig_folding fig_update table1 table2 table3 table4 table5)
+BINARIES=(fig1 fig2 fig3 fig4 fig5 fig6 fig_index fig_update table1 table2 table3 table4 table5)
 
 echo "== building release binaries =="
 cargo build --release -p bench -p sgf-serve
@@ -88,18 +88,6 @@ if ! grep -q "byte-identical records in every configuration" "$OUTDIR/fig_index.
 fi
 echo
 echo "== seed-store decision-equivalence gate passed (fig_index) =="
-
-# Class-cache equivalence gate: fig_folding asserts that the shared
-# class-match cache never changes a release (byte-identical records, cache
-# on vs off, every request seed) and that the cache actually hits, then
-# prints the confirmation line below.  A cache-soundness regression fails
-# this script even when the unit/property suites were skipped.
-if ! grep -q "byte-identical releases with class cache on vs off" "$OUTDIR/fig_folding.txt"; then
-    echo "ERROR: fig_folding did not confirm class-cache release equivalence" >&2
-    exit 1
-fi
-echo
-echo "== class-cache equivalence gate passed (fig_folding) =="
 
 # Incremental-update equivalence gate: fig_update folds a mixed delta into a
 # trained session and asserts every artifact — split subsets, structure,

@@ -5,8 +5,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sgf::core::{
-    request_worker_seed, GenerateRequest, Mechanism, MechanismStats, PipelineConfig,
-    PrivacyTestConfig, SeedStore, SynthesisEngine, SynthesisSession,
+    proposal_seed, GenerateRequest, Mechanism, MechanismStats, PipelineConfig, PrivacyTestConfig,
+    SeedStore, SynthesisEngine, SynthesisSession,
 };
 use sgf::data::acs::{acs_bucketizer, acs_schema, generate_acs};
 use sgf::data::Record;
@@ -23,8 +23,8 @@ fn small_config(target: usize, seed: u64) -> PipelineConfig {
     config
 }
 
-/// Replay the fixed-ω, `workers = 1` request `request` of `session` over
-/// `store` — the scan oracle when `None` — as `generate` runs it.
+/// Replay the fixed-ω request `request` of `session` rank by rank over
+/// `store` — the scan oracle when `None` — as `generate` selects it.
 fn replay(
     session: &SynthesisSession,
     store: Option<&dyn SeedStore>,
@@ -42,10 +42,18 @@ fn replay(
     }
     .unwrap();
     let max_candidates = request.target * config.max_candidate_factor;
-    let mut rng = StdRng::seed_from_u64(request_worker_seed(request.seed, 0));
-    mechanism
-        .release_until(request.target, max_candidates, &mut rng)
-        .unwrap()
+    let (mut released, mut stats) = (Vec::new(), MechanismStats::default());
+    while released.len() < request.target && stats.candidates < max_candidates {
+        // `candidates` counts the ranks proposed so far.
+        let mut rng = StdRng::seed_from_u64(proposal_seed(request.seed, stats.candidates));
+        let report = mechanism.propose(&mut rng).unwrap();
+        stats.observe(&report.outcome);
+        if report.released() {
+            stats.released += 1;
+            released.push(report.record);
+        }
+    }
+    (released, stats)
 }
 
 /// A session trains exactly once and serves ≥ 3 sequential requests; the
