@@ -3,10 +3,11 @@
 //! (the privacy parameter).
 //!
 //! For every configuration the four stores propose the *same* candidates
-//! from the same RNG seed and must release identical records — the binary
-//! asserts this (a decision-equivalence regression here fails `repro.sh` and
-//! CI) — while `records_examined` (model-probability evaluations per test)
-//! and synthesis wall clock drop with each store generation:
+//! from the same request seed, rank by rank, and must release identical
+//! records — the binary asserts this (a decision-equivalence regression here
+//! fails `repro.sh` and CI) — while `records_examined` (model-probability
+//! evaluations per test) and synthesis wall clock drop with each store
+//! generation:
 //!
 //! * the scan examines `O(|D_S|)` records per candidate;
 //! * the inverted index examines the posting-list survivors (≈ k plus
@@ -39,7 +40,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sgf_core::{
     learn_models, InvertedIndexStore, Mechanism, PartitionIndexStore, PrefixIndexStore,
-    PrivacyTestConfig,
+    PrivacyTestConfig, SeedStore,
 };
 use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
 use sgf_data::{split_dataset, SplitSpec};
@@ -124,64 +125,41 @@ fn main() {
         for &k in &ks {
             let test =
                 PrivacyTestConfig::randomized(k, 4.0, 1.0).with_limits(Some(2 * k), Some(50_000));
-            let scan_mech =
-                Mechanism::new(&synthesizer, &split.seeds, test).expect("scan mechanism is valid");
-            let index_mech = Mechanism::with_store(&synthesizer, &split.seeds, &index_store, test)
-                .expect("index mechanism is valid");
-            let partition_mech =
-                Mechanism::with_store(&synthesizer, &split.seeds, &partition_store, test)
-                    .expect("partition mechanism is valid");
-            let prefix_mech =
-                Mechanism::with_store(&synthesizer, &split.seeds, &prefix_store, test)
-                    .expect("prefix mechanism is valid");
-
-            let start = Instant::now();
-            let (scan_released, scan_stats) = scan_mech
-                .release_batch(candidates, &mut StdRng::seed_from_u64(77))
-                .expect("scan batch succeeds");
-            let scan_seconds = start.elapsed().as_secs_f64();
-
-            let start = Instant::now();
-            let (index_released, index_stats) = index_mech
-                .release_batch(candidates, &mut StdRng::seed_from_u64(77))
-                .expect("index batch succeeds");
-            let index_seconds = start.elapsed().as_secs_f64();
-
-            let start = Instant::now();
-            let (partition_released, partition_stats) = partition_mech
-                .release_batch(candidates, &mut StdRng::seed_from_u64(77))
-                .expect("partition batch succeeds");
-            let partition_seconds = start.elapsed().as_secs_f64();
-
-            let start = Instant::now();
-            let (prefix_released, prefix_stats) = prefix_mech
-                .release_batch(candidates, &mut StdRng::seed_from_u64(77))
-                .expect("prefix batch succeeds");
-            let prefix_seconds = start.elapsed().as_secs_f64();
+            // One timed release of `candidates` ranks from request seed 77.
+            let release = |store: Option<&dyn SeedStore>, test| {
+                let mechanism = match store {
+                    Some(store) => Mechanism::with_store(&synthesizer, &split.seeds, store, test),
+                    None => Mechanism::new(&synthesizer, &split.seeds, test),
+                }
+                .expect("mechanism is valid");
+                let start = Instant::now();
+                let (released, stats) = mechanism
+                    .release(candidates, candidates, 77)
+                    .expect("release succeeds");
+                (released, stats, start.elapsed().as_secs_f64())
+            };
+            let (scan_released, scan_stats, scan_seconds) = release(None, test);
+            let (index_released, index_stats, index_seconds) = release(Some(&index_store), test);
+            let (partition_released, partition_stats, partition_seconds) =
+                release(Some(&partition_store), test);
+            let (prefix_released, prefix_stats, prefix_seconds) =
+                release(Some(&prefix_store), test);
 
             // The capped pass: the prefix store counts the examined subset
             // with the block kernel instead of in closed form.
             let capped = test.with_limits(test.max_plausible, Some(examine_cap));
-            let capped_prefix_mech =
-                Mechanism::with_store(&synthesizer, &split.seeds, &prefix_store, capped)
-                    .expect("capped prefix mechanism is valid");
             let mut capped_prefix_released = Vec::new();
             let mut capped_seconds: Vec<f64> = (0..CAPPED_REPS)
                 .map(|_| {
-                    let start = Instant::now();
-                    (capped_prefix_released, _) = capped_prefix_mech
-                        .release_batch(candidates, &mut StdRng::seed_from_u64(77))
-                        .expect("capped prefix batch succeeds");
-                    start.elapsed().as_secs_f64()
+                    let seconds;
+                    (capped_prefix_released, _, seconds) = release(Some(&prefix_store), capped);
+                    seconds
                 })
                 .collect();
             capped_seconds.sort_by(f64::total_cmp);
             let prefix_capped_seconds = capped_seconds[CAPPED_REPS / 2];
             let prefix_capped_ns_per_test = prefix_capped_seconds * 1e9 / candidates as f64;
-            let (capped_scan_released, _) = Mechanism::new(&synthesizer, &split.seeds, capped)
-                .expect("capped scan mechanism is valid")
-                .release_batch(candidates, &mut StdRng::seed_from_u64(77))
-                .expect("capped scan batch succeeds");
+            let (capped_scan_released, _, _) = release(None, capped);
 
             // Decision equivalence is a hard invariant, not a benchmark
             // observation: any divergence aborts the artifact run.

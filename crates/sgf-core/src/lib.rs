@@ -10,7 +10,10 @@
 //!   early-termination knobs;
 //! * [`mechanism`] — Mechanism 1 (`F`): seed sampling, candidate generation,
 //!   test, release — against the full scan (the reference oracle) or any
-//!   indexed seed store from [`sgf_index`];
+//!   indexed seed store from [`sgf_index`].  [`Mechanism::release`] runs the
+//!   session engine at one worker, so every Mechanism-1 run in the workspace
+//!   goes through one loop and draws rank r's candidate from
+//!   [`proposal_seed`]`(request_seed, r)`;
 //! * [`dp`] — the (ε, δ) guarantees of Theorem 1, end-to-end accounting, and
 //!   the cumulative [`BudgetLedger`] of a long-lived session;
 //! * [`session`] — the staged **train once, serve many** API and the one
@@ -50,9 +53,7 @@ pub mod session;
 pub use deniability::{partition_index, partition_size, satisfies_plausible_deniability};
 pub use dp::{BudgetLedger, ReleaseBudget};
 pub use error::{CoreError, Result};
-pub use mechanism::{
-    propose_candidate, propose_candidate_with_store, CandidateReport, Mechanism, MechanismStats,
-};
+pub use mechanism::{CandidateReport, Mechanism, MechanismStats};
 pub use pipeline::{learn_models, PipelineConfig, TrainedModels};
 pub use privacy_test::{run_privacy_test, run_with_store, PrivacyTestConfig, TestOutcome};
 pub use session::{

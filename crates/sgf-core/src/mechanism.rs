@@ -3,7 +3,8 @@
 
 use crate::error::{CoreError, Result};
 use crate::privacy_test::{run_with_store, PrivacyTestConfig, TestOutcome};
-use rand::Rng;
+use crate::session::run_mechanism;
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 use sgf_data::{Dataset, Record};
 use sgf_index::{LinearScanStore, SeedStore};
@@ -134,18 +135,13 @@ impl MechanismStats {
 
     /// Flush one finished request into the metrics registry as
     /// `core.mechanism.*`: a `requests` tick, every [`counters`] entry, the
-    /// `extra` counters, and a `workers` summary observation when given.
+    /// `extra` counters, and a `workers` summary observation.
     /// With a scope the writes go through its view, which updates the global
     /// rollup too; without one they go straight to the global registry.
     /// Either way, flush each request exactly once.
     ///
     /// [`counters`]: MechanismStats::counters
-    pub(crate) fn flush(
-        &self,
-        scope: Option<&Scope>,
-        extra: &[(&str, u64)],
-        workers: Option<usize>,
-    ) {
+    pub(crate) fn flush(&self, scope: Option<&Scope>, extra: &[(&str, u64)], workers: usize) {
         let view = scope.map(sgf_metrics::scoped);
         let counters = self.counters().map(|(name, value)| (name, value as u64));
         for (name, value) in [("requests", 1)].iter().chain(&counters).chain(extra) {
@@ -155,56 +151,12 @@ impl MechanismStats {
                 None => sgf_metrics::counter(&name).add(*value),
             }
         }
-        if let Some(workers) = workers {
-            let (name, workers) = ("core.mechanism.workers", workers as u64);
-            match &view {
-                Some(view) => view.summary(name).observe(workers),
-                None => sgf_metrics::summary(name).observe(workers),
-            }
+        let (name, workers) = ("core.mechanism.workers", workers as u64);
+        match &view {
+            Some(view) => view.summary(name).observe(workers),
+            None => sgf_metrics::summary(name).observe(workers),
         }
     }
-}
-
-/// One invocation of Mechanism 1 against an explicit model, seed dataset, and
-/// test configuration: sample a seed uniformly, generate a candidate, test it
-/// with the full linear scan.
-///
-/// This is the validation-free hot path behind [`Mechanism::propose`];
-/// callers are responsible for having validated
-/// `test` (and the seed store size) up front, e.g. via [`Mechanism::new`].
-pub fn propose_candidate<M: GenerativeModel + ?Sized, R: Rng + ?Sized>(
-    model: &M,
-    seeds: &Dataset,
-    test: &PrivacyTestConfig,
-    rng: &mut R,
-) -> Result<CandidateReport> {
-    let scan = LinearScanStore::new(seeds);
-    propose_candidate_with_store(model, seeds, &scan, test, rng)
-}
-
-/// [`propose_candidate`] against an explicit [`SeedStore`] (e.g. the
-/// inverted index a trained session builds over its seed dataset).
-///
-/// Store choice never changes which candidates pass: decisions, plausible
-/// counts, and RNG consumption are store-independent (see
-/// [`crate::privacy_test::run_with_store`]); only the number of records the
-/// test must examine shrinks.
-pub fn propose_candidate_with_store<M: GenerativeModel + ?Sized, R: Rng + ?Sized>(
-    model: &M,
-    seeds: &Dataset,
-    store: &dyn SeedStore,
-    test: &PrivacyTestConfig,
-    rng: &mut R,
-) -> Result<CandidateReport> {
-    let seed_index = rng.gen_range(0..seeds.len());
-    let seed = seeds.record(seed_index);
-    let candidate = model.generate(seed, &mut as_dyn(rng));
-    let outcome = run_with_store(model, seeds, store, seed, &candidate, test, rng)?;
-    Ok(CandidateReport {
-        record: candidate,
-        seed_index,
-        outcome,
-    })
 }
 
 /// The plausible-deniability release mechanism (Mechanism 1).
@@ -274,81 +226,55 @@ impl<'a, M: GenerativeModel + ?Sized> Mechanism<'a, M> {
     }
 
     /// Run one invocation of Mechanism 1: sample a seed uniformly at random,
-    /// generate a candidate, and test it.  The returned report carries the
+    /// generate a candidate, and test it against the mechanism's store (the
+    /// linear scan when it holds none).  The returned report carries the
     /// candidate whether or not it passed; callers must release only records
     /// with `outcome.passed == true`.
-    pub fn propose<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<CandidateReport> {
-        match self.store {
-            Some(store) => {
-                propose_candidate_with_store(self.model, self.seeds, store, &self.test, rng)
-            }
-            None => propose_candidate(self.model, self.seeds, &self.test, rng),
-        }
+    ///
+    /// Store choice never changes which candidates pass: decisions, plausible
+    /// counts, and RNG consumption are store-independent (see
+    /// [`crate::privacy_test::run_with_store`]); only the number of records
+    /// the test must examine shrinks.
+    pub fn propose(&self, rng: &mut dyn RngCore) -> Result<CandidateReport> {
+        let scan = LinearScanStore::with_len(self.seeds.len());
+        let store = self.store.unwrap_or(&scan);
+        let seed_index = rng.gen_range(0..self.seeds.len());
+        let seed = self.seeds.record(seed_index);
+        let candidate = self.model.generate(seed, rng);
+        let outcome = run_with_store(
+            self.model, self.seeds, store, seed, &candidate, &self.test, rng,
+        )?;
+        Ok(CandidateReport {
+            record: candidate,
+            seed_index,
+            outcome,
+        })
     }
 
-    /// Run the mechanism `candidates` times and collect the released records.
-    pub fn release_batch<R: Rng + ?Sized>(
-        &self,
-        candidates: usize,
-        rng: &mut R,
-    ) -> Result<(Vec<Record>, MechanismStats)> {
-        let mut stats = MechanismStats::default();
-        let mut released = Vec::new();
-        for _ in 0..candidates {
-            let report = self.propose(rng)?;
-            stats.observe(&report.outcome);
-            if report.released() {
-                stats.released += 1;
-                released.push(report.record);
-            }
-        }
-        Ok((released, stats))
-    }
-
-    /// Keep proposing candidates until `target` records were released or
-    /// `max_candidates` proposals were spent, whichever happens first.
-    pub fn release_until<R: Rng + ?Sized>(
+    /// Release up to `target` records, proposing at most `max_candidates`
+    /// candidates: the session engine at one worker, so rank r's candidate
+    /// comes from [`proposal_seed`]`(request_seed, r)` and the release is
+    /// exactly what a session request with this seed, mechanism and limits
+    /// releases.  The counters are flushed as `core.mechanism.*` like every
+    /// session release.
+    ///
+    /// [`proposal_seed`]: crate::proposal_seed
+    pub fn release(
         &self,
         target: usize,
         max_candidates: usize,
-        rng: &mut R,
+        request_seed: u64,
     ) -> Result<(Vec<Record>, MechanismStats)> {
-        let mut stats = MechanismStats::default();
-        let mut released = Vec::with_capacity(target);
-        while released.len() < target && stats.candidates < max_candidates {
-            let report = self.propose(rng)?;
-            stats.observe(&report.outcome);
-            if report.released() {
-                stats.released += 1;
-                released.push(report.record);
-            }
-        }
-        Ok((released, stats))
-    }
-}
-
-/// Adapt a generic `Rng` into the `dyn RngCore` the object-safe
-/// [`GenerativeModel::generate`] signature expects.
-fn as_dyn<R: Rng + ?Sized>(rng: &mut R) -> impl rand::RngCore + '_ {
-    DynRng { inner: rng }
-}
-
-struct DynRng<'a, R: Rng + ?Sized> {
-    inner: &'a mut R,
-}
-
-impl<R: Rng + ?Sized> rand::RngCore for DynRng<'_, R> {
-    fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.fill_bytes(dest)
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> std::result::Result<(), rand::Error> {
-        self.inner.try_fill_bytes(dest)
+        run_mechanism(
+            std::slice::from_ref(self),
+            target,
+            max_candidates,
+            1,
+            request_seed,
+            None,
+            None,
+            None,
+        )
     }
 }
 
@@ -356,7 +282,7 @@ impl<R: Rng + ?Sized> rand::RngCore for DynRng<'_, R> {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::{RngCore, SeedableRng};
+    use rand::SeedableRng;
     use sgf_data::{Attribute, Schema};
     use std::sync::Arc;
 
@@ -408,8 +334,7 @@ mod tests {
         let (model, seeds) = setup(4, 30);
         let mechanism =
             Mechanism::new(&model, &seeds, PrivacyTestConfig::deterministic(20, 4.0)).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let (released, stats) = mechanism.release_batch(200, &mut rng).unwrap();
+        let (released, stats) = mechanism.release(200, 200, 1).unwrap();
         assert_eq!(stats.candidates, 200);
         assert_eq!(stats.released, released.len());
         // Every group has 30 records in the same partition, so everything passes.
@@ -422,8 +347,7 @@ mod tests {
         let (model, seeds) = setup(4, 30);
         let mechanism =
             Mechanism::new(&model, &seeds, PrivacyTestConfig::deterministic(31, 4.0)).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let (released, stats) = mechanism.release_batch(100, &mut rng).unwrap();
+        let (released, stats) = mechanism.release(100, 100, 2).unwrap();
         assert!(released.is_empty());
         assert_eq!(stats.pass_rate(), 0.0);
     }
@@ -433,14 +357,13 @@ mod tests {
         let (model, seeds) = setup(4, 30);
         let mechanism =
             Mechanism::new(&model, &seeds, PrivacyTestConfig::deterministic(10, 4.0)).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let (released, stats) = mechanism.release_until(25, 10_000, &mut rng).unwrap();
+        let (released, stats) = mechanism.release(25, 10_000, 3).unwrap();
         assert_eq!(released.len(), 25);
         assert!(stats.candidates >= 25);
         // And respects the candidate cap when the target is unreachable.
         let strict =
             Mechanism::new(&model, &seeds, PrivacyTestConfig::deterministic(31, 4.0)).unwrap();
-        let (released, stats) = strict.release_until(5, 50, &mut rng).unwrap();
+        let (released, stats) = strict.release(5, 50, 3).unwrap();
         assert!(released.is_empty());
         assert_eq!(stats.candidates, 50);
     }

@@ -257,9 +257,7 @@ mod tests {
         let synthesizer = SeedSynthesizer::new(Arc::clone(&models.cpts), 9).unwrap();
         let mechanism = Mechanism::new(&synthesizer, &split.seeds, config.privacy_test).unwrap();
         assert_eq!(mechanism.store_kind(), "scan");
-        let (released, stats) = mechanism
-            .release_until(10, 300, &mut StdRng::seed_from_u64(config.seed))
-            .unwrap();
+        let (released, stats) = mechanism.release(10, 300, config.seed).unwrap();
         assert_eq!(stats.index_tests, 0, "no session index exists");
         assert_eq!(stats.scan_tests, stats.candidates);
         assert!(released.len() <= 10);

@@ -51,7 +51,7 @@ use sgf_model::{
 use sgf_stats::DpBudget;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Builder for a [`SynthesisEngine`]: collects the training-time configuration
@@ -219,7 +219,7 @@ impl SynthesisEngine {
             shared: Arc::new(SessionShared {
                 split,
                 models,
-                prefix: StoreSlot::ready(prefix),
+                prefix: StoreSlot::new(Box::new(move || Arc::new(prefix))),
                 index: OnceLock::new(),
                 partition: OnceLock::new(),
                 training,
@@ -444,9 +444,9 @@ pub struct CandidateProbe {
 /// the merge keeps the globally smallest-ranked `MAX_TRACE_PROBES`.
 pub const MAX_TRACE_PROBES: usize = 32;
 
-/// The prefix-store slot of [`SessionShared`]: either materialized up front
-/// or deferred behind a splice/re-sort closure that the first accessor runs
-/// exactly once.
+/// The prefix-store slot of [`SessionShared`]: a built store, or a
+/// splice/re-sort closure that the first accessor runs exactly once while
+/// concurrent accessors block and observe the finished store.
 ///
 /// [`SynthesisSession::update`] defers store maintenance so the splice stays
 /// off the update's critical path: its cost amortizes into the first
@@ -455,64 +455,7 @@ pub const MAX_TRACE_PROBES: usize = 32;
 /// (schema validation covers insert arity and domains, delete indices are
 /// derived ascending, the size is checked), so materialization is
 /// infallible.
-struct StoreSlot<S> {
-    cell: OnceLock<Arc<S>>,
-    /// The deferred work, consumed by the first materialization.
-    pending: Mutex<Option<Box<dyn FnOnce() -> S + Send>>>,
-}
-
-impl<S> StoreSlot<S> {
-    /// A slot holding `store` from the start.
-    fn ready(store: S) -> Self {
-        StoreSlot::ready_shared(Arc::new(store))
-    }
-
-    /// Like [`ready`](StoreSlot::ready) but sharing an existing handle — the
-    /// "unchanged state shared via `Arc`" path of an incremental update.
-    fn ready_shared(store: Arc<S>) -> Self {
-        StoreSlot {
-            cell: OnceLock::from(store),
-            pending: Mutex::new(None),
-        }
-    }
-
-    /// A slot that materializes by running `work` on first access.
-    fn deferred(work: impl FnOnce() -> S + Send + 'static) -> Self {
-        StoreSlot {
-            cell: OnceLock::new(),
-            pending: Mutex::new(Some(Box::new(work))),
-        }
-    }
-
-    /// The store, materializing it first if this slot was deferred.  The
-    /// `OnceLock` guarantees exactly one thread runs the deferred work; the
-    /// rest block and observe the finished store.
-    fn get(&self) -> &S {
-        self.get_shared()
-    }
-
-    /// Materialize (if needed) and return the shared handle.
-    fn get_shared(&self) -> &Arc<S> {
-        self.cell.get_or_init(|| {
-            let work = self
-                .pending
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .take()
-                .expect("a deferred slot holds its pending work");
-            Arc::new(work())
-        })
-    }
-}
-
-impl<S> std::fmt::Debug for StoreSlot<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.cell.get() {
-            Some(_) => f.write_str("StoreSlot(ready)"),
-            None => f.write_str("StoreSlot(deferred)"),
-        }
-    }
-}
+type StoreSlot<S> = LazyLock<Arc<S>, Box<dyn FnOnce() -> Arc<S> + Send>>;
 
 /// The immutable trained artifacts of one session epoch, shared (via `Arc`)
 /// across every clone: the data split, the learned models, and the seed
@@ -656,7 +599,7 @@ impl SynthesisSession {
     /// [`update`](SynthesisSession::update), the first call or request
     /// splices the deferred delta into the store (exactly once).
     pub fn prefix_store(&self) -> &PrefixIndexStore {
-        self.shared.prefix.get()
+        &self.shared.prefix
     }
 
     /// A snapshot of the cumulative privacy ledger.
@@ -832,7 +775,7 @@ impl SynthesisSession {
             self.lock_ledger().reserve(request.target);
             request.target
         });
-        let store = self.shared.prefix.get();
+        let store: &PrefixIndexStore = &self.shared.prefix;
         let ledger_before = self.ledger();
         let tracing = sgf_metrics::trace().enabled();
         let mut probes: Vec<CandidateProbe> = Vec::new();
@@ -853,11 +796,14 @@ impl SynthesisSession {
                     emit(record)
                 }
             });
+            // Construct the mechanisms once per request (validation
+            // included); the workers only borrow them.
+            let mechanisms: Vec<Mechanism<'_, M>> = models
+                .iter()
+                .map(|m| Mechanism::with_store(*m, self.seeds(), store, self.config.privacy_test))
+                .collect::<Result<_>>()?;
             let (records, stats) = run_mechanism(
-                models,
-                self.seeds(),
-                store,
-                self.config.privacy_test,
+                &mechanisms,
                 target,
                 max_candidates,
                 workers,
@@ -1115,22 +1061,26 @@ impl SynthesisSession {
         }
         let synthesizer =
             SeedSynthesizer::new(Arc::clone(&models.cpts), smallest_omega(self.config.omega))?;
-        let old = Arc::clone(self.shared.prefix.get_shared());
+        let old = Arc::clone(&self.shared.prefix);
         let prefix = if old.order() != synthesizer.sigma() {
             let seeds = seeds_data.clone();
             let sigma = synthesizer.sigma().to_vec();
-            StoreSlot::deferred(move || {
-                PrefixIndexStore::build(&seeds, &sigma)
-                    .expect("build inputs were validated at update time")
-            })
+            StoreSlot::new(Box::new(move || {
+                Arc::new(
+                    PrefixIndexStore::build(&seeds, &sigma)
+                        .expect("build inputs were validated at update time"),
+                )
+            }))
         } else if seed_deletes.is_empty() && inserts[2].is_empty() {
-            StoreSlot::ready_shared(old)
+            StoreSlot::new(Box::new(move || old))
         } else {
             let inserts = std::mem::take(&mut inserts[2]);
-            StoreSlot::deferred(move || {
-                old.apply_delta(&seed_deletes, &inserts)
-                    .expect("splice inputs were validated at update time")
-            })
+            StoreSlot::new(Box::new(move || {
+                Arc::new(
+                    old.apply_delta(&seed_deletes, &inserts)
+                        .expect("splice inputs were validated at update time"),
+                )
+            }))
         };
         sgf_metrics::counter("core.updates").incr();
         sgf_metrics::timer("core.update").observe(start.elapsed());
@@ -1348,9 +1298,10 @@ impl WorkerProfile {
     }
 }
 
-/// The model-generic release engine behind every session release: build
-/// (and validate) every [`Mechanism`] exactly once, then fan proposals out
-/// over the workers.
+/// The one Mechanism-1 loop, behind every session release and
+/// [`Mechanism::release`]: fan the request's proposals out over the workers,
+/// each rank drawing among `mechanisms` (built and validated once per
+/// request by the caller).
 ///
 /// # Determinism and contention
 ///
@@ -1373,10 +1324,7 @@ impl WorkerProfile {
 /// instead of the heap, and `emit` returning `false` stops proposing.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
-    models: &[&M],
-    seeds: &Dataset,
-    store: &dyn SeedStore,
-    test: PrivacyTestConfig,
+    mechanisms: &[Mechanism<'_, M>],
     target: usize,
     max_candidates: usize,
     workers: usize,
@@ -1385,18 +1333,11 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
     probes_out: Option<&mut Vec<CandidateProbe>>,
     emit: Option<&mut dyn FnMut(Record) -> bool>,
 ) -> Result<(Vec<Record>, MechanismStats)> {
-    if models.is_empty() {
+    if mechanisms.is_empty() {
         return Err(CoreError::InvalidParameter(
             "at least one generative model is required".into(),
         ));
     }
-    // Construct the mechanisms once per request (validation included); the
-    // workers below only borrow them.
-    let mechanisms: Vec<Mechanism<'_, M>> = models
-        .iter()
-        .map(|m| Mechanism::with_store(*m, seeds, store, test))
-        .collect::<Result<_>>()?;
-
     debug_assert!(emit.is_none() || workers == 1, "a stream runs one worker");
     let workers = workers.min(max_candidates.max(1));
     // `target` and `workers` come from the request: the heap and the handle
@@ -1412,7 +1353,7 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
             request_seed,
             0,
             1,
-            &mechanisms,
+            mechanisms,
             target,
             max_candidates,
             &selection,
@@ -1424,7 +1365,6 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for worker in 0..workers {
-                let mechanisms = &mechanisms;
                 let selection = &selection;
                 let threshold = &threshold;
                 handles.push(scope.spawn(move || {
@@ -1484,7 +1424,7 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
         ("selection_locks", profile.selection_locks),
         ("outranked_passes", profile.outranked_passes),
     ];
-    stats.flush(scope, &contention, Some(workers));
+    stats.flush(scope, &contention, workers);
 
     Ok((records, stats))
 }
@@ -1579,7 +1519,6 @@ fn worker_loop<M: GenerativeModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanism::{propose_candidate, propose_candidate_with_store};
     use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
 
     /// Replay a request rank by rank the way `generate` selects it, over
@@ -1602,7 +1541,7 @@ mod tests {
                 .map(|m| m as &dyn GenerativeModel)
                 .collect(),
         };
-        let (seeds, test) = (session.seeds(), &session.config().privacy_test);
+        let (seeds, test) = (session.seeds(), session.config().privacy_test);
         let (mut released, mut stats) = (Vec::new(), MechanismStats::default());
         while released.len() < target && stats.candidates < max_candidates {
             // `candidates` counts the ranks proposed so far.
@@ -1612,13 +1551,11 @@ mod tests {
             } else {
                 rng.gen_range(0..models.len())
             };
-            let report = match store {
-                Some(store) => {
-                    propose_candidate_with_store(models[which], seeds, store, test, &mut rng)
-                }
-                None => propose_candidate(models[which], seeds, test, &mut rng),
-            }
-            .unwrap();
+            let mechanism = match store {
+                Some(store) => Mechanism::with_store(models[which], seeds, store, test),
+                None => Mechanism::new(models[which], seeds, test),
+            };
+            let report = mechanism.unwrap().propose(&mut rng).unwrap();
             stats.observe(&report.outcome);
             if report.released() {
                 stats.released += 1;
@@ -1879,6 +1816,30 @@ mod tests {
         assert_eq!(scan.index_tests, 0);
         assert_eq!(scan.scan_tests, scan.candidates);
         assert_eq!(report.synthetics.records(), &records[..]);
+
+        // `Mechanism::release` runs the same engine: over the scan and over
+        // the session's prefix store it releases exactly what a fixed-ω
+        // session request with the same seed and limits releases.
+        let synthesizer = SeedSynthesizer::new(Arc::clone(&session.models().cpts), 9).unwrap();
+        let (seeds, test) = (session.seeds(), session.config().privacy_test);
+        let mechanisms = [
+            Mechanism::new(&synthesizer, seeds, test).unwrap(),
+            Mechanism::with_store(&synthesizer, seeds, session.prefix_store(), test).unwrap(),
+        ];
+        let fixed = request.with_omega(OmegaSpec::Fixed(9));
+        for request_seed in [3u64, 4, 5] {
+            let request = fixed.with_seed(request_seed);
+            let report = session.generate(&request).unwrap();
+            let (target, _, max_candidates) = session.request_limits(&request).unwrap();
+            for mechanism in &mechanisms {
+                let (records, stats) = mechanism
+                    .release(target, max_candidates, request_seed)
+                    .unwrap();
+                assert_eq!(report.synthetics.records(), &records[..]);
+                assert_eq!(report.stats.candidates, stats.candidates);
+                assert_eq!(report.stats.released, stats.released);
+            }
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl Default for PassRateConfig {
 
 /// Run the sweep: for every ω and k, generate candidates with the seed-based
 /// synthesizer and measure the deterministic-test pass rate.
-pub fn pass_rate_sweep<R: Rng + ?Sized>(
+pub fn pass_rate_sweep<R: Rng>(
     cpts: &Arc<CptStore>,
     seeds: &Dataset,
     config: &PassRateConfig,

@@ -3,6 +3,8 @@
 //! shared — not rebuilt — by session clones and serve-owned handles over the
 //! same split; the inverted index is built lazily, once per epoch, by the
 //! first `seed_store()` call through any handle and shared the same way.
+//! After an update, clones racing to the new epoch's first request splice
+//! the deferred store once and share it.
 //!
 //! Sharing is asserted per instance (pointer equality of the stores the
 //! handles hand out), so the test holds however many other tests build
@@ -10,6 +12,7 @@
 
 use sgf::core::{GenerateRequest, PrivacyTestConfig, SynthesisEngine};
 use sgf::data::acs::{acs_bucketizer, acs_schema, generate_acs};
+use sgf::data::DatasetDelta;
 use sgf::serve::{serve, Client, GenerateCall, ServeConfig, SessionEntry};
 
 #[test]
@@ -68,4 +71,40 @@ fn one_index_build_per_train_shared_across_clones_and_serve() {
     assert!(std::ptr::eq(prefix, session.prefix_store()));
     assert!(std::ptr::eq(prefix, clone_b.prefix_store()));
     assert!(std::ptr::eq(index, session.seed_store().unwrap()));
+
+    // An update defers its store splice to the new epoch's first access.
+    // Four clones racing to that first access splice once, share the one
+    // store, and release what a fresh train on the post-delta data releases.
+    let mut delta = DatasetDelta::new(population.schema_arc());
+    for record in generate_acs(10, 52).records() {
+        delta.insert(record.clone()).unwrap();
+    }
+    for index in [3, 1_000, 2_500] {
+        delta.delete(population.record(index).clone()).unwrap();
+    }
+    let updated = session.update(&delta).unwrap();
+    let fresh = SynthesisEngine::from_config(*session.config())
+        .train(&delta.apply(&population).unwrap(), &bucketizer)
+        .unwrap();
+    let request = GenerateRequest::new(8).with_seed(3);
+    let expected = fresh.generate(&request).unwrap();
+    let clones: Vec<_> = (0..4).map(|_| updated.clone()).collect();
+    let start = std::sync::Barrier::new(clones.len());
+    std::thread::scope(|scope| {
+        for clone in &clones {
+            scope.spawn(|| {
+                start.wait();
+                let report = clone.generate(&request).unwrap();
+                assert_eq!(report.synthetics.records(), expected.synthetics.records());
+                assert_eq!(report.stats.candidates, expected.stats.candidates);
+            });
+        }
+    });
+    for clone in &clones {
+        assert!(std::ptr::eq(clone.prefix_store(), updated.prefix_store()));
+    }
+    assert!(
+        !std::ptr::eq(prefix, updated.prefix_store()),
+        "the delta touches the seeds, so the new epoch splices its own store"
+    );
 }

@@ -234,8 +234,7 @@ fn marginal_model_candidates_always_pass_the_test() {
             .unwrap();
     let test = PrivacyTestConfig::deterministic(100, 4.0);
     let mechanism = Mechanism::new(&marginal, &population, test).unwrap();
-    let mut rng = StdRng::seed_from_u64(5);
-    let (released, stats) = mechanism.release_batch(30, &mut rng).unwrap();
+    let (released, stats) = mechanism.release(30, 30, 5).unwrap();
     assert_eq!(released.len(), 30);
     assert!((stats.pass_rate() - 1.0).abs() < 1e-12);
 }
