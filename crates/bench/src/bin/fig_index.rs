@@ -23,13 +23,13 @@
 //! The main pass caps the examined seeds at 50,000, above every seed count
 //! here, so the prefix store counts its range in closed form.  A second,
 //! capped pass (`max_check_plausible` 5,000 as in the paper's Section 6.5,
-//! 500 in smoke mode) times the prefix store's block-counting kernel over
-//! the examined subset, and asserts its releases equal the capped scan's.
+//! 500 in smoke mode) times the prefix store drawing each subset count from
+//! its hypergeometric law, and asserts its releases equal the capped scan's.
 //! One capped batch takes a few milliseconds, so it runs
 //! [`CAPPED_REPS`] times; `prefix_capped_ns_per_test` is the median batch
 //! divided by the candidate count.  A store with fewer seeds than the cap
-//! examines every seed, so its points count in closed form and never reach
-//! the kernel.
+//! examines every seed, so its points count in closed form and draw
+//! nothing.
 //!
 //! The last column group shows the one-off index build costs amortized over
 //! every request of a session.
@@ -145,8 +145,8 @@ fn main() {
             let (prefix_released, prefix_stats, prefix_seconds) =
                 release(Some(&prefix_store), test);
 
-            // The capped pass: the prefix store counts the examined subset
-            // with the block kernel instead of in closed form.
+            // The capped pass: the prefix store draws the subset's count
+            // from its hypergeometric law instead of counting in closed form.
             let capped = test.with_limits(test.max_plausible, Some(examine_cap));
             let mut capped_prefix_released = Vec::new();
             let mut capped_seconds: Vec<f64> = (0..CAPPED_REPS)

@@ -9,11 +9,11 @@
 //!
 //! Both tests support the implementation-level early-termination knobs of
 //! Section 5 (`max_plausible`, `max_check_plausible`): counting stops as soon
-//! as enough plausible seeds were found or a bounded number of records were
-//! examined.  These knobs trade generation throughput against the fraction of
-//! candidates that pass; they never weaken the privacy guarantee because a
-//! candidate that terminates early without reaching the threshold is simply
-//! rejected.
+//! as enough plausible seeds were found, and only the plausible seeds of a
+//! random subset of the dataset may count.  These knobs trade generation
+//! throughput against the fraction of candidates that pass; they never weaken
+//! the privacy guarantee because a candidate that terminates early without
+//! reaching the threshold is simply rejected.
 //!
 //! The stopping rule is one number, the count's `limit`: the smallest
 //! `p ≥ 1` with `p ≥ threshold` or `p ≥ max(max_plausible, k)`.  Every path
@@ -31,30 +31,25 @@
 //! * the pass/fail decision depends only on the *set* of eligible records
 //!   (never on visit order), because counting stops at a fixed count
 //!   threshold and skipped records are provably non-plausible;
-//! * the `max_check_plausible` subset is derived from a single `u64` RNG draw
-//!   via an O(1)-random-access permutation ([`RandomSubset`]), so scan and
-//!   index examine the same eligible subset while consuming identical
-//!   randomness — and the per-candidate O(n) shuffle of the naive
-//!   implementation is gone;
+//! * a `max_check_plausible` cap below the seed count examines a uniform
+//!   random `cap`-subset of the seeds, whose plausible count has a known law:
+//!   `min(H, limit)` with `H ~ Hypergeometric(n, cap, K)` and `K` the number
+//!   of plausible seeds.  Under a cap every store counts `K` exactly, with no
+//!   stop at the limit, and draws the count from that law
+//!   ([`sample_capped_hypergeometric`]), whose draws depend on
+//!   `(n, cap, K, limit)` alone;
 //! * a store that can name the exact plausible set
-//!   ([`SeedStore::prefix_members`]) skips the model entirely and counts
-//!   `min(|range ∩ subset|, limit)` directly: `min(|range|, limit)` with no
-//!   cap, `min(cap, limit)` when the range is every seed (depth 0, and the
-//!   marginal baseline), and otherwise [`RandomSubset::count_members`], which
-//!   runs the permutation over blocks of `u32` lanes — its first passes as
-//!   masked select loops, in an AVX2 build where the CPU has one — and stops
-//!   at the first block that reaches the limit.  The build changes only the
-//!   speed, never the count.  The partition store's classes count their
-//!   members the same way.
+//!   ([`SeedStore::prefix_members`]) skips the model entirely: `K` is the
+//!   range's length.  The partition store's classes add their member counts.
 
 use crate::deniability::{partition_index, validate_parameters};
 use crate::error::{CoreError, Result};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sgf_data::{Dataset, Record};
-use sgf_index::{CandidateIter, LinearScanStore, RandomSubset, SeedStore};
+use sgf_index::{LinearScanStore, SeedStore};
 use sgf_model::GenerativeModel;
-use sgf_stats::Laplace;
+use sgf_stats::{sample_capped_hypergeometric, Laplace};
 
 /// Configuration of the privacy test.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -69,8 +64,11 @@ pub struct PrivacyTestConfig {
     /// Stop counting once this many plausible seeds were found
     /// (the tool's `max_plausible`; `None` = count until the threshold).
     pub max_plausible: Option<usize>,
-    /// Examine at most this many candidate seed records
-    /// (the tool's `max_check_plausible`; `None` = examine the whole dataset).
+    /// Count the plausible seeds among a uniform random subset of this many
+    /// seed records (the tool's `max_check_plausible`; `None` = the whole
+    /// dataset).  The count is drawn from its exact law once the plausible
+    /// seeds are counted, so the cap bounds no work: the prefix store answers
+    /// with one range lookup either way.
     pub max_check_plausible: Option<usize>,
 }
 
@@ -245,60 +243,41 @@ where
         }
     };
 
-    // Step 3: count the records in the seed's partition.  When
-    // `max_check_plausible` caps how many records may be examined, the
-    // eligible subset is chosen pseudorandomly (so the cap does not bias
-    // which records get counted, Section 5) from a single RNG draw — the
-    // same subset for every store, which keeps decisions store-independent.
-    // Without the cap the decision is a pure set cardinality and needs no
-    // randomness at all.
+    // Step 3: count the plausible seeds `K`, stopping at the limit.  Under a
+    // `max_check_plausible` cap below the seed count, count `K` in full and
+    // draw the count of a uniform cap-subset from its law instead: the draw
+    // depends on (n, cap, K, limit) alone, so every store consumes the same
+    // randomness.  Without a cap the count is a set cardinality and draws
+    // nothing.
     let limit = count_limit(threshold, config.max_plausible.map(|mp| mp.max(config.k)));
-    let examine_cap = config.max_check_plausible.unwrap_or(usize::MAX);
-    let subset = if examine_cap < dataset.len() {
-        Some(RandomSubset::new(dataset.len(), examine_cap, rng.gen()))
-    } else {
-        None
-    };
+    let cap = config
+        .max_check_plausible
+        .filter(|&cap| cap < dataset.len());
+    let stop = if cap.is_some() { usize::MAX } else { limit };
 
-    // Range fast path: the prefix store hands back the exact plausible set
-    // (every member shares the seed's probability, every other seed has
-    // probability zero — see `SeedStore::prefix_members`), so no model
-    // evaluation is needed.  The count min(|range ∩ subset|, limit) does not
-    // depend on visit order, so the decision, the count, and the RNG stream
-    // (threshold and subset were drawn above) match the scan.
-    if let Some(members) = store.prefix_members(
+    let (plausible, records_examined, via_index, via_classes, cache_hit) = if let Some(members) =
+        store.prefix_members(
+            y,
+            model.likelihood_attributes(),
+            model.exact_match_attributes(),
+        ) {
+        // Range fast path: the prefix store hands back the exact plausible
+        // set (every member shares the seed's probability, every other seed
+        // has probability zero — see `SeedStore::prefix_members`), so no
+        // model evaluation is needed: one range lookup, a class-granularity
+        // test of one class.
+        (members.len(), 1, false, true, None)
+    } else if let Some(classes) = store.likelihood_classes(
         y,
         model.likelihood_attributes(),
         model.exact_match_attributes(),
     ) {
-        let plausible = count_examined(subset.as_ref(), members, dataset.len(), limit);
-        return Ok(TestOutcome {
-            passed: plausible as f64 >= threshold,
-            seed_partition: Some(seed_partition),
-            plausible_seeds: plausible,
-            // One range lookup: a class-granularity test of one class.
-            records_examined: 1,
-            threshold,
-            via_index: false,
-            via_classes: true,
-            cache_hit: None,
-        });
-    }
-
-    // Class-level fast path: a partition-aware store collapses seeds into
-    // likelihood-equivalence classes — every member shares the representative's
-    // generation probability for every candidate — so the γ-partition check
-    // runs once per class and members count with multiplicity.  Each class
-    // adds its examined members up to the room left below the limit, so the
-    // reported plausible count (and hence the decision) is bit-identical to
-    // the record-level walk; the threshold and subset randomness were already
-    // drawn above, identically for every store, so the RNG stream matches
-    // too.
-    if let Some(classes) = store.likelihood_classes(
-        y,
-        model.likelihood_attributes(),
-        model.exact_match_attributes(),
-    ) {
+        // Class-level fast path: a partition-aware store collapses seeds into
+        // likelihood-equivalence classes — every member shares the
+        // representative's generation probability for every candidate — so
+        // the γ-partition check runs once per class and members count with
+        // multiplicity.
+        //
         // Consult the shared class-match cache first: when the model's
         // likelihood set is contained in its exact-match set, the per-class
         // partition comparison below is independent of the seed, of γ, and
@@ -315,7 +294,6 @@ where
                 partition_index(p, config.gamma) == Some(seed_partition)
             },
         );
-        let cache_hit = lookup.as_ref().map(|l| l.hit);
         let mut plausible = 0usize;
         let mut examined = 0usize;
         for class in classes {
@@ -327,90 +305,54 @@ where
                     partition_index(p, config.gamma) == Some(seed_partition)
                 }
             };
-            if !in_partition {
-                continue;
-            }
-            plausible += count_examined(
-                subset.as_ref(),
-                class.members,
-                dataset.len(),
-                limit - plausible,
-            );
-            if plausible >= limit {
-                break;
+            if in_partition {
+                plausible += class.members.len();
+                if plausible >= stop {
+                    break;
+                }
             }
         }
-        return Ok(TestOutcome {
-            passed: plausible as f64 >= threshold,
-            seed_partition: Some(seed_partition),
-            plausible_seeds: plausible,
-            records_examined: examined,
-            threshold,
-            via_index: false,
-            via_classes: true,
-            cache_hit,
-        });
-    }
-
-    let candidates = store.plausible_candidates(y, model.exact_match_attributes());
-    let via_index = candidates.is_filtered();
-
-    let mut plausible = 0usize;
-    let mut examined = 0usize;
-    // Examine one record; returns true when counting may stop early.
-    let mut examine = |idx: usize| -> bool {
-        examined += 1;
-        let p = model.probability(dataset.record(idx), y);
-        if partition_index(p, config.gamma) == Some(seed_partition) {
-            plausible += 1;
+        (plausible, examined, false, true, lookup.map(|l| l.hit))
+    } else {
+        let candidates = store.plausible_candidates(y, model.exact_match_attributes());
+        let via_index = candidates.is_filtered();
+        let mut plausible = 0usize;
+        let mut examined = 0usize;
+        for idx in candidates {
+            examined += 1;
+            let p = model.probability(dataset.record(idx), y);
+            if partition_index(p, config.gamma) == Some(seed_partition) {
+                plausible += 1;
+                if plausible >= stop {
+                    break;
+                }
+            }
         }
-        plausible >= limit
+        (plausible, examined, via_index, false, None)
     };
-    match (candidates, &subset) {
-        // Unfiltered store + examine cap: enumerate the eligible subset
-        // directly (O(cap)) instead of filtering all n indices through it.
-        (CandidateIter::All(_), Some(subset)) => {
-            for idx in subset.iter() {
-                if examine(idx) {
-                    break;
-                }
-            }
-        }
-        // Filtered store + examine cap: membership-test each survivor.
-        (iter, Some(subset)) => {
-            for idx in iter {
-                if subset.contains(idx) && examine(idx) {
-                    break;
-                }
-            }
-        }
-        // No examine cap: walk every candidate the store returns.
-        (iter, None) => {
-            for idx in iter {
-                if examine(idx) {
-                    break;
-                }
-            }
-        }
-    }
+    let plausible = match cap {
+        None => plausible.min(limit),
+        Some(cap) => sample_capped_hypergeometric(dataset.len(), cap, plausible, limit, rng),
+    };
 
     // Step 4: compare against the (possibly noisy) threshold.
     Ok(TestOutcome {
         passed: plausible as f64 >= threshold,
         seed_partition: Some(seed_partition),
         plausible_seeds: plausible,
-        records_examined: examined,
+        records_examined,
         threshold,
         via_index,
-        via_classes: false,
-        cache_hit: None,
+        via_classes,
+        cache_hit,
     })
 }
 
 /// The count at which a test stops: the smallest `p ≥ 1` with
 /// `p as f64 >= threshold` (the noisy threshold is reached) or `p >= stop_at`
 /// (`max_plausible`, raised to k).  Counting further cannot change the
-/// decision, so every path reports `min(|plausible ∩ examined|, limit)`.
+/// decision, so every path reports `min(|plausible ∩ examined|, limit)`:
+/// `min(K, limit)` without a cap.
 fn count_limit(threshold: f64, stop_at: Option<usize>) -> usize {
     // `as` saturates: a threshold at or below 1 stops at the first plausible
     // seed, and one beyond `usize` never stops the count.
@@ -420,18 +362,6 @@ fn count_limit(threshold: f64, stop_at: Option<usize>) -> usize {
         (threshold.ceil() as usize).max(1)
     };
     by_threshold.min(stop_at.unwrap_or(usize::MAX))
-}
-
-/// `min(|members ∩ examined|, limit)` for `members`, distinct seed indices
-/// of an `n`-seed store: every member is examined without a cap, and a cap's
-/// subset holds exactly `cap` of all `n` seeds; any other set goes through
-/// the block kernel.
-fn count_examined(subset: Option<&RandomSubset>, members: &[u32], n: usize, limit: usize) -> usize {
-    match subset {
-        None => members.len().min(limit),
-        Some(subset) if members.len() == n => subset.len().min(limit),
-        Some(subset) => subset.count_members(members, limit),
-    }
 }
 
 #[cfg(test)]
@@ -569,18 +499,27 @@ mod tests {
         let (model, dataset, seed) = toy(500, 500);
         let y = Record::new(vec![0, 0]);
         let mut rng = StdRng::seed_from_u64(5);
+        // Without a cap the walk stops at the 10th plausible record; the
+        // toy's close records come first.
+        let uncapped = PrivacyTestConfig::deterministic(10, 4.0).with_limits(Some(10), None);
+        let outcome = run_privacy_test(&model, &dataset, &seed, &y, &uncapped, &mut rng).unwrap();
+        assert!(outcome.passed);
+        assert_eq!(outcome.records_examined, 10);
+
+        // A cap counts every plausible seed, then draws the cap-subset's
+        // count from its law.
         let config = PrivacyTestConfig::deterministic(10, 4.0).with_limits(Some(10), Some(50));
         let outcome = run_privacy_test(&model, &dataset, &seed, &y, &config, &mut rng).unwrap();
-        assert!(outcome.records_examined <= 50);
+        assert_eq!(outcome.records_examined, dataset.len());
         // max_check_plausible can cause a rejection even when the full dataset
-        // would have passed — but with 50% close records and k=10 the cap of 50
-        // examined records nearly always suffices.
+        // would have passed — but with 50% close records and k=10 a subset of
+        // 50 records nearly always suffices.
         assert!(outcome.passed);
 
         let tight = PrivacyTestConfig::deterministic(100, 4.0).with_limits(None, Some(20));
         let outcome = run_privacy_test(&model, &dataset, &seed, &y, &tight, &mut rng).unwrap();
         assert!(!outcome.passed);
-        assert_eq!(outcome.records_examined, 20);
+        assert_eq!(outcome.records_examined, dataset.len());
     }
 
     #[test]

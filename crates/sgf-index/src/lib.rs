@@ -28,16 +28,11 @@
 //! * [`PrefixIndexStore`] — seeds sorted by their values in the dependency
 //!   order σ, so the plausible set of a seed-synthesizer candidate is one
 //!   contiguous range, found by binary search at every ω (the store every
-//!   session release is tested against);
-//! * [`IndexPermutation`] / [`RandomSubset`] — O(1)-random-access seeded
-//!   permutations, so the `max_check_plausible` early-termination knob can
-//!   examine a random subset without the per-candidate O(n) shuffle, so
-//!   every store derives the **same** subset from the same RNG draw, and so
-//!   an exact plausible set is counted against it in branch-free blocks.
+//!   session release is tested against), whose ranges also give the exact
+//!   plausible count a `max_check_plausible` cap draws its subset count from.
 
 pub mod inverted;
 pub mod partition;
-pub mod permute;
 pub mod prefix;
 pub mod store;
 
@@ -46,6 +41,5 @@ pub use partition::{
     ClassMatchCache, ClassMatchLookup, LikelihoodClass, LikelihoodClasses, PartitionIndexStore,
     DEFAULT_CLASS_CACHE_CAP,
 };
-pub use permute::{IndexPermutation, RandomSubset};
 pub use prefix::PrefixIndexStore;
 pub use store::{CandidateIter, LinearScanStore, SeedStore};

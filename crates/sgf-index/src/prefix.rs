@@ -15,16 +15,10 @@
 //! O(depth · log n) whatever ω a request uses, so a single store serves every
 //! ω of a session.
 //!
-//! The privacy test then counts `min(|range ∩ subset|, limit)` over the
-//! range, where the subset is the `max_check_plausible` sample and `limit`
-//! is where the stopping rule ends the count.  That costs nothing more with
-//! no cap (`min(|range|, limit)`) or when the range is the whole store
-//! (`min(cap, limit)`); any other range pays the permutation's passes per
-//! member up to the block that reaches the limit, in blocks of `u32` lanes
-//! whose first passes are masked select loops, compiled for AVX2 where the
-//! CPU has it
-//! ([`RandomSubset::count_members`](crate::RandomSubset::count_members)).
-//! The count, and so every release, is the same in either build.
+//! The privacy test then needs only the range's length `K`: with no cap it
+//! counts `min(K, limit)`, where `limit` is where the stopping rule ends the
+//! count, and under a `max_check_plausible` cap it draws the plausible count
+//! of a uniform cap-subset from its hypergeometric law, which `K` fixes.
 //!
 //! The exact-set shortcut ([`SeedStore::prefix_members`]) applies to a model
 //! whose exact-match set is a σ-prefix and whose likelihood set lies inside

@@ -4,6 +4,7 @@
 //! Privacy-Preserving Data Synthesis* (VLDB 2017): histograms, entropy and the
 //! symmetrical-uncertainty correlation of Eq. 5, the Laplace mechanism,
 //! Gamma/Dirichlet/multinomial samplers for the parameter prior of Section 3.4,
+//! the capped hypergeometric draw of the privacy test's examination cap,
 //! total-variation distance for the utility evaluation, the DP composition
 //! theorems of Appendix A, and deterministic per-configuration RNG seeding.
 
@@ -33,6 +34,6 @@ pub use entropy::{
 pub use histogram::{Histogram, JointHistogram};
 pub use laplace::{laplace_mechanism, noisy_count, Laplace};
 pub use sampling::{
-    dirichlet_posterior_mean, sample_categorical, sample_dirichlet, sample_gamma,
-    sample_multinomial,
+    dirichlet_posterior_mean, sample_capped_hypergeometric, sample_categorical, sample_dirichlet,
+    sample_gamma, sample_multinomial,
 };

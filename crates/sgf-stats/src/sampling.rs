@@ -1,10 +1,13 @@
-//! Gamma, Dirichlet, multinomial, and categorical sampling.
+//! Gamma, Dirichlet, multinomial, categorical, and capped hypergeometric
+//! sampling.
 //!
 //! Parameter learning (Section 3.4) places a Dirichlet prior over the
 //! multinomial parameters of each conditional probability table and *samples*
 //! a parameter vector from the posterior "in order to increase the variety of
 //! data samples".  The Dirichlet sampler here is built on a Marsaglia–Tsang
-//! Gamma sampler so the crate stays dependency-light.
+//! Gamma sampler so the crate stays dependency-light.  The privacy test's
+//! `max_check_plausible` cap (Section 5) draws its plausible-seed count from
+//! the capped hypergeometric law.
 
 use rand::Rng;
 
@@ -83,6 +86,61 @@ pub fn sample_multinomial<R: Rng + ?Sized>(n: u64, probabilities: &[f64], rng: &
     counts
 }
 
+/// `min(H, limit)` with `H ~ Hypergeometric(n, cap, k)`: how many of `k`
+/// marked items a uniform random `cap`-subset of `n` items holds, capped at
+/// `limit` — the plausible-seed count of a privacy test that examines `cap`
+/// of `n` seeds, `k` of them plausible (`max_check_plausible`, Section 5).
+///
+/// `H` is symmetric in `cap` and `k`, so the draw walks the smaller of the
+/// two sets: with `other_left` items of the larger set among the `pop_left`
+/// not yet walked (`pop_left` starts at `n`), the current item is in with
+/// probability `other_left / pop_left`.  The walk stops at `limit`, and
+/// stops drawing once the outcome is certain (`other_left` is 0 or
+/// `pop_left`), so `k == n` returns `min(cap, limit)` with no draws.  Each
+/// Bernoulli is an unbiased bounded draw (multiply-shift with rejection,
+/// not a biased modulo); the words drawn depend on `(n, cap, k, limit)` and
+/// the stream alone.
+///
+/// # Panics
+/// Panics if `cap > n` or `k > n`.
+pub fn sample_capped_hypergeometric<R: Rng + ?Sized>(
+    n: usize,
+    cap: usize,
+    k: usize,
+    limit: usize,
+    rng: &mut R,
+) -> usize {
+    assert!(cap <= n && k <= n, "cannot draw {cap} and {k} of {n} items");
+    let (mut walk_left, mut other_left) = (cap.min(k), cap.max(k));
+    let mut pop_left = n;
+    let mut count = 0;
+    while count < limit && walk_left > 0 && other_left > 0 {
+        if other_left == pop_left {
+            return (count + walk_left).min(limit);
+        }
+        if below(rng, pop_left as u64) < other_left as u64 {
+            count += 1;
+            other_left -= 1;
+        }
+        walk_left -= 1;
+        pop_left -= 1;
+    }
+    count
+}
+
+/// A uniform draw from `[0, bound)`, `bound > 0`, by Lemire's multiply-shift
+/// with rejection: unbiased for every bound, unlike a modulo reduction.
+fn below<R: Rng + ?Sized>(rng: &mut R, bound: u64) -> u64 {
+    let mut wide = u128::from(rng.next_u64()) * u128::from(bound);
+    if (wide as u64) < bound {
+        let threshold = bound.wrapping_neg() % bound;
+        while (wide as u64) < threshold {
+            wide = u128::from(rng.next_u64()) * u128::from(bound);
+        }
+    }
+    (wide >> 64) as u64
+}
+
 /// Posterior mean of a Dirichlet-multinomial model (Eq. 13):
 /// `p[l] = (alpha[l] + n[l]) / (sum alpha + sum n)`.
 pub fn dirichlet_posterior_mean(alphas: &[f64], counts: &[f64]) -> Vec<f64> {
@@ -107,7 +165,7 @@ pub fn dirichlet_posterior_mean(alphas: &[f64], counts: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn gamma_mean_matches_shape() {
@@ -189,6 +247,176 @@ mod tests {
         let counts = sample_multinomial(1000, &[0.2, 0.3, 0.5], &mut rng);
         assert_eq!(counts.iter().sum::<u64>(), 1000);
         assert!(counts[2] > counts[0]);
+    }
+
+    /// `(n, cap, k, limit)` points of the law audit: `k = 0`, `k < limit`,
+    /// `k > cap` with the limit binding, `k < cap` with it never binding,
+    /// `k = n`, and the paper's 23,545 seeds, cap 5,000 and limit 100 with
+    /// `E[H]` near the limit.
+    const LAW_POINTS: [(usize, usize, usize, usize); 7] = [
+        (20, 7, 0, 5),
+        (20, 7, 3, 5),
+        (20, 7, 9, 5),
+        (40, 12, 6, 10),
+        (40, 12, 30, 8),
+        (20, 7, 20, 5),
+        (23_545, 5_000, 470, 100),
+    ];
+
+    /// The exact pmf of `min(H, limit)`, `H ~ Hypergeometric(n, cap, k)`,
+    /// over `0..=min(cap, k, limit)`.
+    fn capped_pmf(n: usize, cap: usize, k: usize, limit: usize) -> Vec<f64> {
+        let mut ln_factorial = vec![0.0f64; n + 1];
+        for i in 1..=n {
+            ln_factorial[i] = ln_factorial[i - 1] + (i as f64).ln();
+        }
+        let ln_choose =
+            |a: usize, b: usize| ln_factorial[a] - ln_factorial[b] - ln_factorial[a - b];
+        let top = cap.min(k);
+        let mut pmf = vec![0.0; top.min(limit) + 1];
+        for h in (cap + k).saturating_sub(n)..=top {
+            pmf[h.min(limit)] +=
+                (ln_choose(k, h) + ln_choose(n - k, cap - h) - ln_choose(n, cap)).exp();
+        }
+        pmf
+    }
+
+    /// Whether 10⁵ fixed-seed draws of `sample` fit the exact law of
+    /// `min(H, limit)` by a chi-square test at p < 10⁻⁶.  A value outside
+    /// the law's support fails outright; cells are pooled left to right
+    /// until each expects at least 5 draws; the critical value is the
+    /// Wilson–Hilferty approximation of the chi-square quantile.
+    fn fits_capped_law(
+        (n, cap, k, limit): (usize, usize, usize, usize),
+        mut sample: impl FnMut(&mut StdRng) -> usize,
+    ) -> bool {
+        const DRAWS: usize = 100_000;
+        let pmf = capped_pmf(n, cap, k, limit);
+        let mut observed = vec![0usize; pmf.len()];
+        let mut rng = StdRng::seed_from_u64(0x4859_5045 ^ (n * 31 + k) as u64);
+        for _ in 0..DRAWS {
+            match observed.get_mut(sample(&mut rng)) {
+                Some(cell) => *cell += 1,
+                None => return false,
+            }
+        }
+        let mut cells: Vec<(f64, f64)> = Vec::new();
+        let (mut seen, mut expected) = (0.0, 0.0);
+        for (&o, &p) in observed.iter().zip(&pmf) {
+            if o > 0 && p == 0.0 {
+                return false;
+            }
+            seen += o as f64;
+            expected += p * DRAWS as f64;
+            if expected >= 5.0 {
+                cells.push((seen, expected));
+                (seen, expected) = (0.0, 0.0);
+            }
+        }
+        if let Some(last) = cells.last_mut() {
+            last.0 += seen;
+            last.1 += expected;
+        }
+        if cells.len() < 2 {
+            return true;
+        }
+        let statistic: f64 = cells.iter().map(|(o, e)| (o - e).powi(2) / e).sum();
+        let df = (cells.len() - 1) as f64;
+        let z = 4.753_424; // upper 10⁻⁶ quantile of N(0, 1)
+        let h = 2.0 / (9.0 * df);
+        statistic < df * (1.0 - h + z * h.sqrt()).powi(3)
+    }
+
+    /// One deliberate fault in a test-local copy of the sampler.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Mutant {
+        /// `pop_left` starts at `n + 1`.
+        PopOffByOne,
+        /// The Bernoulli compares with `≤` instead of `<`.
+        LessOrEqual,
+        /// The walk does not stop at `limit`.
+        NoLimitStop,
+    }
+
+    /// The sampler's walk with `mutant`'s fault.
+    fn mutant_sample(
+        mutant: Mutant,
+        (n, cap, k, limit): (usize, usize, usize, usize),
+        rng: &mut StdRng,
+    ) -> usize {
+        let limit = if mutant == Mutant::NoLimitStop {
+            usize::MAX
+        } else {
+            limit
+        };
+        let (mut walk_left, mut other_left) = (cap.min(k), cap.max(k));
+        let mut pop_left = n + usize::from(mutant == Mutant::PopOffByOne);
+        let mut count = 0;
+        while count < limit && walk_left > 0 && other_left > 0 {
+            if other_left == pop_left {
+                return (count + walk_left).min(limit);
+            }
+            let word = below(rng, pop_left as u64);
+            let hit = if mutant == Mutant::LessOrEqual {
+                word <= other_left as u64
+            } else {
+                word < other_left as u64
+            };
+            if hit {
+                count += 1;
+                other_left -= 1;
+            }
+            walk_left -= 1;
+            pop_left -= 1;
+        }
+        count
+    }
+
+    #[test]
+    fn capped_hypergeometric_fits_its_law_and_mutants_do_not() {
+        for point in LAW_POINTS {
+            let (n, cap, k, limit) = point;
+            assert!(
+                fits_capped_law(point, |rng| sample_capped_hypergeometric(
+                    n, cap, k, limit, rng
+                )),
+                "sampler misses the law at {point:?}"
+            );
+        }
+        // Every mutant misses the law at the small point with the limit
+        // binding and k > cap.
+        let point = LAW_POINTS[2];
+        for mutant in [
+            Mutant::PopOffByOne,
+            Mutant::LessOrEqual,
+            Mutant::NoLimitStop,
+        ] {
+            assert!(
+                !fits_capped_law(point, |rng| mutant_sample(mutant, point, rng)),
+                "the law audit misses {mutant:?} at {point:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn capped_hypergeometric_draws_nothing_when_the_outcome_is_certain() {
+        for (n, cap, k, limit, expected) in [
+            (20, 7, 20, 5, 5),
+            (20, 7, 20, 9, 7),
+            (20, 20, 9, 50, 9),
+            (20, 7, 0, 5, 0),
+            (20, 0, 9, 5, 0),
+            (20, 7, 9, 0, 0),
+            (0, 0, 0, 3, 0),
+        ] {
+            let mut rng = StdRng::seed_from_u64(12);
+            let mut untouched = rng.clone();
+            assert_eq!(
+                sample_capped_hypergeometric(n, cap, k, limit, &mut rng),
+                expected
+            );
+            assert_eq!(rng.next_u64(), untouched.next_u64(), "({n}, {cap}, {k})");
+        }
     }
 
     #[test]

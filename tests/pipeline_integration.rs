@@ -124,8 +124,8 @@ fn released_records_satisfy_the_deniability_criterion() {
     let test = PrivacyTestConfig::deterministic(k, gamma);
     // The scan oracle, and the σ-prefix store every session release takes:
     // uncapped (the closed-form count) and with a `max_check_plausible` cap
-    // below the seed count (the block-counting kernel over the examined
-    // subset).  The checker recomputes each plausible set from model
+    // below the seed count (the count drawn from its hypergeometric law).
+    // The checker recomputes each plausible set from model
     // probabilities, independently of either store.
     let prefix = PrefixIndexStore::build(&split.seeds, synthesizer.sigma()).unwrap();
     let capped = test.with_limits(None, Some(split.seeds.len() / 2));

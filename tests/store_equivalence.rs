@@ -766,16 +766,16 @@ fn prefix_store_agrees_at_nonpositive_thresholds() {
     assert!(nonpositive > 20, "only {nonpositive} thresholds were <= 0");
 }
 
-/// Every way the prefix path counts — no cap, the whole store, and the block
-/// kernel over empty, sub-block and multi-block ranges — against the scan on
-/// a dataset large enough that a capped count stops several blocks in.  The
-/// partition store keyed on the same prefix counts its one class with the
-/// same kernel and must agree too.
+/// Every way the prefix path counts — no cap, the whole store (no draw), and
+/// the capped draw over empty, short and long ranges — against the scan on a
+/// dataset large enough that a capped count stops at its limit.  The
+/// partition store keyed on the same prefix counts its one class and must
+/// agree too.
 #[test]
 fn prefix_count_strategies_match_the_scan() {
-    const BLOCK: usize = 32;
+    const SHORT: usize = 32;
     // σ = (X2, X0, X3, X1).  X2 = 2 only on the first 24 rows (a range
-    // shorter than one block) and X0 = 3 never beside X2 = 1 (an empty
+    // shorter than `SHORT`) and X0 = 3 never beside X2 = 1 (an empty
     // range); everything else is spread pseudorandomly.
     let sigma = vec![2, 0, 3, 1];
     let mut state = 0x5eed_u64;
@@ -802,9 +802,9 @@ fn prefix_count_strategies_match_the_scan() {
     type RangeCheck = fn(usize, usize) -> bool;
     let cases: [(usize, Row, RangeCheck); 5] = [
         (2, (3, 0, 1, 0), |len, _| len == 0),
-        (1, (0, 0, 2, 0), |len, _| 0 < len && len < BLOCK),
-        (1, (1, 0, 0, 0), |len, _| len > 16 * BLOCK),
-        (3, (1, 0, 0, 2), |len, _| 2 * BLOCK < len && len < 8 * BLOCK),
+        (1, (0, 0, 2, 0), |len, _| 0 < len && len < SHORT),
+        (1, (1, 0, 0, 0), |len, _| len > 16 * SHORT),
+        (3, (1, 0, 0, 2), |len, _| 2 * SHORT < len && len < 8 * SHORT),
         (0, (2, 3, 1, 4), |len, n| len == n),
     ];
     let configs = [
