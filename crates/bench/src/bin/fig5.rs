@@ -80,8 +80,9 @@ fn main() {
     ]);
     for &workers in &WORKER_COUNTS {
         // The selection-lock / outranked-pass deltas around each request are
-        // the contention profile: shared-heap acquisitions per release and
-        // wasted passing proposals at this worker count.
+        // the contention profile: shared-heap merges (one per claimed rank
+        // block that held a pass) and wasted passing proposals at this
+        // worker count.
         let before = sgf_metrics::global().snapshot();
         let report = session
             .generate(

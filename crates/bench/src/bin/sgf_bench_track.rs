@@ -360,9 +360,10 @@ fn render_notes(docs: &[BenchDoc], entry: &TrajectoryEntry) -> String {
          \x20 seed-store divergence fails `repro.sh` and CI.\n\
          * `fig5_workers`: the released records are identical at every\n\
          \x20 worker count. `candidates`, `selection_locks` (shared-heap\n\
-         \x20 acquisitions) and `outranked_passes` (passing proposals that lost\n\
-         \x20 the rank race) still depend on thread timing at more than one\n\
-         \x20 worker, so those points stay noisy.\n\
+         \x20 merges: one per claimed rank block that held a pass) and\n\
+         \x20 `outranked_passes` (passing proposals that lost the rank race)\n\
+         \x20 still depend on thread timing at more than one worker, so those\n\
+         \x20 points stay noisy.\n\
          * Smoke mode (`scripts/repro.sh --smoke`) runs the same suite at\n\
          \x20 reduced sizes; its deterministic counters form the CI baseline in\n\
          \x20 `BENCH_TRAJECTORY.jsonl`."

@@ -35,9 +35,10 @@
 //!   random `cap`-subset of the seeds, whose plausible count has a known law:
 //!   `min(H, limit)` with `H ~ Hypergeometric(n, cap, K)` and `K` the number
 //!   of plausible seeds.  Under a cap every store counts `K` exactly, with no
-//!   stop at the limit, and draws the count from that law
-//!   ([`sample_capped_hypergeometric`]), whose draws depend on
-//!   `(n, cap, K, limit)` alone;
+//!   stop at the limit, and draws the count from that law by inversion
+//!   ([`sample_capped_hypergeometric`]): one uniform word, or none when
+//!   `(n, cap, K, limit)` make the count certain, and O(1) work when the
+//!   limit lies below the law's mode;
 //! * a store that can name the exact plausible set
 //!   ([`SeedStore::prefix_members`]) skips the model entirely: `K` is the
 //!   range's length.  The partition store's classes add their member counts.

@@ -425,7 +425,7 @@ fn ledger_side_json(ledger: &BudgetLedger) -> Json {
 /// is enabled — the probes feed `core.privacy_test` spans, never decisions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CandidateProbe {
-    /// Global proposal rank of the candidate (worker-interleaved ordering).
+    /// Global proposal rank of the candidate.
     pub rank: usize,
     /// Store granularity that served this test (`"scan"`, `"inverted"`,
     /// `"partition"`, `"prefix"`).
@@ -1248,10 +1248,10 @@ fn commit_generate_trace(
 
 /// A passing candidate tagged with its proposal rank.
 ///
-/// Worker `w` proposes ranks `w, w + workers, …` — globally unique
-/// (distinct residues mod `workers`) and strictly increasing within each
-/// worker.  Ordering is by rank alone so the shared selection heap can evict
-/// its largest-rank member first.
+/// Workers claim ranks from one shared counter, so a rank is globally
+/// unique and strictly increasing within each worker.  Ordering is by rank
+/// alone so the shared selection heap can evict its largest-rank member
+/// first.
 struct RankedRecord {
     rank: usize,
     record: Record,
@@ -1282,9 +1282,11 @@ impl Ord for RankedRecord {
 /// request (`core.mechanism.*`).
 #[derive(Debug, Default, Clone, Copy)]
 struct WorkerProfile {
-    /// Times this worker acquired the shared selection lock (once per
-    /// *passing* candidate — failing candidates never touch shared state).
-    /// A stream hands each pass to its caller instead, counted the same way.
+    /// Times this worker acquired the shared selection lock: once per
+    /// claimed block that held a *passing* candidate, merging all of the
+    /// block's passes at once (failing candidates never touch shared state).
+    /// At block 1 that is once per pass.  A stream hands each pass to its
+    /// caller instead, counted the same way.
     selection_locks: u64,
     /// Passing candidates that lost to a full selection of smaller ranks
     /// (wasted proposals the rank threshold did not stop in time).
@@ -1298,6 +1300,24 @@ impl WorkerProfile {
     }
 }
 
+/// The most ranks a worker claims at once.
+const MAX_CLAIM_BLOCK: usize = 16;
+
+/// Ranks per claim: one with one worker (a stream emits every pass as it
+/// comes), and about a sixteenth of each worker's share of `target` with
+/// more, up to [`MAX_CLAIM_BLOCK`].  A block's passes reach the threshold
+/// only when the block ends, so the proposals past the final threshold grow
+/// with `workers × block`; the sixteenth keeps them a small share of the
+/// request, and a served request of a few dozen records claims rank by
+/// rank.
+fn claim_block(target: usize, workers: usize) -> usize {
+    if workers <= 1 {
+        1
+    } else {
+        (target / (workers * 16)).clamp(1, MAX_CLAIM_BLOCK)
+    }
+}
+
 /// The one Mechanism-1 loop, behind every session release and
 /// [`Mechanism::release`]: fan the request's proposals out over the workers,
 /// each rank drawing among `mechanisms` (built and validated once per
@@ -1305,19 +1325,21 @@ impl WorkerProfile {
 ///
 /// # Determinism and contention
 ///
-/// The loop statically shards the proposal space: worker `w` owns ranks
-/// `w, w + workers, w + 2·workers, …  < max_candidates`, draws each rank's
-/// candidate from that rank's own [`proposal_seed`] stream, and touches
-/// shared state only when a candidate **passes** the privacy test.  Passing
-/// candidates enter a bounded max-heap of capacity `target` under a mutex —
-/// the release selection is the `target` *smallest-rank* passing candidates
-/// — and a lock-free threshold mirror of the heap's max rank lets workers
-/// stop early: once the heap is full, the threshold only decreases, so a
-/// worker whose next rank exceeds it can never displace a selected record
-/// (ranks are unique, and every later rank of that worker is larger still).  Skipped proposals therefore cannot change the
-/// selection, which makes the released records — sorted by rank on return —
-/// **identical across runs and worker counts**.  Per-proposal shared traffic
-/// is one relaxed load of a cache-padded threshold.
+/// Workers claim ranks in blocks of [`claim_block`] from one shared
+/// counter, draw each rank's candidate from that rank's own
+/// [`proposal_seed`] stream, and keep a block's passing candidates locally
+/// until the block ends; failing candidates never touch shared state.  The
+/// passes then enter a bounded max-heap of capacity `target` under a mutex,
+/// one lock per block — the release selection is the `target`
+/// *smallest-rank* passing candidates — and a lock-free threshold mirror of
+/// the heap's max rank lets workers stop early: once the heap is full, the
+/// threshold only decreases, so a worker whose next rank exceeds it can
+/// never displace a selected record (ranks are unique, and every rank it
+/// claims later is larger still).  Skipped proposals therefore cannot
+/// change the selection, which makes the released records — sorted by rank
+/// on return — **identical across runs, schedules and worker counts**.
+/// Per-proposal shared traffic is one relaxed load of a cache-padded
+/// threshold, plus one counter increment per block.
 ///
 /// With `emit` (a stream) the engine runs one worker, where every pass is
 /// final and in rank order: each passing record goes straight to `emit`
@@ -1340,48 +1362,30 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
     }
     debug_assert!(emit.is_none() || workers == 1, "a stream runs one worker");
     let workers = workers.min(max_candidates.max(1));
-    // `target` and `workers` come from the request: the heap and the handle
-    // list grow as they are used instead of preallocating from them.
-    let selection = Mutex::new(BinaryHeap::new());
-    // usize::MAX = "heap not full yet, every rank is still in the running".
-    let threshold = CachePadded::new(AtomicUsize::new(usize::MAX));
-    let collect_probes = probes_out.is_some();
+    let run = MechanismRun {
+        mechanisms,
+        request_seed,
+        target,
+        max_candidates,
+        block: claim_block(target, workers),
+        next_rank: CachePadded::new(AtomicUsize::new(0)),
+        // `target` and `workers` come from the request: the heap and the
+        // handle list grow as they are used instead of preallocating.
+        selection: Mutex::new(BinaryHeap::new()),
+        // usize::MAX = "heap not full yet, every rank is still in the running".
+        threshold: CachePadded::new(AtomicUsize::new(usize::MAX)),
+        collect_probes: probes_out.is_some(),
+    };
 
     type WorkerResult = Result<(MechanismStats, WorkerProfile, Vec<CandidateProbe>)>;
     let worker_results: Vec<WorkerResult> = if workers <= 1 {
-        vec![worker_loop(
-            request_seed,
-            0,
-            1,
-            mechanisms,
-            target,
-            max_candidates,
-            &selection,
-            &threshold,
-            collect_probes,
-            emit,
-        )]
+        vec![run.worker_loop(emit)]
     } else {
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for worker in 0..workers {
-                let selection = &selection;
-                let threshold = &threshold;
-                handles.push(scope.spawn(move || {
-                    worker_loop(
-                        request_seed,
-                        worker,
-                        workers,
-                        mechanisms,
-                        target,
-                        max_candidates,
-                        selection,
-                        threshold,
-                        collect_probes,
-                        None,
-                    )
-                }));
-            }
+            let run = &run;
+            let handles: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(move || run.worker_loop(None)))
+                .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("worker panicked"))
@@ -1405,7 +1409,8 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
         probes.truncate(MAX_TRACE_PROBES);
         *out = probes;
     }
-    let heap = selection
+    let heap = run
+        .selection
         .into_inner()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
     // Ascending rank order, the order a stream emits.
@@ -1429,91 +1434,114 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
     Ok((records, stats))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<M: GenerativeModel + ?Sized>(
+/// One request's shared Mechanism-1 state: what every worker reads, the rank
+/// counter they claim from, and the selection they merge into.
+struct MechanismRun<'a, 'm, M: GenerativeModel + ?Sized> {
+    mechanisms: &'a [Mechanism<'m, M>],
     request_seed: u64,
-    worker: usize,
-    workers: usize,
-    mechanisms: &[Mechanism<'_, M>],
     target: usize,
     max_candidates: usize,
-    selection: &Mutex<BinaryHeap<RankedRecord>>,
-    threshold: &AtomicUsize,
+    block: usize,
+    /// The first unclaimed rank.  `Relaxed` suffices: the counter publishes
+    /// no other data, and a read-modify-write hands out each block once.
+    next_rank: CachePadded<AtomicUsize>,
+    selection: Mutex<BinaryHeap<RankedRecord>>,
+    threshold: CachePadded<AtomicUsize>,
     collect_probes: bool,
-    mut emit: Option<&mut dyn FnMut(Record) -> bool>,
-) -> Result<(MechanismStats, WorkerProfile, Vec<CandidateProbe>)> {
-    let mut stats = MechanismStats::default();
-    let mut profile = WorkerProfile::default();
-    let mut probes: Vec<CandidateProbe> = Vec::new();
-    let mut rank = worker;
-    while rank < max_candidates {
-        // Once the selection is full its max rank only decreases, and this
-        // worker's ranks only increase — past the threshold it can never
-        // contribute again, so stopping here cannot change the selection.
-        if threshold.load(Ordering::Relaxed) <= rank {
-            break;
-        }
-        let mut rng = StdRng::seed_from_u64(proposal_seed(request_seed, rank));
-        let which = if mechanisms.len() == 1 {
-            0
-        } else {
-            rng.gen_range(0..mechanisms.len())
-        };
-        let report = mechanisms[which].propose(&mut rng)?;
-        stats.observe(&report.outcome);
-        if collect_probes && probes.len() < MAX_TRACE_PROBES {
-            probes.push(CandidateProbe {
-                rank,
-                store: if report.outcome.via_classes || report.outcome.via_index {
-                    mechanisms[which].store_kind()
-                } else {
-                    "scan"
-                },
-                passed: report.outcome.passed,
-                plausible_seeds: report.outcome.plausible_seeds,
-                records_examined: report.outcome.records_examined,
-            });
-        }
-        if report.released() {
-            profile.selection_locks += 1;
-            if let Some(emit) = emit.as_deref_mut() {
-                // A stream's lone worker: every pass is final, in rank order.
-                stats.released += 1;
-                if !emit(report.record) || stats.released == target {
-                    break;
-                }
-                rank += workers;
-                continue;
+}
+
+impl<M: GenerativeModel + ?Sized> MechanismRun<'_, '_, M> {
+    fn worker_loop(
+        &self,
+        mut emit: Option<&mut dyn FnMut(Record) -> bool>,
+    ) -> Result<(MechanismStats, WorkerProfile, Vec<CandidateProbe>)> {
+        let mut stats = MechanismStats::default();
+        let mut profile = WorkerProfile::default();
+        let mut probes: Vec<CandidateProbe> = Vec::new();
+        let mut passes: Vec<RankedRecord> = Vec::new();
+        'claims: loop {
+            let start = self.next_rank.fetch_add(self.block, Ordering::Relaxed);
+            if start >= self.max_candidates {
+                break;
             }
-            let mut heap = selection
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            if heap.len() < target {
-                heap.push(RankedRecord {
-                    rank,
-                    record: report.record,
-                });
-                if heap.len() == target {
-                    if let Some(top) = heap.peek() {
-                        threshold.store(top.rank, Ordering::Relaxed);
+            for rank in start..self.max_candidates.min(start + self.block) {
+                // Once the selection is full its max rank only decreases,
+                // and the ranks this worker claims only increase — past the
+                // threshold it can never contribute again, so stopping here
+                // cannot change the selection.
+                if self.threshold.load(Ordering::Relaxed) <= rank {
+                    break 'claims;
+                }
+                let mut rng = StdRng::seed_from_u64(proposal_seed(self.request_seed, rank));
+                let which = if self.mechanisms.len() == 1 {
+                    0
+                } else {
+                    rng.gen_range(0..self.mechanisms.len())
+                };
+                let report = self.mechanisms[which].propose(&mut rng)?;
+                stats.observe(&report.outcome);
+                if self.collect_probes && probes.len() < MAX_TRACE_PROBES {
+                    probes.push(CandidateProbe {
+                        rank,
+                        store: if report.outcome.via_classes || report.outcome.via_index {
+                            self.mechanisms[which].store_kind()
+                        } else {
+                            "scan"
+                        },
+                        passed: report.outcome.passed,
+                        plausible_seeds: report.outcome.plausible_seeds,
+                        records_examined: report.outcome.records_examined,
+                    });
+                }
+                if !report.released() {
+                    continue;
+                }
+                if let Some(emit) = emit.as_deref_mut() {
+                    // A stream's lone worker: every pass is final, in rank order.
+                    profile.selection_locks += 1;
+                    stats.released += 1;
+                    if !emit(report.record) || stats.released == self.target {
+                        break 'claims;
                     }
+                    continue;
                 }
-            } else if heap.peek().is_some_and(|top| rank < top.rank) {
-                heap.pop();
-                heap.push(RankedRecord {
+                passes.push(RankedRecord {
                     rank,
                     record: report.record,
                 });
-                if let Some(top) = heap.peek() {
-                    threshold.store(top.rank, Ordering::Relaxed);
-                }
+            }
+            self.merge(&mut passes, &mut profile);
+        }
+        self.merge(&mut passes, &mut profile);
+        Ok((stats, profile, probes))
+    }
+
+    /// Move a worker's pending passes into the selection under one lock.
+    fn merge(&self, passes: &mut Vec<RankedRecord>, profile: &mut WorkerProfile) {
+        if passes.is_empty() {
+            return;
+        }
+        profile.selection_locks += 1;
+        let mut heap = self
+            .selection
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        for ranked in passes.drain(..) {
+            if heap.len() < self.target {
+                heap.push(ranked);
+            } else if heap.peek().is_some_and(|top| ranked.rank < top.rank) {
+                heap.pop();
+                heap.push(ranked);
             } else {
                 profile.outranked_passes += 1;
             }
         }
-        rank += workers;
+        if heap.len() == self.target {
+            if let Some(top) = heap.peek() {
+                self.threshold.store(top.rank, Ordering::Relaxed);
+            }
+        }
     }
-    Ok((stats, profile, probes))
 }
 
 #[cfg(test)]

@@ -37,6 +37,17 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
+/// Serializes the unit tests that flip [`set_enabled`] or assert what an
+/// update recorded: the switch is process-global, so one test turning it off
+/// would void a sibling's updates.
+#[cfg(test)]
+pub(crate) fn switch_guard() -> MutexGuard<'static, ()> {
+    static SWITCH: Mutex<()> = Mutex::new(());
+    SWITCH
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Number of log2 magnitude buckets a [`Summary`] tracks (`u64` has 64 bit
 /// positions; bucket `i` holds values whose highest set bit is `i - 1`, with
 /// bucket 0 holding zero).
@@ -684,6 +695,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_snapshot_in_sorted_order() {
+        let _switch = switch_guard();
         let registry = Registry::new();
         registry.counter("z.last").add(2);
         registry.counter("a.first").incr();
@@ -698,6 +710,7 @@ mod tests {
 
     #[test]
     fn timers_track_count_total_and_max() {
+        let _switch = switch_guard();
         let registry = Registry::new();
         let timer = registry.timer("t");
         timer.observe(Duration::from_millis(2));
@@ -718,6 +731,7 @@ mod tests {
 
     #[test]
     fn summaries_bucket_by_magnitude() {
+        let _switch = switch_guard();
         assert_eq!(summary_bucket(0), 0);
         assert_eq!(summary_bucket(1), 1);
         assert_eq!(summary_bucket(2), 2);
@@ -752,6 +766,7 @@ mod tests {
 
     #[test]
     fn kind_clashes_yield_detached_handles_not_panics() {
+        let _switch = switch_guard();
         let registry = Registry::new();
         registry.counter("name").add(3);
         let detached = registry.timer("name");
@@ -763,6 +778,7 @@ mod tests {
 
     #[test]
     fn delta_subtracts_counters_and_counts() {
+        let _switch = switch_guard();
         let registry = Registry::new();
         let counter = registry.counter("c");
         let timer = registry.timer("t");
@@ -783,6 +799,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_round_trips() {
+        let _switch = switch_guard();
         let registry = Registry::new();
         registry.counter("requests").add(1234);
         registry
@@ -812,6 +829,7 @@ mod tests {
 
     #[test]
     fn disabled_metrics_are_no_ops() {
+        let _switch = switch_guard();
         let registry = Registry::new();
         let counter = registry.counter("c");
         let timer = registry.timer("t");
@@ -830,6 +848,7 @@ mod tests {
 
     #[test]
     fn scoped_snapshots_nest_delta_and_round_trip() {
+        let _switch = switch_guard();
         let registry = Registry::new();
         registry.counter("c").add(1);
         let a = Scope::new().label("session", "a");
@@ -874,6 +893,7 @@ mod tests {
 
     #[test]
     fn quantile_upper_bound_reads_the_buckets() {
+        let _switch = switch_guard();
         let registry = Registry::new();
         let summary = registry.summary("s");
         assert_eq!(summary.stats().quantile_upper_bound(0.95), 0);
@@ -899,6 +919,7 @@ mod tests {
 
     #[test]
     fn quantile_upper_bound_is_nan_safe_and_clamped() {
+        let _switch = switch_guard();
         let registry = Registry::new();
         let summary = registry.summary("s");
         for _ in 0..95 {
@@ -925,6 +946,7 @@ mod tests {
 
     #[test]
     fn scoped_existing_never_allocates_cells() {
+        let _switch = switch_guard();
         let registry = Registry::new();
         // No cell yet: the non-allocating read answers None and the scope
         // map stays empty — this is the admission-path guarantee that bogus
@@ -945,6 +967,7 @@ mod tests {
 
     #[test]
     fn global_registry_hands_out_shared_handles() {
+        let _switch = switch_guard();
         let a = counter("test.global.shared");
         let b = counter("test.global.shared");
         a.add(2);

@@ -228,6 +228,7 @@ mod tests {
 
     #[test]
     fn scoped_handles_update_rollup_and_cell() {
+        let _switch = crate::registry::switch_guard();
         let registry = Registry::new();
         let scope = Scope::new().label("session", "t");
         let view = registry.scoped(&scope);

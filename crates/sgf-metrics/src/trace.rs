@@ -350,6 +350,7 @@ mod tests {
 
     #[test]
     fn commit_rebases_local_span_ids_onto_the_global_sequence() {
+        let _switch = crate::registry::switch_guard();
         let trace = Trace::new(16);
         trace.set_enabled(true);
         let mut first = TraceBatch::new();
@@ -375,6 +376,7 @@ mod tests {
 
     #[test]
     fn ring_buffer_evicts_oldest_events() {
+        let _switch = crate::registry::switch_guard();
         let trace = Trace::new(3);
         trace.set_enabled(true);
         for i in 0..5 {
@@ -394,6 +396,7 @@ mod tests {
 
     #[test]
     fn label_filter_follows_the_span_tree() {
+        let _switch = crate::registry::switch_guard();
         let trace = Trace::new(16);
         trace.set_enabled(true);
         let mut batch = TraceBatch::new();
@@ -418,6 +421,7 @@ mod tests {
 
     #[test]
     fn canonical_json_omits_wall_clock_unless_noisy() {
+        let _switch = crate::registry::switch_guard();
         let trace = Trace::new(16);
         trace.set_enabled(true);
         let mut batch = TraceBatch::new();
@@ -438,6 +442,7 @@ mod tests {
 
     #[test]
     fn global_metrics_switch_gates_tracing() {
+        let _switch = crate::registry::switch_guard();
         let trace = Trace::new(16);
         trace.set_enabled(true);
         crate::set_enabled(false);

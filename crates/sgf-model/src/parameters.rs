@@ -97,7 +97,8 @@ struct AttributeTable {
     counts: Vec<u32>,
 }
 
-/// One attribute's conditionals: a write-once slot per parent configuration.
+/// One attribute's conditionals: a write-once slot per parent configuration,
+/// holding the row `[pmf | cdf]` — the conditional, then its running sums.
 type ConditionalSlots = Box<[OnceLock<Box<[f64]>>]>;
 
 /// The learned conditional-probability store: counts from `D_P` plus lazily
@@ -416,6 +417,11 @@ impl CptStore {
     ///
     /// If `configuration` is not below [`Self::configurations`]`(attr)`.
     pub fn conditional(&self, attr: usize, configuration: u64) -> &[f64] {
+        &self.row(attr, configuration)[..self.tables[attr].cardinality]
+    }
+
+    /// The materialized `[pmf | cdf]` row of an in-range `configuration`.
+    fn row(&self, attr: usize, configuration: u64) -> &[f64] {
         let slot = usize::try_from(configuration)
             .ok()
             .and_then(|index| self.cache[attr].get(index))
@@ -429,8 +435,8 @@ impl CptStore {
         slot.get_or_init(|| self.materialize(attr, configuration))
     }
 
-    /// Compute the conditional of an in-range `configuration`: its counts and
-    /// its noise RNG are both keyed by `configuration` itself.
+    /// Compute the `[pmf | cdf]` row of an in-range `configuration`: its
+    /// counts and its noise RNG are both keyed by `configuration` itself.
     fn materialize(&self, attr: usize, configuration: u64) -> Box<[f64]> {
         let table = &self.tables[attr];
         let card = table.cardinality;
@@ -460,7 +466,7 @@ impl CptStore {
         };
 
         let alphas = vec![self.config.alpha / card as f64; card];
-        if self.config.sample_parameters {
+        let mut row = if self.config.sample_parameters {
             let posterior: Vec<f64> = alphas
                 .iter()
                 .zip(noisy.iter())
@@ -469,8 +475,14 @@ impl CptStore {
             sample_dirichlet(&posterior, &mut rng)
         } else {
             dirichlet_posterior_mean(&alphas, &noisy)
+        };
+        row.reserve_exact(card);
+        let mut running = 0.0;
+        for value in 0..card {
+            running += row[value];
+            row.push(running);
         }
-        .into_boxed_slice()
+        row.into_boxed_slice()
     }
 
     /// Conditional probability of `value` for attribute `attr` given the full
@@ -485,7 +497,11 @@ impl CptStore {
         self.conditional(attr, config)[value as usize]
     }
 
-    /// Sample a value of attribute `attr` given the assignment provided by `value_of`.
+    /// Sample a value of attribute `attr` given the assignment provided by
+    /// `value_of`.  It draws as [`sgf_stats::sample_categorical`] does over
+    /// the conditional — one word, the same law — but finds the value by a
+    /// binary search of the row's running sums instead of a sum pass and a
+    /// linear scan.
     pub fn sample_value<F: Fn(usize) -> u16, R: Rng + ?Sized>(
         &self,
         attr: usize,
@@ -493,7 +509,10 @@ impl CptStore {
         rng: &mut R,
     ) -> u16 {
         let config = self.configuration_index(attr, &value_of);
-        sgf_stats::sample_categorical(self.conditional(attr, config), rng) as u16
+        let card = self.tables[attr].cardinality;
+        let cdf = &self.row(attr, config)[card..];
+        let u = rng.gen::<f64>() * cdf[card - 1];
+        cdf.partition_point(|&c| c < u).min(card - 1) as u16
     }
 
     /// Number of CPT cells materialized so far (for diagnostics/benchmarks).
@@ -858,5 +877,58 @@ mod tests {
         assert_eq!(store.cached_configurations(), 1);
         let _ = store.conditional(1, 1);
         assert_eq!(store.cached_configurations(), 2);
+    }
+
+    #[test]
+    fn cumulative_rows_sample_what_the_categorical_scan_samples() {
+        // The row's binary search must return, word for word, the value the
+        // linear scan of `sample_categorical` returns over the same
+        // conditional, on every slot that 10⁵ ancestral draws touch: with
+        // posterior means and with noisy, Dirichlet-sampled rows.
+        use rand::RngCore;
+        use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
+        let data = generate_acs(4000, 11);
+        let bkt = acs_bucketizer(&acs_schema());
+        let mut structure_rng = StdRng::seed_from_u64(11);
+        let graph = crate::structure::learn_dependency_structure(
+            &data,
+            &bkt,
+            &crate::structure::StructureConfig::exact(),
+            &mut structure_rng,
+        )
+        .unwrap()
+        .graph;
+        let order = graph.topological_order().unwrap();
+        for config in [
+            ParameterConfig::default(),
+            ParameterConfig {
+                epsilon_p: Some(1.0),
+                sample_parameters: true,
+                global_seed: 5,
+                ..ParameterConfig::default()
+            },
+        ] {
+            let store = CptStore::learn(&data, &bkt, &graph, config).unwrap();
+            let mut rng = StdRng::seed_from_u64(23);
+            let mut values = vec![0u16; order.len()];
+            let mut calls = 0;
+            while calls < 100_000 {
+                for &attr in &order {
+                    let mut scan = rng.clone();
+                    let value = store.sample_value(attr, |p| values[p], &mut rng);
+                    let row =
+                        store.conditional(attr, store.configuration_index(attr, |p| values[p]));
+                    assert_eq!(
+                        usize::from(value),
+                        sgf_stats::sample_categorical(row, &mut scan),
+                        "attribute {attr}, call {calls}"
+                    );
+                    assert_eq!(rng.next_u64(), scan.next_u64(), "one word per draw");
+                    values[attr] = value;
+                    calls += 1;
+                }
+            }
+            assert!(store.cached_configurations() > order.len());
+        }
     }
 }

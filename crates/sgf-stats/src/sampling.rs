@@ -91,15 +91,24 @@ pub fn sample_multinomial<R: Rng + ?Sized>(n: u64, probabilities: &[f64], rng: &
 /// `limit` — the plausible-seed count of a privacy test that examines `cap`
 /// of `n` seeds, `k` of them plausible (`max_check_plausible`, Section 5).
 ///
-/// `H` is symmetric in `cap` and `k`, so the draw walks the smaller of the
-/// two sets: with `other_left` items of the larger set among the `pop_left`
-/// not yet walked (`pop_left` starts at `n`), the current item is in with
-/// probability `other_left / pop_left`.  The walk stops at `limit`, and
-/// stops drawing once the outcome is certain (`other_left` is 0 or
-/// `pop_left`), so `k == n` returns `min(cap, limit)` with no draws.  Each
-/// Bernoulli is an unbiased bounded draw (multiply-shift with rejection,
-/// not a biased modulo); the words drawn depend on `(n, cap, k, limit)` and
-/// the stream alone.
+/// The draw inverts the law with one uniform word (Kachitvichyanukul and
+/// Schmeiser's inversion).  `H` lives on `lo = max(0, cap + k − n)` to
+/// `hi = min(cap, k)`; when `limit ≤ lo` or `lo == hi` the outcome is
+/// certain and nothing is drawn, so `k == n` returns `min(cap, limit)` with
+/// no draws.  Otherwise the cells `lo..=top`, `top = min(hi, limit − 1)`,
+/// are visited from an anchor `a = min(top, mode)`, whose `p(a)` comes from
+/// log-factorials: first up from `a + 1` to `top` by
+/// `p(h + 1)/p(h) = (cap − h)(k − h) / ((h + 1)(n − cap − k + h + 1))`,
+/// then down from `a` by
+/// `p(h − 1)/p(h) = h(n − cap − k + h) / ((cap − h + 1)(k − h + 1))`.  The
+/// first cell whose running mass passes the uniform is the draw; the mass
+/// left over, `P(H ≥ limit)`, returns `limit`.  Anchoring at or below the
+/// mode keeps `p(a)` far from underflow when the limit sits deep in the
+/// upper tail.  The law is log-concave, so below the mode the ratios only
+/// shrink and a geometric bound on the mass still unvisited ends the walk
+/// as soon as it cannot reach the uniform: with `limit` below the mode —
+/// the usual privacy-test case — the draw costs O(1).  The one word drawn
+/// depends on `(n, cap, k, limit)` and the stream alone.
 ///
 /// # Panics
 /// Panics if `cap > n` or `k > n`.
@@ -111,34 +120,71 @@ pub fn sample_capped_hypergeometric<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> usize {
     assert!(cap <= n && k <= n, "cannot draw {cap} and {k} of {n} items");
-    let (mut walk_left, mut other_left) = (cap.min(k), cap.max(k));
-    let mut pop_left = n;
-    let mut count = 0;
-    while count < limit && walk_left > 0 && other_left > 0 {
-        if other_left == pop_left {
-            return (count + walk_left).min(limit);
-        }
-        if below(rng, pop_left as u64) < other_left as u64 {
-            count += 1;
-            other_left -= 1;
-        }
-        walk_left -= 1;
-        pop_left -= 1;
+    let (lo, hi) = ((cap + k).saturating_sub(n), cap.min(k));
+    if limit <= lo || lo == hi {
+        return lo.min(limit);
     }
-    count
+    let top = hi.min(limit - 1);
+    // Mass past `top` is `P(H ≥ limit)` when the limit binds; otherwise it is
+    // rounding, which stays on the last cell visited.
+    let tail = if limit <= hi { limit } else { lo };
+    let mode = ((cap as u128 + 1) * (k as u128 + 1) / (n as u128 + 2)) as usize;
+    let anchor = top.min(mode.max(lo));
+    let p_anchor = ln_pmf(n, cap, k, anchor).exp();
+    let u: f64 = rng.gen();
+    let mut acc = 0.0;
+    let (mut p, mut h) = (p_anchor, anchor);
+    while h < top {
+        p *= ((cap - h) as f64 * (k - h) as f64) / ((h + 1) as f64 * (n + h + 1 - cap - k) as f64);
+        h += 1;
+        acc += p;
+        if u < acc {
+            return h;
+        }
+    }
+    let (mut p, mut h) = (p_anchor, anchor);
+    loop {
+        acc += p;
+        if u < acc {
+            return h;
+        }
+        if h == lo {
+            return tail;
+        }
+        let ratio =
+            (h as f64 * (n + h - cap - k) as f64) / ((cap - h + 1) as f64 * (k - h + 1) as f64);
+        // At or below the mode every later ratio is at most this one, so the
+        // mass still unvisited is at most `p·ratio/(1 − ratio)`.
+        if ratio < 1.0 && acc + p * ratio / (1.0 - ratio) <= u {
+            return tail;
+        }
+        p *= ratio;
+        h -= 1;
+    }
 }
 
-/// A uniform draw from `[0, bound)`, `bound > 0`, by Lemire's multiply-shift
-/// with rejection: unbiased for every bound, unlike a modulo reduction.
-fn below<R: Rng + ?Sized>(rng: &mut R, bound: u64) -> u64 {
-    let mut wide = u128::from(rng.next_u64()) * u128::from(bound);
-    if (wide as u64) < bound {
-        let threshold = bound.wrapping_neg() % bound;
-        while (wide as u64) < threshold {
-            wide = u128::from(rng.next_u64()) * u128::from(bound);
-        }
+/// `ln P(H = h)` for `H ~ Hypergeometric(n, cap, k)`, `h` in its support.
+fn ln_pmf(n: usize, cap: usize, k: usize, h: usize) -> f64 {
+    ln_factorial(k) + ln_factorial(n - k) + ln_factorial(cap) + ln_factorial(n - cap)
+        - ln_factorial(n)
+        - ln_factorial(h)
+        - ln_factorial(k - h)
+        - ln_factorial(cap - h)
+        - ln_factorial(n + h - cap - k)
+}
+
+/// `ln(m!)`: exact below 16, the Stirling series above (absolute error
+/// under 10⁻¹¹).
+fn ln_factorial(m: usize) -> f64 {
+    if m < 16 {
+        return ((1..=m as u64).product::<u64>() as f64).ln();
     }
-    (wide >> 64) as u64
+    let x = m as f64;
+    let inv = 1.0 / x;
+    let inv2 = inv * inv;
+    (x + 0.5) * x.ln() - x
+        + 0.5 * (2.0 * std::f64::consts::PI).ln()
+        + inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0))
 }
 
 /// Posterior mean of a Dirichlet-multinomial model (Eq. 13):
@@ -251,9 +297,10 @@ mod tests {
 
     /// `(n, cap, k, limit)` points of the law audit: `k = 0`, `k < limit`,
     /// `k > cap` with the limit binding, `k < cap` with it never binding,
-    /// `k = n`, and the paper's 23,545 seeds, cap 5,000 and limit 100 with
-    /// `E[H]` near the limit.
-    const LAW_POINTS: [(usize, usize, usize, usize); 7] = [
+    /// `k = n`, the paper's 23,545 seeds, cap 5,000 and limit 100 with
+    /// `E[H]` near the limit, and a limit so far above the mode that
+    /// `p(limit − 1)` underflows.
+    const LAW_POINTS: [(usize, usize, usize, usize); 8] = [
         (20, 7, 0, 5),
         (20, 7, 3, 5),
         (20, 7, 9, 5),
@@ -261,6 +308,7 @@ mod tests {
         (40, 12, 30, 8),
         (20, 7, 20, 5),
         (23_545, 5_000, 470, 100),
+        (1_200, 600, 600, 600),
     ];
 
     /// The exact pmf of `min(H, limit)`, `H ~ Hypergeometric(n, cap, k)`,
@@ -330,46 +378,59 @@ mod tests {
     /// One deliberate fault in a test-local copy of the sampler.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Mutant {
-        /// `pop_left` starts at `n + 1`.
-        PopOffByOne,
-        /// The Bernoulli compares with `≤` instead of `<`.
-        LessOrEqual,
-        /// The walk does not stop at `limit`.
-        NoLimitStop,
+        /// The downward ratio's `k − h + 1` reads `k − h`.
+        RatioOffByOne,
+        /// The lumped tail `P(H ≥ limit)` returns `top` instead of `limit`.
+        TailAtTop,
+        /// `p(anchor)` is computed at `anchor − 1`.
+        AnchorOffByOne,
     }
 
-    /// The sampler's walk with `mutant`'s fault.
+    /// The sampler's inversion with `mutant`'s fault, at a point where the
+    /// limit binds.
     fn mutant_sample(
         mutant: Mutant,
         (n, cap, k, limit): (usize, usize, usize, usize),
         rng: &mut StdRng,
     ) -> usize {
-        let limit = if mutant == Mutant::NoLimitStop {
-            usize::MAX
+        let (lo, hi) = ((cap + k).saturating_sub(n), cap.min(k));
+        assert!(
+            lo < limit && limit <= hi,
+            "the mutants need a binding limit"
+        );
+        let top = limit - 1;
+        let tail = if mutant == Mutant::TailAtTop {
+            top
         } else {
             limit
         };
-        let (mut walk_left, mut other_left) = (cap.min(k), cap.max(k));
-        let mut pop_left = n + usize::from(mutant == Mutant::PopOffByOne);
-        let mut count = 0;
-        while count < limit && walk_left > 0 && other_left > 0 {
-            if other_left == pop_left {
-                return (count + walk_left).min(limit);
+        let anchor = top.min(((cap + 1) * (k + 1) / (n + 2)).max(lo));
+        let at = anchor - usize::from(mutant == Mutant::AnchorOffByOne);
+        let p_anchor = ln_pmf(n, cap, k, at).exp();
+        let u: f64 = rng.gen();
+        let mut acc = 0.0;
+        let (mut p, mut h) = (p_anchor, anchor);
+        while h < top {
+            p *= ((cap - h) * (k - h)) as f64 / ((h + 1) * (n + h + 1 - cap - k)) as f64;
+            h += 1;
+            acc += p;
+            if u < acc {
+                return h;
             }
-            let word = below(rng, pop_left as u64);
-            let hit = if mutant == Mutant::LessOrEqual {
-                word <= other_left as u64
-            } else {
-                word < other_left as u64
-            };
-            if hit {
-                count += 1;
-                other_left -= 1;
-            }
-            walk_left -= 1;
-            pop_left -= 1;
         }
-        count
+        let (mut p, mut h) = (p_anchor, anchor);
+        loop {
+            acc += p;
+            if u < acc {
+                return h;
+            }
+            if h == lo {
+                return tail;
+            }
+            let k_term = k - h + usize::from(mutant != Mutant::RatioOffByOne);
+            p *= (h * (n + h - cap - k)) as f64 / ((cap - h + 1) * k_term) as f64;
+            h -= 1;
+        }
     }
 
     #[test]
@@ -387,9 +448,9 @@ mod tests {
         // binding and k > cap.
         let point = LAW_POINTS[2];
         for mutant in [
-            Mutant::PopOffByOne,
-            Mutant::LessOrEqual,
-            Mutant::NoLimitStop,
+            Mutant::RatioOffByOne,
+            Mutant::TailAtTop,
+            Mutant::AnchorOffByOne,
         ] {
             assert!(
                 !fits_capped_law(point, |rng| mutant_sample(mutant, point, rng)),
@@ -416,6 +477,72 @@ mod tests {
                 expected
             );
             assert_eq!(rng.next_u64(), untouched.next_u64(), "({n}, {cap}, {k})");
+        }
+    }
+
+    /// Every realized cell of the draw, as a function of its one word, is
+    /// within 10⁻⁹ of the exact law.  The cells sit in word order
+    /// `a + 1, …, top`, then `a, a − 1, …, lo` (`a` the anchor), then
+    /// `limit` when the limit binds, so a binary search over the 2⁵³ words
+    /// `gen::<f64>` distinguishes finds each cell's share.  The points are
+    /// the paper's (23,471 seeds, cap 5,000, limit 100) and the served
+    /// engine's (15,700 seeds, cap 2,000, limit 40), each from a plausible
+    /// set of one to past the mode, and a limit so far above the mode that
+    /// `p(limit − 1)` underflows.
+    #[test]
+    fn capped_hypergeometric_inverts_its_exact_law() {
+        use rand::rngs::mock::StepRng;
+        const WORDS: u64 = 1 << 53;
+        let paper = [1usize, 60, 501, 11_998].map(|k| (23_471usize, 5_000usize, k, 100usize));
+        let served = [1usize, 30, 314, 7_850].map(|k| (15_700usize, 2_000usize, k, 40usize));
+        let deep_tail = (1_200, 600, 600, 600);
+        for (n, cap, k, limit) in paper.into_iter().chain(served).chain([deep_tail]) {
+            let (lo, hi) = ((cap + k).saturating_sub(n), cap.min(k));
+            let top = hi.min(limit - 1);
+            let anchor = top.min(((cap + 1) * (k + 1) / (n + 2)).max(lo));
+            let mut sequence: Vec<usize> = (anchor + 1..=top).chain((lo..=anchor).rev()).collect();
+            if limit <= hi {
+                sequence.push(limit);
+            }
+            let cells = sequence.len();
+            let order = |m: u64| {
+                let value =
+                    sample_capped_hypergeometric(n, cap, k, limit, &mut StepRng::new(m << 11, 0));
+                sequence
+                    .iter()
+                    .position(|&cell| cell == value)
+                    .expect("the draw lies in the support")
+            };
+            // `starts[j]` is the first word whose cell is at or past `j`.
+            let mut starts = vec![0u64; cells + 1];
+            starts[cells] = WORDS;
+            for j in 1..cells {
+                let (mut below, mut above) = (starts[j - 1], WORDS);
+                while below < above {
+                    let mid = below + (above - below) / 2;
+                    if order(mid) >= j {
+                        above = mid;
+                    } else {
+                        below = mid + 1;
+                    }
+                }
+                starts[j] = below;
+            }
+            let pmf = capped_pmf(n, cap, k, limit);
+            for (j, &value) in sequence.iter().enumerate() {
+                let realized = (starts[j + 1] - starts[j]) as f64 / WORDS as f64;
+                assert!(
+                    (realized - pmf[value]).abs() < 1e-9,
+                    "({n}, {cap}, {k}, {limit}): cell {value} realized {realized}, law {}",
+                    pmf[value]
+                );
+            }
+            // One word per draw, whatever the outcome.
+            let mut rng = StdRng::seed_from_u64(k as u64);
+            let mut after_one = rng.clone();
+            after_one.next_u64();
+            sample_capped_hypergeometric(n, cap, k, limit, &mut rng);
+            assert_eq!(rng.next_u64(), after_one.next_u64(), "({n}, {cap}, {k})");
         }
     }
 
