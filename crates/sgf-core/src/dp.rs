@@ -14,7 +14,7 @@
 
 use crate::error::{CoreError, Result};
 use serde::{Deserialize, Serialize};
-use sgf_metrics::Json;
+use sgf_metrics::json::write_object;
 use sgf_stats::DpBudget;
 
 /// Largest integer every `f64` at or below it represents exactly (2^53).
@@ -339,33 +339,31 @@ impl BudgetLedger {
         self.model_budget().max(self.cumulative_release())
     }
 
-    /// The ledger as a JSON object for service / bench reporting.
-    pub fn as_json(&self) -> Json {
+    /// Write the ledger into `out` as one canonical JSON object (keys
+    /// sorted), for service and bench reporting.
+    pub fn write_json(&self, out: &mut String) {
         let (model, total, reserved) = (self.model_budget(), self.total(), self.reserved_total());
-        Json::obj([
-            ("requests", self.requests.into()),
-            ("releases", self.releases.into()),
-            ("reserved", self.reserved.into()),
-            ("model_epsilon", model.epsilon.into()),
-            ("model_delta", model.delta.into()),
-            (
-                "per_release_epsilon",
-                self.per_release.map(|b| b.epsilon).into(),
-            ),
-            (
-                "per_release_delta",
-                self.per_release.map(|b| b.delta).into(),
-            ),
-            ("total_epsilon", total.epsilon.into()),
-            ("total_delta", total.delta.into()),
-            ("reserved_epsilon", reserved.epsilon.into()),
-            ("reserved_delta", reserved.delta.into()),
-        ])
+        write_object(out, |object| {
+            object
+                .float("model_delta", model.delta)
+                .float("model_epsilon", model.epsilon)
+                .opt_float("per_release_delta", self.per_release.map(|b| b.delta))
+                .opt_float("per_release_epsilon", self.per_release.map(|b| b.epsilon))
+                .int("releases", self.releases)
+                .int("requests", self.requests)
+                .int("reserved", self.reserved)
+                .float("reserved_delta", reserved.delta)
+                .float("reserved_epsilon", reserved.epsilon)
+                .float("total_delta", total.delta)
+                .float("total_epsilon", total.epsilon);
+        });
     }
 
     /// Render the ledger as canonical JSON.
     pub fn to_json(&self) -> String {
-        self.as_json().render()
+        let mut out = String::with_capacity(320);
+        self.write_json(&mut out);
+        out
     }
 }
 

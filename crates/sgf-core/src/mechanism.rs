@@ -8,8 +8,10 @@ use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 use sgf_data::{Dataset, Record};
 use sgf_index::{LinearScanStore, SeedStore};
-use sgf_metrics::{Json, Scope};
+use sgf_metrics::json::write_object;
+use sgf_metrics::{Scope, ScopedCounter, ScopedSummary, ScopedTimer};
 use sgf_model::GenerativeModel;
+use std::sync::OnceLock;
 
 /// One released (or rejected) candidate together with the test diagnostics.
 #[derive(Debug, Clone)]
@@ -99,7 +101,7 @@ impl MechanismStats {
     }
 
     /// Every counter by name, in field order.  The names are the suffixes of
-    /// the `core.mechanism.*` metrics; the metrics flush, the
+    /// the `core.mechanism.*` metrics; the metric handles, the
     /// `core.proposals` trace span, the JSON report and the benchmark
     /// `total` points all iterate this one list.
     pub fn counters(&self) -> [(&'static str, usize); 8] {
@@ -115,47 +117,94 @@ impl MechanismStats {
         ]
     }
 
-    /// The counters plus `pass_rate` as a JSON object.
-    pub fn as_json(&self) -> Json {
-        let counters = self
-            .counters()
-            .map(|(name, value)| (name, Json::from(value)));
-        Json::obj(
-            counters
-                .into_iter()
-                .chain([("pass_rate", self.pass_rate().into())]),
-        )
+    /// Write the counters plus `pass_rate` into `out` as one canonical JSON
+    /// object (keys sorted).
+    pub fn write_json(&self, out: &mut String) {
+        let mut counters = self.counters();
+        counters.sort_unstable_by_key(|&(name, _)| name);
+        let split = counters.partition_point(|&(name, _)| name < "pass_rate");
+        let (before, after) = counters.split_at(split);
+        write_object(out, |object| {
+            for &(name, value) in before {
+                object.int(name, value);
+            }
+            object.float("pass_rate", self.pass_rate());
+            for &(name, value) in after {
+                object.int(name, value);
+            }
+        });
     }
 
     /// Render the counters as canonical JSON, so services and the bench
     /// binaries can emit machine-readable reports.
     pub fn to_json(&self) -> String {
-        self.as_json().render()
+        let mut out = String::with_capacity(256);
+        self.write_json(&mut out);
+        out
     }
 
-    /// Flush one finished request into the metrics registry as
-    /// `core.mechanism.*`: a `requests` tick, every [`counters`] entry, the
-    /// `extra` counters, and a `workers` summary observation.
-    /// With a scope the writes go through its view, which updates the global
-    /// rollup too; without one they go straight to the global registry.
-    /// Either way, flush each request exactly once.
+    /// Flush one finished request into `metrics`: a `requests` tick, every
+    /// [`counters`] entry, the request's selection contention, and a
+    /// `workers` observation.  Flush each request exactly once.
     ///
     /// [`counters`]: MechanismStats::counters
-    pub(crate) fn flush(&self, scope: Option<&Scope>, extra: &[(&str, u64)], workers: usize) {
-        let view = scope.map(sgf_metrics::scoped);
-        let counters = self.counters().map(|(name, value)| (name, value as u64));
-        for (name, value) in [("requests", 1)].iter().chain(&counters).chain(extra) {
-            let name = format!("core.mechanism.{name}");
-            match &view {
-                Some(view) => view.counter(&name).add(*value),
-                None => sgf_metrics::counter(&name).add(*value),
-            }
+    pub(crate) fn flush(
+        &self,
+        metrics: &ReleaseMetrics,
+        selection_locks: u64,
+        outranked_passes: u64,
+        workers: usize,
+    ) {
+        metrics.requests.incr();
+        for (handle, (_, value)) in metrics.counters.iter().zip(self.counters()) {
+            handle.add(value as u64);
         }
-        let (name, workers) = ("core.mechanism.workers", workers as u64);
-        match &view {
-            Some(view) => view.summary(name).observe(workers),
-            None => sgf_metrics::summary(name).observe(workers),
+        metrics.selection_locks.add(selection_locks);
+        metrics.outranked_passes.add(outranked_passes);
+        metrics.workers.observe(workers as u64);
+    }
+}
+
+/// The metric handles a release records into, resolved once per metric
+/// scope rather than by name on every request: the `core.mechanism.*`
+/// counters and `workers` summary, and the `core.synthesis` timer.  Handles
+/// resolved through a scope update its cell and the global rollup.
+#[derive(Debug)]
+pub(crate) struct ReleaseMetrics {
+    /// `core.mechanism.<name>` for each [`MechanismStats::counters`] entry,
+    /// in that order.
+    counters: [ScopedCounter; 8],
+    requests: ScopedCounter,
+    selection_locks: ScopedCounter,
+    outranked_passes: ScopedCounter,
+    workers: ScopedSummary,
+    /// `core.synthesis`: a session request's propose-and-test wall clock.
+    pub(crate) synthesis: ScopedTimer,
+}
+
+impl ReleaseMetrics {
+    /// Resolve every handle through `scope` (the global rollup alone when
+    /// `None`).
+    pub(crate) fn resolve(scope: Option<&Scope>) -> Self {
+        let view = sgf_metrics::view(scope);
+        let counter = |name: &str| view.counter(&format!("core.mechanism.{name}"));
+        ReleaseMetrics {
+            counters: MechanismStats::default()
+                .counters()
+                .map(|(name, _)| counter(name)),
+            requests: counter("requests"),
+            selection_locks: counter("selection_locks"),
+            outranked_passes: counter("outranked_passes"),
+            workers: view.summary("core.mechanism.workers"),
+            synthesis: view.timer("core.synthesis"),
         }
+    }
+
+    /// The unscoped handles, shared by every unscoped release and resolved
+    /// by the first.
+    pub(crate) fn unscoped() -> &'static ReleaseMetrics {
+        static UNSCOPED: OnceLock<ReleaseMetrics> = OnceLock::new();
+        UNSCOPED.get_or_init(|| ReleaseMetrics::resolve(None))
     }
 }
 
@@ -271,7 +320,7 @@ impl<'a, M: GenerativeModel + ?Sized> Mechanism<'a, M> {
             max_candidates,
             1,
             request_seed,
-            None,
+            ReleaseMetrics::unscoped(),
             None,
             None,
         )

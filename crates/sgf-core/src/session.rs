@@ -30,7 +30,7 @@
 
 use crate::dp::BudgetLedger;
 use crate::error::{CoreError, Result};
-use crate::mechanism::{Mechanism, MechanismStats};
+use crate::mechanism::{Mechanism, MechanismStats, ReleaseMetrics};
 use crate::pipeline::{learn_models, marginal_config, PipelineConfig, TrainedModels};
 use crate::privacy_test::PrivacyTestConfig;
 use rand::rngs::StdRng;
@@ -43,6 +43,7 @@ use sgf_data::{
 use sgf_index::{
     InvertedIndexStore, PartitionIndexStore, PrefixIndexStore, SeedStore, MAX_INTERSECT_LISTS,
 };
+use sgf_metrics::json::{write_object, ObjectWriter};
 use sgf_metrics::{CachePadded, Json, Scope, SpanId, TraceBatch};
 use sgf_model::{
     structure_from_correlations, BayesNetModel, CptStore, GenerativeModel, MarginalModel,
@@ -226,7 +227,7 @@ impl SynthesisEngine {
             }),
             per_release,
             ledger: Arc::new(Mutex::new(ledger)),
-            scope: None,
+            metrics: Arc::default(),
             epoch: 0,
         })
     }
@@ -312,22 +313,34 @@ impl ReleaseReport {
         crate::dp::compose_releases(self.per_release, self.stats.released)
     }
 
-    /// The provenance block as canonical JSON (budget before/after pair
-    /// resolved against this report's post-request ledger).
+    /// The provenance block as a JSON value, parsed from
+    /// [`write_provenance_json`](ReleaseReport::write_provenance_json)'s
+    /// text.
     pub fn provenance_json(&self) -> Json {
-        self.provenance.to_json(&self.ledger)
+        let mut text = String::with_capacity(512);
+        self.write_provenance_json(&mut text);
+        Json::parse(&text).expect("the provenance writer emits valid JSON")
+    }
+
+    /// Write the provenance block into `out` as canonical JSON (budget
+    /// before/after pair resolved against this report's post-request
+    /// ledger).
+    pub fn write_provenance_json(&self, out: &mut String) {
+        self.provenance.write_json(&self.ledger, out);
     }
 
     /// Render the report (counters + budgets + provenance) as a JSON object.
     pub fn to_json(&self) -> String {
-        Json::obj([
-            ("stats", self.stats.as_json()),
-            ("synthesis_seconds", self.synthesis.as_secs_f64().into()),
-            ("request_epsilon", self.request_budget().epsilon.into()),
-            ("ledger", self.ledger.as_json()),
-            ("provenance", self.provenance_json()),
-        ])
-        .render()
+        let mut out = String::with_capacity(1024);
+        write_object(&mut out, |object| {
+            object
+                .with("ledger", |out| self.ledger.write_json(out))
+                .with("provenance", |out| self.write_provenance_json(out))
+                .float("request_epsilon", self.request_budget().epsilon)
+                .with("stats", |out| self.stats.write_json(out))
+                .float("synthesis_seconds", self.synthesis.as_secs_f64());
+        });
+        out
     }
 }
 
@@ -373,28 +386,31 @@ pub struct Provenance {
 }
 
 impl Provenance {
-    /// Canonical JSON of the provenance block; `ledger_after` (the
-    /// post-request ledger of the same release) completes the budget
-    /// before/after pair.
-    pub fn to_json(&self, ledger_after: &BudgetLedger) -> Json {
-        let ledger = Json::obj([
-            ("before", ledger_side_json(&self.ledger_before)),
-            ("after", ledger_side_json(ledger_after)),
-        ]);
-        Json::obj([
-            ("store", self.store.into()),
-            ("seeds", self.seeds.into()),
-            ("omega", render_omega(self.omega).into()),
-            ("workers", self.workers.into()),
-            ("max_candidates", self.max_candidates.into()),
-            ("k", self.k.into()),
-            ("gamma", self.gamma.into()),
-            ("epsilon0", self.epsilon0.into()),
-            ("request_seed", self.request_seed.into()),
-            ("epoch", self.epoch.into()),
-            ("ledger", ledger),
-            ("trace_spans", self.trace_spans.into()),
-        ])
+    /// Write the provenance block into `out` as canonical JSON;
+    /// `ledger_after` (the post-request ledger of the same release)
+    /// completes the budget before/after pair.
+    pub fn write_json(&self, ledger_after: &BudgetLedger, out: &mut String) {
+        write_object(out, |object| {
+            object
+                .int("epoch", self.epoch)
+                .opt_float("epsilon0", self.epsilon0)
+                .float("gamma", self.gamma)
+                .int("k", self.k)
+                .object("ledger", |ledger| {
+                    ledger
+                        .object("after", |side| write_ledger_side(side, ledger_after))
+                        .object("before", |side| {
+                            write_ledger_side(side, &self.ledger_before)
+                        });
+                })
+                .int("max_candidates", self.max_candidates)
+                .string("omega", &render_omega(self.omega))
+                .int("request_seed", self.request_seed)
+                .int("seeds", self.seeds)
+                .string("store", self.store)
+                .int("trace_spans", self.trace_spans)
+                .int("workers", self.workers);
+        });
     }
 }
 
@@ -409,14 +425,24 @@ fn render_omega(omega: OmegaSpec) -> String {
 
 /// One side of the provenance budget pair: cumulative (ε, δ) plus the release
 /// and request totals of the ledger at that point.
-fn ledger_side_json(ledger: &BudgetLedger) -> Json {
+fn write_ledger_side(side: &mut ObjectWriter<'_>, ledger: &BudgetLedger) {
     let total = ledger.total();
-    Json::obj([
-        ("epsilon", total.epsilon.into()),
-        ("delta", total.delta.into()),
-        ("releases", ledger.releases.into()),
-        ("requests", ledger.requests.into()),
-    ])
+    side.float("delta", total.delta)
+        .float("epsilon", total.epsilon)
+        .int("releases", ledger.releases)
+        .int("requests", ledger.requests);
+}
+
+/// A session handle's metric scope and the release metric handles resolved
+/// through it: one `Arc`, shared by the handle's clones and later epochs, so
+/// cloning a handle per request copies no labels.
+#[derive(Debug, Default)]
+struct ScopeMetrics {
+    /// `None` records into the global rollup only.
+    scope: Option<Scope>,
+    /// Resolved by the first release that records (see
+    /// [`SynthesisSession::release_metrics`]).
+    handles: OnceLock<ReleaseMetrics>,
 }
 
 /// One privacy-test observation captured for tracing: which store served the
@@ -501,9 +527,8 @@ pub struct SynthesisSession {
     per_release: Option<DpBudget>,
     ledger: Arc<Mutex<BudgetLedger>>,
     /// Metric scope of this handle (see
-    /// [`with_scope`](SynthesisSession::with_scope)); `None` writes the
-    /// global rollup only.
-    scope: Option<Scope>,
+    /// [`with_scope`](SynthesisSession::with_scope)) and its handles.
+    metrics: Arc<ScopeMetrics>,
     /// How many [`update`](SynthesisSession::update) steps separate this
     /// session from its original [`SynthesisEngine::train`] (0 = freshly
     /// trained).  Stamped into every release's [`Provenance`].
@@ -524,13 +549,31 @@ impl SynthesisSession {
     /// can serve differently-labeled surfaces.  Scope on bounded dimensions
     /// only (session names, shards); unbounded ids belong in trace labels.
     pub fn with_scope(mut self, scope: Scope) -> Self {
-        self.scope = Some(scope);
+        self.metrics = Arc::new(ScopeMetrics {
+            scope: Some(scope),
+            handles: OnceLock::new(),
+        });
         self
+    }
+
+    /// The metric handles this handle's releases record into.  A scoped
+    /// handle resolves them through its scope once, at its first release
+    /// (so a scope's cell appears in snapshots only once it records), and
+    /// shares them with its clones and later epochs; unscoped handles share
+    /// one process-wide set.
+    fn release_metrics(&self) -> &ReleaseMetrics {
+        match &self.metrics.scope {
+            None => ReleaseMetrics::unscoped(),
+            Some(scope) => self
+                .metrics
+                .handles
+                .get_or_init(|| ReleaseMetrics::resolve(Some(scope))),
+        }
     }
 
     /// The metric scope of this handle, if any.
     pub fn scope(&self) -> Option<&Scope> {
-        self.scope.as_ref()
+        self.metrics.scope.as_ref()
     }
 
     /// The models learned at training time.
@@ -808,7 +851,7 @@ impl SynthesisSession {
                 max_candidates,
                 workers,
                 request.seed,
-                self.scope.as_ref(),
+                self.release_metrics(),
                 tracing.then_some(&mut probes),
                 convert.as_mut().map(|f| f as &mut dyn FnMut(Record) -> bool),
             )?;
@@ -823,12 +866,7 @@ impl SynthesisSession {
             }
         };
         let synthesis = start.elapsed();
-        match &self.scope {
-            Some(scope) => sgf_metrics::scoped(scope)
-                .timer("core.synthesis")
-                .observe(synthesis),
-            None => sgf_metrics::timer("core.synthesis").observe(synthesis),
-        }
+        self.release_metrics().synthesis.observe(synthesis);
         let ledger = {
             let mut guard = self.lock_ledger();
             guard.commit(reserved - converted, stats.released - converted);
@@ -836,7 +874,7 @@ impl SynthesisSession {
         };
         let trace_spans = if tracing {
             commit_generate_trace(
-                self.scope.as_ref(),
+                self.scope(),
                 request,
                 store.kind(),
                 target,
@@ -926,8 +964,8 @@ impl SynthesisSession {
     ///
     /// The privacy ledger is **shared** with this session (same `Arc`):
     /// releases keep composing across epochs because they disclose the same
-    /// underlying population.  The scope handle and per-release budget carry
-    /// over; `epoch` increments and is stamped into every release's
+    /// underlying population.  The scope, its resolved metric handles and the
+    /// per-release budget carry over; `epoch` increments and is stamped into every release's
     /// [`Provenance`].
     pub fn update(&self, delta: &DatasetDelta) -> Result<SynthesisSession> {
         let start = Instant::now();
@@ -943,7 +981,7 @@ impl SynthesisSession {
                 shared: Arc::clone(shared),
                 per_release: self.per_release,
                 ledger: Arc::clone(&self.ledger),
-                scope: self.scope.clone(),
+                metrics: Arc::clone(&self.metrics),
                 epoch: self.epoch + 1,
             });
         }
@@ -1112,7 +1150,7 @@ impl SynthesisSession {
             }),
             per_release: self.per_release,
             ledger: Arc::clone(&self.ledger),
-            scope: self.scope.clone(),
+            metrics: Arc::clone(&self.metrics),
             epoch: self.epoch + 1,
         })
     }
@@ -1351,7 +1389,7 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
     max_candidates: usize,
     workers: usize,
     request_seed: u64,
-    scope: Option<&Scope>,
+    metrics: &ReleaseMetrics,
     probes_out: Option<&mut Vec<CandidateProbe>>,
     emit: Option<&mut dyn FnMut(Record) -> bool>,
 ) -> Result<(Vec<Record>, MechanismStats)> {
@@ -1425,11 +1463,12 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
     stats.released += records.len();
     debug_assert!(stats.released <= target, "released past the target");
 
-    let contention = [
-        ("selection_locks", profile.selection_locks),
-        ("outranked_passes", profile.outranked_passes),
-    ];
-    stats.flush(scope, &contention, workers);
+    stats.flush(
+        metrics,
+        profile.selection_locks,
+        profile.outranked_passes,
+        workers,
+    );
 
     Ok((records, stats))
 }

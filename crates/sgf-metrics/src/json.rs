@@ -11,7 +11,8 @@
 //! Rendering is canonical: object keys come out sorted (`BTreeMap`), strings
 //! are escaped, integral floats keep a `.0`, and non-finite floats render as
 //! `null`.  Parsing a canonical document and rendering it reproduces the
-//! bytes.
+//! bytes.  Hot encoders skip the tree: [`write_object`] writes the same
+//! canonical bytes straight into a `String`, its keys supplied in order.
 //!
 //! The parser reads hostile input (serve request lines), so it is strict and
 //! panic-free: surrogate pairs decode, while lone surrogates, raw control
@@ -212,6 +213,108 @@ impl From<String> for Json {
 impl<T: Into<Json>> From<Option<T>> for Json {
     fn from(value: Option<T>) -> Self {
         value.map_or(Json::Null, Into::into)
+    }
+}
+
+/// Integer types an [`ObjectWriter`] writes as exact JSON integers (the
+/// digits [`Json::Int`] renders).
+pub trait JsonInteger: fmt::Display + Copy {}
+
+impl JsonInteger for u64 {}
+
+impl JsonInteger for usize {}
+
+/// Write one canonical JSON object into `out` without building a [`Json`]
+/// tree: `fields` writes the members through an [`ObjectWriter`], in
+/// ascending key order.  Numbers and strings go through the encoders of
+/// [`Json::render`], so the bytes equal the rendering of the same object
+/// built as a tree.
+pub fn write_object(out: &mut String, fields: impl FnOnce(&mut ObjectWriter<'_>)) {
+    out.push('{');
+    let mut object = ObjectWriter { out, last: None };
+    fields(&mut object);
+    object.out.push('}');
+}
+
+/// The member writer of [`write_object`].  Keys must ascend (byte order, the
+/// order a [`Json::Obj`] renders in); debug builds assert it, so an encoder
+/// that writes through this type is canonical by construction.
+pub struct ObjectWriter<'o> {
+    out: &'o mut String,
+    last: Option<&'static str>,
+}
+
+impl ObjectWriter<'_> {
+    /// Start the member `key`: separator, key, colon.  Returns the buffer
+    /// the value goes into.
+    fn key(&mut self, key: &'static str) -> &mut String {
+        debug_assert!(
+            self.last.is_none_or(|last| last < key),
+            "object keys must ascend: {key:?} after {:?}",
+            self.last
+        );
+        if self.last.is_some() {
+            self.out.push(',');
+        }
+        self.last = Some(key);
+        write_string(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// An exact integer member.
+    pub fn int(&mut self, key: &'static str, value: impl JsonInteger) -> &mut Self {
+        let _ = fmt::Write::write_fmt(self.key(key), format_args!("{value}"));
+        self
+    }
+
+    /// A float member (non-finite values write `null`, as [`Json::Float`]
+    /// renders them).
+    pub fn float(&mut self, key: &'static str, value: f64) -> &mut Self {
+        write_f64(self.key(key), value);
+        self
+    }
+
+    /// An optional float member: `None` writes `null`.
+    pub fn opt_float(&mut self, key: &'static str, value: Option<f64>) -> &mut Self {
+        match value {
+            Some(value) => self.float(key, value),
+            None => self.raw(key, "null"),
+        }
+    }
+
+    /// A string member.
+    pub fn string(&mut self, key: &'static str, value: &str) -> &mut Self {
+        write_string(self.key(key), value);
+        self
+    }
+
+    /// A boolean member.
+    pub fn boolean(&mut self, key: &'static str, value: bool) -> &mut Self {
+        self.raw(key, if value { "true" } else { "false" })
+    }
+
+    /// A member whose value is already rendered canonical JSON.
+    pub fn raw(&mut self, key: &'static str, json: &str) -> &mut Self {
+        self.key(key).push_str(json);
+        self
+    }
+
+    /// A member whose value an encoder writes into the buffer (it must write
+    /// exactly one canonical JSON value).
+    pub fn with(&mut self, key: &'static str, value: impl FnOnce(&mut String)) -> &mut Self {
+        value(self.key(key));
+        self
+    }
+
+    /// A nested object member.
+    pub fn object(
+        &mut self,
+        key: &'static str,
+        fields: impl FnOnce(&mut ObjectWriter<'_>),
+    ) -> &mut Self {
+        write_object(self.key(key), fields);
+        self
     }
 }
 
@@ -702,6 +805,51 @@ mod tests {
         assert_eq!(parse("-0.5e1").unwrap().as_u64(), None);
         // Beyond u64::MAX the literal is no longer a u64.
         assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn object_writer_writes_the_rendering_of_the_tree() {
+        let mut written = String::from("[");
+        write_object(&mut written, |object| {
+            object
+                .boolean("a", true)
+                .float("b", 2.0)
+                .float("c", f64::NAN)
+                .int("d", u64::MAX)
+                .int("e", 7usize)
+                .object("f", |inner| {
+                    inner.opt_float("x", None).opt_float("y", Some(0.1));
+                })
+                .raw("g", "[1,2]")
+                .string("h", "q\"u\n")
+                .with("i", |out| write_object(out, |_| {}));
+        });
+        written.push(']');
+        let tree = Json::Arr(vec![Json::obj([
+            ("i", Json::obj([])),
+            ("h", "q\"u\n".into()),
+            ("g", Json::Arr(vec![1u64.into(), 2u64.into()])),
+            (
+                "f",
+                Json::obj([("y", 0.1.into()), ("x", Option::<f64>::None.into())]),
+            ),
+            ("e", 7usize.into()),
+            ("d", u64::MAX.into()),
+            ("c", f64::NAN.into()),
+            ("b", 2.0.into()),
+            ("a", true.into()),
+        ])]);
+        assert_eq!(written, tree.render());
+        assert_eq!(parse(&written).unwrap().render(), written);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "object keys must ascend")]
+    fn object_writer_rejects_unsorted_keys() {
+        write_object(&mut String::new(), |object| {
+            object.int("b", 1u64).int("a", 2u64);
+        });
     }
 
     #[test]

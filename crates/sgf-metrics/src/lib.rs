@@ -52,9 +52,8 @@ mod trace;
 
 pub use json::{Json, ParseError};
 pub use registry::{
-    counter, enabled, global, scoped, scoped_existing, set_enabled, summary, summary_bucket, timer,
-    Counter, Registry, Snapshot, Summary, SummaryStats, Timer, TimerGuard, TimerStats,
-    SUMMARY_BUCKETS,
+    counter, enabled, global, scoped, set_enabled, summary, summary_bucket, timer, view, Counter,
+    Registry, Snapshot, Summary, SummaryStats, Timer, TimerGuard, TimerStats, SUMMARY_BUCKETS,
 };
 pub use scope::{Scope, ScopedCounter, ScopedSummary, ScopedTimer, ScopedView};
 pub use trace::{trace, SpanId, Trace, TraceBatch, TraceEvent, TRACE_CAPACITY};

@@ -304,8 +304,14 @@ enum Metric {
 /// A collection of named metrics with deterministic iteration order.
 ///
 /// `counter` / `timer` / `summary` register on first use and return shared
-/// handles; callers should look a handle up once and reuse it rather than
-/// paying the registry lock per update.
+/// handles.  A lookup takes the registry mutex (and a scoped one the scopes
+/// mutex too); an update through a handle is a relaxed atomic.  Hot paths
+/// therefore resolve their handles once — per session, server, queue or
+/// worker, not per request — and keep them: entries are never removed, so a
+/// kept handle always updates the registered metric, and [`set_enabled`]
+/// still gates every update.  The release path works this way (sgf-core's
+/// per-session mechanism handles, sgf-serve's session, queue and worker
+/// handles); cold paths may look metrics up by name.
 #[derive(Default)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
@@ -382,21 +388,13 @@ impl Registry {
     /// A view of this registry through `scope`: handles it hands out update
     /// both the global metric and the scope's cell (see [`ScopedView`]).
     pub fn scoped(&self, scope: &Scope) -> ScopedView<'_> {
-        ScopedView::new(self, self.scope_registry(scope))
+        self.view(Some(scope))
     }
 
-    /// A view through `scope` only if its cell already exists — a read that
-    /// **never allocates** a new cell.
-    ///
-    /// Paths answering *unvalidated* client input must use this instead of
-    /// [`Registry::scoped`]: the allocating lookup would let a flood of
-    /// bogus scope keys (e.g. made-up session names) grow the process-global
-    /// registry without bound.
-    pub fn scoped_existing(&self, scope: &Scope) -> Option<ScopedView<'_>> {
-        let key = scope.render();
-        let scopes = self.scopes.lock().unwrap_or_else(|e| e.into_inner());
-        let cell = scopes.get(&key).map(Arc::clone)?;
-        Some(ScopedView::new(self, cell))
+    /// [`Registry::scoped`] through `scope` when there is one; without, a
+    /// view whose handles update the rollup only.
+    pub fn view(&self, scope: Option<&Scope>) -> ScopedView<'_> {
+        ScopedView::new(self, scope.map(|scope| self.scope_registry(scope)))
     }
 
     /// A consistent point-in-time view of every registered metric, in sorted
@@ -452,10 +450,10 @@ pub fn scoped(scope: &Scope) -> ScopedView<'static> {
     global().scoped(scope)
 }
 
-/// A view of the [`global`] registry through `scope` only if its cell already
-/// exists; never allocates (see [`Registry::scoped_existing`]).
-pub fn scoped_existing(scope: &Scope) -> Option<ScopedView<'static>> {
-    global().scoped_existing(scope)
+/// A view of the [`global`] registry through `scope`, or of the rollup alone
+/// (see [`Registry::view`]).
+pub fn view(scope: Option<&Scope>) -> ScopedView<'static> {
+    global().view(scope)
 }
 
 /// A deterministic point-in-time view of a [`Registry`].
@@ -942,27 +940,6 @@ mod tests {
         let empty = registry.summary("empty").stats();
         assert_eq!(empty.quantile_upper_bound(f64::NAN), 0);
         assert_eq!(empty.quantile_upper_bound(2.0), 0);
-    }
-
-    #[test]
-    fn scoped_existing_never_allocates_cells() {
-        let _switch = switch_guard();
-        let registry = Registry::new();
-        // No cell yet: the non-allocating read answers None and the scope
-        // map stays empty — this is the admission-path guarantee that bogus
-        // client-supplied scope keys cannot grow the registry.
-        let scope = Scope::new().label("session", "never-registered");
-        assert!(registry.scoped_existing(&scope).is_none());
-        assert!(registry.snapshot().scopes.is_empty());
-        // Once the allocating path has created the cell, the read finds it
-        // and its handles feed the same cell.
-        let real = Scope::new().label("session", "real");
-        registry.scoped(&real).counter("c").add(2);
-        let view = registry.scoped_existing(&real).expect("cell exists");
-        view.counter("c").incr();
-        let snapshot = registry.snapshot();
-        assert_eq!(snapshot.scopes.len(), 1);
-        assert_eq!(snapshot.scopes["session=real"].counter("c"), 3);
     }
 
     #[test]

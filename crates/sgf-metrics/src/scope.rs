@@ -86,63 +86,70 @@ impl Scope {
     }
 }
 
-/// A [`Registry`] view through a [`Scope`]: handles it hands out update both
-/// the registry's global metrics and the scope's cell.
+/// A [`Registry`] view through an optional [`Scope`]: handles it hands out
+/// update the registry's global metrics and, when the view has a scope, the
+/// scope's cell.
 ///
-/// Resolve once per request (two registry-map lookups), then update through
-/// the handles on the hot path — updates themselves stay lock-free atomics.
+/// Resolve a handle once (a registry-map lookup per side), then update
+/// through it on the hot path — updates themselves stay lock-free atomics.
+/// Registry entries are never removed, so a resolved handle keeps updating
+/// the registered metric for the life of the process.
 pub struct ScopedView<'r> {
     root: &'r Registry,
-    cells: Arc<Registry>,
+    cells: Option<Arc<Registry>>,
 }
 
 impl<'r> ScopedView<'r> {
-    pub(crate) fn new(root: &'r Registry, cells: Arc<Registry>) -> Self {
+    pub(crate) fn new(root: &'r Registry, cells: Option<Arc<Registry>>) -> Self {
         ScopedView { root, cells }
     }
 
-    /// The scope's cell registry (per-scope values only, no rollup).
-    pub fn cells(&self) -> &Arc<Registry> {
-        &self.cells
+    /// The scope's cell registry (per-scope values only, no rollup); `None`
+    /// for an unscoped view.
+    pub fn cells(&self) -> Option<&Arc<Registry>> {
+        self.cells.as_ref()
     }
 
-    /// Get or register `name` as a counter in both the rollup and the cell.
+    /// Get or register `name` as a counter in the rollup and the cell.
     pub fn counter(&self, name: &str) -> ScopedCounter {
         ScopedCounter {
             rollup: self.root.counter(name),
-            cell: self.cells.counter(name),
+            cell: self.cells.as_ref().map(|cells| cells.counter(name)),
         }
     }
 
-    /// Get or register `name` as a timer in both the rollup and the cell.
+    /// Get or register `name` as a timer in the rollup and the cell.
     pub fn timer(&self, name: &str) -> ScopedTimer {
         ScopedTimer {
             rollup: self.root.timer(name),
-            cell: self.cells.timer(name),
+            cell: self.cells.as_ref().map(|cells| cells.timer(name)),
         }
     }
 
-    /// Get or register `name` as a summary in both the rollup and the cell.
+    /// Get or register `name` as a summary in the rollup and the cell.
     pub fn summary(&self, name: &str) -> ScopedSummary {
         ScopedSummary {
             rollup: self.root.summary(name),
-            cell: self.cells.summary(name),
+            cell: self.cells.as_ref().map(|cells| cells.summary(name)),
         }
     }
 }
 
-/// A counter handle that adds to the global rollup and one scope cell.
+/// A counter handle that adds to the global rollup and, if scoped, one scope
+/// cell.
 #[derive(Debug, Clone)]
 pub struct ScopedCounter {
     rollup: Arc<Counter>,
-    cell: Arc<Counter>,
+    cell: Option<Arc<Counter>>,
 }
 
 impl ScopedCounter {
-    /// Add `n` to both the rollup and the cell.
+    /// Add `n` to the rollup and the cell.
     pub fn add(&self, n: u64) {
         self.rollup.add(n);
-        self.cell.add(n);
+        if let Some(cell) = &self.cell {
+            cell.add(n);
+        }
     }
 
     /// Add one to both.
@@ -150,24 +157,27 @@ impl ScopedCounter {
         self.add(1);
     }
 
-    /// Current value of the scope cell (not the rollup).
+    /// Current value of the scope cell (not the rollup); 0 when unscoped.
     pub fn cell_value(&self) -> u64 {
-        self.cell.get()
+        self.cell.as_ref().map_or(0, |cell| cell.get())
     }
 }
 
-/// A timer handle that observes into the global rollup and one scope cell.
+/// A timer handle that observes into the global rollup and, if scoped, one
+/// scope cell.
 #[derive(Debug, Clone)]
 pub struct ScopedTimer {
     rollup: Arc<Timer>,
-    cell: Arc<Timer>,
+    cell: Option<Arc<Timer>>,
 }
 
 impl ScopedTimer {
-    /// Record one observed duration in both the rollup and the cell.
+    /// Record one observed duration in the rollup and the cell.
     pub fn observe(&self, elapsed: Duration) {
         self.rollup.observe(elapsed);
-        self.cell.observe(elapsed);
+        if let Some(cell) = &self.cell {
+            cell.observe(elapsed);
+        }
     }
 
     /// Time a closure and record its wall clock in both.
@@ -178,29 +188,38 @@ impl ScopedTimer {
         result
     }
 
-    /// Statistics of the scope cell (not the rollup).
+    /// Statistics of the scope cell (not the rollup); empty when unscoped.
     pub fn cell_stats(&self) -> TimerStats {
-        self.cell.stats()
+        self.cell
+            .as_ref()
+            .map(|cell| cell.stats())
+            .unwrap_or_default()
     }
 }
 
-/// A summary handle that observes into the global rollup and one scope cell.
+/// A summary handle that observes into the global rollup and, if scoped, one
+/// scope cell.
 #[derive(Debug, Clone)]
 pub struct ScopedSummary {
     rollup: Arc<Summary>,
-    cell: Arc<Summary>,
+    cell: Option<Arc<Summary>>,
 }
 
 impl ScopedSummary {
-    /// Record one observation in both the rollup and the cell.
+    /// Record one observation in the rollup and the cell.
     pub fn observe(&self, value: u64) {
         self.rollup.observe(value);
-        self.cell.observe(value);
+        if let Some(cell) = &self.cell {
+            cell.observe(value);
+        }
     }
 
-    /// Statistics of the scope cell (not the rollup).
+    /// Statistics of the scope cell (not the rollup); empty when unscoped.
     pub fn cell_stats(&self) -> SummaryStats {
-        self.cell.stats()
+        self.cell
+            .as_ref()
+            .map(|cell| cell.stats())
+            .unwrap_or_default()
     }
 }
 

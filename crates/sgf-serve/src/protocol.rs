@@ -24,10 +24,12 @@
 //!
 //! Every line is canonical JSON: keys sorted, integral floats with a `.0`,
 //! non-finite floats as `null`, so parsing a response line and rendering it
-//! again reproduces its bytes.  Lines are built as [`sgf_metrics::Json`]
-//! values and rendered once, except two templates that write the same bytes
-//! directly: [`record_line`], the per-record hot path, and
-//! [`batch_header_line`], which splices pre-rendered blocks.
+//! again reproduces its bytes.  The `generate` lines are written straight
+//! into the response buffer through [`sgf_metrics::json::write_object`] and
+//! the report's own block encoders ([`push_batch_header`],
+//! [`push_record_line`], [`push_batch_end`]), with no [`Json`] tree in
+//! between; the other lines are built as [`Json`] values and rendered once.
+//! Both paths write the same canonical bytes.
 //!
 //! `metrics` and `trace` answer with one line of canonical JSON.  Both are
 //! deterministic by default: `metrics` returns the counter-only labeled
@@ -36,10 +38,12 @@
 //! server runs answer byte-identically.  `noisy:true` opts into the
 //! wall-clock-bearing variants.
 
-use sgf_core::GenerateRequest;
+use sgf_core::{GenerateRequest, ReleaseReport};
 use sgf_data::Record;
+use sgf_metrics::json::write_object;
 use sgf_metrics::Json;
 use sgf_model::OmegaSpec;
+use std::fmt::Write;
 
 /// Session name used when a `generate`/`ledger` request does not name one.
 pub const DEFAULT_SESSION: &str = "default";
@@ -442,9 +446,9 @@ pub fn reject_line(code: &str, message: &str, extras: &[(&str, Json)]) -> String
     Json::obj(fields.into_iter().chain(extras.iter().cloned())).render()
 }
 
-/// Header line of a successful batch `generate` response.  A template over
-/// pre-rendered canonical fragments, its keys written in sorted order, so the
-/// line is canonical JSON without re-rendering the blocks.
+/// Header line of a successful batch `generate` response, from pre-rendered
+/// canonical blocks.  The served path writes the same bytes with
+/// [`push_batch_header`].
 pub fn batch_header_line(
     released: usize,
     stats_json: &str,
@@ -452,55 +456,121 @@ pub fn batch_header_line(
     ledger_json: &str,
     provenance_json: &str,
 ) -> String {
-    format!(
-        "{{\"ledger\":{},\"ok\":true,\"provenance\":{},\"released\":{},\
-         \"request_epsilon\":{},\"stats\":{},\"streaming\":false,\"verb\":\"generate\"}}",
-        ledger_json,
-        provenance_json,
+    let mut line =
+        String::with_capacity(160 + stats_json.len() + ledger_json.len() + provenance_json.len());
+    write_batch_header(
+        &mut line,
         released,
-        Json::from(request_epsilon).render(),
-        stats_json,
-    )
+        |out| out.push_str(stats_json),
+        request_epsilon,
+        |out| out.push_str(ledger_json),
+        |out| out.push_str(provenance_json),
+    );
+    line
+}
+
+/// Append the header line of `report`'s batch response to `out` (no
+/// newline), each block written by the report's own encoder.
+pub fn push_batch_header(out: &mut String, report: &ReleaseReport) {
+    write_batch_header(
+        out,
+        report.stats.released,
+        |out| report.stats.write_json(out),
+        report.request_budget().epsilon,
+        |out| report.ledger.write_json(out),
+        |out| report.write_provenance_json(out),
+    );
+}
+
+/// The batch header encoder behind [`batch_header_line`] and
+/// [`push_batch_header`]: each block is written by the closure given for it.
+fn write_batch_header(
+    out: &mut String,
+    released: usize,
+    stats: impl FnOnce(&mut String),
+    request_epsilon: f64,
+    ledger: impl FnOnce(&mut String),
+    provenance: impl FnOnce(&mut String),
+) {
+    write_object(out, |object| {
+        object
+            .with("ledger", ledger)
+            .boolean("ok", true)
+            .with("provenance", provenance)
+            .int("released", released)
+            .float("request_epsilon", request_epsilon)
+            .with("stats", stats)
+            .boolean("streaming", false)
+            .string("verb", "generate");
+    });
 }
 
 /// Header line of a successful streaming `generate` response.
 pub fn stream_header_line() -> String {
-    Json::obj([
-        ("ok", true.into()),
-        ("verb", "generate".into()),
-        ("streaming", true.into()),
-    ])
-    .render()
+    let mut line = String::with_capacity(48);
+    write_object(&mut line, |object| {
+        object
+            .boolean("ok", true)
+            .boolean("streaming", true)
+            .string("verb", "generate");
+    });
+    line
 }
 
 /// One released record.
 pub fn record_line(record: &Record) -> String {
-    let mut line = String::from("{\"record\":[");
-    for (i, v) in record.values().iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        line.push_str(&v.to_string());
-    }
-    line.push_str("]}");
+    let mut line = String::with_capacity(16 + 6 * record.values().len());
+    push_record_line(&mut line, record);
     line
+}
+
+/// Append `record`'s line to `out` (no newline).  Each value is written
+/// through [`std::fmt::Write`] on the integer: no allocation, no indexing.
+pub fn push_record_line(out: &mut String, record: &Record) {
+    out.push_str("{\"record\":[");
+    for (i, value) in record.values().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{value}");
+    }
+    out.push_str("]}");
 }
 
 /// Trailer of a batch `generate` response.
 pub fn batch_end_line(released: usize) -> String {
-    Json::obj([("end", true.into()), ("released", released.into())]).render()
+    let mut line = String::with_capacity(32);
+    push_batch_end(&mut line, released);
+    line
 }
 
-/// Trailer of a streaming `generate` response (counts are only known here).
-pub fn stream_end_line(released: usize, stats: Json, ledger: Json, provenance: Json) -> String {
-    Json::obj([
-        ("end", true.into()),
-        ("released", released.into()),
-        ("stats", stats),
-        ("ledger", ledger),
-        ("provenance", provenance),
-    ])
-    .render()
+/// Append the trailer of a batch response to `out` (no newline).
+pub fn push_batch_end(out: &mut String, released: usize) {
+    write_object(out, |object| {
+        object.boolean("end", true).int("released", released);
+    });
+}
+
+/// Trailer of a streaming `generate` response (counts are only known here),
+/// from pre-rendered canonical blocks (`null` for a block a failed stream
+/// does not have).
+pub fn stream_end_line(
+    released: usize,
+    stats_json: &str,
+    ledger_json: &str,
+    provenance_json: &str,
+) -> String {
+    let mut line =
+        String::with_capacity(48 + stats_json.len() + ledger_json.len() + provenance_json.len());
+    write_object(&mut line, |object| {
+        object
+            .boolean("end", true)
+            .raw("ledger", ledger_json)
+            .raw("provenance", provenance_json)
+            .int("released", released)
+            .raw("stats", stats_json);
+    });
+    line
 }
 
 /// Decode a `{"record":[..]}` line into attribute value indices.
@@ -726,9 +796,9 @@ mod tests {
 
         let end = stream_end_line(
             4,
-            Json::obj([("released", 4u64.into())]),
-            Json::obj([("requests", 1u64.into())]),
-            Json::obj([("store", "scan".into())]),
+            "{\"released\":4}",
+            "{\"requests\":1}",
+            "{\"store\":\"scan\"}",
         );
         let parsed = Value::parse(&end).unwrap();
         assert_eq!(parsed.get("end").and_then(Value::as_bool), Some(true));

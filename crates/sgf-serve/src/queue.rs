@@ -8,8 +8,9 @@
 //! graceful drain: no new items are admitted, but everything already queued
 //! is still handed to workers before `pop` returns `None`.
 
+use sgf_metrics::{Counter, Summary};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Why a [`BoundedQueue::try_push`] was refused; the rejected item is handed
 /// back so the caller can settle any resources attached to it.
@@ -26,11 +27,21 @@ struct QueueInner<T> {
     closed: bool,
 }
 
+/// The `serve.queue.*` handles of the admission path.
+struct QueueMetrics {
+    pushed: Arc<Counter>,
+    popped: Arc<Counter>,
+    depth: Arc<Summary>,
+}
+
 /// The bounded queue (see the module docs).
 pub struct BoundedQueue<T> {
     inner: Mutex<QueueInner<T>>,
     not_empty: Condvar,
     capacity: usize,
+    /// Resolved by the first push, then kept (the rejection counters are
+    /// cold and stay looked up by name).
+    metrics: OnceLock<QueueMetrics>,
 }
 
 impl<T> BoundedQueue<T> {
@@ -52,7 +63,16 @@ impl<T> BoundedQueue<T> {
             }),
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
+            metrics: OnceLock::new(),
         }
+    }
+
+    fn metrics(&self) -> &QueueMetrics {
+        self.metrics.get_or_init(|| QueueMetrics {
+            pushed: sgf_metrics::counter("serve.queue.pushed"),
+            popped: sgf_metrics::counter("serve.queue.popped"),
+            depth: sgf_metrics::summary("serve.queue.depth"),
+        })
     }
 
     /// The configured capacity.
@@ -84,8 +104,9 @@ impl<T> BoundedQueue<T> {
         inner.items.push_back(item);
         let depth = inner.items.len();
         drop(inner);
-        sgf_metrics::counter("serve.queue.pushed").incr();
-        sgf_metrics::summary("serve.queue.depth").observe(depth as u64);
+        let metrics = self.metrics();
+        metrics.pushed.incr();
+        metrics.depth.observe(depth as u64);
         self.not_empty.notify_one();
         Ok(())
     }
@@ -97,7 +118,7 @@ impl<T> BoundedQueue<T> {
         loop {
             if let Some(item) = inner.items.pop_front() {
                 drop(inner);
-                sgf_metrics::counter("serve.queue.popped").incr();
+                self.metrics().popped.incr();
                 return Some(item);
             }
             if inner.closed {

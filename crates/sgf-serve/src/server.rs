@@ -31,13 +31,14 @@ use crate::protocol::{
 use crate::queue::{BoundedQueue, PushError};
 use sgf_core::{CoreError, ReleaseReport, SynthesisSession};
 use sgf_data::DatasetDelta;
-use sgf_metrics::{Json, Scope, SpanId, Trace, TraceBatch};
+use sgf_metrics::json::write_object;
+use sgf_metrics::{Json, Scope, ScopedCounter, ScopedSummary, SpanId, Trace, TraceBatch};
 use sgf_stats::DpBudget;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -146,6 +147,20 @@ pub fn cap_admitting(session: &SynthesisSession, releases: usize) -> Option<DpBu
 struct Registered {
     session: Mutex<SynthesisSession>,
     cap: Option<DpBudget>,
+    /// The session's metric scope (see [`session_scope`]).
+    scope: Scope,
+    /// The generate path's scoped handles, resolved at the first admission
+    /// (see [`Registered::metrics`]).
+    metrics: OnceLock<SessionMetrics>,
+}
+
+/// The scoped `serve.*` handles of one session's generate path.
+struct SessionMetrics {
+    /// `serve.admitted`: generate requests that entered the queue.
+    admitted: ScopedCounter,
+    /// `serve.generate_ms`: service time per job, the source of the p95
+    /// retry hint.
+    generate_ms: ScopedSummary,
 }
 
 impl Registered {
@@ -153,6 +168,18 @@ impl Registered {
     /// shared `Arc`s — this never copies trained state).
     fn session(&self) -> SynthesisSession {
         locked(&self.session).clone()
+    }
+
+    /// The generate path's handles, resolved once, by the first admission,
+    /// so the session's cell holds no `serve.*` entry before it served.
+    fn metrics(&self) -> &SessionMetrics {
+        self.metrics.get_or_init(|| {
+            let view = sgf_metrics::scoped(&self.scope);
+            SessionMetrics {
+                admitted: view.counter("serve.admitted"),
+                generate_ms: view.summary("serve.generate_ms"),
+            }
+        })
     }
 }
 
@@ -315,12 +342,15 @@ pub fn serve(config: ServeConfig, sessions: Vec<SessionEntry>) -> std::io::Resul
         // Every metric a session's requests emit lands in its own labeled
         // cell (plus the global rollup) — the `metrics` verb's per-session
         // view and the p95 retry hint both read that cell.
-        let scoped = entry.session.with_scope(session_scope(&entry.name));
+        let scope = session_scope(&entry.name);
+        let scoped = entry.session.with_scope(scope.clone());
         map.insert(
             entry.name,
             Registered {
                 session: Mutex::new(scoped),
                 cap: entry.cap,
+                scope,
+                metrics: OnceLock::new(),
             },
         );
     }
@@ -430,9 +460,9 @@ fn write_line(out: &Mutex<TcpStream>, line: &str) {
 }
 
 /// The scope labeling everything a session's requests emit.  Keep this the
-/// single construction site: the registration wrap, the `metrics` cell
-/// lookup, the retry hint, and the worker's service-time summary must all
-/// agree on the rendered key.
+/// single construction site: the registration (which keeps the scope for the
+/// session's handles and trace labels), the `metrics` cell lookup and the
+/// `trace` filter must all agree on the rendered key.
 fn session_scope(name: &str) -> Scope {
     Scope::new().label("session", name)
 }
@@ -553,7 +583,7 @@ fn admit_update(
         write_line(out, &unknown_session_line(&call.session));
         return;
     };
-    let scope = session_scope(&call.session);
+    let scope = &registered.scope;
     // Hold the slot for the whole update: admissions for this session wait
     // (milliseconds — the update is O(|delta|)), and the epoch swap is atomic
     // with respect to them.
@@ -598,7 +628,7 @@ fn admit_update(
             let seeds = next.seeds().len();
             *slot = next;
             drop(slot);
-            sgf_metrics::scoped(&scope).counter("serve.updates").incr();
+            sgf_metrics::scoped(scope).counter("serve.updates").incr();
             log_request(state, request_id, "update", &call.session, "ok");
             let fields = [
                 ("session", call.session.as_str().into()),
@@ -611,7 +641,7 @@ fn admit_update(
         }
         Err(err) => {
             drop(slot);
-            sgf_metrics::scoped(&scope)
+            sgf_metrics::scoped(scope)
                 .counter("serve.update_failed")
                 .incr();
             log_request(state, request_id, "update", &call.session, "update_failed");
@@ -713,30 +743,31 @@ fn unknown_session_line(session: &str) -> String {
 }
 
 fn ledger_line(name: &str, registered: &Registered) -> String {
-    ok_line(
-        "ledger",
-        [
-            ("session", name.into()),
-            ("ledger", registered.session().ledger().as_json()),
-            ("cap_epsilon", registered.cap.map(|cap| cap.epsilon).into()),
-            ("cap_delta", registered.cap.map(|cap| cap.delta).into()),
-        ],
-    )
+    let ledger = registered.session().ledger();
+    let mut line = String::with_capacity(448);
+    write_object(&mut line, |object| {
+        object
+            .opt_float("cap_delta", registered.cap.map(|cap| cap.delta))
+            .opt_float("cap_epsilon", registered.cap.map(|cap| cap.epsilon))
+            .with("ledger", |out| ledger.write_json(out))
+            .boolean("ok", true)
+            .string("session", name)
+            .string("verb", "ledger");
+    });
+    line
 }
 
 /// The `retry_after_ms` hint for a full queue: the session's observed p95
 /// generate latency (from its scoped `serve.generate_ms` summary), falling
 /// back to the configured constant until at least one request completed.
 /// Honest backpressure: a client retrying after one typical service time
-/// finds a queue slot with high probability.
-///
-/// Reads the scope cell through the **non-allocating** lookup: the session
-/// name ultimately comes off the wire, and the allocating `scoped()` would
-/// let a flood of bogus names permanently grow the process-global registry —
-/// a scope cell may only ever be created for a registered session.
-fn retry_hint_ms(state: &ServerState, session: &str) -> u64 {
-    let observed = sgf_metrics::scoped_existing(&session_scope(session))
-        .map(|view| view.summary("serve.generate_ms").cell_stats());
+/// finds a queue slot with high probability.  Reads the registered
+/// session's own handle, so no name off the wire reaches the registry.
+fn retry_hint_ms(state: &ServerState, registered: &Registered) -> u64 {
+    let observed = registered
+        .metrics
+        .get()
+        .map(|metrics| metrics.generate_ms.cell_stats());
     match observed {
         Some(stats) if stats.count > 0 => stats.quantile_upper_bound(0.95).max(1),
         _ => state.retry_after_ms,
@@ -777,7 +808,6 @@ fn admit_generate(
         write_line(out, &unknown_session_line(&call.session));
         return;
     };
-    let scope = session_scope(&call.session);
     // Clone the current epoch's handle once: the reservation, the queued job,
     // and the eventual generate all run against this epoch even if an
     // `update` swaps the slot while the job is queued (the shared ledger
@@ -788,7 +818,7 @@ fn admit_generate(
         Some(cap) => match session.try_reserve(call.request.target, cap) {
             Ok(()) => Some(ReservationGuard::new(session.clone(), call.request.target)),
             Err(CoreError::BudgetCapExceeded { requested, cap }) => {
-                sgf_metrics::scoped(&scope)
+                sgf_metrics::scoped(&registered.scope)
                     .counter("serve.rejected_budget")
                     .incr();
                 log_request(
@@ -833,11 +863,11 @@ fn admit_generate(
     };
     match state.queue.try_push(job) {
         Ok(()) => {
-            sgf_metrics::scoped(&scope).counter("serve.admitted").incr();
+            registered.metrics().admitted.incr();
             log_request(state, request_id, "generate", &session_name, "admitted");
         }
         Err(PushError::Full(job)) => {
-            sgf_metrics::scoped(&scope)
+            sgf_metrics::scoped(&registered.scope)
                 .counter("serve.rejected_queue_full")
                 .incr();
             log_request(
@@ -849,7 +879,7 @@ fn admit_generate(
             );
             // Dropping the job aborts its reservation (guard).
             let out = Arc::clone(&job.out);
-            let retry_after = retry_hint_ms(state, &job.call.session);
+            let retry_after = retry_hint_ms(state, registered);
             drop(job);
             write_line(
                 &out,
@@ -879,6 +909,8 @@ fn admit_generate(
 }
 
 fn worker_loop(state: &Arc<ServerState>) {
+    // Resolved by the worker's first job, then kept.
+    let mut job_timer = None;
     while let Some(job) = state.queue.pop() {
         state.busy_workers.fetch_add(1, Ordering::SeqCst);
         // The injected delay is part of the simulated service time, so the
@@ -891,7 +923,9 @@ fn worker_loop(state: &Arc<ServerState>) {
         let session_name = job.call.session.clone();
         let request_id = job.request_id;
         let streaming = job.call.stream;
-        sgf_metrics::timer("serve.job").time(|| serve_job(job));
+        job_timer
+            .get_or_insert_with(|| sgf_metrics::timer("serve.job"))
+            .time(|| serve_job(job));
         observe_service_time(
             state,
             &session_name,
@@ -914,20 +948,20 @@ fn observe_service_time(
     streaming: bool,
     elapsed: Duration,
 ) {
-    let scope = session_scope(session_name);
-    let millis = u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX);
-    sgf_metrics::scoped(&scope)
-        .summary("serve.generate_ms")
-        .observe(millis);
-    let trace = sgf_metrics::trace();
-    if trace.enabled() {
-        let mut batch = TraceBatch::new();
-        let root = batch.span("serve.job", SpanId::NONE);
-        batch.scope_labels(root, &scope);
-        batch.label(root, "mode", if streaming { "stream" } else { "batch" });
-        batch.counter(root, "request_id", request_id);
-        batch.wall(root, elapsed);
-        trace.commit(batch);
+    // Admission looked the session up, so a job's session is registered.
+    if let Some(registered) = state.sessions.get(session_name) {
+        let millis = u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX);
+        registered.metrics().generate_ms.observe(millis);
+        let trace = sgf_metrics::trace();
+        if trace.enabled() {
+            let mut batch = TraceBatch::new();
+            let root = batch.span("serve.job", SpanId::NONE);
+            batch.scope_labels(root, &registered.scope);
+            batch.label(root, "mode", if streaming { "stream" } else { "batch" });
+            batch.counter(root, "request_id", request_id);
+            batch.wall(root, elapsed);
+            trace.commit(batch);
+        }
     }
     log_request(state, request_id, "generate", session_name, "done");
 }
@@ -949,6 +983,10 @@ fn serve_job(job: Job) {
         serve_batch(&session, &call, reserved, &out);
     }
 }
+
+/// Buffer bytes a batch response needs beyond its record lines: the header
+/// (stats, ledger and provenance blocks) plus the trailer.
+const BATCH_FRAME_BYTES: usize = 1280;
 
 fn serve_batch(
     session: &SynthesisSession,
@@ -972,19 +1010,20 @@ fn serve_batch(
             &protocol::reject_line(reject::GENERATE_FAILED, &err.to_string(), &[]),
         ),
         Ok(report) => {
-            let mut text = protocol::batch_header_line(
-                report.stats.released,
-                &report.stats.to_json(),
-                report.request_budget().epsilon,
-                &report.ledger.to_json(),
-                &report.provenance_json().render(),
-            );
+            // Header, records and trailer go into one buffer sized for all
+            // three, and out in one write.
+            let records = report.synthetics.records();
+            let record_bytes = records
+                .first()
+                .map_or(0, |record| 16 + 6 * record.values().len());
+            let mut text = String::with_capacity(BATCH_FRAME_BYTES + records.len() * record_bytes);
+            protocol::push_batch_header(&mut text, &report);
             text.push('\n');
-            for record in report.synthetics.records() {
-                text.push_str(&protocol::record_line(record));
+            for record in records {
+                protocol::push_record_line(&mut text, record);
                 text.push('\n');
             }
-            text.push_str(&protocol::batch_end_line(report.stats.released));
+            protocol::push_batch_end(&mut text, report.stats.released);
             text.push('\n');
             write_response(out, &text);
         }
@@ -1016,40 +1055,57 @@ fn serve_stream(
     // Hold the connection for the whole stream so no other response can
     // interleave with the record lines.  The header goes out with the first
     // record (or the trailer), so a request the session rejects before any
-    // release gets a bare rejection line.
+    // release gets a bare rejection line.  Each record leaves as soon as it
+    // passes, in one write of one reused buffer.
     let mut stream = locked(out);
+    let mut lines = String::new();
     let mut sent = 0usize;
     let result = session.release_stream(&call.request, reserved, |record| {
+        lines.clear();
+        if sent == 0 {
+            lines.push_str(&protocol::stream_header_line());
+            lines.push('\n');
+        }
         sent += 1;
-        let header_ok = sent > 1 || writeln!(stream, "{}", protocol::stream_header_line()).is_ok();
+        protocol::push_record_line(&mut lines, &record);
+        lines.push('\n');
         // The client hung up: stop proposing — and charging the ledger for
         // — records nobody will receive.
-        header_ok && writeln!(stream, "{}", protocol::record_line(&record)).is_ok()
+        stream.write_all(lines.as_bytes()).is_ok()
     });
+    lines.clear();
     match result {
         Ok(report) => {
             if sent == 0 {
-                let _ = writeln!(stream, "{}", protocol::stream_header_line());
+                lines.push_str(&protocol::stream_header_line());
+                lines.push('\n');
             }
-            let trailer = protocol::stream_end_line(
+            let mut provenance = String::with_capacity(512);
+            report.write_provenance_json(&mut provenance);
+            lines.push_str(&protocol::stream_end_line(
                 report.stats.released,
-                report.stats.as_json(),
-                report.ledger.as_json(),
-                report.provenance_json(),
-            );
-            let _ = writeln!(stream, "{trailer}");
+                &report.stats.to_json(),
+                &report.ledger.to_json(),
+                &provenance,
+            ));
+            lines.push('\n');
         }
         Err(err) => {
-            let reject = protocol::reject_line(reject::GENERATE_FAILED, &err.to_string(), &[]);
-            let _ = writeln!(stream, "{reject}");
+            lines.push_str(&protocol::reject_line(
+                reject::GENERATE_FAILED,
+                &err.to_string(),
+                &[],
+            ));
+            lines.push('\n');
             // A mid-stream failure still ends with a trailer, which the
             // client drains before it reports the rejection.
             if sent > 0 {
-                let ledger = session.ledger().as_json();
-                let trailer = protocol::stream_end_line(sent, Json::Null, ledger, Json::Null);
-                let _ = writeln!(stream, "{trailer}");
+                let ledger = session.ledger().to_json();
+                lines.push_str(&protocol::stream_end_line(sent, "null", &ledger, "null"));
+                lines.push('\n');
             }
         }
     }
+    let _ = stream.write_all(lines.as_bytes());
     let _ = stream.flush();
 }
