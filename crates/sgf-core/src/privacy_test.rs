@@ -39,9 +39,10 @@
 //!   ([`sample_capped_hypergeometric`]): one uniform word, or none when
 //!   `(n, cap, K, limit)` make the count certain, and O(1) work when the
 //!   limit lies below the law's mode;
-//! * a store that can name the exact plausible set
-//!   ([`SeedStore::prefix_members`]) skips the model entirely: `K` is the
-//!   range's length.  The partition store's classes add their member counts.
+//! * a store that can count the exact plausible set
+//!   ([`SeedStore::prefix_count`]) skips the model entirely: `K` is the
+//!   length of one range of its sorted σ-tuples, and no seed is named.  The
+//!   partition store's classes add their member counts.
 
 use crate::deniability::{partition_index, validate_parameters};
 use crate::error::{CoreError, Result};
@@ -256,18 +257,18 @@ where
         .filter(|&cap| cap < dataset.len());
     let stop = if cap.is_some() { usize::MAX } else { limit };
 
-    let (plausible, records_examined, via_index, via_classes, cache_hit) = if let Some(members) =
-        store.prefix_members(
+    let (plausible, records_examined, via_index, via_classes, cache_hit) = if let Some(count) =
+        store.prefix_count(
             y,
             model.likelihood_attributes(),
             model.exact_match_attributes(),
         ) {
-        // Range fast path: the prefix store hands back the exact plausible
-        // set (every member shares the seed's probability, every other seed
-        // has probability zero — see `SeedStore::prefix_members`), so no
-        // model evaluation is needed: one range lookup, a class-granularity
-        // test of one class.
-        (members.len(), 1, false, true, None)
+        // Range fast path: the prefix store counts the exact plausible set
+        // (every member shares the seed's probability, every other seed has
+        // probability zero — see `SeedStore::prefix_count`), so no model
+        // evaluation is needed: one range lookup, a class-granularity test
+        // of one class.
+        (count, 1, false, true, None)
     } else if let Some(classes) = store.likelihood_classes(
         y,
         model.likelihood_attributes(),

@@ -478,8 +478,8 @@ pub const MAX_TRACE_PROBES: usize = 32;
 /// off the update's critical path: its cost amortizes into the first
 /// request of the new epoch, which its privacy test dominates anyway.  Every
 /// failure mode of the deferred closure is ruled out before it is queued
-/// (schema validation covers insert arity and domains, delete indices are
-/// derived ascending, the size is checked), so materialization is
+/// (schema validation covers record arity and domains, and each seed delete
+/// was matched to a seed, so its σ-tuple is held), so materialization is
 /// infallible.
 type StoreSlot<S> = LazyLock<Arc<S>, Box<dyn FnOnce() -> Arc<S> + Send>>;
 
@@ -1008,8 +1008,7 @@ impl SynthesisSession {
             retract_and_append(&shared.split.structure, &deletes[0], &inserts[0])?;
         let (_, parameters_data) =
             retract_and_append(&shared.split.parameters, &deletes[1], &inserts[1])?;
-        let (seed_deletes, seeds_data) =
-            retract_and_append(&shared.split.seeds, &deletes[2], &inserts[2])?;
+        let (_, seeds_data) = retract_and_append(&shared.split.seeds, &deletes[2], &inserts[2])?;
         let (_, test_data) = retract_and_append(&shared.split.test, &deletes[3], &inserts[3])?;
         if seeds_data.len() < self.config.privacy_test.k {
             return Err(CoreError::DatasetTooSmall {
@@ -1090,13 +1089,8 @@ impl SynthesisSession {
         // the first request of the new epoch materializes, keeping the
         // splice out of `update`.  Every failure mode of the deferred work
         // is ruled out *here*: delta records are schema-validated (arity and
-        // domains), delete indices are derived ascending, and the size is
-        // checked below.
-        if seeds_data.len() > u32::MAX as usize {
-            return Err(CoreError::InvalidParameter(
-                "seed stores support at most u32::MAX records".into(),
-            ));
-        }
+        // domains), and `retract_and_append` matched each seed delete to a
+        // seed, so the store holds a copy of its σ-tuple.
         let synthesizer =
             SeedSynthesizer::new(Arc::clone(&models.cpts), smallest_omega(self.config.omega))?;
         let old = Arc::clone(&self.shared.prefix);
@@ -1109,13 +1103,14 @@ impl SynthesisSession {
                         .expect("build inputs were validated at update time"),
                 )
             }))
-        } else if seed_deletes.is_empty() && inserts[2].is_empty() {
+        } else if deletes[2].is_empty() && inserts[2].is_empty() {
             StoreSlot::new(Box::new(move || old))
         } else {
+            let deletes = std::mem::take(&mut deletes[2]);
             let inserts = std::mem::take(&mut inserts[2]);
             StoreSlot::new(Box::new(move || {
                 Arc::new(
-                    old.apply_delta(&seed_deletes, &inserts)
+                    old.apply_delta(&deletes, &inserts)
                         .expect("splice inputs were validated at update time"),
                 )
             }))

@@ -25,11 +25,12 @@
 //!   candidates with the same likelihood projection skip the per-class model
 //!   evaluations entirely (decisions stay bit-identical to the uncached
 //!   path);
-//! * [`PrefixIndexStore`] — seeds sorted by their values in the dependency
-//!   order σ, so the plausible set of a seed-synthesizer candidate is one
-//!   contiguous range, found by binary search at every ω (the store every
-//!   session release is tested against), whose ranges also give the exact
-//!   plausible count a `max_check_plausible` cap draws its subset count from.
+//! * [`PrefixIndexStore`] — the seeds' values in the dependency order σ as a
+//!   sorted multiset of σ-tuples, so the plausible seeds of a
+//!   seed-synthesizer candidate are one contiguous range, found by binary
+//!   search at every ω (the store every session release is tested against);
+//!   the range's length is the exact plausible count, which a
+//!   `max_check_plausible` cap also draws its subset count from.
 
 pub mod inverted;
 pub mod partition;

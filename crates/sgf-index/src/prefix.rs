@@ -8,8 +8,9 @@
 //! test is thus exactly "the seeds sharing `y`'s σ-prefix", and the
 //! γ-partition check is vacuous.
 //!
-//! This store sorts the seeds once by their σ-ordered values (ties by seed
-//! index).  The seeds matching `y` on any σ-prefix are then one contiguous
+//! This store keeps the seeds' σ-tuples (their values in σ order) as a
+//! sorted multiset: value columns in lexicographic order, and no seed
+//! indices.  The seeds matching `y` on any σ-prefix are then one contiguous
 //! range of that order, found by narrowing a binary search attribute by
 //! attribute — an implicit trie whose nodes are ranges.  Lookups cost
 //! O(depth · log n) whatever ω a request uses, so a single store serves every
@@ -19,8 +20,10 @@
 //! counts `min(K, limit)`, where `limit` is where the stopping rule ends the
 //! count, and under a `max_check_plausible` cap it draws the plausible count
 //! of a uniform cap-subset from its hypergeometric law, which `K` fixes.
+//! Equal σ-tuples are interchangeable, so a deleted seed is one copy fewer
+//! of its tuple and an inserted seed one copy more.
 //!
-//! The exact-set shortcut ([`SeedStore::prefix_members`]) applies to a model
+//! The count shortcut ([`SeedStore::prefix_count`]) applies to a model
 //! whose exact-match set is a σ-prefix and whose likelihood set lies inside
 //! it (`L ⊆ EM`), the soundness argument of
 //! [`ClassMatchCache`](crate::ClassMatchCache), and to a seed-independent
@@ -30,18 +33,18 @@
 
 use crate::store::{CandidateIter, SeedStore};
 use sgf_data::{DataError, Dataset, Record};
-use std::cmp::Ordering;
 use std::ops::Range;
 
-/// A seed store sorted by σ-ordered values (see the module docs).
+/// The seeds' σ-tuples as a sorted multiset (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixIndexStore {
     /// The attribute order σ the seeds are sorted by (distinct attributes).
     order: Vec<usize>,
-    /// Seed indices in ascending (σ-ordered values, index) order.
-    sorted: Vec<u32>,
-    /// `columns[j][i]` is attribute `order[j]` of seed `sorted[i]`: column
-    /// `j` is ascending inside every range that shares the first `j` values.
+    /// Number of seeds: one copy of a σ-tuple each.
+    len: usize,
+    /// `columns[j][i]` is attribute `order[j]` of the `i`-th smallest
+    /// σ-tuple: column `j` is ascending inside every range that shares the
+    /// first `j` values.
     columns: Vec<Vec<u16>>,
 }
 
@@ -55,18 +58,13 @@ impl PrefixIndexStore {
     pub fn build(seeds: &Dataset, order: &[usize]) -> Result<Self, DataError> {
         let start = std::time::Instant::now();
         check_order(order, seeds.schema().len())?;
-        if seeds.len() > u32::MAX as usize {
-            return Err(DataError::InvalidParameter(
-                "prefix index supports at most u32::MAX seed records".into(),
-            ));
-        }
         let records = seeds.records();
         let raw: Vec<Vec<u16>> = order
             .iter()
             .map(|&attr| records.iter().map(|r| r.get(attr)).collect())
             .collect();
-        let mut sorted: Vec<u32> = (0..records.len() as u32).collect();
-        let mut scratch = vec![0u32; sorted.len()];
+        let mut sorted: Vec<usize> = (0..records.len()).collect();
+        let mut scratch = vec![0; sorted.len()];
         for column in raw.iter().rev() {
             let domain = column.iter().copied().max().map_or(0, |v| v as usize + 1);
             let mut offsets = vec![0usize; domain + 1];
@@ -77,7 +75,7 @@ impl PrefixIndexStore {
                 offsets[d] += offsets[d - 1];
             }
             for &idx in &sorted {
-                let slot = &mut offsets[column[idx as usize] as usize];
+                let slot = &mut offsets[column[idx] as usize];
                 scratch[*slot] = idx;
                 *slot += 1;
             }
@@ -85,11 +83,11 @@ impl PrefixIndexStore {
         }
         let columns = raw
             .iter()
-            .map(|column| sorted.iter().map(|&idx| column[idx as usize]).collect())
+            .map(|column| sorted.iter().map(|&idx| column[idx]).collect())
             .collect();
         let store = PrefixIndexStore {
             order: order.to_vec(),
-            sorted,
+            len: records.len(),
             columns,
         };
         sgf_metrics::counter("index.prefix.builds").incr();
@@ -98,7 +96,7 @@ impl PrefixIndexStore {
             "index.prefix.build",
             &[("store", "prefix")],
             &[
-                ("records", store.sorted.len() as u64),
+                ("records", store.len as u64),
                 ("depth", store.order.len() as u64),
             ],
             start.elapsed(),
@@ -106,128 +104,82 @@ impl PrefixIndexStore {
         Ok(store)
     }
 
-    /// Apply a seed-data delta: `deletes` are strictly-ascending indices into
-    /// the *current* seed dataset, `inserts` are records appended after the
-    /// survivors (the canonical final-dataset order of
-    /// `sgf_data::DatasetDelta::apply`).  Returns a store equal to a
-    /// from-scratch [`build`](PrefixIndexStore::build) over that final
-    /// dataset with the same order: survivors keep their relative order under
-    /// the index remap, and the sorted inserts are merged in after every
-    /// survivor with equal values (their indices are larger).
+    /// Apply a seed-data delta: each of `deletes` removes one copy of its
+    /// σ-tuple and each of `inserts` adds one, in any order.  Returns a store
+    /// equal to a from-scratch [`build`](PrefixIndexStore::build) over the
+    /// final seed dataset with the same order.  Deleting a tuple more often
+    /// than the store holds it is an error.
     ///
     /// A change of σ is not a delta: rebuild the store instead.
-    pub fn apply_delta(&self, deletes: &[usize], inserts: &[Record]) -> Result<Self, DataError> {
+    pub fn apply_delta(&self, deletes: &[Record], inserts: &[Record]) -> Result<Self, DataError> {
         let start = std::time::Instant::now();
-        let len = self.sorted.len();
-        crate::store::validate_delete_indices(deletes, len)?;
-        let survivors = len - deletes.len();
-        if survivors + inserts.len() > u32::MAX as usize {
-            return Err(DataError::InvalidParameter(
-                "prefix index supports at most u32::MAX seed records".into(),
-            ));
-        }
         if let Some(&widest) = self.order.iter().max() {
-            if let Some(short) = inserts.iter().find(|r| r.len() <= widest) {
+            if let Some(short) = deletes.iter().chain(inserts).find(|r| r.len() <= widest) {
                 return Err(DataError::InvalidParameter(format!(
-                    "inserted record has {} attributes but the order needs {}",
+                    "delta record has {} attributes but the order needs {}",
                     short.len(),
                     widest + 1
                 )));
             }
         }
-        // Each insert goes after every current seed whose values are ≤ its
-        // own (the end of its full-depth range); inserts sharing that point
-        // order by values, then index.
+        // The `c` deletes of one tuple drop the first `c` copies of its
+        // full-depth range; distinct tuples have disjoint ranges.
         let depth = self.order.len();
-        let mut fresh: Vec<(usize, usize)> = inserts
-            .iter()
-            .enumerate()
-            .map(|(t, record)| (self.range(record, depth).end, t))
-            .collect();
-        fresh.sort_by(|&(at_a, a), &(at_b, b)| {
-            at_a.cmp(&at_b)
-                .then_with(|| {
-                    self.order
-                        .iter()
-                        .map(|&attr| inserts[a].get(attr).cmp(&inserts[b].get(attr)))
-                        .find(|o| o.is_ne())
-                        .unwrap_or(Ordering::Equal)
-                })
-                .then(a.cmp(&b))
-        });
-        // Positions (in the current order) of the deleted seeds, and each
-        // survivor's index in the final dataset.
-        let mut remap: Vec<u32> = Vec::new();
-        let mut dead = Vec::with_capacity(deletes.len());
-        if !deletes.is_empty() {
-            let mut deleted = vec![false; len];
-            for &d in deletes {
-                deleted[d] = true;
+        let mut hits: Vec<Range<usize>> = deletes.iter().map(|r| self.range(r, depth)).collect();
+        hits.sort_unstable_by_key(|run| (run.start, run.end));
+        let mut dead = Vec::new();
+        for group in hits.chunk_by(|a, b| a == b) {
+            let held = &group[0];
+            if group.len() > held.len() {
+                return Err(DataError::InvalidParameter(format!(
+                    "delta deletes {} copies of a σ-tuple the store holds {} times",
+                    group.len(),
+                    held.len()
+                )));
             }
-            let mut shift = 0;
-            remap = (0..len)
-                .map(|idx| {
-                    let moved = (idx - shift) as u32;
-                    shift += deleted[idx] as usize;
-                    moved
-                })
-                .collect();
-            dead.extend(
-                self.sorted
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &idx)| deleted[idx as usize])
-                    .map(|(pos, _)| pos),
-            );
+            dead.push(held.start..held.start + group.len());
         }
+        // Each insert goes after every held tuple ≤ its own (the end of its
+        // full-depth range), so sorted inserts reach ascending points.
+        let mut fresh: Vec<&Record> = inserts.iter().collect();
+        fresh.sort_unstable_by(|a, b| {
+            let values = self.order.iter().map(|&attr| a.get(attr));
+            values.cmp(self.order.iter().map(|&attr| b.get(attr)))
+        });
         // The final order as runs of surviving positions and single inserts.
         let mut pieces = Vec::with_capacity(2 * (dead.len() + fresh.len()) + 1);
         let mut dead = dead.into_iter().peekable();
         let mut from = 0;
-        for (at, t) in fresh
+        for (at, record) in fresh
             .into_iter()
-            .map(|(at, t)| (at, Some(t)))
-            .chain(std::iter::once((len, None)))
+            .map(|record| (self.range(record, depth).end, Some(record)))
+            .chain(std::iter::once((self.len, None)))
         {
-            while let Some(d) = dead.next_if(|&d| d < at) {
-                if from < d {
-                    pieces.push(Piece::Kept(from..d));
+            while let Some(run) = dead.next_if(|run| run.start < at) {
+                if from < run.start {
+                    pieces.push(Piece::Kept(from..run.start));
                 }
-                from = d + 1;
+                from = run.end;
             }
             if from < at {
                 pieces.push(Piece::Kept(from..at));
                 from = at;
             }
-            if let Some(t) = t {
-                pieces.push(Piece::Inserted(t));
+            if let Some(record) = record {
+                pieces.push(Piece::Inserted(record));
             }
         }
-        let total = survivors + inserts.len();
-        let mut sorted = Vec::with_capacity(total);
-        for piece in &pieces {
-            match piece {
-                Piece::Kept(run) if remap.is_empty() => {
-                    sorted.extend_from_slice(&self.sorted[run.clone()])
-                }
-                Piece::Kept(run) => sorted.extend(
-                    self.sorted[run.clone()]
-                        .iter()
-                        .map(|&idx| remap[idx as usize]),
-                ),
-                Piece::Inserted(t) => sorted.push((survivors + t) as u32),
-            }
-        }
+        let len = self.len - deletes.len() + inserts.len();
         let columns = self
             .columns
             .iter()
             .zip(&self.order)
             .map(|(old, &attr)| {
-                let mut column = Vec::with_capacity(total);
+                let mut column = Vec::with_capacity(len);
                 for piece in &pieces {
                     match piece {
                         Piece::Kept(run) => column.extend_from_slice(&old[run.clone()]),
-                        Piece::Inserted(t) => column.push(inserts[*t].get(attr)),
+                        Piece::Inserted(record) => column.push(record.get(attr)),
                     }
                 }
                 column
@@ -235,7 +187,7 @@ impl PrefixIndexStore {
             .collect();
         let store = PrefixIndexStore {
             order: self.order.clone(),
-            sorted,
+            len,
             columns,
         };
         sgf_metrics::counter("index.prefix.delta_applies").incr();
@@ -248,18 +200,11 @@ impl PrefixIndexStore {
         &self.order
     }
 
-    /// Approximate heap footprint of the sorted index and value columns, in
-    /// bytes.
-    pub fn member_bytes(&self) -> usize {
-        self.sorted.len() * std::mem::size_of::<u32>()
-            + self.columns.len() * self.sorted.len() * std::mem::size_of::<u16>()
-    }
-
-    /// The seeds agreeing with `candidate` on the first `depth` attributes of
-    /// the order, as positions into the sorted index: each level narrows the
-    /// parent range to the run of the candidate's value.
+    /// The σ-tuples agreeing with `candidate` on the first `depth`
+    /// attributes of the order, as positions into the sorted columns: each
+    /// level narrows the parent range to the run of the candidate's value.
     fn range(&self, candidate: &Record, depth: usize) -> Range<usize> {
-        let (mut lo, mut hi) = (0, self.sorted.len());
+        let (mut lo, mut hi) = (0, self.len);
         for (column, &attr) in self.columns.iter().zip(&self.order[..depth]) {
             if lo == hi {
                 break;
@@ -286,11 +231,11 @@ impl PrefixIndexStore {
 }
 
 /// One step of [`PrefixIndexStore::apply_delta`]'s merged order.
-enum Piece {
+enum Piece<'r> {
     /// A run of surviving positions of the current order.
     Kept(Range<usize>),
-    /// The `t`-th inserted record.
-    Inserted(usize),
+    /// An inserted record.
+    Inserted(&'r Record),
 }
 
 /// An order must list distinct attributes of the schema.
@@ -315,7 +260,7 @@ fn check_order(order: &[usize], m: usize) -> Result<(), DataError> {
 
 impl SeedStore for PrefixIndexStore {
     fn len(&self) -> usize {
-        self.sorted.len()
+        self.len
     }
 
     fn kind(&self) -> &'static str {
@@ -327,26 +272,26 @@ impl SeedStore for PrefixIndexStore {
         _candidate: &Record,
         _match_attributes: Option<&[usize]>,
     ) -> CandidateIter<'s> {
-        CandidateIter::All(0..self.sorted.len())
+        CandidateIter::All(0..self.len)
     }
 
-    fn prefix_members<'s>(
-        &'s self,
+    fn prefix_count(
+        &self,
         candidate: &Record,
         likelihood_attributes: Option<&[usize]>,
         match_attributes: Option<&[usize]>,
-    ) -> Option<&'s [u32]> {
+    ) -> Option<usize> {
         let likelihood = likelihood_attributes?;
         // A seed-independent model gives every seed the same probability.
         if likelihood.is_empty() {
-            return Some(&self.sorted);
+            return Some(self.len);
         }
         let matched = match_attributes?;
         let depth = self.prefix_depth(matched)?;
         if likelihood != matched && !likelihood.iter().all(|a| matched.contains(a)) {
             return None;
         }
-        Some(&self.sorted[self.range(candidate, depth)])
+        Some(self.range(candidate, depth).len())
     }
 }
 
@@ -381,11 +326,11 @@ mod tests {
         ]
     }
 
-    /// Indices of every record agreeing with `y` on `attrs`, ascending.
-    fn matching(rows: &[[u16; 3]], y: &Record, attrs: &[usize]) -> Vec<u32> {
-        (0..rows.len() as u32)
-            .filter(|&i| attrs.iter().all(|&a| rows[i as usize][a] == y.get(a)))
-            .collect()
+    /// Number of records agreeing with `y` on `attrs`.
+    fn matching(rows: &[[u16; 3]], y: &Record, attrs: &[usize]) -> usize {
+        rows.iter()
+            .filter(|row| attrs.iter().all(|&a| row[a] == y.get(a)))
+            .count()
     }
 
     #[test]
@@ -394,11 +339,11 @@ mod tests {
         assert_eq!(store.len(), 7);
         assert_eq!(store.kind(), "prefix");
         assert_eq!(store.order(), &[2, 0, 1]);
-        // Keys (C, A, B): 0:(0,0,0) 6:(0,0,0) 1:(0,1,2) 5:(0,3,5) 2:(1,0,1)
-        // 3:(1,1,2) 4:(2,0,0).
-        assert_eq!(store.sorted, vec![0, 6, 1, 5, 2, 3, 4]);
+        // σ-tuples (C, A, B), ascending: (0,0,0) twice, (0,1,2), (0,3,5),
+        // (1,0,1), (1,1,2), (2,0,0).  Equal tuples carry no seed index.
         assert_eq!(store.columns[0], vec![0, 0, 0, 0, 1, 1, 2]);
-        assert!(store.member_bytes() > 0);
+        assert_eq!(store.columns[1], vec![0, 0, 1, 3, 0, 1, 0]);
+        assert_eq!(store.columns[2], vec![0, 0, 2, 5, 1, 2, 0]);
     }
 
     #[test]
@@ -417,12 +362,12 @@ mod tests {
             let y = Record::new(y.to_vec());
             for depth in 0..=3 {
                 let kept = &store.order()[..depth];
-                let mut got = store
-                    .prefix_members(&y, Some(kept), Some(kept))
-                    .unwrap()
-                    .to_vec();
-                got.sort_unstable();
-                assert_eq!(got, matching(&rows, &y, kept), "y {y:?} depth {depth}");
+                let got = store.prefix_count(&y, Some(kept), Some(kept));
+                assert_eq!(
+                    got,
+                    Some(matching(&rows, &y, kept)),
+                    "y {y:?} depth {depth}"
+                );
             }
         }
     }
@@ -432,27 +377,20 @@ mod tests {
         let store = PrefixIndexStore::build(&dataset(&rows()), &[1, 0, 2]).unwrap();
         let y = Record::new(vec![0, 0, 0]);
         // The prefix as a set, in any order.
-        assert!(store
-            .prefix_members(&y, Some(&[0]), Some(&[0, 1]))
-            .is_some());
+        assert!(store.prefix_count(&y, Some(&[0]), Some(&[0, 1])).is_some());
         // Not a prefix: attribute 0 alone skips σ[0] = 1.
-        assert!(store.prefix_members(&y, Some(&[0]), Some(&[0])).is_none());
+        assert!(store.prefix_count(&y, Some(&[0]), Some(&[0])).is_none());
         // Same length as the prefix, but a duplicate hides σ[1].
-        assert!(store
-            .prefix_members(&y, Some(&[1]), Some(&[1, 1]))
-            .is_none());
+        assert!(store.prefix_count(&y, Some(&[1]), Some(&[1, 1])).is_none());
         // Likelihood reads an attribute outside the exact-match set.
-        assert!(store.prefix_members(&y, Some(&[2]), Some(&[1])).is_none());
+        assert!(store.prefix_count(&y, Some(&[2]), Some(&[1])).is_none());
         // No likelihood guarantee, or a prefix with no exact-match set.
-        assert!(store.prefix_members(&y, None, Some(&[1])).is_none());
-        assert!(store.prefix_members(&y, Some(&[1]), None).is_none());
+        assert!(store.prefix_count(&y, None, Some(&[1])).is_none());
+        assert!(store.prefix_count(&y, Some(&[1]), None).is_none());
         // The empty prefix, and a seed-independent model whatever its
         // exact-match set, is every seed.
         for matched in [Some(&[][..]), None, Some(&[0][..])] {
-            assert_eq!(
-                store.prefix_members(&y, Some(&[]), matched).unwrap().len(),
-                7
-            );
+            assert_eq!(store.prefix_count(&y, Some(&[]), matched), Some(7));
         }
     }
 
@@ -491,9 +429,12 @@ mod tests {
             (vec![], vec![]),
             ((0..7).collect(), vec![[2, 2, 2], [0, 0, 0]]),
         ];
+        let record = |r: &[u16; 3]| Record::new(r.to_vec());
         for (deletes, inserts) in cases {
-            let records: Vec<Record> = inserts.iter().map(|r| Record::new(r.to_vec())).collect();
-            let updated = store.apply_delta(&deletes, &records).unwrap();
+            // Deletes name records, not positions, and may come in any order.
+            let deleted: Vec<Record> = deletes.iter().rev().map(|&i| record(&base[i])).collect();
+            let records: Vec<Record> = inserts.iter().map(record).collect();
+            let updated = store.apply_delta(&deleted, &records).unwrap();
             let fresh = PrefixIndexStore::build(
                 &dataset(&final_rows(&base, &deletes, &inserts)),
                 &[1, 0, 2],
@@ -506,9 +447,19 @@ mod tests {
     #[test]
     fn apply_delta_rejects_malformed_input() {
         let store = PrefixIndexStore::build(&dataset(&rows()), &[1, 0, 2]).unwrap();
-        assert!(store.apply_delta(&[7], &[]).is_err());
-        assert!(store.apply_delta(&[3, 1], &[]).is_err());
-        assert!(store.apply_delta(&[2, 2], &[]).is_err());
+        let held = Record::new(vec![0, 0, 0]);
+        // A tuple the store does not hold.
+        assert!(store
+            .apply_delta(&[Record::new(vec![2, 2, 2])], &[])
+            .is_err());
+        // More deletes of one tuple than its two copies; two are fine.
+        assert!(store
+            .apply_delta(&[held.clone(), held.clone()], &[])
+            .is_ok());
+        let thrice = [held.clone(), held.clone(), held.clone()];
+        assert!(store.apply_delta(&thrice, &[]).is_err());
+        // A short record, as a delete or as an insert.
+        assert!(store.apply_delta(&[Record::new(vec![0, 0])], &[]).is_err());
         assert!(store.apply_delta(&[], &[Record::new(vec![0, 0])]).is_err());
     }
 }

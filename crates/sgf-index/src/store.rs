@@ -99,10 +99,10 @@ pub trait SeedStore: Send + Sync + std::fmt::Debug {
         None
     }
 
-    /// The **exact** plausible set of `candidate`, in some order, when the
-    /// store can prove it without evaluating the model: every listed seed
-    /// has the sampled seed's generation probability and every other seed
-    /// has probability zero.
+    /// The **exact** number of seeds that can have generated `candidate`,
+    /// when the store can prove it without evaluating the model: every
+    /// counted seed has the sampled seed's generation probability and every
+    /// other seed has probability zero.
     ///
     /// A store may answer only when the model's exact-match set selects one
     /// node of its keying and the likelihood set lies inside the exact-match
@@ -110,16 +110,16 @@ pub trait SeedStore: Send + Sync + std::fmt::Debug {
     /// candidate on `EM`, so every seed agreeing on `EM` shares its
     /// `L`-projection and hence its probability (see
     /// [`PrefixIndexStore`](crate::PrefixIndexStore)).  A seed-independent
-    /// model (`L = ∅`) gives every seed the same probability, so its exact
-    /// set is every seed whatever its exact-match set.
+    /// model (`L = ∅`) gives every seed the same probability, so its count
+    /// is every seed whatever its exact-match set.
     ///
     /// The default (every store but the prefix store) is `None`.
-    fn prefix_members<'s>(
-        &'s self,
+    fn prefix_count(
+        &self,
         _candidate: &Record,
         _likelihood_attributes: Option<&[usize]>,
         _match_attributes: Option<&[usize]>,
-    ) -> Option<&'s [u32]> {
+    ) -> Option<usize> {
         None
     }
 }

@@ -102,7 +102,11 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) -> ClientResult<()> {
-        self.writer.write_all(line.as_bytes())?;
+        self.send_bytes(line.as_bytes())
+    }
+
+    fn send_bytes(&mut self, line: &[u8]) -> ClientResult<()> {
+        self.writer.write_all(line)?;
         self.writer.write_all(b"\n")?;
         self.writer.flush()?;
         Ok(())
@@ -211,11 +215,12 @@ impl Client {
         Self::check_rejection(self.read_value()?)
     }
 
-    /// Send a raw protocol line and read back one response line — for
-    /// protocol tests exercising malformed input; rejections surface as
-    /// [`ClientError::Rejected`] like everywhere else.
-    pub fn raw_roundtrip(&mut self, line: &str) -> ClientResult<Value> {
-        self.send(line)?;
+    /// Send a raw protocol line (any bytes, even invalid UTF-8) and read
+    /// back one response line — for protocol tests exercising malformed
+    /// input; rejections surface as [`ClientError::Rejected`] like everywhere
+    /// else.
+    pub fn raw_roundtrip(&mut self, line: impl AsRef<[u8]>) -> ClientResult<Value> {
+        self.send_bytes(line.as_ref())?;
         Self::check_rejection(self.read_value()?)
     }
 

@@ -71,4 +71,4 @@ pub mod json {
 pub use client::{Client, ClientError, ClientResult, Rejection, Release};
 pub use protocol::{reject, GenerateCall, ModelKind, Request, UpdateCall, DEFAULT_SESSION};
 pub use queue::{BoundedQueue, PushError};
-pub use server::{cap_admitting, serve, ServeConfig, ServerHandle, SessionEntry};
+pub use server::{cap_admitting, serve, ServeConfig, ServerHandle, SessionEntry, MAX_LINE};

@@ -35,7 +35,7 @@ use sgf_metrics::json::write_object;
 use sgf_metrics::{Json, Scope, ScopedCounter, ScopedSummary, SpanId, Trace, TraceBatch};
 use sgf_stats::DpBudget;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -434,17 +434,42 @@ fn reap_finished_readers(state: &ServerState) {
     }
 }
 
+/// The longest request line a connection reads, its newline included:
+/// 16 MiB, far above any legal request (a `generate` line is a few hundred
+/// bytes, and an `update` carrying thousands of records stays under a MiB).
+/// A longer line is answered with `bad_request` and its connection closed,
+/// so a client sending bytes without a newline cannot grow the server's
+/// memory past this bound.
+pub const MAX_LINE: usize = 16 << 20;
+
 fn connection_loop(stream: TcpStream, state: &Arc<ServerState>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let out = Arc::new(Mutex::new(stream));
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(read_half);
+    let mut buffer = Vec::new();
+    let reject = |message: &str| {
+        let request_id = state.next_request_id.fetch_add(1, Ordering::Relaxed);
+        reject_bad_request(request_id, message, &out, state);
+    };
+    loop {
+        buffer.clear();
+        let mut limited = (&mut reader).take(MAX_LINE as u64);
+        let Ok(1..) = limited.read_until(b'\n', &mut buffer) else {
+            break;
+        };
+        if buffer.len() == MAX_LINE && !buffer.ends_with(b"\n") {
+            reject(&format!("request line exceeds the {MAX_LINE}-byte limit"));
+            break;
         }
-        handle_line(&line, &out, state);
+        let line = buffer.strip_suffix(b"\n").unwrap_or(&buffer);
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        match std::str::from_utf8(line) {
+            Ok(line) if line.trim().is_empty() => {}
+            Ok(line) => handle_line(line, &out, state),
+            Err(_) => reject("request line is not valid UTF-8"),
+        }
     }
 }
 
@@ -489,16 +514,19 @@ fn ok_line<'k>(verb: &str, fields: impl IntoIterator<Item = (&'k str, Json)>) ->
     Json::obj(head.into_iter().chain(fields)).render()
 }
 
+/// Answer a line that is no request with `bad_request` and its reason.
+fn reject_bad_request(request_id: u64, message: &str, out: &Mutex<TcpStream>, state: &ServerState) {
+    log_request(state, request_id, "?", "", "bad_request");
+    write_line(
+        out,
+        &protocol::reject_line(reject::BAD_REQUEST, message, &[]),
+    );
+}
+
 fn handle_line(line: &str, out: &Arc<Mutex<TcpStream>>, state: &Arc<ServerState>) {
     let request_id = state.next_request_id.fetch_add(1, Ordering::Relaxed);
     match protocol::parse_request(line) {
-        Err(message) => {
-            log_request(state, request_id, "?", "", "bad_request");
-            write_line(
-                out,
-                &protocol::reject_line(reject::BAD_REQUEST, &message, &[]),
-            );
-        }
+        Err(message) => reject_bad_request(request_id, &message, out, state),
         Ok(Request::Status) => {
             log_request(state, request_id, "status", "", "ok");
             write_line(out, &status_line(state));

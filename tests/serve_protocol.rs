@@ -606,6 +606,62 @@ fn rejections_carry_machine_readable_codes() {
     handle.join().unwrap();
 }
 
+/// A request line of `MAX_LINE` bytes with no newline is answered with a
+/// `bad_request` naming the limit, and the server closes that connection
+/// instead of buffering more; a fresh connection still generates.
+#[test]
+fn oversized_lines_are_rejected_and_their_connection_closed() {
+    use sgf::serve::json::Value;
+    use sgf::serve::MAX_LINE;
+    use std::io::{BufRead, BufReader, Write};
+
+    let session = train_session(48);
+    let handle = serve(ServeConfig::default(), vec![SessionEntry::new(session)]).unwrap();
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    // A server that keeps buffering never answers: fail instead of hanging.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(&vec![b'x'; MAX_LINE]).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let response = Value::parse(line.trim_end()).unwrap();
+    assert_eq!(response.get("ok").and_then(|v| v.as_bool()), Some(false));
+    assert_eq!(
+        response.get("error").and_then(|v| v.as_str()),
+        Some(reject::BAD_REQUEST)
+    );
+    let message = response.get("message").and_then(|v| v.as_str()).unwrap();
+    assert!(message.contains(&MAX_LINE.to_string()), "{message}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection closed");
+
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert_eq!(client.generate(&GenerateCall::new(4)).unwrap().released, 4);
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// A line that is not UTF-8 gets the same `bad_request` as malformed JSON,
+/// and the connection keeps serving.
+#[test]
+fn invalid_utf8_lines_are_rejected_and_the_connection_kept() {
+    let session = train_session(49);
+    let handle = serve(ServeConfig::default(), vec![SessionEntry::new(session)]).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let err = client
+        .raw_roundtrip(b"{\"verb\":\"status\xff\"}")
+        .unwrap_err();
+    assert!(
+        matches!(&err, ClientError::Rejected(r) if r.code == reject::BAD_REQUEST),
+        "{err}"
+    );
+    assert_eq!(client.generate(&GenerateCall::new(4)).unwrap().released, 4);
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
 #[test]
 fn a_repeated_session_name_is_rejected_before_binding() {
     use sgf::serve::cap_admitting;

@@ -524,7 +524,8 @@ proptest! {
             next.extend(inserts.iter().cloned());
             let final_data = Dataset::from_records_unchecked(Arc::clone(&schema), next.clone());
             store = if next_sigma == sigma {
-                store.apply_delta(&deletes, &inserts).unwrap()
+                let deleted: Vec<Record> = deletes.iter().map(|&i| records[i].clone()).collect();
+                store.apply_delta(&deleted, &inserts).unwrap()
             } else {
                 PrefixIndexStore::build(&final_data, &next_sigma).unwrap()
             };
@@ -831,9 +832,8 @@ fn prefix_count_strategies_match_the_scan() {
         };
         let y = to_record(candidate);
         let range = prefix
-            .prefix_members(&y, model.likelihood_attributes(), Some(&kept))
-            .unwrap()
-            .len();
+            .prefix_count(&y, model.likelihood_attributes(), Some(&kept))
+            .unwrap();
         assert!(range_check(range, n), "depth {depth}: range of {range}");
         let partition = PartitionIndexStore::build(&dataset, &kept).unwrap();
         for base in configs {
