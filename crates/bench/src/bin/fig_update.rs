@@ -19,10 +19,10 @@
 //!    scale 1).  At full (non-smoke) scale the update must be ≥ 100x faster —
 //!    the payoff of delta-maintainable stores and summable model counts.  A
 //!    second timed point, `timing_mixed`, folds 10 deletes spread through the
-//!    population plus 10 inserts; a delete costs one pass over its subset and
-//!    one contiguous copy of the survivors, and the loop drops each previous
-//!    epoch, so at full scale that update must be ≥ 8x faster than the
-//!    retrain.  The retrain is timed as a *full* retrain: training plus
+//!    population plus 10 inserts; a delete costs one filtered pass over its
+//!    subset and splits the run it lands in, so no survivor is copied, and
+//!    the loop drops each previous epoch, so at full scale that update must
+//!    be ≥ 8x faster than the retrain.  The retrain is timed as a *full* retrain: training plus
 //!    every seed store a session provides (the σ-prefix store train builds
 //!    eagerly, and the inverted index and partition store its accessors
 //!    build on first use), so the baseline does not shrink when a store

@@ -937,16 +937,19 @@ impl SynthesisSession {
     /// The deterministic hash split routes each ±record to its subset by
     /// value alone, and model counts merge in O(|Δ|)
     /// ([`sgf_model::StructureCounts`], [`sgf_model::CptCounts`],
-    /// [`sgf_model::MarginalCounts`]).  Inserts cost O(|Δ|): a subset the
-    /// delta only inserts into shares its records with this epoch
-    /// ([`sgf_data::Dataset::with_appended`]).  Deletes cost one pass over
-    /// each subset they touch, to resolve them
-    /// ([`sgf_data::retract_and_append`]), plus one contiguous copy of its
-    /// survivors; records are stored inline, so the copy moves runs of
-    /// 32-byte rows, and dropping an old epoch frees each subset at once.
+    /// [`sgf_model::MarginalCounts`]).  No surviving record is copied: each
+    /// subset is a rope of shared runs ([`sgf_data::Dataset`]), an insert
+    /// batch appends one run, and a delete splits the run it lands in
+    /// ([`sgf_data::retract_and_append`], which resolves the deletes in one
+    /// filtered pass over the subset's rows); past 64 runs a subset compacts
+    /// into one block.  Without a structure re-learn the new CPT store
+    /// carries every filled conditional row the delta did not touch
+    /// ([`sgf_model::CptStore::apply_delta`]), so the new epoch's requests
+    /// refill only the touched rows.  Dropping an old epoch frees only what
+    /// the new one does not share.
     /// On `fig_update`'s ACS session (≈15.7k seeds, 2-CPU host) a 10-record
     /// ingest takes ≈50–80 µs and a delta of 10 deletes plus 10 inserts
-    /// ≈0.3–0.5 ms, the previous epoch's drop included, against ≈6–8 ms for
+    /// ≈80–120 µs, the previous epoch's drop included, against ≈6–8 ms for
     /// a full retrain.  The σ-prefix store's splice is deferred to the new
     /// epoch's first request.
     /// A delta touching `D_T` re-derives the correlation matrix from the
@@ -1053,7 +1056,8 @@ impl SynthesisSession {
 
         // Parameters: a graph change invalidates the CPT layout (full
         // re-learn over the new D_P); otherwise the contingency counts merge
-        // and the store is re-derived from them, or shared untouched.
+        // and the store is re-derived from them, carrying the filled rows
+        // the delta left alone, or shared untouched.
         let cpts: Arc<CptStore> = if graph_changed {
             Arc::new(CptStore::learn(
                 &parameters_data,

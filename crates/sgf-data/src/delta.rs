@@ -110,12 +110,13 @@ impl DatasetDelta {
 /// survivors — [`DatasetDelta::apply`]'s rule on one dataset.  Returns the
 /// **retracted** positions (ascending) together with the new dataset.
 ///
-/// Without deletes the new dataset shares every existing record with
-/// `dataset` ([`Dataset::with_appended`]), so the cost is O(|inserts|).
-/// Otherwise the deletes are resolved in one pass over the rows, and the
-/// survivors are copied as the contiguous runs between retracted positions.
-/// The rows are read segment by segment, so a dataset with an appended tail
-/// is never materialized.
+/// The new dataset shares every surviving record with `dataset`: each
+/// retracted position splits the run it lands in, and the inserts become one
+/// new run ([`Dataset`]'s rope), so no survivor is copied until the runs
+/// pass their bound and compact.  Without deletes the cost is O(|inserts|)
+/// ([`Dataset::with_appended`], which also validates the inserts).
+/// Otherwise the deletes are resolved in one pass over the rows, read run by
+/// run, so a roped dataset is never materialized.
 pub fn retract_and_append(
     dataset: &Dataset,
     deletes: &[Record],
@@ -124,30 +125,9 @@ pub fn retract_and_append(
     if deletes.is_empty() {
         return Ok((Vec::new(), dataset.with_appended(inserts.to_vec())?));
     }
-    let [base, tail] = dataset.segments();
-    let retracted = retracted_positions([base, tail], deletes)?;
-    let mut records = Vec::with_capacity(dataset.len() - retracted.len() + inserts.len());
-    // Copy rows `from..to` of `base ++ tail`.
-    let mut copy_run = |from: usize, to: usize| {
-        let split = base.len();
-        if from < split {
-            records.extend_from_slice(&base[from..to.min(split)]);
-        }
-        if to > split {
-            records.extend_from_slice(&tail[from.max(split) - split..to - split]);
-        }
-    };
-    let mut from = 0;
-    for &position in &retracted {
-        copy_run(from, position);
-        from = position + 1;
-    }
-    copy_run(from, dataset.len());
-    records.extend_from_slice(inserts);
-    Ok((
-        retracted,
-        Dataset::from_records_unchecked(dataset.schema_arc(), records),
-    ))
+    let retracted = retracted_positions(dataset.slices(), deletes)?;
+    let derived = dataset.derive(&retracted, inserts.to_vec());
+    Ok((retracted, derived))
 }
 
 /// Resolve `deletes` against `records` by value, retracting the first
@@ -159,36 +139,58 @@ pub fn retract_and_append(
 /// and class member lists, and the model counts subtract exactly these
 /// records.
 pub fn apply_deletes(records: &[Record], deletes: &[Record]) -> Result<Vec<usize>> {
-    let retracted = retracted_positions([records, &[]], deletes)?;
+    let retracted = retracted_positions([records], deletes)?;
     let mut next = retracted.iter().peekable();
     Ok((0..records.len())
         .filter(|&i| next.next_if_eq(&&i).is_none())
         .collect())
 }
 
-/// The positions (ascending) `deletes` retract from the rows of `segments`,
-/// read in order as one sequence.  Each delete retracts the first remaining
+/// The bit of a record's first value in a 64-bit mask: the cheap key rows
+/// are filtered on before a full record compare.
+fn first_value_bit(record: &Record) -> u64 {
+    1 << (record.first_or_zero() & 63)
+}
+
+/// The positions (ascending) `deletes` retract from `runs`, read in order as
+/// one sequence of rows.  Each delete retracts the first remaining
 /// occurrence of its value, so one pass over the rows resolves them all: a
 /// row retracts the earliest unresolved delete of its value.  The pass stops
-/// as soon as every delete is resolved.  A row is compared with the
-/// unresolved deletes only: a few comparisons per row for the small deltas
-/// a serving session folds in, and at worst O(n · |deletes|), the bound of
-/// a delete-by-delete scan.
+/// as soon as every delete is resolved.  A row is compared in full only
+/// with the unresolved deletes, and only when the bit of its first value is
+/// in their mask, so most rows cost one load and one test; at worst the pass
+/// is O(n · |deletes|), the bound of a delete-by-delete scan.
 ///
 /// A delete with no remaining occurrence fails, naming the earliest
 /// unresolved delete in delta order — the one a delete-by-delete scan stops
 /// at, since the deletes of one value resolve in delta order.
-fn retracted_positions(segments: [&[Record]; 2], deletes: &[Record]) -> Result<Vec<usize>> {
+fn retracted_positions<'a>(
+    runs: impl IntoIterator<Item = &'a [Record]>,
+    deletes: &[Record],
+) -> Result<Vec<usize>> {
+    if deletes.is_empty() {
+        return Ok(Vec::new());
+    }
     let mut pending: Vec<&Record> = deletes.iter().collect();
+    let mask_of = |pending: &[&Record]| pending.iter().fold(0, |m, &del| m | first_value_bit(del));
+    let mut mask = mask_of(&pending);
     let mut positions = Vec::with_capacity(deletes.len());
-    for (position, row) in segments.into_iter().flatten().enumerate() {
-        if pending.is_empty() {
-            break;
+    let mut offset = 0;
+    'runs: for run in runs {
+        for (i, row) in run.iter().enumerate() {
+            if mask & first_value_bit(row) == 0 {
+                continue;
+            }
+            if let Some(k) = pending.iter().position(|&del| del == row) {
+                pending.remove(k);
+                positions.push(offset + i);
+                if pending.is_empty() {
+                    break 'runs;
+                }
+                mask = mask_of(&pending);
+            }
         }
-        if let Some(k) = pending.iter().position(|&del| del == row) {
-            pending.remove(k);
-            positions.push(position);
-        }
+        offset += run.len();
     }
     match pending.first() {
         None => Ok(positions),

@@ -121,6 +121,16 @@ impl Record {
         }
     }
 
+    /// The first value, or 0 for a record with none: one load, without
+    /// forming the value slice (an inline record's unused slots are zero).
+    #[inline]
+    pub(crate) fn first_or_zero(&self) -> u16 {
+        match &self.values {
+            Values::Inline { values, .. } => values[0],
+            Values::Heap(values) => values.first().map_or(0, |&v| v),
+        }
+    }
+
     /// Number of attribute positions on which two records differ.
     pub fn hamming_distance(&self, other: &Record) -> usize {
         self.values()
@@ -152,40 +162,95 @@ impl From<Vec<u16>> for Record {
     }
 }
 
+/// Most runs a dataset holds: a derivation that would leave more compacts
+/// them into one block.
+const MAX_RUNS: usize = 64;
+
+/// A run of a dataset's records: the rows `start..end` of a shared block,
+/// at dataset positions `at..at + (end - start)`.
+#[derive(Debug, Clone)]
+struct Run {
+    block: Arc<Vec<Record>>,
+    start: usize,
+    end: usize,
+    at: usize,
+}
+
+impl Run {
+    fn rows(&self) -> &[Record] {
+        &self.block[self.start..self.end]
+    }
+}
+
+/// Append the rows `start..end` of `block` to `runs`, unless they are none.
+fn push_run(runs: &mut Vec<Run>, block: &Arc<Vec<Record>>, start: usize, end: usize) {
+    if start < end {
+        let at = runs.last().map_or(0, |run| run.at + run.end - run.start);
+        runs.push(Run {
+            block: Arc::clone(block),
+            start,
+            end,
+            at,
+        });
+    }
+}
+
 /// A dataset: a schema plus a collection of records conforming to it.
 ///
-/// Records live in two structurally-shared segments: a `base` block and an
-/// appended `tail`, both behind `Arc`.  Each segment is a flat row arena:
-/// records store their values inline (see [`Record`]), so a segment is one
-/// contiguous allocation, and copying or dropping a run of records makes no
-/// allocator call per record.
-/// Cloning a dataset is O(1), and [`with_appended`](Dataset::with_appended)
-/// derives a dataset sharing the entire base with its parent, so an
-/// insert-only session update (`SynthesisSession::update` in `sgf-core`)
-/// costs O(|Δ|); a delete costs one pass over the segments and one
-/// contiguous copy of the survivors.  The segmentation is invisible to
-/// readers: [`records`](Dataset::records) returns one contiguous slice,
-/// materializing (and caching) the concatenation on first use when a tail is
-/// present.
+/// Records live in a rope of at most 64 runs, each a range of rows of a
+/// block shared behind `Arc`.  Each block is a flat row arena: records store
+/// their values inline (see [`Record`]), so a block is one contiguous
+/// allocation, and copying or dropping a run of records makes no allocator
+/// call per record.  Cloning a dataset copies its run list, and a derived
+/// dataset shares every record its parent keeps:
+/// [`with_appended`](Dataset::with_appended) adds one run, and
+/// [`retract_and_append`](crate::retract_and_append) splits the runs its
+/// deletes land in, so an incremental session update
+/// (`SynthesisSession::update` in `sgf-core`) copies no surviving record.
+/// A derivation past 64 runs compacts the rope into one block.  The runs are
+/// invisible to readers: [`record`](Dataset::record) finds a row by a binary
+/// search of the run offsets (one run: an index), [`iter`](Dataset::iter)
+/// and [`slices`](Dataset::slices) walk the runs in order, and
+/// [`records`](Dataset::records) returns one contiguous slice, materializing
+/// (and caching) the concatenation on first use when there is more than one
+/// run.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     schema: Arc<Schema>,
-    base: Arc<Vec<Record>>,
-    tail: Arc<Vec<Record>>,
-    /// `base ++ tail`, materialized lazily by [`records`](Dataset::records)
-    /// when the tail is non-empty.  `OnceLock<Arc<_>>` keeps clones cheap:
-    /// a clone either copies the cached handle or re-materializes on demand.
+    /// Non-empty runs in record order.
+    runs: Vec<Run>,
+    len: usize,
+    /// The runs' concatenation, materialized lazily by
+    /// [`records`](Dataset::records) when there is more than one run.
+    /// `OnceLock<Arc<_>>` keeps clones cheap: a clone either copies the
+    /// cached handle or re-materializes on demand.
     full: OnceLock<Arc<Vec<Record>>>,
 }
 
 impl Dataset {
     fn from_base(schema: Arc<Schema>, base: Vec<Record>) -> Self {
-        Dataset {
+        let len = base.len();
+        let mut runs = Vec::new();
+        push_run(&mut runs, &Arc::new(base), 0, len);
+        Dataset::from_runs(schema, runs)
+    }
+
+    /// Assemble a dataset from runs built by [`push_run`], compacting them
+    /// into one block past [`MAX_RUNS`].
+    fn from_runs(schema: Arc<Schema>, runs: Vec<Run>) -> Self {
+        let len = runs.last().map_or(0, |run| run.at + run.end - run.start);
+        let mut dataset = Dataset {
             schema,
-            base: Arc::new(base),
-            tail: Arc::new(Vec::new()),
+            runs,
+            len,
             full: OnceLock::new(),
+        };
+        if dataset.runs.len() > MAX_RUNS {
+            let block = Arc::new(dataset.flattened());
+            dataset.runs.clear();
+            push_run(&mut dataset.runs, &block, 0, len);
         }
+        dataset
     }
 
     /// Create an empty dataset over a schema.
@@ -209,59 +274,53 @@ impl Dataset {
         Dataset::from_base(schema, records)
     }
 
-    /// Collapse the segments into a single uniquely-owned block and return it
-    /// mutably (O(1) when this dataset has no tail and shares nothing).
-    fn records_mut(&mut self) -> &mut Vec<Record> {
-        if !self.tail.is_empty() {
-            self.base = match self.full.get() {
-                Some(full) => Arc::clone(full),
-                None => {
-                    let mut merged = Vec::with_capacity(self.base.len() + self.tail.len());
-                    merged.extend_from_slice(&self.base);
-                    merged.extend_from_slice(&self.tail);
-                    Arc::new(merged)
-                }
-            };
-            self.tail = Arc::new(Vec::new());
+    /// The runs' records copied into one block.
+    fn flattened(&self) -> Vec<Record> {
+        let mut records = Vec::with_capacity(self.len);
+        for run in &self.runs {
+            records.extend_from_slice(run.rows());
         }
-        self.full = OnceLock::new();
-        Arc::make_mut(&mut self.base)
+        records
     }
 
     /// Derive the dataset with `extra` records appended, sharing every
-    /// existing record with `self` — O(|extra|), the incremental-ingest fast
-    /// path.  Records are validated against the schema.
+    /// existing record with `self` — O(|extra|) plus a copy of the run list,
+    /// the incremental-ingest fast path.  Records are validated against the
+    /// schema.
     pub fn with_appended(&self, extra: Vec<Record>) -> Result<Dataset> {
         for r in &extra {
             self.schema.validate_values(r.values())?;
         }
-        if extra.is_empty() {
-            return Ok(self.clone());
-        }
-        let (base, tail) = if self.tail.is_empty() {
-            (Arc::clone(&self.base), extra)
-        } else if let Some(full) = self.full.get() {
-            (Arc::clone(full), extra)
-        } else {
-            // Chained appends before any materialization: fold the (small)
-            // old tail into the new one, still sharing the base block.
-            let mut tail = Vec::with_capacity(self.tail.len() + extra.len());
-            tail.extend_from_slice(&self.tail);
-            tail.extend(extra);
-            (Arc::clone(&self.base), tail)
-        };
-        Ok(Dataset {
-            schema: Arc::clone(&self.schema),
-            base,
-            tail: Arc::new(tail),
-            full: OnceLock::new(),
-        })
+        Ok(self.derive(&[], extra))
     }
 
-    /// The `base` and `tail` segments, in record order, without
-    /// materializing their concatenation.
-    pub(crate) fn segments(&self) -> [&[Record]; 2] {
-        [&self.base, &self.tail]
+    /// Derive the dataset without the records at `positions` (ascending,
+    /// distinct, in range) and with `extra` appended.  Each retracted
+    /// position splits the run it lands in, so the survivors stay shared
+    /// with `self`; `extra` becomes one new run.
+    pub(crate) fn derive(&self, positions: &[usize], extra: Vec<Record>) -> Dataset {
+        let mut runs = Vec::with_capacity(self.runs.len() + positions.len() + 1);
+        let mut positions = positions.iter().peekable();
+        for run in &self.runs {
+            let run_end = run.at + run.end - run.start;
+            let mut from = run.start;
+            while let Some(&position) = positions.next_if(|&&p| p < run_end) {
+                let cut = run.start + (position - run.at);
+                push_run(&mut runs, &run.block, from, cut);
+                from = cut + 1;
+            }
+            push_run(&mut runs, &run.block, from, run.end);
+        }
+        let extra_len = extra.len();
+        push_run(&mut runs, &Arc::new(extra), 0, extra_len);
+        Dataset::from_runs(self.schema_arc(), runs)
+    }
+
+    /// The records as contiguous slices, one per run, in record order: a
+    /// pass over them reads every record without materializing the
+    /// concatenation, at the speed of a pass over one slice.
+    pub fn slices(&self) -> impl Iterator<Item = &[Record]> {
+        self.runs.iter().map(Run::rows)
     }
 
     /// The schema of this dataset.
@@ -276,53 +335,82 @@ impl Dataset {
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.base.len() + self.tail.len()
+        self.len
     }
 
     /// Whether the dataset holds no records.
     pub fn is_empty(&self) -> bool {
-        self.base.is_empty() && self.tail.is_empty()
+        self.len == 0
     }
 
-    /// Records slice.  With a non-empty tail this materializes (once) the
+    /// Records slice.  With more than one run this materializes (once) the
     /// contiguous concatenation; prefer [`record`](Dataset::record) for point
-    /// lookups that should stay O(1) on freshly-appended datasets.
+    /// lookups and [`iter`](Dataset::iter) for passes, which never copy.
     pub fn records(&self) -> &[Record] {
-        if self.tail.is_empty() {
-            return &self.base;
+        match &self.runs[..] {
+            [] => &[],
+            [run] => run.rows(),
+            _ => self.full.get_or_init(|| Arc::new(self.flattened())),
         }
-        self.full.get_or_init(|| {
-            let mut merged = Vec::with_capacity(self.base.len() + self.tail.len());
-            merged.extend_from_slice(&self.base);
-            merged.extend_from_slice(&self.tail);
-            Arc::new(merged)
-        })
+    }
+
+    /// The records in order, read run by run without materializing them.
+    pub fn iter(&self) -> impl Iterator<Item = &Record> {
+        self.slices().flatten()
     }
 
     /// Record at index `i`.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is not below [`len`](Dataset::len).
     pub fn record(&self, i: usize) -> &Record {
-        if i < self.base.len() {
-            &self.base[i]
-        } else {
-            &self.tail[i - self.base.len()]
+        if let [run] = &self.runs[..] {
+            return &run.rows()[i];
         }
+        assert!(
+            i < self.len,
+            "record {i} out of range for {} records",
+            self.len
+        );
+        let run = &self.runs[self.runs.partition_point(|run| run.at <= i) - 1];
+        &run.block[run.start + (i - run.at)]
     }
 
     /// Append a record after validating it against the schema.
     pub fn push(&mut self, record: Record) -> Result<()> {
         self.schema.validate_values(record.values())?;
-        self.records_mut().push(record);
+        self.push_unchecked(record);
         Ok(())
     }
 
     /// Append a record without validation (caller guarantees conformity).
+    /// The runs collapse into one uniquely-owned block first, which is O(1)
+    /// when this dataset is one whole block it shares with no other dataset.
     pub fn push_unchecked(&mut self, record: Record) {
-        self.records_mut().push(record);
+        let whole = matches!(&self.runs[..], [run] if run.start == 0 && run.end == run.block.len());
+        if !whole {
+            let block = match self.full.take() {
+                Some(full) => full,
+                None => Arc::new(self.flattened()),
+            };
+            self.runs = vec![Run {
+                block,
+                start: 0,
+                end: self.len,
+                at: 0,
+            }];
+        }
+        self.full = OnceLock::new();
+        let run = &mut self.runs[0];
+        Arc::make_mut(&mut run.block).push(record);
+        run.end += 1;
+        self.len += 1;
     }
 
     /// Iterate over the value indices of attribute `col` across all records.
     pub fn column(&self, col: usize) -> impl Iterator<Item = u16> + '_ {
-        self.records().iter().map(move |r| r.get(col))
+        self.iter().map(move |r| r.get(col))
     }
 
     /// Uniformly sample one record (the seed selection step of Mechanism 1).
@@ -367,7 +455,7 @@ impl Dataset {
 
     /// Return a new dataset with the records shuffled.
     pub fn shuffled<R: Rng + ?Sized>(&self, rng: &mut R) -> Dataset {
-        let mut records = self.records().to_vec();
+        let mut records: Vec<Record> = self.iter().cloned().collect();
         records.shuffle(rng);
         Dataset::from_records_unchecked(self.schema_arc(), records)
     }
@@ -376,7 +464,7 @@ impl Dataset {
     /// counts records whose value combination appears exactly once).
     pub fn distinct_count(&self) -> usize {
         let mut set: HashSet<&[u16]> = HashSet::with_capacity(self.len());
-        for r in self.records() {
+        for r in self.iter() {
             set.insert(r.values());
         }
         set.len()
@@ -387,7 +475,7 @@ impl Dataset {
     pub fn singleton_count(&self) -> usize {
         use std::collections::HashMap;
         let mut counts: HashMap<&[u16], usize> = HashMap::with_capacity(self.len());
-        for r in self.records() {
+        for r in self.iter() {
             *counts.entry(r.values()).or_insert(0) += 1;
         }
         counts.values().filter(|&&c| c == 1).count()
@@ -400,17 +488,13 @@ impl Dataset {
                 "cannot concatenate datasets with different schemas".to_string(),
             ));
         }
-        let mut records = self.records().to_vec();
-        records.extend_from_slice(other.records());
+        let records = self.iter().chain(other.iter()).cloned().collect();
         Ok(Dataset::from_records_unchecked(self.schema_arc(), records))
     }
 
     /// Keep only the first `n` records.
     pub fn truncated(&self, n: usize) -> Dataset {
-        Dataset::from_records_unchecked(
-            self.schema_arc(),
-            self.records()[..n.min(self.len())].to_vec(),
-        )
+        Dataset::from_records_unchecked(self.schema_arc(), self.iter().take(n).cloned().collect())
     }
 }
 
@@ -590,11 +674,14 @@ mod tests {
         let extra = vec![Record::new(vec![1, 0]), Record::new(vec![2, 1])];
         let appended = d.with_appended(extra.clone()).unwrap();
         // The base block is shared, not copied.
-        assert!(Arc::ptr_eq(&d.base, &appended.base));
+        assert!(Arc::ptr_eq(&d.runs[0].block, &appended.runs[0].block));
+        assert_eq!(appended.runs.len(), 2);
         assert_eq!(appended.len(), d.len() + 2);
-        // Point lookups resolve without materializing the concatenation.
+        // Point lookups and passes resolve without materializing the
+        // concatenation.
         assert_eq!(appended.record(0), d.record(0));
         assert_eq!(appended.record(d.len()), &extra[0]);
+        assert_eq!(appended.iter().count(), d.len() + 2);
         assert!(appended.full.get().is_none());
         // The contiguous view equals an explicit concatenation.
         let mut expect = d.records().to_vec();
@@ -602,7 +689,7 @@ mod tests {
         assert_eq!(appended.records(), expect.as_slice());
         // Appending nothing is a cheap clone of the whole dataset.
         let same = d.with_appended(Vec::new()).unwrap();
-        assert!(Arc::ptr_eq(&d.base, &same.base));
+        assert!(Arc::ptr_eq(&d.runs[0].block, &same.runs[0].block));
         assert_eq!(same.len(), d.len());
     }
 
@@ -611,12 +698,115 @@ mod tests {
         let d = dataset();
         let once = d.with_appended(vec![Record::new(vec![0, 0])]).unwrap();
         let twice = once.with_appended(vec![Record::new(vec![1, 1])]).unwrap();
-        assert!(Arc::ptr_eq(&d.base, &twice.base));
+        assert!(Arc::ptr_eq(&d.runs[0].block, &twice.runs[0].block));
+        assert!(Arc::ptr_eq(&once.runs[1].block, &twice.runs[1].block));
         assert_eq!(twice.len(), d.len() + 2);
         let mut expect = d.records().to_vec();
         expect.push(Record::new(vec![0, 0]));
         expect.push(Record::new(vec![1, 1]));
         assert_eq!(twice.records(), expect.as_slice());
+    }
+
+    /// `model` after `deletes` retract the first remaining occurrence of
+    /// their values and `inserts` are appended, with the retracted positions
+    /// (ascending); `None` when a delete has no occurrence left.
+    fn model_step(
+        model: &[Record],
+        deletes: &[Record],
+        inserts: &[Record],
+    ) -> Option<(Vec<usize>, Vec<Record>)> {
+        let mut retracted = vec![false; model.len()];
+        for del in deletes {
+            let position = (0..model.len()).find(|&i| !retracted[i] && model[i] == *del)?;
+            retracted[position] = true;
+        }
+        let positions = (0..model.len()).filter(|&i| retracted[i]).collect();
+        let mut next: Vec<Record> = (0..model.len())
+            .filter(|&i| !retracted[i])
+            .map(|i| model[i].clone())
+            .collect();
+        next.extend_from_slice(inserts);
+        Some((positions, next))
+    }
+
+    #[test]
+    fn roped_chains_read_like_a_flat_vector() {
+        let schema = Arc::new(
+            Schema::new(vec![
+                Attribute::categorical_anon("A", 40),
+                Attribute::categorical_anon("B", 4),
+            ])
+            .unwrap(),
+        );
+        let mut rng = StdRng::seed_from_u64(41);
+        let draw = |rng: &mut StdRng| Record::new(vec![rng.gen_range(0..40), rng.gen_range(0..4)]);
+        let base: Vec<Record> = (0..300).map(|_| draw(&mut rng)).collect();
+        let mut data = Dataset::from_records_unchecked(Arc::clone(&schema), base.clone());
+        let mut model = base;
+        let (mut compactions, mut failures) = (0, 0);
+        for step in 0..600 {
+            let inserts: Vec<Record> = (0..rng.gen_range(0..6)).map(|_| draw(&mut rng)).collect();
+            // Deletes land on run edges, inside insert runs (every run past
+            // the first), anywhere at random, and now and then on a value the
+            // dataset no longer holds.
+            let mut deletes = Vec::new();
+            for _ in 0..rng.gen_range(0..7) {
+                if data.is_empty() {
+                    break;
+                }
+                let run = &data.runs[rng.gen_range(0..data.runs.len())];
+                let position = match rng.gen_range(0..3) {
+                    0 => run.at,
+                    1 => run.at + run.end - run.start - 1,
+                    _ => rng.gen_range(0..data.len()),
+                };
+                deletes.push(data.record(position).clone());
+            }
+            if step % 50 == 7 {
+                deletes.push(draw(&mut rng));
+            }
+            let expected = model_step(&model, &deletes, &inserts);
+            let result = if deletes.is_empty() {
+                data.with_appended(inserts.clone()).map(|d| (Vec::new(), d))
+            } else {
+                crate::delta::retract_and_append(&data, &deletes, &inserts)
+            };
+            let (positions, next) = match (result, expected) {
+                (Ok(derived), Some(expected)) => {
+                    assert_eq!(derived.0, expected.0, "step {step}: retracted positions");
+                    model = expected.1;
+                    derived
+                }
+                (Err(_), None) => {
+                    failures += 1;
+                    continue;
+                }
+                (result, expected) => panic!(
+                    "step {step}: the rope returned {:?}, the model {:?}",
+                    result.map(|r| r.0),
+                    expected.map(|e| e.0)
+                ),
+            };
+            // A derivation shrinks the run count by at most one a delete;
+            // dropping to one run from more than that is a compaction.
+            if next.runs.len() == 1 && data.runs.len() > 1 + positions.len() {
+                compactions += 1;
+            }
+            assert!(
+                next.runs.len() <= MAX_RUNS,
+                "step {step}: {} runs",
+                next.runs.len()
+            );
+            assert_eq!(next.len(), model.len(), "step {step}");
+            for (i, record) in model.iter().enumerate() {
+                assert_eq!(next.record(i), record, "step {step}, record {i}");
+            }
+            assert!(next.iter().eq(model.iter()), "step {step}");
+            assert_eq!(next.records(), model.as_slice(), "step {step}");
+            data = next;
+        }
+        assert!(compactions >= 3, "{compactions} compactions");
+        assert!(failures >= 3, "{failures} failed deletes");
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl InvertedIndexStore {
                 postings: vec![Vec::new(); buckets.bucket_count()],
             });
         }
-        for (idx, record) in seeds.records().iter().enumerate() {
+        for (idx, record) in seeds.iter().enumerate() {
             for (attr, index) in attributes.iter_mut().enumerate() {
                 let bucket = index.buckets.bucket_of(record.get(attr));
                 index.postings[bucket as usize].push(idx as u32);

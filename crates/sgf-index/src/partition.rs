@@ -214,7 +214,7 @@ impl PartitionIndexStore {
         }
         let mut classes: Vec<EquivalenceClass> = Vec::new();
         let mut by_projection: BTreeMap<Vec<u16>, u32> = BTreeMap::new();
-        for (idx, record) in seeds.records().iter().enumerate() {
+        for (idx, record) in seeds.iter().enumerate() {
             let projection: Vec<u16> = key.iter().map(|&a| record.get(a)).collect();
             match by_projection.get(&projection) {
                 Some(&class) => classes[class as usize].members.push(idx as u32),

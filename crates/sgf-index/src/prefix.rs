@@ -58,12 +58,17 @@ impl PrefixIndexStore {
     pub fn build(seeds: &Dataset, order: &[usize]) -> Result<Self, DataError> {
         let start = std::time::Instant::now();
         check_order(order, seeds.schema().len())?;
-        let records = seeds.records();
         let raw: Vec<Vec<u16>> = order
             .iter()
-            .map(|&attr| records.iter().map(|r| r.get(attr)).collect())
+            .map(|&attr| {
+                let mut column = Vec::with_capacity(seeds.len());
+                for rows in seeds.slices() {
+                    column.extend(rows.iter().map(|r| r.get(attr)));
+                }
+                column
+            })
             .collect();
-        let mut sorted: Vec<usize> = (0..records.len()).collect();
+        let mut sorted: Vec<usize> = (0..seeds.len()).collect();
         let mut scratch = vec![0; sorted.len()];
         for column in raw.iter().rev() {
             let domain = column.iter().copied().max().map_or(0, |v| v as usize + 1);
@@ -87,7 +92,7 @@ impl PrefixIndexStore {
             .collect();
         let store = PrefixIndexStore {
             order: order.to_vec(),
-            len: records.len(),
+            len: seeds.len(),
             columns,
         };
         sgf_metrics::counter("index.prefix.builds").incr();

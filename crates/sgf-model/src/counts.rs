@@ -76,7 +76,7 @@ impl StructureCounts {
                 dataset.schema().len()
             )));
         }
-        for record in dataset.records() {
+        for record in dataset.iter() {
             counts.add_record(record, bucketizer);
         }
         Ok(counts)

@@ -99,7 +99,9 @@ struct AttributeTable {
 
 /// One attribute's conditionals: a write-once slot per parent configuration,
 /// holding the row `[pmf | cdf]` — the conditional, then its running sums.
-type ConditionalSlots = Box<[OnceLock<Box<[f64]>>]>;
+/// A row is shared, so a store derived by [`CptStore::apply_delta`] carries
+/// the rows the delta left alone without copying them.
+type ConditionalSlots = Box<[OnceLock<Arc<[f64]>>]>;
 
 /// The learned conditional-probability store: counts from `D_P` plus lazily
 /// materialized (noisy) probability tables.
@@ -267,7 +269,7 @@ impl CptStore {
             });
         }
 
-        for record in dataset.records() {
+        for record in dataset.iter() {
             for (attr, table) in tables.iter_mut().enumerate() {
                 let mut config_idx: u64 = 0;
                 for (&p, &stride) in table.parents.iter().zip(table.parent_strides.iter()) {
@@ -286,10 +288,11 @@ impl CptStore {
     }
 
     /// Assemble a store from (possibly delta-merged) sufficient statistics.
-    /// The conditional cache starts empty; because noise is materialized
+    /// The conditional cache starts empty.  Because noise is materialized
     /// lazily from per-configuration seeded RNGs, a store built from merged
     /// counts exposes conditionals bit-identical to a from-scratch
-    /// [`Self::learn`] on a dataset with the same counts.
+    /// [`Self::learn`] on a dataset with the same counts
+    /// ([`Self::apply_delta`] starts from the parent's filled rows instead).
     pub fn from_counts(
         counts: CptCounts,
         bucketizer: &Bucketizer,
@@ -338,8 +341,14 @@ impl CptStore {
     }
 
     /// Apply a record delta to this store's counts, returning a new store
-    /// with an empty conditional cache.  Only valid while the dependency
-    /// graph is unchanged; a structure re-learn must go through
+    /// that carries every filled conditional row of a configuration no
+    /// delta record falls in.  A row is a pure function of its attribute,
+    /// its configuration, that configuration's counts and the config, so a
+    /// carried row is bit-identical to the one the new store would
+    /// materialize; the configurations the delta touches start empty.  The
+    /// touched configurations are read off the delta records, O(|Δ| · m),
+    /// and a carried row is shared, not copied.  Only valid while the
+    /// dependency graph is unchanged; a structure re-learn must go through
     /// [`Self::learn`] on the new `D_P` instead.
     pub fn apply_delta(
         &self,
@@ -352,7 +361,15 @@ impl CptStore {
             records: self.training_records,
         };
         counts.apply_delta(deletes, inserts, &self.bucketizer)?;
-        Self::from_counts(counts, &self.bucketizer, &self.graph, self.config)
+        let mut store = Self::from_counts(counts, &self.bucketizer, &self.graph, self.config)?;
+        store.cache = self.cache.clone();
+        for record in deletes.iter().chain(inserts) {
+            for attr in 0..store.tables.len() {
+                let configuration = store.configuration_index(attr, |p| record.get(p));
+                store.cache[attr][configuration as usize].take();
+            }
+        }
+        Ok(store)
     }
 
     /// Raw contingency counts of attribute `attr` (`config * cardinality + value`
@@ -437,7 +454,7 @@ impl CptStore {
 
     /// Compute the `[pmf | cdf]` row of an in-range `configuration`: its
     /// counts and its noise RNG are both keyed by `configuration` itself.
-    fn materialize(&self, attr: usize, configuration: u64) -> Box<[f64]> {
+    fn materialize(&self, attr: usize, configuration: u64) -> Arc<[f64]> {
         let table = &self.tables[attr];
         let card = table.cardinality;
         let start = configuration as usize * card;
@@ -482,7 +499,7 @@ impl CptStore {
             running += row[value];
             row.push(running);
         }
-        row.into_boxed_slice()
+        row.into()
     }
 
     /// Conditional probability of `value` for attribute `attr` given the full
@@ -692,41 +709,118 @@ mod tests {
         assert!((hits as f64 / n as f64 - p).abs() < 0.03);
     }
 
+    /// Every `(attribute, configuration)` a record of `deletes` or `inserts`
+    /// falls in.
+    fn touched(store: &CptStore, deletes: &[Record], inserts: &[Record]) -> Vec<(usize, u64)> {
+        let mut touched: Vec<(usize, u64)> = deletes
+            .iter()
+            .chain(inserts)
+            .flat_map(|r| (0..3).map(|attr| (attr, store.configuration_index(attr, |p| r.get(p)))))
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        touched
+    }
+
+    /// Check the rows a delta-derived store holds before any read: a carried
+    /// row is the parent's allocation and equals the fresh store's row, no
+    /// touched configuration is carried, and no untouched filled row is
+    /// dropped.  Returns how many rows were carried.
+    fn check_carry(
+        parent: &CptStore,
+        updated: &CptStore,
+        fresh: &CptStore,
+        touched: &[(usize, u64)],
+    ) -> std::result::Result<usize, String> {
+        let mut carried = 0;
+        for attr in 0..3 {
+            for c in 0..updated.configurations(attr) {
+                let filled = parent.cache[attr][c as usize].get();
+                let is_touched = touched.contains(&(attr, c));
+                match updated.cache[attr][c as usize].get() {
+                    Some(row) => {
+                        if **row != *fresh.row(attr, c) {
+                            return Err(format!("{attr}/{c}: carried row differs"));
+                        }
+                        if is_touched {
+                            return Err(format!("{attr}/{c}: touched row carried"));
+                        }
+                        if !filled.is_some_and(|old| Arc::ptr_eq(old, row)) {
+                            return Err(format!("{attr}/{c}: row not shared"));
+                        }
+                        carried += 1;
+                    }
+                    None if filled.is_some() && !is_touched => {
+                        return Err(format!("{attr}/{c}: untouched row dropped"));
+                    }
+                    None => {}
+                }
+            }
+        }
+        Ok(carried)
+    }
+
     #[test]
     fn delta_merged_counts_rebuild_the_same_store() {
-        let d = dataset(1000);
+        let (d, g) = wide_dataset(1000);
         let bkt = Bucketizer::identity(d.schema());
-        let config = ParameterConfig {
-            epsilon_p: Some(0.3),
-            sample_parameters: true,
-            global_seed: 7,
-            ..ParameterConfig::default()
-        };
-        let store = CptStore::learn(&d, &bkt, &graph(), config).unwrap();
-        // Warm the cache to show it does not leak into the delta result.
-        let _ = store.conditional(1, 0);
-
         let deletes: Vec<Record> = d.records()[..4].to_vec();
-        let inserts = vec![Record::new(vec![2, 2]), Record::new(vec![0, 1])];
-        let updated = store.apply_delta(&deletes, &inserts).unwrap();
-
+        let inserts = vec![Record::new(vec![2, 2, 4]), Record::new(vec![0, 1, 1])];
         let mut final_records: Vec<Record> = d.records()[4..].to_vec();
         final_records.extend(inserts.iter().cloned());
         let final_dataset = Dataset::from_records_unchecked(d.schema_arc(), final_records);
-        let fresh = CptStore::learn(&final_dataset, &bkt, &graph(), config).unwrap();
-
-        assert_eq!(updated, fresh);
-        assert_eq!(updated.training_records(), 998);
-        for attr in 0..2 {
-            assert_eq!(updated.table_counts(attr), fresh.table_counts(attr));
-            for c in 0..updated.configurations(attr) {
-                assert_eq!(*updated.conditional(attr, c), *fresh.conditional(attr, c));
+        let exact = ParameterConfig::default();
+        let noisy = ParameterConfig {
+            epsilon_p: Some(0.3),
+            global_seed: 7,
+            ..exact
+        };
+        let sampled = ParameterConfig {
+            sample_parameters: true,
+            ..noisy
+        };
+        for config in [exact, noisy, sampled] {
+            let store = CptStore::learn(&d, &bkt, &g, config).unwrap();
+            // Warm every slot but one untouched configuration, so the delta
+            // result must carry the untouched rows, leave the touched ones
+            // to refill, and leave an empty slot empty.
+            let touched = touched(&store, &deletes, &inserts);
+            let cold = (0..20).find(|&c| !touched.contains(&(2, c))).unwrap();
+            for attr in 0..3 {
+                for c in 0..store.configurations(attr) {
+                    if (attr, c) != (2, cold) {
+                        let _ = store.conditional(attr, c);
+                    }
+                }
             }
+            let updated = store.apply_delta(&deletes, &inserts).unwrap();
+            let fresh = CptStore::learn(&final_dataset, &bkt, &g, config).unwrap();
+            assert_eq!(updated, fresh);
+            assert_eq!(updated.training_records(), 998);
+            let carried = check_carry(&store, &updated, &fresh, &touched).unwrap();
+            assert_eq!(carried, 25 - touched.len() - 1, "{config:?}");
+            assert!(updated.cache[2][cold as usize].get().is_none());
+            for attr in 0..3 {
+                assert_eq!(updated.table_counts(attr), fresh.table_counts(attr));
+                for c in 0..updated.configurations(attr) {
+                    assert_eq!(*updated.conditional(attr, c), *fresh.conditional(attr, c));
+                }
+            }
+
+            // A store that carried every filled slot would serve the stale
+            // rows of the configurations whose counts moved.
+            let mut mutant = store.apply_delta(&deletes, &inserts).unwrap();
+            mutant.cache = store.cache.clone();
+            assert!(check_carry(&store, &mutant, &fresh, &touched).is_err());
+            assert!(touched
+                .iter()
+                .any(|&(attr, c)| mutant.conditional(attr, c) != fresh.conditional(attr, c)));
         }
 
         // Deleting a record that was never counted underflows and is rejected.
-        let phantom = vec![Record::new(vec![2, 0]); 2000];
-        assert!(updated.apply_delta(&phantom, &[]).is_err());
+        let store = CptStore::learn(&d, &bkt, &g, exact).unwrap();
+        let phantom = vec![Record::new(vec![2, 0, 0]); 2000];
+        assert!(store.apply_delta(&phantom, &[]).is_err());
     }
 
     #[test]

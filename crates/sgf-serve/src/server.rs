@@ -613,8 +613,8 @@ fn admit_update(
     };
     let scope = &registered.scope;
     // Hold the slot for the whole update: admissions for this session wait
-    // (milliseconds — the update is O(|delta|)), and the epoch swap is atomic
-    // with respect to them.
+    // (microseconds — the update copies only what the delta touches), and
+    // the epoch swap is atomic with respect to them.
     let mut slot = locked(&registered.session);
     let delta = {
         // The delta validates against the session's schema; a record of the
@@ -654,7 +654,9 @@ fn admit_update(
         Ok(next) => {
             let epoch = next.epoch();
             let seeds = next.seeds().len();
-            *slot = next;
+            // The retired epoch is dropped after the answer is written, so
+            // freeing whatever it alone holds does not delay the client.
+            let retired = std::mem::replace(&mut *slot, next);
             drop(slot);
             sgf_metrics::scoped(scope).counter("serve.updates").incr();
             log_request(state, request_id, "update", &call.session, "ok");
@@ -666,6 +668,7 @@ fn admit_update(
                 ("deletes", call.deletes.len().into()),
             ];
             write_line(out, &ok_line("update", fields));
+            drop(retired);
         }
         Err(err) => {
             drop(slot);

@@ -210,3 +210,74 @@ fn bulk_inserts_exercise_the_structure_relearn_path() {
     assert_eq!(*updated.models().cpts, *fresh.models().cpts);
     assert_eq!(updated.prefix_store(), fresh.prefix_store());
 }
+
+/// A long chain of size-neutral updates, each followed by a generate so the
+/// next update carries filled CPT rows: the split subsets are roped through
+/// dozens of run splits and several compactions, and every carried row must
+/// still equal the one a from-scratch retrain materializes.
+#[test]
+fn long_update_chains_match_a_retrain_row_for_row() {
+    let bucketizer = acs_bucketizer(&acs_schema());
+    let mut current = generate_acs(2_000, 71);
+    let mut session = SynthesisEngine::from_config(small_config(71))
+        .train(&current, &bucketizer)
+        .unwrap();
+    let mut carried_steps = 0;
+    for step in 0..160u64 {
+        let mut delta = DatasetDelta::new(current.schema_arc());
+        delete_spread(
+            &mut delta,
+            &current,
+            10,
+            step.wrapping_mul(0x9E37_79B9) ^ 71,
+        );
+        for record in generate_acs(10, 10_000 + step).records() {
+            delta.insert(record.clone()).unwrap();
+        }
+        current = delta.apply(&current).unwrap();
+        session = session.update(&delta).unwrap();
+        if session.models().cpts.cached_configurations() > 0 {
+            carried_steps += 1;
+        }
+        session
+            .generate(&GenerateRequest::new(2).with_seed(step))
+            .unwrap();
+    }
+    // An update that re-learns the structure learns the CPTs afresh.
+    assert!(carried_steps >= 80, "{carried_steps} updates carried rows");
+    let fresh = SynthesisEngine::from_config(small_config(71))
+        .train(&current, &bucketizer)
+        .unwrap();
+
+    let (updated, fresh_split) = (session.split(), fresh.split());
+    assert_eq!(updated.structure.records(), fresh_split.structure.records());
+    assert_eq!(
+        updated.parameters.records(),
+        fresh_split.parameters.records()
+    );
+    assert_eq!(updated.seeds.records(), fresh_split.seeds.records());
+    assert_eq!(updated.test.records(), fresh_split.test.records());
+
+    let (cpts, fresh_cpts) = (&session.models().cpts, &fresh.models().cpts);
+    assert_eq!(**cpts, **fresh_cpts);
+    for attr in 0..acs_schema().len() {
+        for configuration in 0..cpts.configurations(attr) {
+            let (row, fresh_row) = (
+                cpts.conditional(attr, configuration),
+                fresh_cpts.conditional(attr, configuration),
+            );
+            assert!(
+                row.iter()
+                    .map(|p| p.to_bits())
+                    .eq(fresh_row.iter().map(|p| p.to_bits())),
+                "attribute {attr}, configuration {configuration}"
+            );
+        }
+    }
+
+    let request = GenerateRequest::new(10).with_seed(7);
+    let a = session.generate(&request).unwrap();
+    let b = fresh.generate(&request).unwrap();
+    assert_eq!(a.synthetics.records(), b.synthetics.records());
+    assert_eq!(a.stats.released, b.stats.released);
+}
