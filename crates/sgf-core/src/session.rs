@@ -2081,26 +2081,39 @@ mod tests {
 
     #[test]
     fn metrics_do_not_perturb_releases_and_counters_flow() {
-        // Instrumentation never touches the request RNG streams: released
-        // records are byte-identical with metrics enabled and disabled,
-        // unscoped and scoped, traced and untraced.  The halves share one
-        // test because `set_enabled` is process-global.
+        // Instrumentation never touches the request RNG streams: an
+        // instrumented release, scoped or scoped and traced, is byte-identical
+        // to the scan replay through `Mechanism::propose`, which records no
+        // metric.
         let data = generate_acs(3500, 43);
         let bkt = acs_bucketizer(&acs_schema());
         let session = small_engine(43).train(&data, &bkt).unwrap();
         let request = GenerateRequest::new(12).with_seed(5).with_workers(4);
 
-        let before = sgf_metrics::global().snapshot();
-        let on = session.generate(&request).unwrap();
-        let delta = sgf_metrics::global().snapshot().delta(&before);
-        // `>=`, not `==`: other tests in this binary generate concurrently.
-        assert!(delta.counter("core.mechanism.requests") >= 1);
-        assert!(delta.counter("core.mechanism.candidates") >= on.stats.candidates as u64);
-        assert!(delta.counter("core.mechanism.released") >= on.stats.released as u64);
+        // Only this request writes the `session=counters` cell, so its
+        // counters are exact.
+        let on = session
+            .clone()
+            .with_scope(Scope::new().label("session", "counters"))
+            .generate(&request)
+            .unwrap();
+        let (replayed, _) = replay(&session, None, None, &request);
+        assert_eq!(on.synthetics.records(), &replayed[..]);
+        let snapshot = sgf_metrics::global().snapshot();
+        let cell = &snapshot.scopes["session=counters"];
+        assert_eq!(cell.counter("core.mechanism.requests"), 1);
+        for (name, value) in on.stats.counters() {
+            assert_eq!(
+                cell.counter(&format!("core.mechanism.{name}")),
+                value as u64,
+                "{name}"
+            );
+        }
         assert!(
-            delta.counter("core.mechanism.selection_locks")
-                >= delta.counter("core.mechanism.released")
+            cell.counter("core.mechanism.selection_locks")
+                >= cell.counter("core.mechanism.released")
         );
+        assert_eq!(cell.summaries["core.mechanism.workers"].sum, 4);
         // Untraced requests still carry provenance, with no trace spans.
         assert_eq!(on.provenance.trace_spans, 0);
         assert_eq!(on.provenance.seeds, session.seeds().len());
@@ -2142,12 +2155,6 @@ mod tests {
             parsed.get("store").and_then(|s| s.as_str()),
             Some(traced.provenance.store)
         );
-
-        sgf_metrics::set_enabled(false);
-        let off = session.generate(&request).unwrap();
-        sgf_metrics::set_enabled(true);
-        assert_eq!(on.synthetics.records(), off.synthetics.records());
-        assert_eq!(on.stats.released, off.stats.released);
     }
 
     #[test]

@@ -1,9 +1,6 @@
 //! Multi-rank block claims at `workers > 1` release exactly what one worker
-//! and a stream release.
-//!
-//! Kept in its own test binary: its blocks merge several passes per
-//! selection lock, and the unit tests compare process-global lock and
-//! release counters that this request must not feed.
+//! and a stream release, though a block merges several passes per
+//! selection lock.
 
 use sgf_core::{GenerateRequest, PrivacyTestConfig, SynthesisEngine};
 use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};

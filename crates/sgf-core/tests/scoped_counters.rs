@@ -3,9 +3,8 @@
 //!
 //! The release path resolves its metric handles once per scope and keeps
 //! them, so this checks that the kept handles land every request in the
-//! scope's cell.  Kept in its own test binary: the unit tests in this crate
-//! switch metrics off process-wide while they prove instrumentation inert,
-//! and an update missed in that window would break the exact equalities.
+//! scope's cell.  No other test writes the cell, so its counters are exact
+//! even beside tests that release into the same process-wide registry.
 
 use sgf_core::{GenerateRequest, PrivacyTestConfig, SynthesisEngine};
 use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};

@@ -28,6 +28,5 @@ pub use error::{DataError, Result};
 pub use record::{Dataset, Record};
 pub use schema::{Attribute, AttributeKind, Schema};
 pub use split::{
-    split_dataset, split_dataset_by_hash, split_role, train_test_split, DataSplit, SplitRole,
-    SplitSpec,
+    split_dataset, split_dataset_by_hash, split_role, DataSplit, SplitRole, SplitSpec,
 };

@@ -217,39 +217,6 @@ pub fn split_dataset_by_hash(dataset: &Dataset, spec: &SplitSpec, seed: u64) -> 
     })
 }
 
-/// Split a dataset into a train/test pair (used by the ML evaluation).
-pub fn train_test_split<R: Rng + ?Sized>(
-    dataset: &Dataset,
-    test_fraction: f64,
-    rng: &mut R,
-) -> Result<(Dataset, Dataset)> {
-    if !(0.0..1.0).contains(&test_fraction) {
-        return Err(DataError::InvalidSplit(format!(
-            "test fraction {test_fraction} must lie in [0, 1)"
-        )));
-    }
-    if dataset.is_empty() {
-        return Err(DataError::EmptyDataset);
-    }
-    let n = dataset.len();
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.shuffle(rng);
-    let n_test = (test_fraction * n as f64).round() as usize;
-    let schema = dataset.schema_arc();
-    let test_records = idx[..n_test]
-        .iter()
-        .map(|&i| dataset.record(i).clone())
-        .collect();
-    let train_records = idx[n_test..]
-        .iter()
-        .map(|&i| dataset.record(i).clone())
-        .collect();
-    Ok((
-        Dataset::from_records_unchecked(schema.clone(), train_records),
-        Dataset::from_records_unchecked(schema, test_records),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,15 +378,5 @@ mod tests {
                 .collect();
             assert_eq!(xs, ys);
         }
-    }
-
-    #[test]
-    fn train_test_split_partitions_everything() {
-        let d = dataset(100);
-        let mut rng = StdRng::seed_from_u64(9);
-        let (train, test) = train_test_split(&d, 0.3, &mut rng).unwrap();
-        assert_eq!(train.len() + test.len(), 100);
-        assert_eq!(test.len(), 30);
-        assert!(train_test_split(&d, 1.5, &mut rng).is_err());
     }
 }

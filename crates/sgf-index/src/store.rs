@@ -126,8 +126,8 @@ pub trait SeedStore: Send + Sync + std::fmt::Debug {
 
 /// Validate the delete-index list of an incremental store update: strictly
 /// ascending (sorted, duplicate-free) and every index inside `0..len`.
-/// Shared by every `apply_delta` implementation so they reject malformed
-/// deltas identically.
+/// Shared by the inverted and partition stores' `apply_delta` so they reject
+/// malformed deltas identically.
 pub(crate) fn validate_delete_indices(
     deletes: &[usize],
     len: usize,

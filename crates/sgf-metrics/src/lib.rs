@@ -20,9 +20,9 @@
 //! Two invariants shape everything here:
 //!
 //! 1. **Instrumentation must not perturb the measured system.**  Metric
-//!    updates are lock-free atomics, never draw randomness, and can be
-//!    disabled process-wide ([`set_enabled`]); the workspace's equivalence
-//!    suites assert byte-identical releases with metrics on vs off.
+//!    updates are lock-free atomics and never draw randomness; the
+//!    workspace's equivalence suites assert that an instrumented release is
+//!    byte-identical to an uninstrumented replay of the same request.
 //! 2. **Deterministic output** (sgf-lint R2): snapshots iterate in sorted
 //!    name order and render to canonical JSON, so two runs of the same build
 //!    produce diffable metric documents.
@@ -52,8 +52,8 @@ mod trace;
 
 pub use json::{Json, ParseError};
 pub use registry::{
-    counter, enabled, global, scoped, set_enabled, summary, summary_bucket, timer, view, Counter,
-    Registry, Snapshot, Summary, SummaryStats, Timer, TimerGuard, TimerStats, SUMMARY_BUCKETS,
+    counter, global, scoped, summary, summary_bucket, timer, view, Counter, Registry, Snapshot,
+    Summary, SummaryStats, Timer, TimerGuard, TimerStats, SUMMARY_BUCKETS,
 };
 pub use scope::{Scope, ScopedCounter, ScopedSummary, ScopedTimer, ScopedView};
 pub use trace::{trace, SpanId, Trace, TraceBatch, TraceEvent, TRACE_CAPACITY};

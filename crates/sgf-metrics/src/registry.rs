@@ -11,42 +11,15 @@
 //! * **Deterministic iteration** (sgf-lint R2): metrics live in a `BTreeMap`,
 //!   so snapshots and their JSON render in one canonical order.
 //! * **Never panic the host** (the spirit of R3): the registry mutex is
-//!   poison-tolerant, and disabled metrics degrade to no-ops.
+//!   poison-tolerant, and a name registered under another kind hands out a
+//!   detached handle rather than panicking.
 
 use crate::json::Json;
 use crate::scope::{Scope, ScopedView};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Global switch: when disabled, every update on every metric is a no-op.
-///
-/// Metrics are on by default.  The switch exists so the equivalence suite can
-/// prove that instrumentation never feeds back into the measured computation:
-/// released records must be byte-identical either way.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable all metric updates process-wide.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether metric updates are currently enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Serializes the unit tests that flip [`set_enabled`] or assert what an
-/// update recorded: the switch is process-global, so one test turning it off
-/// would void a sibling's updates.
-#[cfg(test)]
-pub(crate) fn switch_guard() -> MutexGuard<'static, ()> {
-    static SWITCH: Mutex<()> = Mutex::new(());
-    SWITCH
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Number of log2 magnitude buckets a [`Summary`] tracks (`u64` has 64 bit
 /// positions; bucket `i` holds values whose highest set bit is `i - 1`, with
@@ -62,9 +35,7 @@ pub struct Counter {
 impl Counter {
     /// Add `n` to the counter.
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Add one.
@@ -89,9 +60,6 @@ pub struct Timer {
 impl Timer {
     /// Record one observed duration.
     pub fn observe(&self, elapsed: Duration) {
-        if !enabled() {
-            return;
-        }
         let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
@@ -192,9 +160,6 @@ pub fn summary_bucket(value: u64) -> usize {
 impl Summary {
     /// Record one observation.
     pub fn observe(&self, value: u64) {
-        if !enabled() {
-            return;
-        }
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.min.fetch_min(value, Ordering::Relaxed);
@@ -308,10 +273,9 @@ enum Metric {
 /// mutex too); an update through a handle is a relaxed atomic.  Hot paths
 /// therefore resolve their handles once — per session, server, queue or
 /// worker, not per request — and keep them: entries are never removed, so a
-/// kept handle always updates the registered metric, and [`set_enabled`]
-/// still gates every update.  The release path works this way (sgf-core's
-/// per-session mechanism handles, sgf-serve's session, queue and worker
-/// handles); cold paths may look metrics up by name.
+/// kept handle always updates the registered metric.  The release path works
+/// this way (sgf-core's per-session mechanism handles, sgf-serve's session,
+/// queue and worker handles); cold paths may look metrics up by name.
 #[derive(Default)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
@@ -693,7 +657,6 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_snapshot_in_sorted_order() {
-        let _switch = switch_guard();
         let registry = Registry::new();
         registry.counter("z.last").add(2);
         registry.counter("a.first").incr();
@@ -708,7 +671,6 @@ mod tests {
 
     #[test]
     fn timers_track_count_total_and_max() {
-        let _switch = switch_guard();
         let registry = Registry::new();
         let timer = registry.timer("t");
         timer.observe(Duration::from_millis(2));
@@ -729,7 +691,6 @@ mod tests {
 
     #[test]
     fn summaries_bucket_by_magnitude() {
-        let _switch = switch_guard();
         assert_eq!(summary_bucket(0), 0);
         assert_eq!(summary_bucket(1), 1);
         assert_eq!(summary_bucket(2), 2);
@@ -764,7 +725,6 @@ mod tests {
 
     #[test]
     fn kind_clashes_yield_detached_handles_not_panics() {
-        let _switch = switch_guard();
         let registry = Registry::new();
         registry.counter("name").add(3);
         let detached = registry.timer("name");
@@ -776,7 +736,6 @@ mod tests {
 
     #[test]
     fn delta_subtracts_counters_and_counts() {
-        let _switch = switch_guard();
         let registry = Registry::new();
         let counter = registry.counter("c");
         let timer = registry.timer("t");
@@ -797,7 +756,6 @@ mod tests {
 
     #[test]
     fn snapshot_json_round_trips() {
-        let _switch = switch_guard();
         let registry = Registry::new();
         registry.counter("requests").add(1234);
         registry
@@ -826,27 +784,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_metrics_are_no_ops() {
-        let _switch = switch_guard();
-        let registry = Registry::new();
-        let counter = registry.counter("c");
-        let timer = registry.timer("t");
-        let summary = registry.summary("s");
-        set_enabled(false);
-        counter.add(5);
-        timer.observe(Duration::from_millis(1));
-        summary.observe(9);
-        set_enabled(true);
-        assert_eq!(counter.get(), 0);
-        assert_eq!(timer.stats().count, 0);
-        assert_eq!(summary.stats().count, 0);
-        counter.incr();
-        assert_eq!(counter.get(), 1);
-    }
-
-    #[test]
     fn scoped_snapshots_nest_delta_and_round_trip() {
-        let _switch = switch_guard();
         let registry = Registry::new();
         registry.counter("c").add(1);
         let a = Scope::new().label("session", "a");
@@ -891,7 +829,6 @@ mod tests {
 
     #[test]
     fn quantile_upper_bound_reads_the_buckets() {
-        let _switch = switch_guard();
         let registry = Registry::new();
         let summary = registry.summary("s");
         assert_eq!(summary.stats().quantile_upper_bound(0.95), 0);
@@ -917,7 +854,6 @@ mod tests {
 
     #[test]
     fn quantile_upper_bound_is_nan_safe_and_clamped() {
-        let _switch = switch_guard();
         let registry = Registry::new();
         let summary = registry.summary("s");
         for _ in 0..95 {
@@ -944,7 +880,6 @@ mod tests {
 
     #[test]
     fn global_registry_hands_out_shared_handles() {
-        let _switch = switch_guard();
         let a = counter("test.global.shared");
         let b = counter("test.global.shared");
         a.add(2);

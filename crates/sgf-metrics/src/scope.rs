@@ -156,11 +156,6 @@ impl ScopedCounter {
     pub fn incr(&self) {
         self.add(1);
     }
-
-    /// Current value of the scope cell (not the rollup); 0 when unscoped.
-    pub fn cell_value(&self) -> u64 {
-        self.cell.as_ref().map_or(0, |cell| cell.get())
-    }
 }
 
 /// A timer handle that observes into the global rollup and, if scoped, one
@@ -247,7 +242,6 @@ mod tests {
 
     #[test]
     fn scoped_handles_update_rollup_and_cell() {
-        let _switch = crate::registry::switch_guard();
         let registry = Registry::new();
         let scope = Scope::new().label("session", "t");
         let view = registry.scoped(&scope);

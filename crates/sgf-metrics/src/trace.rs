@@ -12,8 +12,7 @@
 //!
 //! 1. **Zero perturbation**: tracing never draws randomness, and building a
 //!    batch is caller-side work gated on [`Trace::enabled`] — when the trace
-//!    (or the process-wide metrics switch) is off, the hot path does one
-//!    relaxed atomic load and nothing else.
+//!    is off, the hot path does one relaxed atomic load and nothing else.
 //! 2. **Deterministic output** (sgf-lint R2): events keep commit order, span
 //!    ids are assigned in commit order, and JSON renders canonically.
 
@@ -189,9 +188,8 @@ struct TraceState {
 ///
 /// Disabled by default: enabling is an explicit opt-in by the host (sgf-serve
 /// turns it on; benchmark binaries leave it off so the tracked perf profiles
-/// are tracing-free).  The process-wide metrics kill-switch
-/// ([`crate::set_enabled`]) also gates tracing, so `set_enabled(false)`
-/// zeroes observability overhead in one place.
+/// are tracing-free).  [`Trace::set_enabled`] is the workspace's one
+/// instrumentation switch: metric updates always run.
 pub struct Trace {
     enabled: AtomicBool,
     capacity: usize,
@@ -223,10 +221,9 @@ impl Trace {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Whether events are being collected (requires the process-wide metrics
-    /// switch too).
+    /// Whether events are being collected.
     pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed) && crate::enabled()
+        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Append every span of `batch` atomically, rebasing its local span ids
@@ -350,7 +347,6 @@ mod tests {
 
     #[test]
     fn commit_rebases_local_span_ids_onto_the_global_sequence() {
-        let _switch = crate::registry::switch_guard();
         let trace = Trace::new(16);
         trace.set_enabled(true);
         let mut first = TraceBatch::new();
@@ -376,7 +372,6 @@ mod tests {
 
     #[test]
     fn ring_buffer_evicts_oldest_events() {
-        let _switch = crate::registry::switch_guard();
         let trace = Trace::new(3);
         trace.set_enabled(true);
         for i in 0..5 {
@@ -396,7 +391,6 @@ mod tests {
 
     #[test]
     fn label_filter_follows_the_span_tree() {
-        let _switch = crate::registry::switch_guard();
         let trace = Trace::new(16);
         trace.set_enabled(true);
         let mut batch = TraceBatch::new();
@@ -421,7 +415,6 @@ mod tests {
 
     #[test]
     fn canonical_json_omits_wall_clock_unless_noisy() {
-        let _switch = crate::registry::switch_guard();
         let trace = Trace::new(16);
         trace.set_enabled(true);
         let mut batch = TraceBatch::new();
@@ -438,18 +431,5 @@ mod tests {
         );
         let noisy = trace.to_json(true);
         assert!(noisy.contains("\"wall_nanos\":1234"));
-    }
-
-    #[test]
-    fn global_metrics_switch_gates_tracing() {
-        let _switch = crate::registry::switch_guard();
-        let trace = Trace::new(16);
-        trace.set_enabled(true);
-        crate::set_enabled(false);
-        assert!(!trace.enabled());
-        trace.record("r", &[], &[], Duration::ZERO);
-        crate::set_enabled(true);
-        assert!(trace.enabled());
-        assert!(trace.events().is_empty());
     }
 }

@@ -4,20 +4,13 @@
 //! global rollup exactly.
 
 use sgf_metrics::{Registry, Scope, Snapshot, SpanId, Trace, TraceBatch};
-use std::sync::RwLock;
 use std::time::Duration;
-
-/// Serializes the kill-switch test (write lock) against every test that
-/// needs the process-wide enable flag to stay on (read lock): the flag is
-/// global, so flipping it mid-hammer would drop another test's updates.
-static ENABLE_GATE: RwLock<()> = RwLock::new(());
 
 const THREADS: u64 = 8;
 const INCREMENTS: u64 = 10_000;
 
 #[test]
 fn concurrent_counter_updates_are_exact() {
-    let _on = ENABLE_GATE.read().unwrap();
     let registry = Registry::new();
     std::thread::scope(|scope| {
         for t in 0..THREADS {
@@ -41,7 +34,6 @@ fn concurrent_counter_updates_are_exact() {
 
 #[test]
 fn concurrent_timers_and_summaries_lose_no_observations() {
-    let _on = ENABLE_GATE.read().unwrap();
     let registry = Registry::new();
     std::thread::scope(|scope| {
         for t in 0..THREADS {
@@ -71,7 +63,6 @@ fn concurrent_timers_and_summaries_lose_no_observations() {
 
 #[test]
 fn snapshot_order_and_json_are_deterministic_across_registration_order() {
-    let _on = ENABLE_GATE.read().unwrap();
     // Two registries populated by threads racing in opposite orders still
     // snapshot identically: iteration order is the sorted name order, not
     // registration order.
@@ -106,7 +97,6 @@ fn snapshot_order_and_json_are_deterministic_across_registration_order() {
 
 #[test]
 fn concurrent_scoped_writers_sum_exactly_to_the_global_rollup() {
-    let _on = ENABLE_GATE.read().unwrap();
     let registry = Registry::new();
     std::thread::scope(|scope| {
         for t in 0..THREADS {
@@ -161,38 +151,7 @@ fn concurrent_scoped_writers_sum_exactly_to_the_global_rollup() {
 }
 
 #[test]
-fn kill_switch_zeroes_scoped_and_trace_overhead() {
-    // `set_enabled(false)` must stop every write: global cells, scope cells,
-    // and trace commits.  The write lock keeps every enabled-dependent test
-    // out while the process-wide flag is down.
-    let _exclusive = ENABLE_GATE.write().unwrap();
-    let registry = Registry::new();
-    let trace = Trace::new(16);
-    trace.set_enabled(true);
-    let view = registry.scoped(&Scope::new().label("session", "off"));
-    let counter = view.counter("c");
-    let summary = view.summary("s");
-    sgf_metrics::set_enabled(false);
-    counter.add(5);
-    summary.observe(9);
-    let mut batch = TraceBatch::new();
-    batch.span("root", SpanId::NONE);
-    let committed = trace.commit(batch);
-    sgf_metrics::set_enabled(true);
-    assert_eq!(committed, 0);
-    assert!(trace.events().is_empty());
-    let snapshot = registry.snapshot();
-    assert_eq!(snapshot.counter("c"), 0);
-    assert_eq!(snapshot.scopes["session=off"].counter("c"), 0);
-    assert_eq!(snapshot.scopes["session=off"].summaries["s"].count, 0);
-    // Back on: the same handles work again.
-    counter.incr();
-    assert_eq!(counter.cell_value(), 1);
-}
-
-#[test]
 fn concurrent_trace_commits_keep_batches_contiguous() {
-    let _on = ENABLE_GATE.read().unwrap();
     // Batches from racing threads may interleave in arbitrary order, but
     // every batch's spans stay contiguous with intact parent links — commit
     // is atomic per batch.
@@ -233,7 +192,6 @@ fn concurrent_trace_commits_keep_batches_contiguous() {
 
 #[test]
 fn snapshot_json_schema_round_trips_through_text() {
-    let _on = ENABLE_GATE.read().unwrap();
     let registry = Registry::new();
     registry.counter("core.candidates").add(123_456_789);
     registry.counter("core.released").add(1_000);

@@ -97,6 +97,29 @@ struct AttributeTable {
     counts: Vec<u32>,
 }
 
+impl AttributeTable {
+    /// Configuration index for a full assignment of values, reading each
+    /// parent's value through `value_of`: the stride-weighted sum of the
+    /// parents' buckets.
+    #[inline]
+    fn configuration_index(&self, bucketizer: &Bucketizer, value_of: impl Fn(usize) -> u16) -> u64 {
+        let mut idx: u64 = 0;
+        for (&p, &stride) in self.parents.iter().zip(self.parent_strides.iter()) {
+            idx += stride * bucketizer.bucket_of(p, value_of(p)) as u64;
+        }
+        idx
+    }
+
+    /// The count cell `record` falls into when this is attribute `attr`'s
+    /// table.  Inlined: the count fit calls it per record and attribute, where
+    /// an out-of-line call is measurably slower than the loop written in place.
+    #[inline]
+    fn cell_of(&self, bucketizer: &Bucketizer, record: &sgf_data::Record, attr: usize) -> usize {
+        let configuration = self.configuration_index(bucketizer, |p| record.get(p));
+        configuration as usize * self.cardinality + record.get(attr) as usize
+    }
+}
+
 /// One attribute's conditionals: a write-once slot per parent configuration,
 /// holding the row `[pmf | cdf]` — the conditional, then its running sums.
 /// A row is shared, so a store derived by [`CptStore::apply_delta`] carries
@@ -168,19 +191,6 @@ impl CptCounts {
         self.records
     }
 
-    fn cell_of(
-        table: &AttributeTable,
-        bucketizer: &Bucketizer,
-        record: &sgf_data::Record,
-        attr: usize,
-    ) -> usize {
-        let mut config_idx: u64 = 0;
-        for (&p, &stride) in table.parents.iter().zip(table.parent_strides.iter()) {
-            config_idx += stride * bucketizer.bucket_of(p, record.get(p)) as u64;
-        }
-        config_idx as usize * table.cardinality + record.get(attr) as usize
-    }
-
     /// Merge a record delta: subtract `deletes`, then add `inserts`.  The
     /// result equals [`CptStore::fit_counts`] on the post-delta dataset
     /// exactly (counting is commutative; additions saturate identically to
@@ -200,7 +210,7 @@ impl CptCounts {
             };
             self.records = self.records.checked_sub(1).ok_or_else(underflow)?;
             for attr in 0..self.tables.len() {
-                let cell = Self::cell_of(&self.tables[attr], bucketizer, record, attr);
+                let cell = self.tables[attr].cell_of(bucketizer, record, attr);
                 let count = &mut self.tables[attr].counts[cell];
                 *count = count.checked_sub(1).ok_or_else(underflow)?;
             }
@@ -208,7 +218,7 @@ impl CptCounts {
         for record in inserts {
             self.records += 1;
             for attr in 0..self.tables.len() {
-                let cell = Self::cell_of(&self.tables[attr], bucketizer, record, attr);
+                let cell = self.tables[attr].cell_of(bucketizer, record, attr);
                 let count = &mut self.tables[attr].counts[cell];
                 *count = count.saturating_add(1);
             }
@@ -271,11 +281,7 @@ impl CptStore {
 
         for record in dataset.iter() {
             for (attr, table) in tables.iter_mut().enumerate() {
-                let mut config_idx: u64 = 0;
-                for (&p, &stride) in table.parents.iter().zip(table.parent_strides.iter()) {
-                    config_idx += stride * bucketizer.bucket_of(p, record.get(p)) as u64;
-                }
-                let cell = config_idx as usize * table.cardinality + record.get(attr) as usize;
+                let cell = table.cell_of(bucketizer, record, attr);
                 table.counts[cell] = table.counts[cell].saturating_add(1);
             }
         }
@@ -417,12 +423,7 @@ impl CptStore {
     /// Configuration index of attribute `attr` for a full assignment of values,
     /// reading parent values through the accessor (value index per attribute).
     pub fn configuration_index<F: Fn(usize) -> u16>(&self, attr: usize, value_of: F) -> u64 {
-        let table = &self.tables[attr];
-        let mut idx: u64 = 0;
-        for (&p, &stride) in table.parents.iter().zip(table.parent_strides.iter()) {
-            idx += stride * self.bucketizer.bucket_of(p, value_of(p)) as u64;
-        }
-        idx
+        self.tables[attr].configuration_index(&self.bucketizer, value_of)
     }
 
     /// The (possibly noisy, possibly sampled) conditional distribution
