@@ -284,12 +284,17 @@ fn write_artifact(name: &str, content: &str) {
     println!("wrote {}", path.display());
 }
 
+/// The session name the smoke's `metrics` and `trace` probes address, which
+/// no session is registered under.
+const UNREGISTERED: &str = "unregistered";
+
 /// End-to-end self-test: serve two named sessions on an ephemeral port — the
 /// capped one sized for exactly two of three requests — then verify the
 /// machine-readable rejection, the provenance blocks, the labeled `metrics`
-/// snapshot (cells sum to the rollup), the `trace` span trees, and a clean
-/// drain.  Single-worker server and single-worker requests keep every
-/// observability document deterministic.
+/// snapshot (cells sum to the rollup), the `trace` span trees, the
+/// `unknown_session` refusal of both verbs, and a clean drain.
+/// Single-worker server and single-worker requests keep every observability
+/// document deterministic.
 fn smoke() -> ExitCode {
     let target = 10usize;
     println!("== sgf-serve smoke: train ==");
@@ -436,20 +441,22 @@ fn smoke() -> ExitCode {
     println!("census stream: released {}", stream.released);
 
     // The worker commits each job's serve.job span *after* answering, so
-    // wait for the last job's span before snapshotting the trace ring.
-    let expected_jobs = 4u64; // 2 admitted acs + census batch + census stream
-    let mut trace_global = client.trace(None, false).expect("trace failed");
+    // wait for the last job's span before snapshotting the trace ring.  The
+    // wait reads the in-process ring, not the `trace` verb, so the request
+    // log holds the same requests on every run.
+    let expected_jobs = 4; // 2 admitted acs + census batch + census stream
     for _ in 0..200 {
-        let jobs = trace_events(&trace_global)
+        let jobs = sgf_metrics::trace()
+            .events()
             .iter()
-            .filter(|e| e.get("name").and_then(Value::as_str) == Some("serve.job"))
-            .count() as u64;
+            .filter(|event| event.name == "serve.job")
+            .count();
         if jobs >= expected_jobs {
             break;
         }
         std::thread::sleep(Duration::from_millis(10));
-        trace_global = client.trace(None, false).expect("trace failed");
     }
+    let trace_global = client.trace(None, false).expect("trace failed");
     assert!(
         trace_global
             .get("trace")
@@ -502,6 +509,21 @@ fn smoke() -> ExitCode {
         "SMOKE_PROVENANCE.json",
         &format!("{}\n", batch.provenance.render()),
     );
+
+    // `metrics` and `trace` refuse a name no session is registered under,
+    // and log the refusal under its code.  Sent after the documents are
+    // written, so they do not change them.
+    for probe in [
+        client.metrics(Some(UNREGISTERED), false),
+        client.trace(Some(UNREGISTERED), false),
+    ] {
+        match probe {
+            Err(ClientError::Rejected(rejection)) => {
+                assert_eq!(rejection.code, reject::UNKNOWN_SESSION);
+            }
+            other => panic!("a probe of an unregistered session must be refused: {other:?}"),
+        }
+    }
 
     // The shared ledgers (visible through the cloned handles) match: the
     // capped session committed exactly two requests, no leaked reservations.

@@ -6,8 +6,12 @@
 //! 1. A connection reader thread parses one JSON line into a
 //!    [`Request`] and assigns it a request id (the key tying its log lines
 //!    and trace span together).  `status` / `ledger` / `metrics` / `trace` /
-//!    `shutdown` are answered inline; `generate` goes through **admission**:
-//!    * a draining server rejects with `shutting_down`;
+//!    `shutdown` are answered inline; `generate` and `update` first pass the
+//!    one **admission gate**: a draining server refuses with
+//!    `shutting_down`, an unknown session name with `unknown_session`.  A
+//!    `generate` then goes on through admission:
+//!    * a stream must run the seed model, or it is refused with
+//!      `bad_request`;
 //!    * a capped session must win an atomic budget reservation
 //!      ([`SynthesisSession::try_reserve`]) covering the request's full
 //!      target — concurrent requests can therefore never jointly overshoot
@@ -20,17 +24,29 @@
 //!    (actual releases committed, unused budget freed; aborted on failure),
 //!    and writes the response to the job's connection.  Jobs share no state
 //!    (each privacy test is one prefix-store range lookup), so a turn has
-//!    nothing to gain from serving several at once.
+//!    nothing to gain from serving several at once.  The job carries its
+//!    registered session slot, so the worker's bookkeeping never looks the
+//!    session up by name.
 //! 3. `shutdown` (or [`ServerHandle::shutdown`]) starts the drain: admission
 //!    closes, queued jobs still complete, workers then exit, and
 //!    [`ServerHandle::join`] returns once every thread is down.
+//!
+//! ## Refusals
+//!
+//! Every verb handler returns its answer or a `Refusal` (reject code,
+//! message, extra fields), and one function, `conclude`, logs the outcome
+//! and writes the line: a refusal is written and logged exactly once, under
+//! its reject code.  The one refusal written elsewhere is a worker's
+//! `generate_failed`: its request was already logged `admitted`, the worker
+//! logs `done`, and a stream must write the refusal inside the connection
+//! lock it holds for the whole stream.
 
 use crate::protocol::{
     self, reject, GenerateCall, ModelKind, Request, UpdateCall, DEFAULT_SESSION,
 };
 use crate::queue::{BoundedQueue, PushError};
-use sgf_core::{CoreError, ReleaseReport, SynthesisSession};
-use sgf_data::DatasetDelta;
+use sgf_core::{CoreError, GenerateRequest, ReleaseReport, SynthesisSession};
+use sgf_data::{DatasetDelta, Schema};
 use sgf_metrics::json::write_object;
 use sgf_metrics::{Json, Scope, ScopedCounter, ScopedSummary, SpanId, Trace, TraceBatch};
 use sgf_stats::DpBudget;
@@ -67,8 +83,10 @@ pub struct ServeConfig {
     /// `trace` verb has spans to report.  (Never turned back off: the ring
     /// is shared, so one server must not blind another.)
     pub trace: bool,
-    /// Emit one structured JSON log line per request (with its request id)
-    /// to stderr: parse failures, admission outcomes, and completions.
+    /// Emit structured JSON log lines to stderr, keyed by request id: one
+    /// per request with its outcome (`ok`, `admitted`, `draining` or the
+    /// reject code), plus a `done` line when a worker finishes an admitted
+    /// `generate`.
     pub log_requests: bool,
 }
 
@@ -145,9 +163,13 @@ pub fn cap_admitting(session: &SynthesisSession, releases: usize) -> Option<DpBu
 /// reader takes a cheap clone (shared `Arc` internals) and releases the lock
 /// immediately.
 struct Registered {
+    /// The name requests address the session by.
+    name: String,
     session: Mutex<SynthesisSession>,
     cap: Option<DpBudget>,
-    /// The session's metric scope (see [`session_scope`]).
+    /// The session's metric scope: every metric its requests emit lands in
+    /// this labeled cell (plus the global rollup), and the `metrics` cell
+    /// lookup and the `trace` filter read through it.
     scope: Scope,
     /// The generate path's scoped handles, resolved at the first admission
     /// (see [`Registered::metrics`]).
@@ -183,52 +205,37 @@ impl Registered {
     }
 }
 
-/// An admitted-but-unsettled budget reservation: aborts on drop unless the
-/// worker takes it over (so a job dropped on the floor — queue overflow,
-/// forced teardown — can never leak reserved budget).
-struct ReservationGuard {
-    session: SynthesisSession,
-    records: usize,
-    armed: bool,
-}
-
-impl ReservationGuard {
-    fn new(session: SynthesisSession, records: usize) -> Self {
-        ReservationGuard {
-            session,
-            records,
-            armed: true,
-        }
-    }
-
-    /// Disarm the guard and hand the reservation to the caller, which now
-    /// owes exactly one commit or abort.
-    fn take(mut self) -> usize {
-        self.armed = false;
-        self.records
-    }
-}
-
-impl Drop for ReservationGuard {
-    fn drop(&mut self) {
-        if self.armed {
-            self.session.abort_reservation(self.records);
-        }
-    }
-}
-
 /// One admitted generate request waiting for a worker.
 struct Job {
+    /// The slot the request was admitted to: the worker records the service
+    /// time, the `serve.job` span and the `done` log line against it.
+    slot: Arc<Registered>,
+    /// The epoch admission cloned (see [`admit_generate`]).
     session: SynthesisSession,
-    call: GenerateCall,
-    reservation: Option<ReservationGuard>,
+    request: GenerateRequest,
+    model: ModelKind,
+    stream: bool,
+    /// Records reserved against the session's cap and not yet settled: `None`
+    /// when uncapped, and once a worker took the reservation over.
+    reserved: Option<usize>,
     out: Arc<Mutex<TcpStream>>,
     /// Server-assigned id tying the job's log lines and trace span together.
     request_id: u64,
 }
 
+impl Drop for Job {
+    /// Abort a reservation no worker took over, so a job dropped on the
+    /// floor — queue overflow, forced teardown — can never leak reserved
+    /// budget.
+    fn drop(&mut self) {
+        if let Some(records) = self.reserved.take() {
+            self.session.abort_reservation(records);
+        }
+    }
+}
+
 struct ServerState {
-    sessions: HashMap<String, Registered>,
+    sessions: HashMap<String, Arc<Registered>>,
     queue: BoundedQueue<Job>,
     draining: AtomicBool,
     busy_workers: AtomicUsize,
@@ -339,20 +346,16 @@ pub fn serve(config: ServeConfig, sessions: Vec<SessionEntry>) -> std::io::Resul
                 format!("session name {:?} is registered twice", entry.name),
             ));
         }
-        // Every metric a session's requests emit lands in its own labeled
-        // cell (plus the global rollup) — the `metrics` verb's per-session
-        // view and the p95 retry hint both read that cell.
-        let scope = session_scope(&entry.name);
+        let scope = Scope::new().label("session", &entry.name);
         let scoped = entry.session.with_scope(scope.clone());
-        map.insert(
-            entry.name,
-            Registered {
-                session: Mutex::new(scoped),
-                cap: entry.cap,
-                scope,
-                metrics: OnceLock::new(),
-            },
-        );
+        let slot = Registered {
+            name: entry.name.clone(),
+            session: Mutex::new(scoped),
+            cap: entry.cap,
+            scope,
+            metrics: OnceLock::new(),
+        };
+        map.insert(entry.name, Arc::new(slot));
     }
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
@@ -442,6 +445,21 @@ fn reap_finished_readers(state: &ServerState) {
 /// memory past this bound.
 pub const MAX_LINE: usize = 16 << 20;
 
+/// The line-buffer capacity a connection keeps between requests: 64 KiB.
+/// A longer line (a large `update`) grows the buffer only until the next
+/// read, so an idle connection holds at most this much, not its longest
+/// line.
+const KEPT_LINE_CAPACITY: usize = 64 << 10;
+
+/// Read the next request line, newline included, into `buffer`: at most
+/// [`MAX_LINE`] bytes, and `Ok(0)` at EOF.  The buffer is cleared first, and
+/// shrunk back to [`KEPT_LINE_CAPACITY`] if a longer line grew it.
+fn read_request_line(reader: &mut impl BufRead, buffer: &mut Vec<u8>) -> std::io::Result<usize> {
+    buffer.clear();
+    buffer.shrink_to(KEPT_LINE_CAPACITY);
+    reader.take(MAX_LINE as u64).read_until(b'\n', buffer)
+}
+
 fn connection_loop(stream: TcpStream, state: &Arc<ServerState>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -449,26 +467,18 @@ fn connection_loop(stream: TcpStream, state: &Arc<ServerState>) {
     let out = Arc::new(Mutex::new(stream));
     let mut reader = BufReader::new(read_half);
     let mut buffer = Vec::new();
-    let reject = |message: &str| {
-        let request_id = state.next_request_id.fetch_add(1, Ordering::Relaxed);
-        reject_bad_request(request_id, message, &out, state);
-    };
-    loop {
-        buffer.clear();
-        let mut limited = (&mut reader).take(MAX_LINE as u64);
-        let Ok(1..) = limited.read_until(b'\n', &mut buffer) else {
-            break;
-        };
+    while let Ok(1..) = read_request_line(&mut reader, &mut buffer) {
         if buffer.len() == MAX_LINE && !buffer.ends_with(b"\n") {
-            reject(&format!("request line exceeds the {MAX_LINE}-byte limit"));
+            let oversized = format!("request line exceeds the {MAX_LINE}-byte limit");
+            handle_line(Err(oversized), &out, state);
             break;
         }
         let line = buffer.strip_suffix(b"\n").unwrap_or(&buffer);
         let line = line.strip_suffix(b"\r").unwrap_or(line);
         match std::str::from_utf8(line) {
             Ok(line) if line.trim().is_empty() => {}
-            Ok(line) => handle_line(line, &out, state),
-            Err(_) => reject("request line is not valid UTF-8"),
+            Ok(line) => handle_line(Ok(line), &out, state),
+            Err(_) => handle_line(Err("request line is not valid UTF-8".into()), &out, state),
         }
     }
 }
@@ -482,14 +492,6 @@ fn write_response(out: &Mutex<TcpStream>, text: &str) {
 
 fn write_line(out: &Mutex<TcpStream>, line: &str) {
     write_response(out, &format!("{line}\n"));
-}
-
-/// The scope labeling everything a session's requests emit.  Keep this the
-/// single construction site: the registration (which keeps the scope for the
-/// session's handles and trace labels), the `metrics` cell lookup and the
-/// `trace` filter must all agree on the rendered key.
-fn session_scope(name: &str) -> Scope {
-    Scope::new().label("session", name)
 }
 
 /// One structured JSON log line on stderr (when `log_requests` is on).
@@ -514,152 +516,184 @@ fn ok_line<'k>(verb: &str, fields: impl IntoIterator<Item = (&'k str, Json)>) ->
     Json::obj(head.into_iter().chain(fields)).render()
 }
 
-/// Answer a line that is no request with `bad_request` and its reason.
-fn reject_bad_request(request_id: u64, message: &str, out: &Mutex<TcpStream>, state: &ServerState) {
-    log_request(state, request_id, "?", "", "bad_request");
-    write_line(
-        out,
-        &protocol::reject_line(reject::BAD_REQUEST, message, &[]),
-    );
+/// A request the server takes: the outcome its log line records and the
+/// line to write now (`None` for an admitted `generate`, which a worker
+/// answers).
+struct Answer {
+    outcome: &'static str,
+    line: Option<String>,
 }
 
-fn handle_line(line: &str, out: &Arc<Mutex<TcpStream>>, state: &Arc<ServerState>) {
+impl Answer {
+    /// An inline verb's `"ok":true` line.
+    fn ok(line: String) -> Self {
+        Answer {
+            outcome: "ok",
+            line: Some(line),
+        }
+    }
+}
+
+/// A request the server declines: its reject code, which is also the
+/// request's logged outcome, the human-readable message, and the code's
+/// extra fields.
+struct Refusal {
+    code: &'static str,
+    message: String,
+    extras: Vec<(&'static str, Json)>,
+}
+
+impl Refusal {
+    fn new(code: &'static str, message: impl Into<String>) -> Self {
+        Refusal {
+            code,
+            message: message.into(),
+            extras: Vec::new(),
+        }
+    }
+
+    /// Attach one extra field to the reject line.
+    fn with(mut self, key: &'static str, value: Json) -> Self {
+        self.extras.push((key, value));
+        self
+    }
+
+    fn draining() -> Self {
+        Refusal::new(reject::SHUTTING_DOWN, "server is draining")
+    }
+
+    fn unknown_session(name: &str) -> Self {
+        let message = format!("no session named `{name}` is registered");
+        Refusal::new(reject::UNKNOWN_SESSION, message).with("session", name.into())
+    }
+}
+
+/// The one place a request's answer or refusal is logged and written.
+fn conclude(
+    state: &ServerState,
+    request_id: u64,
+    verb: &str,
+    session: &str,
+    answer: Result<Answer, Refusal>,
+    out: &Mutex<TcpStream>,
+) {
+    let (outcome, line) = match answer {
+        Ok(answer) => (answer.outcome, answer.line),
+        Err(refusal) => {
+            let line = protocol::reject_line(refusal.code, &refusal.message, &refusal.extras);
+            (refusal.code, Some(line))
+        }
+    };
+    log_request(state, request_id, verb, session, outcome);
+    if let Some(line) = line {
+        write_line(out, &line);
+    }
+}
+
+/// Answer one request line, or — when `line` is `Err` — the reason the
+/// connection could not read one, with `bad_request`.
+fn handle_line(line: Result<&str, String>, out: &Arc<Mutex<TcpStream>>, state: &ServerState) {
     let request_id = state.next_request_id.fetch_add(1, Ordering::Relaxed);
-    match protocol::parse_request(line) {
-        Err(message) => reject_bad_request(request_id, &message, out, state),
-        Ok(Request::Status) => {
-            log_request(state, request_id, "status", "", "ok");
-            write_line(out, &status_line(state));
+    let request = match line.and_then(protocol::parse_request) {
+        Ok(request) => request,
+        Err(message) => {
+            let refusal = Refusal::new(reject::BAD_REQUEST, message);
+            return conclude(state, request_id, "?", "", Err(refusal), out);
         }
-        Ok(Request::Ledger { session }) => match state.sessions.get(&session) {
-            None => {
-                log_request(state, request_id, "ledger", &session, "unknown_session");
-                write_line(out, &unknown_session_line(&session));
-            }
-            Some(registered) => {
-                log_request(state, request_id, "ledger", &session, "ok");
-                write_line(out, &ledger_line(&session, registered));
-            }
-        },
-        Ok(Request::Metrics { session, noisy }) => {
-            log_request(
-                state,
-                request_id,
-                "metrics",
-                session.as_deref().unwrap_or(""),
-                "ok",
-            );
-            write_line(out, &metrics_line(state, session.as_deref(), noisy));
+    };
+    // An `update`'s retired epoch is dropped after the answer is written, so
+    // freeing whatever it alone holds does not delay the client.
+    let mut retired = None;
+    let mut start_drain = false;
+    let (verb, session, answer) = match &request {
+        Request::Status => ("status", "", Ok(Answer::ok(status_line(state)))),
+        Request::Ledger { session } => {
+            let answer = registered(state, session).map(|slot| Answer::ok(ledger_line(slot)));
+            ("ledger", session.as_str(), answer)
         }
-        Ok(Request::Trace { session, noisy }) => {
-            log_request(
-                state,
-                request_id,
-                "trace",
-                session.as_deref().unwrap_or(""),
-                "ok",
-            );
-            write_line(out, &trace_line(state, session.as_deref(), noisy));
+        Request::Metrics { session, noisy } => {
+            let answer = metrics_line(state, session.as_deref(), *noisy).map(Answer::ok);
+            ("metrics", session.as_deref().unwrap_or(""), answer)
         }
-        Ok(Request::Shutdown) => {
-            log_request(state, request_id, "shutdown", "", "draining");
+        Request::Trace { session, noisy } => {
+            let answer = trace_line(state, session.as_deref(), *noisy).map(Answer::ok);
+            ("trace", session.as_deref().unwrap_or(""), answer)
+        }
+        Request::Shutdown => {
             // Admission closes before the ack (a client that read the ack is
             // guaranteed `shutting_down` on any later request), but the drain
             // machinery — whose teardown eventually closes this connection —
             // starts only after the ack is on the wire, so the ack cannot be
             // lost to the teardown racing this write.
-            let already_draining = state.draining.swap(true, Ordering::SeqCst);
-            write_line(out, &ok_line("shutdown", [("draining", true.into())]));
-            if !already_draining {
-                state.finish_drain();
-            }
+            start_drain = !state.draining.swap(true, Ordering::SeqCst);
+            let ack = Answer {
+                outcome: "draining",
+                line: Some(ok_line("shutdown", [("draining", true.into())])),
+            };
+            ("shutdown", "", Ok(ack))
         }
-        Ok(Request::Generate(call)) => admit_generate(call, request_id, out, state),
-        Ok(Request::Update(call)) => admit_update(call, request_id, out, state),
+        Request::Generate(call) => {
+            let answer = admit_generate(call, request_id, out, state);
+            ("generate", call.session.as_str(), answer)
+        }
+        Request::Update(call) => {
+            let answer = update(call, state).map(|(answer, epoch)| {
+                retired = Some(epoch);
+                answer
+            });
+            ("update", call.session.as_str(), answer)
+        }
+    };
+    conclude(state, request_id, verb, session, answer, out);
+    if start_drain {
+        state.finish_drain();
     }
 }
 
+/// The registered slot named `name`, or the `unknown_session` refusal.
+fn registered<'s>(state: &'s ServerState, name: &str) -> Result<&'s Arc<Registered>, Refusal> {
+    state
+        .sessions
+        .get(name)
+        .ok_or_else(|| Refusal::unknown_session(name))
+}
+
+/// The admission gate `generate` and `update` share: a draining server
+/// refuses with `shutting_down`, then an unknown name with
+/// `unknown_session`.
+fn admit<'s>(state: &'s ServerState, name: &str) -> Result<&'s Arc<Registered>, Refusal> {
+    if state.draining.load(Ordering::SeqCst) {
+        return Err(Refusal::draining());
+    }
+    registered(state, name)
+}
+
 /// The `update` verb: fold a ±record delta into a registered session,
-/// advancing it to its next epoch.  Admission runs the same gates as
-/// `generate` — a draining server rejects with `shutting_down`, an unknown
-/// name with `unknown_session` — and the swap holds the session slot's lock
+/// advancing it to its next epoch.  The swap holds the session slot's lock
 /// for the whole update, so concurrent updates serialize and every generate
 /// request is served by exactly one epoch (the one whose handle it cloned at
 /// admission; in-flight requests finish against their admitted epoch).
-fn admit_update(
-    call: UpdateCall,
-    request_id: u64,
-    out: &Arc<Mutex<TcpStream>>,
-    state: &Arc<ServerState>,
-) {
-    if state.draining.load(Ordering::SeqCst) {
-        log_request(state, request_id, "update", &call.session, "shutting_down");
-        write_line(
-            out,
-            &protocol::reject_line(reject::SHUTTING_DOWN, "server is draining", &[]),
-        );
-        return;
-    }
-    let Some(registered) = state.sessions.get(&call.session) else {
-        log_request(
-            state,
-            request_id,
-            "update",
-            &call.session,
-            "unknown_session",
-        );
-        write_line(out, &unknown_session_line(&call.session));
-        return;
-    };
-    let scope = &registered.scope;
+/// Returns the answer and the retired epoch.
+fn update(call: &UpdateCall, state: &ServerState) -> Result<(Answer, SynthesisSession), Refusal> {
+    let slot = admit(state, &call.session)?;
     // Hold the slot for the whole update: admissions for this session wait
     // (microseconds — the update copies only what the delta touches), and
     // the epoch swap is atomic with respect to them.
-    let mut slot = locked(&registered.session);
-    let delta = {
-        // The delta validates against the session's schema; a record of the
-        // wrong arity or with out-of-domain values is a bad request, not a
-        // failed update.
-        let schema = slot.seeds().schema_arc();
-        let mut delta = DatasetDelta::new(schema);
-        let mut malformed = Ok(());
-        for record in &call.deletes {
-            if let Err(err) = delta.delete(record.clone()) {
-                malformed = Err(err);
-                break;
-            }
-        }
-        if malformed.is_ok() {
-            for record in &call.inserts {
-                if let Err(err) = delta.insert(record.clone()) {
-                    malformed = Err(err);
-                    break;
-                }
-            }
-        }
-        match malformed {
-            Ok(()) => delta,
-            Err(err) => {
-                drop(slot);
-                log_request(state, request_id, "update", &call.session, "bad_request");
-                write_line(
-                    out,
-                    &protocol::reject_line(reject::BAD_REQUEST, &err.to_string(), &[]),
-                );
-                return;
-            }
-        }
-    };
-    match slot.update(&delta) {
+    let mut current = locked(&slot.session);
+    // The delta validates against the session's schema; a record of the
+    // wrong arity or with out-of-domain values is a bad request, not a
+    // failed update.
+    let delta = delta_of(current.seeds().schema_arc(), call)
+        .map_err(|err| Refusal::new(reject::BAD_REQUEST, err.to_string()))?;
+    match current.update(&delta) {
         Ok(next) => {
             let epoch = next.epoch();
             let seeds = next.seeds().len();
-            // The retired epoch is dropped after the answer is written, so
-            // freeing whatever it alone holds does not delay the client.
-            let retired = std::mem::replace(&mut *slot, next);
-            drop(slot);
-            sgf_metrics::scoped(scope).counter("serve.updates").incr();
-            log_request(state, request_id, "update", &call.session, "ok");
+            let retired = std::mem::replace(&mut *current, next);
+            drop(current);
+            sgf_metrics::scoped(&slot.scope)
+                .counter("serve.updates")
+                .incr();
             let fields = [
                 ("session", call.session.as_str().into()),
                 ("epoch", epoch.into()),
@@ -667,27 +701,38 @@ fn admit_update(
                 ("inserts", call.inserts.len().into()),
                 ("deletes", call.deletes.len().into()),
             ];
-            write_line(out, &ok_line("update", fields));
-            drop(retired);
+            Ok((Answer::ok(ok_line("update", fields)), retired))
         }
         Err(err) => {
-            drop(slot);
-            sgf_metrics::scoped(scope)
+            drop(current);
+            sgf_metrics::scoped(&slot.scope)
                 .counter("serve.update_failed")
                 .incr();
-            log_request(state, request_id, "update", &call.session, "update_failed");
-            write_line(
-                out,
-                &protocol::reject_line(reject::UPDATE_FAILED, &err.to_string(), &[]),
-            );
+            Err(Refusal::new(reject::UPDATE_FAILED, err.to_string()))
         }
     }
+}
+
+/// The delta an `update` call names, validated against `schema`.
+fn delta_of(schema: Arc<Schema>, call: &UpdateCall) -> sgf_data::Result<DatasetDelta> {
+    let mut delta = DatasetDelta::new(schema);
+    for record in &call.deletes {
+        delta.delete(record.clone())?;
+    }
+    for record in &call.inserts {
+        delta.insert(record.clone())?;
+    }
+    Ok(delta)
 }
 
 /// Answer the `metrics` verb: the labeled snapshot of the process registry —
 /// counter-only (deterministic) unless `noisy` — either whole (global rollup
 /// plus every scope cell) or restricted to one registered session's cell.
-fn metrics_line(state: &ServerState, session: Option<&str>, noisy: bool) -> String {
+fn metrics_line(
+    state: &ServerState,
+    session: Option<&str>,
+    noisy: bool,
+) -> Result<String, Refusal> {
     let snapshot = sgf_metrics::global().snapshot();
     let snapshot = if noisy {
         snapshot
@@ -697,37 +742,32 @@ fn metrics_line(state: &ServerState, session: Option<&str>, noisy: bool) -> Stri
     let (filter, metrics) = match session {
         None => (None, snapshot.as_json()),
         Some(name) => {
-            if !state.sessions.contains_key(name) {
-                return unknown_session_line(name);
-            }
+            let slot = registered(state, name)?;
             // A registered session that has served nothing yet has no cell;
             // answer with an empty snapshot rather than a rejection.
             let cell = snapshot
                 .scopes
-                .get(&session_scope(name).render())
+                .get(&slot.scope.render())
                 .cloned()
                 .unwrap_or_default();
             (Some(("session", name.into())), cell.as_json())
         }
     };
     let fields = [("noisy", noisy.into()), ("metrics", metrics)];
-    ok_line("metrics", fields.into_iter().chain(filter))
+    Ok(ok_line("metrics", fields.into_iter().chain(filter)))
 }
 
 /// Answer the `trace` verb: recent span trees from the deterministic trace
 /// ring — all of them, or only the trees rooted at spans labeled with the
 /// requested session.  Wall clocks are omitted unless `noisy`.
-fn trace_line(state: &ServerState, session: Option<&str>, noisy: bool) -> String {
+fn trace_line(state: &ServerState, session: Option<&str>, noisy: bool) -> Result<String, Refusal> {
     let trace = sgf_metrics::trace();
     let (filter, events) = match session {
         None => (None, trace.events()),
         Some(name) => {
-            if !state.sessions.contains_key(name) {
-                return unknown_session_line(name);
-            }
+            let slot = registered(state, name)?;
             // Trace labels carry the scope-sanitized session name.
-            let scope = session_scope(name);
-            let value = scope.get("session").unwrap_or(name);
+            let value = slot.scope.get("session").unwrap_or(name);
             (
                 Some(("session", name.into())),
                 trace.events_with_label("session", value),
@@ -739,7 +779,7 @@ fn trace_line(state: &ServerState, session: Option<&str>, noisy: bool) -> String
         ("enabled", trace.enabled().into()),
         ("trace", Trace::events_json(&events, noisy)),
     ];
-    ok_line("trace", fields.into_iter().chain(filter))
+    Ok(ok_line("trace", fields.into_iter().chain(filter)))
 }
 
 fn status_line(state: &ServerState) -> String {
@@ -765,24 +805,16 @@ fn status_line(state: &ServerState) -> String {
     )
 }
 
-fn unknown_session_line(session: &str) -> String {
-    protocol::reject_line(
-        reject::UNKNOWN_SESSION,
-        &format!("no session named `{session}` is registered"),
-        &[("session", session.into())],
-    )
-}
-
-fn ledger_line(name: &str, registered: &Registered) -> String {
-    let ledger = registered.session().ledger();
+fn ledger_line(slot: &Registered) -> String {
+    let ledger = slot.session().ledger();
     let mut line = String::with_capacity(448);
     write_object(&mut line, |object| {
         object
-            .opt_float("cap_delta", registered.cap.map(|cap| cap.delta))
-            .opt_float("cap_epsilon", registered.cap.map(|cap| cap.epsilon))
+            .opt_float("cap_delta", slot.cap.map(|cap| cap.delta))
+            .opt_float("cap_epsilon", slot.cap.map(|cap| cap.epsilon))
             .with("ledger", |out| ledger.write_json(out))
             .boolean("ok", true)
-            .string("session", name)
+            .string("session", &slot.name)
             .string("verb", "ledger");
     });
     line
@@ -805,136 +837,80 @@ fn retry_hint_ms(state: &ServerState, registered: &Registered) -> u64 {
     }
 }
 
-/// Admission control for one generate request: drain check, atomic budget
-/// reservation, bounded-queue push — each failure is a machine-readable
-/// rejection, and a reservation never outlives a failed admission.
+/// Admission control for one generate request past the shared gate: the
+/// seed-only check for streams, an atomic budget reservation, then the
+/// bounded-queue push.  A reservation never outlives a refused admission.
 fn admit_generate(
-    call: GenerateCall,
+    call: &GenerateCall,
     request_id: u64,
     out: &Arc<Mutex<TcpStream>>,
-    state: &Arc<ServerState>,
-) {
-    if state.draining.load(Ordering::SeqCst) {
-        log_request(
-            state,
-            request_id,
-            "generate",
-            &call.session,
-            "shutting_down",
-        );
-        write_line(
-            out,
-            &protocol::reject_line(reject::SHUTTING_DOWN, "server is draining", &[]),
-        );
-        return;
+    state: &ServerState,
+) -> Result<Answer, Refusal> {
+    let slot = admit(state, &call.session)?;
+    if call.stream && call.model == ModelKind::Marginal {
+        // Streaming releases through the seed synthesizer only; keep the
+        // protocol surface honest about it.
+        let message = "streaming supports the seed model only";
+        return Err(Refusal::new(reject::BAD_REQUEST, message));
     }
-    let Some(registered) = state.sessions.get(&call.session) else {
-        log_request(
-            state,
-            request_id,
-            "generate",
-            &call.session,
-            "unknown_session",
-        );
-        write_line(out, &unknown_session_line(&call.session));
-        return;
-    };
     // Clone the current epoch's handle once: the reservation, the queued job,
     // and the eventual generate all run against this epoch even if an
     // `update` swaps the slot while the job is queued (the shared ledger
     // keeps budget accounting exact across epochs).
-    let session = registered.session();
-    let reservation = match registered.cap {
+    let session = slot.session();
+    let target = call.request.target;
+    let reserved = match slot.cap {
         None => None,
-        Some(cap) => match session.try_reserve(call.request.target, cap) {
-            Ok(()) => Some(ReservationGuard::new(session.clone(), call.request.target)),
+        Some(cap) => match session.try_reserve(target, cap) {
+            Ok(()) => Some(target),
             Err(CoreError::BudgetCapExceeded { requested, cap }) => {
-                sgf_metrics::scoped(&registered.scope)
+                sgf_metrics::scoped(&slot.scope)
                     .counter("serve.rejected_budget")
                     .incr();
-                log_request(
-                    state,
-                    request_id,
-                    "generate",
-                    &call.session,
-                    "budget_exhausted",
-                );
-                write_line(
-                    out,
-                    &protocol::reject_line(
-                        reject::BUDGET_EXHAUSTED,
-                        "admitting the request would exceed the session budget cap",
-                        &[
-                            ("requested_epsilon", requested.epsilon.into()),
-                            ("requested_delta", requested.delta.into()),
-                            ("cap_epsilon", cap.epsilon.into()),
-                            ("cap_delta", cap.delta.into()),
-                        ],
-                    ),
-                );
-                return;
+                let message = "admitting the request would exceed the session budget cap";
+                return Err(Refusal::new(reject::BUDGET_EXHAUSTED, message)
+                    .with("requested_epsilon", requested.epsilon.into())
+                    .with("requested_delta", requested.delta.into())
+                    .with("cap_epsilon", cap.epsilon.into())
+                    .with("cap_delta", cap.delta.into()));
             }
-            Err(err) => {
-                log_request(state, request_id, "generate", &call.session, "bad_request");
-                write_line(
-                    out,
-                    &protocol::reject_line(reject::BAD_REQUEST, &err.to_string(), &[]),
-                );
-                return;
-            }
+            Err(err) => return Err(Refusal::new(reject::BAD_REQUEST, err.to_string())),
         },
     };
-    let session_name = call.session.clone();
     let job = Job {
+        slot: Arc::clone(slot),
         session,
-        call,
-        reservation,
+        request: call.request,
+        model: call.model,
+        stream: call.stream,
+        reserved,
         out: Arc::clone(out),
         request_id,
     };
     match state.queue.try_push(job) {
         Ok(()) => {
-            registered.metrics().admitted.incr();
-            log_request(state, request_id, "generate", &session_name, "admitted");
+            slot.metrics().admitted.incr();
+            Ok(Answer {
+                outcome: "admitted",
+                line: None,
+            })
         }
         Err(PushError::Full(job)) => {
-            sgf_metrics::scoped(&registered.scope)
+            sgf_metrics::scoped(&slot.scope)
                 .counter("serve.rejected_queue_full")
                 .incr();
-            log_request(
-                state,
-                request_id,
-                "generate",
-                &job.call.session,
-                "queue_full",
-            );
-            // Dropping the job aborts its reservation (guard).
-            let out = Arc::clone(&job.out);
-            let retry_after = retry_hint_ms(state, registered);
+            // Dropping the job aborts its reservation before the client reads
+            // the refusal.
             drop(job);
-            write_line(
-                &out,
-                &protocol::reject_line(
-                    reject::QUEUE_FULL,
-                    "request queue is full, retry later",
-                    &[("retry_after_ms", retry_after.into())],
-                ),
-            );
+            let retry_after = retry_hint_ms(state, slot);
+            Err(
+                Refusal::new(reject::QUEUE_FULL, "request queue is full, retry later")
+                    .with("retry_after_ms", retry_after.into()),
+            )
         }
         Err(PushError::Closed(job)) => {
-            log_request(
-                state,
-                request_id,
-                "generate",
-                &job.call.session,
-                "shutting_down",
-            );
-            let out = Arc::clone(&job.out);
             drop(job);
-            write_line(
-                &out,
-                &protocol::reject_line(reject::SHUTTING_DOWN, "server is draining", &[]),
-            );
+            Err(Refusal::draining())
         }
     }
 }
@@ -942,7 +918,7 @@ fn admit_generate(
 fn worker_loop(state: &Arc<ServerState>) {
     // Resolved by the worker's first job, then kept.
     let mut job_timer = None;
-    while let Some(job) = state.queue.pop() {
+    while let Some(mut job) = state.queue.pop() {
         state.busy_workers.fetch_add(1, Ordering::SeqCst);
         // The injected delay is part of the simulated service time, so the
         // clock starts before it: the p95 retry hint must reflect what a
@@ -951,19 +927,10 @@ fn worker_loop(state: &Arc<ServerState>) {
         if let Some(delay) = state.service_delay {
             std::thread::sleep(delay);
         }
-        let session_name = job.call.session.clone();
-        let request_id = job.request_id;
-        let streaming = job.call.stream;
         job_timer
             .get_or_insert_with(|| sgf_metrics::timer("serve.job"))
-            .time(|| serve_job(job));
-        observe_service_time(
-            state,
-            &session_name,
-            request_id,
-            streaming,
-            started.elapsed(),
-        );
+            .time(|| serve_job(&mut job));
+        observe_service_time(state, &job, started.elapsed());
         state.busy_workers.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -972,46 +939,31 @@ fn worker_loop(state: &Arc<ServerState>) {
 /// scoped `serve.generate_ms` summary (the source of the p95 retry hint),
 /// commit a `serve.job` span to the trace ring, and log the completion.
 /// Strictly after the job ran — none of this can perturb the release path.
-fn observe_service_time(
-    state: &ServerState,
-    session_name: &str,
-    request_id: u64,
-    streaming: bool,
-    elapsed: Duration,
-) {
-    // Admission looked the session up, so a job's session is registered.
-    if let Some(registered) = state.sessions.get(session_name) {
-        let millis = u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX);
-        registered.metrics().generate_ms.observe(millis);
-        let trace = sgf_metrics::trace();
-        if trace.enabled() {
-            let mut batch = TraceBatch::new();
-            let root = batch.span("serve.job", SpanId::NONE);
-            batch.scope_labels(root, &registered.scope);
-            batch.label(root, "mode", if streaming { "stream" } else { "batch" });
-            batch.counter(root, "request_id", request_id);
-            batch.wall(root, elapsed);
-            trace.commit(batch);
-        }
+fn observe_service_time(state: &ServerState, job: &Job, elapsed: Duration) {
+    let slot = &job.slot;
+    let millis = u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX);
+    slot.metrics().generate_ms.observe(millis);
+    let trace = sgf_metrics::trace();
+    if trace.enabled() {
+        let mut batch = TraceBatch::new();
+        let root = batch.span("serve.job", SpanId::NONE);
+        batch.scope_labels(root, &slot.scope);
+        batch.label(root, "mode", if job.stream { "stream" } else { "batch" });
+        batch.counter(root, "request_id", job.request_id);
+        batch.wall(root, elapsed);
+        trace.commit(batch);
     }
-    log_request(state, request_id, "generate", session_name, "done");
+    log_request(state, job.request_id, "generate", &slot.name, "done");
 }
 
-fn serve_job(job: Job) {
-    let Job {
-        session,
-        call,
-        reservation,
-        out,
-        ..
-    } = job;
+fn serve_job(job: &mut Job) {
     // The worker takes over the reservation: from here, the session's release
-    // (or the marginal-stream rejection) settles it exactly once.
-    let reserved = reservation.map(ReservationGuard::take);
-    if call.stream {
-        serve_stream(&session, call, reserved, &out);
+    // settles it exactly once.
+    let reserved = job.reserved.take();
+    if job.stream {
+        serve_stream(&job.session, &job.request, reserved, &job.out);
     } else {
-        serve_batch(&session, &call, reserved, &out);
+        serve_batch(&job.session, &job.request, job.model, reserved, &job.out);
     }
 }
 
@@ -1021,18 +973,17 @@ const BATCH_FRAME_BYTES: usize = 1280;
 
 fn serve_batch(
     session: &SynthesisSession,
-    call: &GenerateCall,
+    request: &GenerateRequest,
+    model: ModelKind,
     reserved: Option<usize>,
     out: &Mutex<TcpStream>,
 ) {
-    let result: sgf_core::Result<ReleaseReport> = match (call.model, reserved) {
-        (ModelKind::Seed, None) => session.generate(&call.request),
-        (ModelKind::Seed, Some(r)) => session.generate_reserved(r, &call.request),
-        (ModelKind::Marginal, None) => {
-            session.generate_with(&session.models().marginal, &call.request)
-        }
+    let result: sgf_core::Result<ReleaseReport> = match (model, reserved) {
+        (ModelKind::Seed, None) => session.generate(request),
+        (ModelKind::Seed, Some(r)) => session.generate_reserved(r, request),
+        (ModelKind::Marginal, None) => session.generate_with(&session.models().marginal, request),
         (ModelKind::Marginal, Some(r)) => {
-            session.generate_reserved_with(&session.models().marginal, r, &call.request)
+            session.generate_reserved_with(&session.models().marginal, r, request)
         }
     };
     match result {
@@ -1061,28 +1012,13 @@ fn serve_batch(
     }
 }
 
+/// Stream a seed-model release (admission refused a marginal stream).
 fn serve_stream(
     session: &SynthesisSession,
-    call: GenerateCall,
+    request: &GenerateRequest,
     reserved: Option<usize>,
     out: &Mutex<TcpStream>,
 ) {
-    if call.model == ModelKind::Marginal {
-        // Streaming releases through the seed synthesizer only; keep the
-        // protocol surface honest about it.
-        if let Some(r) = reserved {
-            session.abort_reservation(r);
-        }
-        write_line(
-            out,
-            &protocol::reject_line(
-                reject::BAD_REQUEST,
-                "streaming supports the seed model only",
-                &[],
-            ),
-        );
-        return;
-    }
     // Hold the connection for the whole stream so no other response can
     // interleave with the record lines.  The header goes out with the first
     // record (or the trailer), so a request the session rejects before any
@@ -1091,7 +1027,7 @@ fn serve_stream(
     let mut stream = locked(out);
     let mut lines = String::new();
     let mut sent = 0usize;
-    let result = session.release_stream(&call.request, reserved, |record| {
+    let result = session.release_stream(request, reserved, |record| {
         lines.clear();
         if sent == 0 {
             lines.push_str(&protocol::stream_header_line());
@@ -1139,4 +1075,36 @@ fn serve_stream(
     }
     let _ = stream.write_all(lines.as_bytes());
     let _ = stream.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_long_line_leaves_no_long_buffer_behind() {
+        let long = vec![b'x'; 4 * KEPT_LINE_CAPACITY];
+        let input = [&long[..], b"\nshort\n"].concat();
+        let mut reader = &input[..];
+        let mut buffer = Vec::new();
+        let read = read_request_line(&mut reader, &mut buffer).unwrap();
+        assert_eq!(read, long.len() + 1);
+        assert!(buffer.capacity() > KEPT_LINE_CAPACITY);
+        assert_eq!(read_request_line(&mut reader, &mut buffer).unwrap(), 6);
+        assert_eq!(buffer, b"short\n");
+        assert!(buffer.capacity() <= KEPT_LINE_CAPACITY);
+        assert_eq!(read_request_line(&mut reader, &mut buffer).unwrap(), 0);
+    }
+
+    #[test]
+    fn short_lines_keep_their_buffer() {
+        let mut reader = &b"first line\nsecond one\n"[..];
+        let mut buffer = Vec::with_capacity(KEPT_LINE_CAPACITY);
+        let capacity = buffer.capacity();
+        assert_eq!(read_request_line(&mut reader, &mut buffer).unwrap(), 11);
+        assert_eq!(buffer.capacity(), capacity);
+        assert_eq!(read_request_line(&mut reader, &mut buffer).unwrap(), 11);
+        assert_eq!(buffer, b"second one\n");
+        assert_eq!(buffer.capacity(), capacity);
+    }
 }

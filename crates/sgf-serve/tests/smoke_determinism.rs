@@ -6,7 +6,12 @@
 //! wall-clock-free span trees, and the provenance block are all functions of
 //! the request seeds alone.  Separate processes (not threads) because the
 //! metrics registry and trace ring are process-global.
+//!
+//! The smoke serves with request logs on, so the same runs also check the
+//! logs on stderr: canonical JSON lines, the same requests and outcomes on
+//! both runs, and refusals logged under their reject code.
 
+use sgf_serve::json::Value;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -16,15 +21,56 @@ const ARTIFACTS: [&str; 3] = [
     "SMOKE_PROVENANCE.json",
 ];
 
-fn run_smoke(dir: &Path) {
-    let status = Command::new(env!("CARGO_BIN_EXE_sgf-serve"))
+/// Run the smoke, writing its documents to `dir`; returns its stderr.
+fn run_smoke(dir: &Path) -> String {
+    let output = Command::new(env!("CARGO_BIN_EXE_sgf-serve"))
         .arg("--smoke")
         .env("SGF_BENCH_DIR", dir)
         .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status()
+        .stderr(std::process::Stdio::piped())
+        .output()
         .expect("spawning sgf-serve --smoke failed");
-    assert!(status.success(), "smoke run failed: {status}");
+    let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
+    assert!(
+        output.status.success(),
+        "smoke run failed: {}\n{stderr}",
+        output.status
+    );
+    stderr
+}
+
+/// The (verb, session, outcome) of every request log line, sorted.  Each line
+/// must be canonical JSON with exactly the log's five keys.
+fn request_log(stderr: &str) -> Vec<(String, String, String)> {
+    let mut entries: Vec<_> = stderr
+        .lines()
+        .map(|line| {
+            let value = Value::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(value.render(), line, "log lines are canonical JSON");
+            let Value::Obj(fields) = &value else {
+                panic!("a log line is an object: {line}");
+            };
+            let keys: Vec<&str> = fields.keys().map(String::as_str).collect();
+            assert_eq!(
+                keys,
+                ["log", "outcome", "request_id", "session", "verb"],
+                "{line}"
+            );
+            assert_eq!(
+                value.get("log").and_then(Value::as_str),
+                Some("serve.request")
+            );
+            let text = |key| {
+                let field = value.get(key).and_then(Value::as_str);
+                field
+                    .unwrap_or_else(|| panic!("{line}: `{key}` is a string"))
+                    .to_string()
+            };
+            (text("verb"), text("session"), text("outcome"))
+        })
+        .collect();
+    entries.sort();
+    entries
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -43,8 +89,8 @@ fn fresh_dir(tag: &str) -> PathBuf {
 fn smoke_observability_documents_are_byte_identical_across_runs() {
     let first = fresh_dir("a");
     let second = fresh_dir("b");
-    run_smoke(&first);
-    run_smoke(&second);
+    let first_log = request_log(&run_smoke(&first));
+    let second_log = request_log(&run_smoke(&second));
     for name in ARTIFACTS {
         let a = std::fs::read(first.join(name))
             .unwrap_or_else(|e| panic!("first run wrote no {name}: {e}"));
@@ -63,6 +109,19 @@ fn smoke_observability_documents_are_byte_identical_across_runs() {
     let parsed = sgf_serve::json::Value::parse(provenance).unwrap();
     assert_eq!(parsed.render(), provenance);
     assert!(provenance.contains("\"gamma\":4.0"), "{provenance}");
+    // Both runs logged the same requests with the same outcomes, and the
+    // smoke's `metrics` and `trace` probes of an unregistered name logged
+    // their refusal.
+    assert!(!first_log.is_empty(), "the smoke logs its requests");
+    assert_eq!(first_log, second_log);
+    for verb in ["metrics", "trace"] {
+        let probe = (
+            verb.to_string(),
+            "unregistered".to_string(),
+            "unknown_session".to_string(),
+        );
+        assert!(first_log.contains(&probe), "{first_log:?}");
+    }
     let _ = std::fs::remove_dir_all(&first);
     let _ = std::fs::remove_dir_all(&second);
 }

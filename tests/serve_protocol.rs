@@ -179,6 +179,65 @@ fn capped_streaming_settles_the_reservation_exactly() {
     handle.join().unwrap();
 }
 
+/// A streaming `marginal` generate is refused at admission, before any budget
+/// reservation or queue slot: nothing stays reserved on the capped session,
+/// and its `serve.admitted` count does not move.
+#[test]
+fn streaming_marginal_generate_is_refused_at_admission() {
+    use sgf::serve::{cap_admitting, ModelKind};
+
+    let session = train_session(44);
+    let local = session.clone();
+    let target = 4usize;
+    let cap = cap_admitting(&session, 2 * target).unwrap();
+    let handle = serve(
+        ServeConfig::default(),
+        vec![SessionEntry::new(session).named("capped").capped(cap)],
+    )
+    .unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let admitted = |client: &mut Client| {
+        let metrics = client.metrics(Some("capped"), false).unwrap();
+        metrics
+            .get("metrics")
+            .and_then(|m| m.get("counters"))
+            .and_then(|c| c.get("serve.admitted"))
+            .and_then(|v| v.as_u64())
+    };
+
+    client
+        .generate(
+            &GenerateCall::new(target)
+                .with_session("capped")
+                .with_request(GenerateRequest::new(target).with_seed(1)),
+        )
+        .unwrap();
+    assert_eq!(admitted(&mut client), Some(1));
+
+    let err = client
+        .generate(
+            &GenerateCall::new(target)
+                .with_session("capped")
+                .with_stream(true)
+                .with_model(ModelKind::Marginal),
+        )
+        .unwrap_err();
+    let ClientError::Rejected(rejection) = err else {
+        panic!("expected a rejection");
+    };
+    assert_eq!(rejection.code, reject::BAD_REQUEST);
+    assert_eq!(rejection.message, "streaming supports the seed model only");
+    assert_eq!(local.ledger().reserved, 0);
+    assert_eq!(
+        admitted(&mut client),
+        Some(1),
+        "a refused stream takes no queue slot"
+    );
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
 /// A client that hangs up mid-stream on a capped session leaves the ledger
 /// settled: once the worker is idle again nothing stays reserved, no more
 /// than the target was released, and the total stays under the cap.  (How
