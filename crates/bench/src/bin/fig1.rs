@@ -16,8 +16,8 @@ fn private_model(ctx: &bench::ExperimentContext, epsilon: f64, seed: u64) -> Bay
     let eps_h = calibrate_epsilon_h(m, 0.01, 1e-9, epsilon).max(1e-4);
     let eps_p = calibrate_epsilon_p(m, 1e-9, epsilon).max(1e-4);
     let mut rng = StdRng::seed_from_u64(seed);
-    let structure = sgf_model::learn_dependency_structure(
-        &ctx.split.structure,
+    let structure = sgf_model::learn_structure_from_counts(
+        &ctx.models.structure_counts,
         &ctx.bucketizer,
         &StructureConfig::private(eps_h, 0.01),
         &mut rng,

@@ -36,14 +36,11 @@
 
 use bench::track::{BenchPoint, SeriesRecorder};
 use bench::{scale_from_args, smoke_mode};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sgf_core::{
-    learn_models, InvertedIndexStore, Mechanism, PartitionIndexStore, PrefixIndexStore,
-    PrivacyTestConfig, SeedStore,
+    InvertedIndexStore, Mechanism, PartitionIndexStore, PrefixIndexStore, PrivacyTestConfig,
+    SeedStore, SynthesisEngine,
 };
 use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
-use sgf_data::{split_dataset, SplitSpec};
 use sgf_eval::TextTable;
 use sgf_index::MAX_INTERSECT_LISTS;
 use sgf_model::SeedSynthesizer;
@@ -91,13 +88,13 @@ fn main() {
 
     for &population_size in &populations {
         let population = generate_acs(population_size, 301);
-        // Learn the models once per population size; the k sweep only changes
-        // the privacy test, not the trained models.
-        let mut rng = StdRng::seed_from_u64(301);
-        let split = split_dataset(&population, &SplitSpec::paper_defaults(), &mut rng)
-            .expect("population is non-empty");
-        let config = bench::experiment_pipeline_config(1, 301);
-        let models = learn_models(&config, &split, &bucketizer).expect("model learning succeeds");
+        // Split and learn once per population size, as a session trains; the
+        // k sweep only changes the privacy test, not the trained models.
+        let (split, models, _) =
+            SynthesisEngine::from_config(bench::experiment_pipeline_config(1, 301))
+                .train(&population, &bucketizer)
+                .expect("model learning succeeds")
+                .into_parts();
         let synthesizer =
             SeedSynthesizer::new(Arc::clone(&models.cpts), 9).expect("omega 9 is valid");
 

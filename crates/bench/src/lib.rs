@@ -10,11 +10,11 @@ pub mod track;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sgf_core::{
-    learn_models, BudgetLedger, GenerateRequest, PipelineConfig, PrivacyTestConfig,
-    SynthesisEngine, TrainedModels,
+    BudgetLedger, GenerateRequest, PipelineConfig, PrivacyTestConfig, SynthesisEngine,
+    TrainedModels,
 };
 use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
-use sgf_data::{split_dataset, Bucketizer, DataSplit, Dataset, SplitSpec};
+use sgf_data::{Bucketizer, DataSplit, Dataset};
 use sgf_model::OmegaSpec;
 
 /// Base population size at scale 1.
@@ -138,28 +138,9 @@ pub fn build_context(scale: usize, seed: u64) -> ExperimentContext {
     }
 }
 
-/// A small model context: fast to learn, no synthesis.
-pub fn small_models(seed: u64) -> (DataSplit, Bucketizer, TrainedModels) {
-    let population = generate_acs(6_000, seed);
-    let bucketizer = acs_bucketizer(&acs_schema());
-    let mut rng = StdRng::seed_from_u64(seed);
-    let split = split_dataset(&population, &SplitSpec::paper_defaults(), &mut rng)
-        .expect("population is non-empty");
-    let config = experiment_pipeline_config(100, seed);
-    let models = learn_models(&config, &split, &bucketizer).expect("model learning succeeds");
-    (split, bucketizer, models)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn small_models_learn() {
-        let (split, _bkt, models) = small_models(5);
-        assert!(!split.seeds.is_empty());
-        assert!(models.structure.graph.topological_order().is_some());
-    }
 
     #[test]
     fn paper_omegas_cover_the_evaluation_settings() {

@@ -157,12 +157,6 @@ impl ReleaseBudget {
         // e^{-ε0 (k - t)} <= δ  <=>  k >= t + ln(1/δ)/ε0.
         Ok(t + ceil_to_usize((1.0 / max_delta).ln() / epsilon0)?)
     }
-
-    /// The guarantee for releasing `count` records from the same input dataset
-    /// (sequential composition, as discussed in Section 8).
-    pub fn for_releases(&self, count: usize) -> DpBudget {
-        compose_releases(Some(self.budget), count)
-    }
 }
 
 /// Cumulative differential-privacy accounting across *all* the releases
@@ -701,7 +695,7 @@ mod tests {
     #[test]
     fn for_releases_scales_linearly() {
         let b = ReleaseBudget::at(50, 4.0, 1.0, 20).unwrap();
-        let ten = b.for_releases(10);
+        let ten = compose_releases(Some(b.budget), 10);
         assert!((ten.epsilon - 10.0 * b.budget.epsilon).abs() < 1e-9);
         assert!((ten.delta - 10.0 * b.budget.delta).abs() < 1e-20);
     }

@@ -113,8 +113,9 @@ pub struct TrainedModels {
 
 /// Learn structure, parameters, and the marginal baseline from an
 /// already-split dataset: the training phase of
-/// [`SynthesisEngine::train`](crate::SynthesisEngine::train), exposed for
-/// callers that split the data themselves.
+/// [`SynthesisEngine::train`](crate::SynthesisEngine::train), which splits
+/// with [`sgf_data::split_dataset_by_hash`].  Exposed for callers that hold
+/// such a split and want the models without a session.
 pub fn learn_models(
     config: &PipelineConfig,
     split: &DataSplit,
@@ -249,10 +250,7 @@ mod tests {
         let data = generate_acs(3000, 6);
         let bkt = acs_bucketizer(&acs_schema());
         let config = small_config(10);
-        let split = {
-            let mut rng = StdRng::seed_from_u64(6);
-            sgf_data::split_dataset(&data, &config.split, &mut rng).unwrap()
-        };
+        let split = sgf_data::split_dataset_by_hash(&data, &config.split, 6).unwrap();
         let models = learn_models(&config, &split, &bkt).unwrap();
         let synthesizer = SeedSynthesizer::new(Arc::clone(&models.cpts), 9).unwrap();
         let mechanism = Mechanism::new(&synthesizer, &split.seeds, config.privacy_test).unwrap();

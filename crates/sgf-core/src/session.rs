@@ -767,11 +767,8 @@ impl SynthesisSession {
     /// randomized ω draws among pre-built fixed-ω models per candidate).
     fn build_synthesizers(&self, omega: OmegaSpec) -> Result<Vec<SeedSynthesizer>> {
         omega.validate(self.seeds().schema().len())?;
-        let (lo, hi) = match omega {
-            OmegaSpec::Fixed(w) => (w, w),
-            OmegaSpec::UniformRange { lo, hi } => (lo, hi),
-        };
-        Ok((lo..=hi)
+        Ok(omega
+            .range()
             .map(|w| SeedSynthesizer::new(Arc::clone(&self.shared.models.cpts), w))
             .collect::<sgf_model::Result<_>>()?)
     }
@@ -1031,9 +1028,6 @@ impl SynthesisSession {
         let mut structure_counts = shared.models.structure_counts.clone();
         let structure = if structure_changed {
             structure_counts.apply_delta(&deletes[0], &inserts[0], bucketizer)?;
-            if let Some(dp) = &self.config.structure.dp {
-                dp.validate()?;
-            }
             let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(0x5eed));
             let correlations =
                 structure_counts.matrix(self.config.structure.dp.as_ref(), &mut rng)?;
@@ -1203,12 +1197,9 @@ fn splitmix64(x: u64) -> u64 {
 }
 
 /// The smallest ω an ω spec admits: its synthesizer keeps the most
-/// attributes, so it fixes the partition store's key.
+/// attributes, so it fixes the σ-prefix store's key.
 fn smallest_omega(omega: OmegaSpec) -> usize {
-    match omega {
-        OmegaSpec::Fixed(w) => w,
-        OmegaSpec::UniformRange { lo, .. } => lo,
-    }
+    *omega.range().start()
 }
 
 /// Most worker threads one request may fan out over.  The ceiling bounds

@@ -7,7 +7,10 @@
 //! This crate provides:
 //!
 //! * [`Schema`]/[`Attribute`] — the discrete attribute model of Table 1;
-//! * [`Record`]/[`Dataset`] — fixed-width records with sampling and splitting;
+//! * [`Record`]/[`Dataset`] — fixed-width records, stored as a rope of
+//!   shared runs;
+//! * [`split_dataset_by_hash`] — the one split into `D_T` / `D_P` / `D_S` /
+//!   test, a pure function of each record's values and the split seed;
 //! * [`Bucketizer`] — the `bkt()` discretization used by structure learning;
 //! * CSV input/output matching the paper's tool interface;
 //! * [`acs`] — a synthetic ACS-2013-like population generator standing in for
@@ -27,6 +30,4 @@ pub use delta::{apply_deletes, retract_and_append, DatasetDelta};
 pub use error::{DataError, Result};
 pub use record::{Dataset, Record};
 pub use schema::{Attribute, AttributeKind, Schema};
-pub use split::{
-    split_dataset, split_dataset_by_hash, split_role, DataSplit, SplitRole, SplitSpec,
-};
+pub use split::{split_dataset_by_hash, split_role, DataSplit, SplitRole, SplitSpec};

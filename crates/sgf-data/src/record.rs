@@ -7,10 +7,8 @@
 
 use crate::error::{DataError, Result};
 use crate::schema::Schema;
-use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::num::NonZeroU16;
@@ -422,54 +420,6 @@ impl Dataset {
         Ok(self.record(idx))
     }
 
-    /// Sample `n` records uniformly *with* replacement.
-    pub fn sample_with_replacement<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        rng: &mut R,
-    ) -> Result<Dataset> {
-        if self.is_empty() {
-            return Err(DataError::EmptyDataset);
-        }
-        let records = (0..n)
-            .map(|_| self.record(rng.gen_range(0..self.len())).clone())
-            .collect();
-        Ok(Dataset::from_records_unchecked(self.schema_arc(), records))
-    }
-
-    /// Sample `n` records uniformly *without* replacement (n is clamped to the dataset size).
-    pub fn sample_without_replacement<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        rng: &mut R,
-    ) -> Result<Dataset> {
-        if self.is_empty() {
-            return Err(DataError::EmptyDataset);
-        }
-        let n = n.min(self.len());
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(rng);
-        let records = idx[..n].iter().map(|&i| self.record(i).clone()).collect();
-        Ok(Dataset::from_records_unchecked(self.schema_arc(), records))
-    }
-
-    /// Return a new dataset with the records shuffled.
-    pub fn shuffled<R: Rng + ?Sized>(&self, rng: &mut R) -> Dataset {
-        let mut records: Vec<Record> = self.iter().cloned().collect();
-        records.shuffle(rng);
-        Dataset::from_records_unchecked(self.schema_arc(), records)
-    }
-
-    /// Number of *distinct* records (the "unique records" statistic of Table 2
-    /// counts records whose value combination appears exactly once).
-    pub fn distinct_count(&self) -> usize {
-        let mut set: HashSet<&[u16]> = HashSet::with_capacity(self.len());
-        for r in self.iter() {
-            set.insert(r.values());
-        }
-        set.len()
-    }
-
     /// Number of records whose exact value combination occurs exactly once in
     /// the dataset (Table 2's "unique records").
     pub fn singleton_count(&self) -> usize {
@@ -613,7 +563,6 @@ mod tests {
     #[test]
     fn distinct_and_singleton_counts() {
         let d = dataset();
-        assert_eq!(d.distinct_count(), 4);
         // (2,0) appears twice, the other three exactly once.
         assert_eq!(d.singleton_count(), 3);
     }
@@ -626,12 +575,6 @@ mod tests {
             let r = d.sample_record(&mut rng).unwrap();
             assert!(r.get(0) < 3 && r.get(1) < 2);
         }
-        let with = d.sample_with_replacement(12, &mut rng).unwrap();
-        assert_eq!(with.len(), 12);
-        let without = d.sample_without_replacement(3, &mut rng).unwrap();
-        assert_eq!(without.len(), 3);
-        let clamped = d.sample_without_replacement(99, &mut rng).unwrap();
-        assert_eq!(clamped.len(), d.len());
     }
 
     #[test]
@@ -639,7 +582,6 @@ mod tests {
         let d = Dataset::new(schema());
         let mut rng = StdRng::seed_from_u64(1);
         assert!(d.sample_record(&mut rng).is_err());
-        assert!(d.sample_with_replacement(3, &mut rng).is_err());
     }
 
     #[test]

@@ -8,8 +8,6 @@
 
 use crate::error::{DataError, Result};
 use crate::record::{Dataset, Record};
-use rand::seq::SliceRandom;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Fractions of the input dataset assigned to each disjoint role.
@@ -56,7 +54,7 @@ impl SplitSpec {
     }
 }
 
-/// The disjoint subsets produced by [`split_dataset`].
+/// The disjoint subsets produced by [`split_dataset_by_hash`].
 #[derive(Debug, Clone)]
 pub struct DataSplit {
     /// `D_T`: records used to learn the model structure.
@@ -67,57 +65,6 @@ pub struct DataSplit {
     pub seeds: Dataset,
     /// Held-out records for evaluation.
     pub test: Dataset,
-}
-
-/// Randomly partition `dataset` into the four disjoint subsets described by `spec`.
-pub fn split_dataset<R: Rng + ?Sized>(
-    dataset: &Dataset,
-    spec: &SplitSpec,
-    rng: &mut R,
-) -> Result<DataSplit> {
-    spec.validate()?;
-    if dataset.is_empty() {
-        return Err(DataError::EmptyDataset);
-    }
-    let n = dataset.len();
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.shuffle(rng);
-
-    let n_structure = (spec.structure * n as f64).floor() as usize;
-    let n_parameters = (spec.parameters * n as f64).floor() as usize;
-    let n_seeds = (spec.seeds * n as f64).floor() as usize;
-    let n_test = (spec.test * n as f64).floor() as usize;
-    let total = n_structure + n_parameters + n_seeds + n_test;
-    if total > n {
-        return Err(DataError::InvalidSplit(format!(
-            "requested {total} records from a dataset of {n}"
-        )));
-    }
-
-    let schema = dataset.schema_arc();
-    let take = |range: std::ops::Range<usize>| -> Dataset {
-        let records = idx[range]
-            .iter()
-            .map(|&i| dataset.record(i).clone())
-            .collect();
-        Dataset::from_records_unchecked(schema.clone(), records)
-    };
-
-    let mut offset = 0usize;
-    let structure = take(offset..offset + n_structure);
-    offset += n_structure;
-    let parameters = take(offset..offset + n_parameters);
-    offset += n_parameters;
-    let seeds = take(offset..offset + n_seeds);
-    offset += n_seeds;
-    let test = take(offset..offset + n_test);
-
-    Ok(DataSplit {
-        structure,
-        parameters,
-        seeds,
-        test,
-    })
 }
 
 /// The disjoint role a record is assigned by the deterministic hash split.
@@ -151,13 +98,13 @@ fn role_hash(seed: u64, values: &[u16]) -> u64 {
 
 /// The role of `record` under the deterministic hash split.
 ///
-/// Unlike [`split_dataset`]'s shuffle, the role is a pure function of the
-/// record's *values* and the split seed — never of the record's position or of
-/// the rest of the dataset.  That is what makes splits delta-maintainable:
-/// deleting or inserting a record moves exactly that record in exactly one
-/// subset, so an incremental update and a from-scratch re-split of the final
-/// dataset agree byte-for-byte.  Identical records always share a role, which
-/// keeps value-matched deletions unambiguous.
+/// The role is a pure function of the record's *values* and the split seed —
+/// never of the record's position or of the rest of the dataset.  That is
+/// what makes splits delta-maintainable: deleting or inserting a record moves
+/// exactly that record in exactly one subset, so an incremental update and a
+/// from-scratch re-split of the final dataset agree byte-for-byte.  Identical
+/// records always share a role, which keeps value-matched deletions
+/// unambiguous.
 ///
 /// The record's hash is mapped to a unit-interval coordinate and compared to
 /// the cumulative fractions of `spec` in declaration order
@@ -222,8 +169,6 @@ mod tests {
     use super::*;
     use crate::record::Record;
     use crate::schema::{Attribute, Schema};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use std::collections::HashSet;
     use std::sync::Arc;
 
@@ -260,31 +205,31 @@ mod tests {
     #[test]
     fn splits_are_disjoint_and_sized() {
         let d = dataset(1000);
-        let mut rng = StdRng::seed_from_u64(3);
-        let split = split_dataset(&d, &SplitSpec::paper_defaults(), &mut rng).unwrap();
-        assert_eq!(split.structure.len(), 190);
-        assert_eq!(split.parameters.len(), 190);
-        assert_eq!(split.seeds.len(), 490);
-        assert_eq!(split.test.len(), 130);
-
+        let split = split_dataset_by_hash(&d, &SplitSpec::paper_defaults(), 3).unwrap();
         let mut seen: HashSet<u16> = HashSet::new();
-        for part in [
-            &split.structure,
-            &split.parameters,
-            &split.seeds,
-            &split.test,
+        // Sizes concentrate binomially around the 19 / 19 / 49 / 13% fractions.
+        for (part, expected) in [
+            (&split.structure, 190.0),
+            (&split.parameters, 190.0),
+            (&split.seeds, 490.0),
+            (&split.test, 130.0),
         ] {
+            assert!(
+                (part.len() as f64 - expected).abs() < 60.0,
+                "{}",
+                part.len()
+            );
             for r in part.records() {
                 assert!(seen.insert(r.get(0)), "record appears in two splits");
             }
         }
+        assert_eq!(seen.len(), 1000);
     }
 
     #[test]
     fn empty_dataset_rejected() {
         let d = dataset(5).truncated(0);
-        let mut rng = StdRng::seed_from_u64(3);
-        assert!(split_dataset(&d, &SplitSpec::paper_defaults(), &mut rng).is_err());
+        assert!(split_dataset_by_hash(&d, &SplitSpec::paper_defaults(), 3).is_err());
     }
 
     #[test]

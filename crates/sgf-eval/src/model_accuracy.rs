@@ -169,34 +169,18 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sgf_core::{learn_models, PipelineConfig};
     use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
-    use sgf_data::{split_dataset, SplitSpec};
-    use sgf_model::{
-        learn_dependency_structure, CptStore, MarginalConfig, ParameterConfig, StructureConfig,
-    };
-    use std::sync::Arc;
+    use sgf_data::{split_dataset_by_hash, SplitSpec};
 
     fn setup() -> (BayesNetModel, MarginalModel, Dataset, Dataset) {
         let data = generate_acs(4000, 21);
         let bkt = acs_bucketizer(&acs_schema());
-        let mut rng = StdRng::seed_from_u64(1);
-        let split = split_dataset(&data, &SplitSpec::paper_defaults(), &mut rng).unwrap();
-        let structure =
-            learn_dependency_structure(&split.structure, &bkt, &StructureConfig::exact(), &mut rng)
-                .unwrap();
-        let cpts = Arc::new(
-            CptStore::learn(
-                &split.parameters,
-                &bkt,
-                &structure.graph,
-                ParameterConfig::default(),
-            )
-            .unwrap(),
-        );
-        let marginal = MarginalModel::learn(&split.parameters, MarginalConfig::default()).unwrap();
+        let split = split_dataset_by_hash(&data, &SplitSpec::paper_defaults(), 1).unwrap();
+        let models = learn_models(&PipelineConfig::paper_defaults(1), &split, &bkt).unwrap();
         (
-            BayesNetModel::new(cpts),
-            marginal,
+            models.bayes_net,
+            models.marginal,
             split.parameters,
             split.test,
         )

@@ -116,17 +116,6 @@ pub struct TimerStats {
     pub max_nanos: u64,
 }
 
-impl TimerStats {
-    /// Mean observed duration in seconds (0 when nothing was observed).
-    pub fn mean_seconds(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_nanos as f64 / self.count as f64 / 1e9
-        }
-    }
-}
-
 /// A histogram-ish summary of a `u64`-valued observation stream: count, sum,
 /// min, max, and power-of-two magnitude buckets (enough for order-of-magnitude
 /// latency/size profiles without storing samples).
@@ -679,7 +668,6 @@ mod tests {
         assert_eq!(stats.count, 2);
         assert_eq!(stats.total_nanos, 8_000_000);
         assert_eq!(stats.max_nanos, 6_000_000);
-        assert!((stats.mean_seconds() - 0.004).abs() < 1e-12);
         let result = timer.time(|| 42);
         assert_eq!(result, 42);
         assert_eq!(timer.stats().count, 3);

@@ -247,7 +247,7 @@ pub fn learn_structure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::correlation::correlation_matrix;
+    use crate::counts::StructureCounts;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sgf_data::{Attribute, Dataset, Record, Schema};
@@ -285,11 +285,16 @@ mod tests {
         Dataset::from_records_unchecked(schema, records)
     }
 
+    /// The exact correlation matrix of `d` under `bkt`.
+    fn exact_matrix(d: &Dataset, bkt: &Bucketizer) -> Result<CorrelationMatrix> {
+        StructureCounts::fit(d, bkt)?.matrix(None, &mut rand::rngs::mock::StepRng::new(0, 1))
+    }
+
     #[test]
     fn merit_prefers_relevant_nonredundant_parents() {
         let d = dataset();
         let bkt = Bucketizer::identity(d.schema());
-        let corr = correlation_matrix(&d, &bkt).unwrap();
+        let corr = exact_matrix(&d, &bkt).unwrap();
         // For target B, parent {A} should beat parent {C}.
         assert!(merit_score(1, &[0], &corr) > merit_score(1, &[2], &corr));
         // Adding the redundant D to {A} should not dramatically improve the merit.
@@ -337,7 +342,7 @@ mod tests {
     fn learned_structure_is_acyclic_and_links_dependent_attributes() {
         let d = dataset();
         let bkt = Bucketizer::identity(d.schema());
-        let corr = correlation_matrix(&d, &bkt).unwrap();
+        let corr = exact_matrix(&d, &bkt).unwrap();
         let graph = learn_structure(&corr, &bkt, &CfsConfig::default()).unwrap();
         assert!(graph.topological_order().is_some());
         // A, B, D form a dependent cluster: B and D should have at least one
@@ -360,7 +365,7 @@ mod tests {
     fn maxcost_limits_parent_sets() {
         let d = dataset();
         let bkt = Bucketizer::identity(d.schema());
-        let corr = correlation_matrix(&d, &bkt).unwrap();
+        let corr = exact_matrix(&d, &bkt).unwrap();
         let config = CfsConfig {
             maxcost: 3,
             ..CfsConfig::default()
@@ -375,7 +380,7 @@ mod tests {
     fn max_parents_cap_is_respected() {
         let d = dataset();
         let bkt = Bucketizer::identity(d.schema());
-        let corr = correlation_matrix(&d, &bkt).unwrap();
+        let corr = exact_matrix(&d, &bkt).unwrap();
         let config = CfsConfig {
             max_parents: 1,
             ..CfsConfig::default()

@@ -1,17 +1,17 @@
 //! Pairwise attribute correlations (Section 3.3 / 3.3.1).
 //!
 //! Structure learning scores parent sets with the symmetrical uncertainty
-//! coefficient between (discretized) attributes.  This module computes the
-//! full correlation matrix either exactly or with differentially-private
-//! noisy entropies (Eq. 8–10): every entropy query receives fresh Laplace
-//! noise scaled by the sensitivity bound of Lemma 1, and the record count used
-//! by that bound is itself randomized (Eq. 10).
+//! coefficient between (discretized) attributes.  This module holds the full
+//! correlation matrix and its differential-privacy parameters; the matrix is
+//! computed by [`StructureCounts::matrix`], either exactly or with
+//! differentially-private noisy entropies (Eq. 8–10): every entropy query
+//! receives fresh Laplace noise scaled by the sensitivity bound of Lemma 1,
+//! and the record count used by that bound is itself randomized (Eq. 10).
+//!
+//! [`StructureCounts::matrix`]: crate::counts::StructureCounts::matrix
 
-use crate::counts::StructureCounts;
 use crate::error::{ModelError, Result};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-use sgf_data::{Bucketizer, Dataset};
 
 /// Differential-privacy parameters for the correlation computation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -130,50 +130,14 @@ impl CorrelationMatrix {
     }
 }
 
-/// Compute the exact (non-private) correlation matrix over bucketized attributes.
-pub fn correlation_matrix(dataset: &Dataset, bucketizer: &Bucketizer) -> Result<CorrelationMatrix> {
-    compute_matrix(
-        dataset,
-        bucketizer,
-        None,
-        &mut rand::rngs::mock::StepRng::new(0, 1),
-    )
-}
-
-/// Compute the correlation matrix with differentially-private noisy entropies.
-pub fn noisy_correlation_matrix<R: Rng + ?Sized>(
-    dataset: &Dataset,
-    bucketizer: &Bucketizer,
-    dp: &CorrelationDpConfig,
-    rng: &mut R,
-) -> Result<CorrelationMatrix> {
-    dp.validate()?;
-    compute_matrix(dataset, bucketizer, Some(dp), rng)
-}
-
-/// Both public entry points route through the summable sufficient statistics
-/// of [`StructureCounts`]: the counts are fitted with one dataset pass and the
-/// matrix is then a pure function of the counts.  This is what makes the
-/// incremental-update path bit-identical by construction — a delta-merged
-/// count table feeds the exact same computation a from-scratch fit would.
-fn compute_matrix<R: Rng + ?Sized>(
-    dataset: &Dataset,
-    bucketizer: &Bucketizer,
-    dp: Option<&CorrelationDpConfig>,
-    rng: &mut R,
-) -> Result<CorrelationMatrix> {
-    if dataset.is_empty() {
-        return Err(ModelError::EmptyTrainingData);
-    }
-    StructureCounts::fit(dataset, bucketizer)?.matrix(dp, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counts::StructureCounts;
+    use rand::rngs::mock::StepRng;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use sgf_data::{Attribute, Record, Schema};
+    use rand::{Rng, SeedableRng};
+    use sgf_data::{Attribute, Bucketizer, Dataset, Record, Schema};
     use std::sync::Arc;
 
     /// Dataset where B is a copy of A and C is independent noise.
@@ -197,11 +161,20 @@ mod tests {
         Dataset::from_records_unchecked(schema, records)
     }
 
+    /// The matrix of `d` under the identity bucketizer, exact when `dp` is
+    /// `None`.
+    fn matrix(
+        d: &Dataset,
+        dp: Option<&CorrelationDpConfig>,
+        rng: &mut impl Rng,
+    ) -> Result<CorrelationMatrix> {
+        StructureCounts::fit(d, &Bucketizer::identity(d.schema()))?.matrix(dp, rng)
+    }
+
     #[test]
     fn exact_matrix_detects_dependence() {
         let d = correlated_dataset(2000);
-        let bkt = Bucketizer::identity(d.schema());
-        let corr = correlation_matrix(&d, &bkt).unwrap();
+        let corr = matrix(&d, None, &mut StepRng::new(0, 1)).unwrap();
         assert_eq!(corr.len(), 3);
         assert!((corr.get(0, 0) - 1.0).abs() < 1e-12);
         assert!(
@@ -221,13 +194,12 @@ mod tests {
     #[test]
     fn noisy_matrix_stays_in_range_and_counts_queries() {
         let d = correlated_dataset(2000);
-        let bkt = Bucketizer::identity(d.schema());
         let mut rng = StdRng::seed_from_u64(9);
         let cfg = CorrelationDpConfig {
             epsilon_h: 0.5,
             epsilon_nt: 0.1,
         };
-        let corr = noisy_correlation_matrix(&d, &bkt, &cfg, &mut rng).unwrap();
+        let corr = matrix(&d, Some(&cfg), &mut rng).unwrap();
         for i in 0..3 {
             for j in 0..3 {
                 assert!((0.0..=1.0).contains(&corr.get(i, j)));
@@ -242,14 +214,13 @@ mod tests {
     #[test]
     fn noisy_matrix_with_large_epsilon_tracks_exact() {
         let d = correlated_dataset(3000);
-        let bkt = Bucketizer::identity(d.schema());
-        let exact = correlation_matrix(&d, &bkt).unwrap();
+        let exact = matrix(&d, None, &mut StepRng::new(0, 1)).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let cfg = CorrelationDpConfig {
             epsilon_h: 50.0,
             epsilon_nt: 50.0,
         };
-        let noisy = noisy_correlation_matrix(&d, &bkt, &cfg, &mut rng).unwrap();
+        let noisy = matrix(&d, Some(&cfg), &mut rng).unwrap();
         for i in 0..3 {
             for j in 0..3 {
                 assert!((exact.get(i, j) - noisy.get(i, j)).abs() < 0.1);
@@ -260,21 +231,25 @@ mod tests {
     #[test]
     fn invalid_dp_config_rejected() {
         let d = correlated_dataset(10);
-        let bkt = Bucketizer::identity(d.schema());
         let mut rng = StdRng::seed_from_u64(4);
         let bad = CorrelationDpConfig {
             epsilon_h: 0.0,
             epsilon_nt: 1.0,
         };
-        assert!(noisy_correlation_matrix(&d, &bkt, &bad, &mut rng).is_err());
+        // Checked before the counts: empty counts report the configuration too.
+        for data in [&d, &d.truncated(0)] {
+            assert!(matches!(
+                matrix(data, Some(&bad), &mut rng),
+                Err(ModelError::InvalidParameter(_))
+            ));
+        }
     }
 
     #[test]
     fn empty_dataset_rejected() {
         let d = correlated_dataset(5).truncated(0);
-        let bkt = Bucketizer::identity(d.schema());
         assert!(matches!(
-            correlation_matrix(&d, &bkt),
+            matrix(&d, None, &mut StepRng::new(0, 1)),
             Err(ModelError::EmptyTrainingData)
         ));
     }

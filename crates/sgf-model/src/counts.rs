@@ -5,13 +5,13 @@
 //! count — all of which are Z-set summable: inserting or deleting one record
 //! touches exactly `m` single-attribute bins and `m(m-1)/2` joint cells.
 //! [`StructureCounts`] maintains those counts so an incremental update costs
-//! `O(|Δ| · m²)` instead of a full pass over `D_T`, and the matrix derived
-//! from merged counts is **bit-identical** to the one a from-scratch
-//! computation would produce: both paths evaluate the same counts through
-//! entropy routines with identical floating-point operation sequences, in the
-//! same order (including the Laplace draws of the DP variant, whose draw count
-//! depends only on `m`) — the counts path borrowing its bins allocation-free
-//! via [`sgf_stats::entropy_from_counts`].
+//! `O(|Δ| · m²)` instead of a full pass over `D_T`.  [`StructureCounts::matrix`]
+//! is the one computation of the matrix, so the matrix derived from merged
+//! counts is **bit-identical** to the one a from-scratch fit gives: count
+//! addition commutes, and the matrix is a pure function of the counts and,
+//! under DP, of the Laplace draws, whose number depends only on `m`.  The
+//! entropies borrow their bins allocation-free via
+//! [`sgf_stats::entropy_from_counts`].
 
 use crate::correlation::{CorrelationDpConfig, CorrelationMatrix};
 use crate::error::{ModelError, Result};
@@ -148,16 +148,22 @@ impl StructureCounts {
         Ok(())
     }
 
-    /// Compute the correlation matrix from the counts — exactly the Eq. 5 /
-    /// Eq. 8–10 computation of `correlation_matrix` / `noisy_correlation_matrix`,
-    /// issuing the identical sequence of entropy evaluations and (under DP)
-    /// Laplace draws, so counts fitted from a dataset yield a bit-identical
-    /// matrix to the dataset-based path.
+    /// Compute the correlation matrix from the counts: the exact Eq. 5
+    /// coefficients, or with `dp` the Eq. 8–10 noisy entropies.  The
+    /// sequence of entropy evaluations and Laplace draws depends only on `m`,
+    /// so equal counts and an identically-seeded `rng` give a bit-identical
+    /// matrix however the counts were reached (one fit or merged deltas).
+    ///
+    /// This is the one place the matrix is computed, so it validates `dp`
+    /// before anything else.
     pub fn matrix<R: Rng + ?Sized>(
         &self,
         dp: Option<&CorrelationDpConfig>,
         rng: &mut R,
     ) -> Result<CorrelationMatrix> {
+        if let Some(dp) = dp {
+            dp.validate()?;
+        }
         if self.records == 0 {
             return Err(ModelError::EmptyTrainingData);
         }
@@ -211,10 +217,17 @@ impl StructureCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::correlation::{correlation_matrix, noisy_correlation_matrix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
+
+    /// Counts of `data` reached by merging its records into empty counts, as
+    /// an incremental update reaches them, rather than by one fit.
+    fn merged(data: &Dataset, bkt: &Bucketizer) -> StructureCounts {
+        let mut counts = StructureCounts::empty(bkt);
+        counts.apply_delta(&[], data.records(), bkt).unwrap();
+        counts
+    }
 
     #[test]
     fn fitted_counts_reproduce_the_dataset_matrix_bit_for_bit() {
@@ -222,11 +235,11 @@ mod tests {
         let bkt = acs_bucketizer(&acs_schema());
         let counts = StructureCounts::fit(&data, &bkt).unwrap();
         assert_eq!(counts.records(), 1200);
-        let direct = correlation_matrix(&data, &bkt).unwrap();
-        let from_counts = counts
-            .matrix(None, &mut rand::rngs::mock::StepRng::new(0, 1))
-            .unwrap();
-        assert_eq!(direct, from_counts);
+        let exact = |counts: &StructureCounts| {
+            let mut rng = rand::rngs::mock::StepRng::new(0, 1);
+            counts.matrix(None, &mut rng).unwrap()
+        };
+        assert_eq!(exact(&counts), exact(&merged(&data, &bkt)));
     }
 
     #[test]
@@ -237,12 +250,12 @@ mod tests {
             epsilon_h: 0.5,
             epsilon_nt: 0.1,
         };
-        let mut rng_a = StdRng::seed_from_u64(42);
-        let direct = noisy_correlation_matrix(&data, &bkt, &cfg, &mut rng_a).unwrap();
-        let counts = StructureCounts::fit(&data, &bkt).unwrap();
-        let mut rng_b = StdRng::seed_from_u64(42);
-        let from_counts = counts.matrix(Some(&cfg), &mut rng_b).unwrap();
-        assert_eq!(direct, from_counts);
+        let noisy = |counts: StructureCounts| {
+            let mut rng = StdRng::seed_from_u64(42);
+            counts.matrix(Some(&cfg), &mut rng).unwrap()
+        };
+        let fitted = noisy(StructureCounts::fit(&data, &bkt).unwrap());
+        assert_eq!(fitted, noisy(merged(&data, &bkt)));
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //!
 //! * [`graph`] — dependency DAGs between attributes (Eq. 2);
 //! * [`correlation`] — symmetrical-uncertainty correlation matrices, exact or
-//!   with DP noisy entropies (Section 3.3.1);
+//!   with DP noisy entropies (Section 3.3.1), computed only by
+//!   [`StructureCounts::matrix`];
+//! * [`counts`] — the summable structure-learning counts that matrix is read
+//!   from, one fit or merged deltas;
 //! * [`cfs`] — Correlation-based Feature Selection with the merit score of
 //!   Eq. 4 under the acyclicity and `maxcost` (Eq. 6) constraints;
 //! * [`structure`] — end-to-end (privacy-preserving) structure learning;
@@ -30,9 +33,7 @@ pub mod structure;
 pub mod synthesis;
 
 pub use cfs::{learn_structure, merit_score, parent_set_cost, CfsConfig};
-pub use correlation::{
-    correlation_matrix, noisy_correlation_matrix, CorrelationDpConfig, CorrelationMatrix,
-};
+pub use correlation::{CorrelationDpConfig, CorrelationMatrix};
 pub use counts::StructureCounts;
 pub use error::{ModelError, Result};
 pub use graph::DependencyGraph;
@@ -40,7 +41,6 @@ pub use marginal::{MarginalConfig, MarginalCounts, MarginalModel};
 pub use model::{BayesNetModel, GenerativeModel};
 pub use parameters::{CptCounts, CptStore, ParameterConfig};
 pub use structure::{
-    learn_dependency_structure, learn_structure_from_counts, structure_from_correlations,
-    LearnedStructure, StructureConfig,
+    learn_structure_from_counts, structure_from_correlations, LearnedStructure, StructureConfig,
 };
 pub use synthesis::{OmegaSpec, SeedSynthesizer};

@@ -186,23 +186,6 @@ impl BayesNetModel {
         Record::new(values)
     }
 
-    /// Log-likelihood (natural log) of a full record under the factorized
-    /// joint distribution of Eq. 2.  Returns `f64::NEG_INFINITY` if any factor
-    /// has probability zero.
-    pub fn record_log_likelihood(&self, record: &Record) -> f64 {
-        let mut ll = 0.0;
-        for attr in 0..self.schema().len() {
-            let p = self
-                .cpts
-                .conditional_probability(attr, record.get(attr), |j| record.get(j));
-            if p <= 0.0 {
-                return f64::NEG_INFINITY;
-            }
-            ll += p.ln();
-        }
-        ll
-    }
-
     /// The most likely value of attribute `attr` given all the *other*
     /// attribute values of `record` (the probe used for Figures 1 and 2).
     ///
@@ -300,14 +283,6 @@ mod tests {
             agree as f64 / n as f64 > 0.8,
             "A and B should usually agree"
         );
-    }
-
-    #[test]
-    fn log_likelihood_prefers_consistent_records() {
-        let m = model(5000);
-        let consistent = Record::new(vec![1, 1, 0]);
-        let inconsistent = Record::new(vec![1, 2, 0]);
-        assert!(m.record_log_likelihood(&consistent) > m.record_log_likelihood(&inconsistent));
     }
 
     #[test]

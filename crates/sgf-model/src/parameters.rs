@@ -985,8 +985,8 @@ mod tests {
         let data = generate_acs(4000, 11);
         let bkt = acs_bucketizer(&acs_schema());
         let mut structure_rng = StdRng::seed_from_u64(11);
-        let graph = crate::structure::learn_dependency_structure(
-            &data,
+        let graph = crate::structure::learn_structure_from_counts(
+            &crate::counts::StructureCounts::fit(&data, &bkt).unwrap(),
             &bkt,
             &crate::structure::StructureConfig::exact(),
             &mut structure_rng,

@@ -7,15 +7,13 @@
 //! (Section 3.5).
 
 use crate::cfs::{learn_structure, CfsConfig};
-use crate::correlation::{
-    correlation_matrix, noisy_correlation_matrix, CorrelationDpConfig, CorrelationMatrix,
-};
+use crate::correlation::{CorrelationDpConfig, CorrelationMatrix};
 use crate::counts::StructureCounts;
 use crate::error::Result;
 use crate::graph::DependencyGraph;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use sgf_data::{Bucketizer, Dataset};
+use sgf_data::Bucketizer;
 use sgf_stats::{advanced_composition, sequential_composition, DpBudget};
 
 /// Configuration of the full structure-learning step.
@@ -91,37 +89,20 @@ impl LearnedStructure {
     }
 }
 
-/// Learn the dependency structure from the structure-learning subset `D_T`.
-pub fn learn_dependency_structure<R: Rng + ?Sized>(
-    dataset: &Dataset,
-    bucketizer: &Bucketizer,
-    config: &StructureConfig,
-    rng: &mut R,
-) -> Result<LearnedStructure> {
-    let correlations = match &config.dp {
-        None => correlation_matrix(dataset, bucketizer)?,
-        Some(dp) => noisy_correlation_matrix(dataset, bucketizer, dp, rng)?,
-    };
-    structure_from_correlations(correlations, bucketizer, config)
-}
-
-/// Learn the dependency structure from delta-maintained sufficient statistics
-/// (the incremental-update re-learn path).
+/// Learn the dependency structure from the sufficient statistics of the
+/// structure-learning subset `D_T` ([`StructureCounts::fit`], or counts a
+/// delta was merged into).
 ///
-/// Feeding counts fitted from a dataset and an identically-seeded `rng`
-/// produces a [`LearnedStructure`] bit-identical to
-/// [`learn_dependency_structure`] on that dataset: the matrix computation and
-/// its DP noise draws are shared, and the CFS search plus budget accounting
-/// below are deterministic in the matrix.
+/// Equal counts and an identically-seeded `rng` give a bit-identical
+/// [`LearnedStructure`] however the counts were reached: the matrix and its
+/// DP noise draws come from [`StructureCounts::matrix`], and the CFS search
+/// plus budget accounting below are deterministic in the matrix.
 pub fn learn_structure_from_counts<R: Rng + ?Sized>(
     counts: &StructureCounts,
     bucketizer: &Bucketizer,
     config: &StructureConfig,
     rng: &mut R,
 ) -> Result<LearnedStructure> {
-    if let Some(dp) = &config.dp {
-        dp.validate()?;
-    }
     let correlations = counts.matrix(config.dp.as_ref(), rng)?;
     structure_from_correlations(correlations, bucketizer, config)
 }
@@ -131,11 +112,9 @@ pub fn learn_structure_from_counts<R: Rng + ?Sized>(
 ///
 /// Exposed so incremental updates can split the relearn at the matrix: a
 /// caller that derives the matrix via [`StructureCounts::matrix`], finds it
-/// unchanged, and keeps the old structure never pays for the CFS search.  `structure_from_correlations(matrix, ...)` on the same matrix is
-/// bit-identical to the tail of [`learn_structure_from_counts`] /
-/// [`learn_dependency_structure`].
-///
-/// [`StructureCounts::matrix`]: crate::counts::StructureCounts::matrix
+/// unchanged, and keeps the old structure never pays for the CFS search.
+/// `structure_from_correlations(matrix, ...)` on the same matrix is
+/// bit-identical to the tail of [`learn_structure_from_counts`].
 pub fn structure_from_correlations(
     correlations: CorrelationMatrix,
     bucketizer: &Bucketizer,
@@ -167,14 +146,24 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
+    use sgf_data::Dataset;
+
+    /// Structure learning over one fit of `data`, as `learn_models` runs it.
+    fn learn(
+        data: &Dataset,
+        bkt: &Bucketizer,
+        config: &StructureConfig,
+        rng: &mut StdRng,
+    ) -> Result<LearnedStructure> {
+        learn_structure_from_counts(&StructureCounts::fit(data, bkt)?, bkt, config, rng)
+    }
 
     #[test]
     fn exact_structure_on_acs_links_income_to_predictors() {
         let data = generate_acs(4000, 3);
         let bkt = acs_bucketizer(&acs_schema());
         let mut rng = StdRng::seed_from_u64(0);
-        let learned =
-            learn_dependency_structure(&data, &bkt, &StructureConfig::exact(), &mut rng).unwrap();
+        let learned = learn(&data, &bkt, &StructureConfig::exact(), &mut rng).unwrap();
         assert!(learned.graph.topological_order().is_some());
         assert_eq!(learned.budget.epsilon, 0.0);
         // Some dependencies must have been discovered on this correlated data.
@@ -190,8 +179,7 @@ mod tests {
         let data = generate_acs(4000, 7);
         let bkt = acs_bucketizer(&acs_schema());
         let mut rng = StdRng::seed_from_u64(2);
-        let learned =
-            learn_dependency_structure(&data, &bkt, &StructureConfig::exact(), &mut rng).unwrap();
+        let learned = learn(&data, &bkt, &StructureConfig::exact(), &mut rng).unwrap();
         let weights = learned.attribute_weights();
         assert_eq!(weights.len(), learned.graph.len());
         // Every attribute with at least one incident edge has positive weight;
@@ -211,13 +199,21 @@ mod tests {
     fn count_based_relearn_matches_the_dataset_path_bit_for_bit() {
         let data = generate_acs(1500, 4);
         let bkt = acs_bucketizer(&acs_schema());
+        // Counts of the first 700 records with the rest merged in, as an
+        // incremental update reaches them.
+        let (head, tail) = data.records().split_at(700);
+        let mut merged = StructureCounts::fit(
+            &Dataset::from_records_unchecked(data.schema_arc(), head.to_vec()),
+            &bkt,
+        )
+        .unwrap();
+        merged.apply_delta(&[], tail, &bkt).unwrap();
         for config in [StructureConfig::exact(), StructureConfig::private(0.5, 0.1)] {
             let mut rng_a = StdRng::seed_from_u64(21);
-            let direct = learn_dependency_structure(&data, &bkt, &config, &mut rng_a).unwrap();
-            let counts = StructureCounts::fit(&data, &bkt).unwrap();
+            let direct = learn(&data, &bkt, &config, &mut rng_a).unwrap();
             let mut rng_b = StdRng::seed_from_u64(21);
             let relearned =
-                learn_structure_from_counts(&counts, &bkt, &config, &mut rng_b).unwrap();
+                learn_structure_from_counts(&merged, &bkt, &config, &mut rng_b).unwrap();
             assert_eq!(direct.graph, relearned.graph);
             assert_eq!(direct.correlations, relearned.correlations);
             assert_eq!(direct.budget, relearned.budget);
@@ -229,13 +225,7 @@ mod tests {
         let data = generate_acs(2000, 5);
         let bkt = acs_bucketizer(&acs_schema());
         let mut rng = StdRng::seed_from_u64(1);
-        let learned = learn_dependency_structure(
-            &data,
-            &bkt,
-            &StructureConfig::private(0.05, 0.01),
-            &mut rng,
-        )
-        .unwrap();
+        let learned = learn(&data, &bkt, &StructureConfig::private(0.05, 0.01), &mut rng).unwrap();
         assert!(learned.graph.topological_order().is_some());
         assert!(learned.budget.epsilon > 0.0);
         assert!(learned.budget.delta > 0.0 && learned.budget.delta < 1e-6);
@@ -246,9 +236,8 @@ mod tests {
         let data = generate_acs(2000, 7);
         let bkt = acs_bucketizer(&acs_schema());
         let mut rng = StdRng::seed_from_u64(2);
-        let exact =
-            learn_dependency_structure(&data, &bkt, &StructureConfig::exact(), &mut rng).unwrap();
-        let noisy = learn_dependency_structure(
+        let exact = learn(&data, &bkt, &StructureConfig::exact(), &mut rng).unwrap();
+        let noisy = learn(
             &data,
             &bkt,
             &StructureConfig::private(0.001, 0.001),
@@ -268,7 +257,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut config = StructureConfig::exact();
         config.cfs.maxcost = 60;
-        let learned = learn_dependency_structure(&data, &bkt, &config, &mut rng).unwrap();
+        let learned = learn(&data, &bkt, &config, &mut rng).unwrap();
         for i in 0..learned.graph.len() {
             assert!(crate::cfs::parent_set_cost(learned.graph.parents(i), &bkt) <= 60);
         }

@@ -10,10 +10,10 @@
 use crate::error::{ModelError, Result};
 use crate::model::GenerativeModel;
 use crate::parameters::CptStore;
-use rand::Rng;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use sgf_data::{Record, Schema};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// How the number of re-sampled attributes ω is chosen for each candidate.
@@ -34,10 +34,7 @@ pub enum OmegaSpec {
 impl OmegaSpec {
     /// Validate against the number of attributes `m`.
     pub fn validate(&self, m: usize) -> Result<()> {
-        let (lo, hi) = match *self {
-            OmegaSpec::Fixed(w) => (w, w),
-            OmegaSpec::UniformRange { lo, hi } => (lo, hi),
-        };
+        let (lo, hi) = self.range().into_inner();
         if lo == 0 || hi < lo || hi > m {
             return Err(ModelError::InvalidParameter(format!(
                 "omega specification {self:?} is invalid for {m} attributes"
@@ -46,11 +43,12 @@ impl OmegaSpec {
         Ok(())
     }
 
-    /// Sample a concrete ω.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    /// The ω values the spec admits, smallest first.  A release builds one
+    /// synthesizer per value and draws among them uniformly per candidate.
+    pub fn range(&self) -> RangeInclusive<usize> {
         match *self {
-            OmegaSpec::Fixed(w) => w,
-            OmegaSpec::UniformRange { lo, hi } => rng.gen_range(lo..=hi),
+            OmegaSpec::Fixed(w) => w..=w,
+            OmegaSpec::UniformRange { lo, hi } => lo..=hi,
         }
     }
 
@@ -179,7 +177,7 @@ mod tests {
     use crate::graph::DependencyGraph;
     use crate::parameters::ParameterConfig;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use sgf_data::{Attribute, Bucketizer, Dataset, Schema as DataSchema};
     use std::sync::Arc as StdArc;
 
@@ -220,12 +218,8 @@ mod tests {
         assert!(OmegaSpec::UniformRange { lo: 4, hi: 2 }
             .validate(5)
             .is_err());
-        let mut rng = StdRng::seed_from_u64(1);
-        let spec = OmegaSpec::UniformRange { lo: 2, hi: 4 };
-        for _ in 0..100 {
-            let w = spec.sample(&mut rng);
-            assert!((2..=4).contains(&w));
-        }
+        assert_eq!(OmegaSpec::UniformRange { lo: 2, hi: 4 }.range(), 2..=4);
+        assert_eq!(OmegaSpec::Fixed(9).range(), 9..=9);
         assert_eq!(OmegaSpec::Fixed(9).label(), "omega = 9");
         assert_eq!(
             OmegaSpec::UniformRange { lo: 5, hi: 11 }.label(),

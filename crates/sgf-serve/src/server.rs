@@ -51,7 +51,7 @@ use sgf_metrics::json::write_object;
 use sgf_metrics::{Json, Scope, ScopedCounter, ScopedSummary, SpanId, Trace, TraceBatch};
 use sgf_stats::DpBudget;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, StderrLock, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -85,8 +85,8 @@ pub struct ServeConfig {
     pub trace: bool,
     /// Emit structured JSON log lines to stderr, keyed by request id: one
     /// per request with its outcome (`ok`, `admitted`, `draining` or the
-    /// reject code), plus a `done` line when a worker finishes an admitted
-    /// `generate`.
+    /// reject code), plus a `done` line, always after its `admitted` line,
+    /// when a worker finishes an admitted `generate`.
     pub log_requests: bool,
 }
 
@@ -522,6 +522,10 @@ fn ok_line<'k>(verb: &str, fields: impl IntoIterator<Item = (&'k str, Json)>) ->
 struct Answer {
     outcome: &'static str,
     line: Option<String>,
+    /// For an admitted `generate` with request logs on: stderr, locked since
+    /// before the job reached the queue, so the worker's `done` line cannot
+    /// precede this request's `admitted` line.  Released once it is logged.
+    log_hold: Option<StderrLock<'static>>,
 }
 
 impl Answer {
@@ -530,6 +534,7 @@ impl Answer {
         Answer {
             outcome: "ok",
             line: Some(line),
+            log_hold: None,
         }
     }
 }
@@ -577,14 +582,16 @@ fn conclude(
     answer: Result<Answer, Refusal>,
     out: &Mutex<TcpStream>,
 ) {
-    let (outcome, line) = match answer {
-        Ok(answer) => (answer.outcome, answer.line),
+    let (outcome, line, log_hold) = match answer {
+        Ok(answer) => (answer.outcome, answer.line, answer.log_hold),
         Err(refusal) => {
             let line = protocol::reject_line(refusal.code, &refusal.message, &refusal.extras);
-            (refusal.code, Some(line))
+            (refusal.code, Some(line), None)
         }
     };
+    // The stderr lock is reentrant: a held one does not block this thread.
     log_request(state, request_id, verb, session, outcome);
+    drop(log_hold);
     if let Some(line) = line {
         write_line(out, &line);
     }
@@ -629,6 +636,7 @@ fn handle_line(line: Result<&str, String>, out: &Arc<Mutex<TcpStream>>, state: &
             let ack = Answer {
                 outcome: "draining",
                 line: Some(ok_line("shutdown", [("draining", true.into())])),
+                log_hold: None,
             };
             ("shutdown", "", Ok(ack))
         }
@@ -887,12 +895,16 @@ fn admit_generate(
         out: Arc::clone(out),
         request_id,
     };
+    // Once pushed, a worker may finish the job at once; with request logs
+    // on, stderr stays locked until `conclude` has logged `admitted`.
+    let log_hold = state.log_requests.then(|| std::io::stderr().lock());
     match state.queue.try_push(job) {
         Ok(()) => {
             slot.metrics().admitted.incr();
             Ok(Answer {
                 outcome: "admitted",
                 line: None,
+                log_hold,
             })
         }
         Err(PushError::Full(job)) => {

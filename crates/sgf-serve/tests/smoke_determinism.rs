@@ -9,9 +9,11 @@
 //!
 //! The smoke serves with request logs on, so the same runs also check the
 //! logs on stderr: canonical JSON lines, the same requests and outcomes on
-//! both runs, and refusals logged under their reject code.
+//! both runs, refusals logged under their reject code, and each admitted
+//! `generate` logged `admitted` before its worker logs `done`.
 
 use sgf_serve::json::Value;
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -40,35 +42,51 @@ fn run_smoke(dir: &Path) -> String {
 }
 
 /// The (verb, session, outcome) of every request log line, sorted.  Each line
-/// must be canonical JSON with exactly the log's five keys.
+/// must be canonical JSON with exactly the log's five keys, and every `done`
+/// line must follow the `admitted` line of its request.
 fn request_log(stderr: &str) -> Vec<(String, String, String)> {
-    let mut entries: Vec<_> = stderr
-        .lines()
-        .map(|line| {
-            let value = Value::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
-            assert_eq!(value.render(), line, "log lines are canonical JSON");
-            let Value::Obj(fields) = &value else {
-                panic!("a log line is an object: {line}");
-            };
-            let keys: Vec<&str> = fields.keys().map(String::as_str).collect();
-            assert_eq!(
-                keys,
-                ["log", "outcome", "request_id", "session", "verb"],
-                "{line}"
-            );
-            assert_eq!(
-                value.get("log").and_then(Value::as_str),
-                Some("serve.request")
-            );
-            let text = |key| {
-                let field = value.get(key).and_then(Value::as_str);
-                field
-                    .unwrap_or_else(|| panic!("{line}: `{key}` is a string"))
-                    .to_string()
-            };
-            (text("verb"), text("session"), text("outcome"))
-        })
-        .collect();
+    let mut admitted = HashSet::new();
+    let mut done = 0;
+    let mut entries = Vec::new();
+    for line in stderr.lines() {
+        let value = Value::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        assert_eq!(value.render(), line, "log lines are canonical JSON");
+        let Value::Obj(fields) = &value else {
+            panic!("a log line is an object: {line}");
+        };
+        let keys: Vec<&str> = fields.keys().map(String::as_str).collect();
+        assert_eq!(
+            keys,
+            ["log", "outcome", "request_id", "session", "verb"],
+            "{line}"
+        );
+        assert_eq!(
+            value.get("log").and_then(Value::as_str),
+            Some("serve.request")
+        );
+        let text = |key| {
+            let field = value.get(key).and_then(Value::as_str);
+            field
+                .unwrap_or_else(|| panic!("{line}: `{key}` is a string"))
+                .to_string()
+        };
+        let request_id = value.get("request_id").and_then(Value::as_u64);
+        let request_id = request_id.unwrap_or_else(|| panic!("{line}: `request_id` is a count"));
+        let outcome = text("outcome");
+        match outcome.as_str() {
+            "admitted" => assert!(admitted.insert(request_id), "{line}: admitted twice"),
+            "done" => {
+                assert!(
+                    admitted.contains(&request_id),
+                    "{line}: `done` logged before its request's `admitted` line"
+                );
+                done += 1;
+            }
+            _ => {}
+        }
+        entries.push((text("verb"), text("session"), outcome));
+    }
+    assert!(done > 0, "the smoke logs finished generates");
     entries.sort();
     entries
 }

@@ -4,7 +4,7 @@
 //! probability estimates all start from counting value (or value-pair)
 //! frequencies; this module centralizes that counting.
 
-use sgf_data::{Bucketizer, Dataset};
+use sgf_data::Dataset;
 
 /// Counts of a single discrete variable over a fixed domain `0..cardinality`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,14 +42,6 @@ impl Histogram {
     /// Histogram of one dataset column.
     pub fn from_column(dataset: &Dataset, attr: usize) -> Self {
         Histogram::from_values(dataset.schema().cardinality(attr), dataset.column(attr))
-    }
-
-    /// Histogram of one dataset column after bucketization.
-    pub fn from_column_bucketized(dataset: &Dataset, attr: usize, bkt: &Bucketizer) -> Self {
-        Histogram::from_values(
-            bkt.bucket_count(attr),
-            dataset.column(attr).map(|v| bkt.bucket_of(attr, v)),
-        )
     }
 
     /// Increment the count of bin `v`.
@@ -168,26 +160,6 @@ impl JointHistogram {
                 .records()
                 .iter()
                 .map(|r| (r.get(attr_a), r.get(attr_b))),
-        )
-    }
-
-    /// Joint histogram of two columns where the *second* is bucketized
-    /// (the `H(x_i, bkt(x_j))` case of Section 3.3.1).
-    pub fn from_columns_bucketized_second(
-        dataset: &Dataset,
-        attr_a: usize,
-        attr_b: usize,
-        bkt: &Bucketizer,
-    ) -> Self {
-        let rows = dataset.schema().cardinality(attr_a);
-        let cols = bkt.bucket_count(attr_b);
-        JointHistogram::from_pairs(
-            rows,
-            cols,
-            dataset
-                .records()
-                .iter()
-                .map(|r| (r.get(attr_a), bkt.bucket_of(attr_b, r.get(attr_b)))),
         )
     }
 
@@ -344,28 +316,5 @@ mod tests {
         let flat = j.flatten();
         assert_eq!(flat.total(), j.total());
         assert_eq!(flat.bins(), 6);
-    }
-
-    #[test]
-    fn bucketized_histograms_use_bucket_domains() {
-        let schema = Arc::new(
-            Schema::new(vec![
-                Attribute::numerical("AGE", 0, 19),
-                Attribute::categorical("B", &["b0", "b1"]),
-            ])
-            .unwrap(),
-        );
-        let records = (0..20u16).map(|v| Record::new(vec![v, v % 2])).collect();
-        let d = Dataset::from_records_unchecked(schema, records);
-        let bkt = sgf_data::Bucketizer::identity(d.schema())
-            .with_attribute(0, sgf_data::AttributeBuckets::fixed_width(20, 10).unwrap())
-            .unwrap();
-        let h = Histogram::from_column_bucketized(&d, 0, &bkt);
-        assert_eq!(h.bins(), 2);
-        assert_eq!(h.counts(), &[10, 10]);
-        let j = JointHistogram::from_columns_bucketized_second(&d, 1, 0, &bkt);
-        assert_eq!(j.rows(), 2);
-        assert_eq!(j.cols(), 2);
-        assert_eq!(j.count(0, 0), 5);
     }
 }

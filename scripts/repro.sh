@@ -105,6 +105,16 @@ fi
 echo
 echo "== incremental-update equivalence gate passed (fig_update) =="
 
+# Fig. 6 monotonicity gate: fig6 reads every k off one plausible count per
+# candidate, asserts that every omega's pass rate is non-increasing in k, and
+# prints the confirmation line below only after every assertion held.
+if ! grep -q "pass rate is non-increasing in k" "$OUTDIR/fig6.txt"; then
+    echo "ERROR: fig6 did not confirm a pass rate non-increasing in k" >&2
+    exit 1
+fi
+echo
+echo "== pass-rate monotonicity gate passed (fig6) =="
+
 # Perf-trajectory gate: mirror the emitted benchmark documents to the repo
 # root (handy for diffing / CI artifact upload) and compare the deterministic
 # counters against the last BENCH_TRAJECTORY.jsonl entry recorded at the same

@@ -110,12 +110,9 @@ fn released_records_satisfy_the_deniability_criterion() {
     let population = generate_acs(5_000, 3);
     let bucketizer = acs_bucketizer(&acs_schema());
     let mut rng = StdRng::seed_from_u64(3);
-    let split = sgf::data::split_dataset(
-        &population,
-        &sgf::data::SplitSpec::paper_defaults(),
-        &mut rng,
-    )
-    .unwrap();
+    let split =
+        sgf::data::split_dataset_by_hash(&population, &sgf::data::SplitSpec::paper_defaults(), 3)
+            .unwrap();
     let models = learn_models(&small_config(10, 3), &split, &bucketizer).unwrap();
     let synthesizer = SeedSynthesizer::new(Arc::clone(&models.cpts), 9).unwrap();
 
