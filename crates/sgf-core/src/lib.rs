@@ -22,7 +22,9 @@
 //!   streamed, over any [`sgf_model::GenerativeModel`], against its σ-prefix
 //!   seed store;
 //! * [`pipeline`] — the configuration (the Rust counterpart of the paper's
-//!   C++ tool config) and [`learn_models`], the training phase on its own.
+//!   C++ tool config) and [`learn_models`], the training phase on its own:
+//!   the parent-less case of the model derivation every train and update
+//!   runs.
 //!
 //! ```
 //! use sgf_core::{GenerateRequest, PrivacyTestConfig, SynthesisEngine};

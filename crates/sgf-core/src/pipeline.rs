@@ -1,26 +1,30 @@
-//! The synthesis configuration and the training phase every session runs:
-//! split the input dataset, then learn the (privacy-preserving) generative
-//! model.
+//! The synthesis configuration and the training phase every session epoch
+//! runs: learn the (privacy-preserving) generative model from the split
+//! dataset.
 //!
 //! [`PipelineConfig`] is the Rust equivalent of the paper's C++ tool config
 //! file (Section 5): the privacy parameters k, γ, ε0, the generative-model
 //! parameter ω, and the early-termination knobs.  Releases run through the
 //! staged [`crate::session`] API (builder → [`crate::SynthesisSession`] →
-//! `generate`); [`learn_models`] is the training phase on its own, for
-//! callers that learn from an explicit split.  For serving releases over the
-//! network — with a bounded request queue and an (ε, δ) admission cap
-//! enforced through the ledger's reserve/commit protocol — see the
-//! `sgf-serve` crate.
+//! `generate`).  One model derivation serves both a train and an
+//! incremental update: without a parent epoch it learns from the split
+//! ([`learn_models`], the training phase on its own, for callers that learn
+//! from an explicit split), and with one it merges the update's per-subset
+//! delta into the parent's counts.  For serving releases over the network —
+//! with a bounded request queue and an (ε, δ) admission cap enforced
+//! through the ledger's reserve/commit protocol — see the `sgf-serve`
+//! crate.
 
 use crate::error::{CoreError, Result};
 use crate::privacy_test::PrivacyTestConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use sgf_data::{Bucketizer, DataSplit, SplitSpec};
+use sgf_data::{Bucketizer, DataSplit, DatasetDelta, SplitSpec};
 use sgf_model::{
-    learn_structure_from_counts, BayesNetModel, CptStore, LearnedStructure, MarginalConfig,
-    MarginalCounts, MarginalModel, OmegaSpec, ParameterConfig, StructureConfig, StructureCounts,
+    structure_from_correlations, BayesNetModel, CorrelationMatrix, CptStore, LearnedStructure,
+    MarginalConfig, MarginalCounts, MarginalModel, OmegaSpec, ParameterConfig, StructureConfig,
+    StructureCounts,
 };
 use std::sync::Arc;
 
@@ -112,32 +116,91 @@ pub struct TrainedModels {
 }
 
 /// Learn structure, parameters, and the marginal baseline from an
-/// already-split dataset: the training phase of
-/// [`SynthesisEngine::train`](crate::SynthesisEngine::train), which splits
-/// with [`sgf_data::split_dataset_by_hash`].  Exposed for callers that hold
-/// such a split and want the models without a session.
+/// already-split dataset: the parent-less case of the model derivation
+/// [`SynthesisEngine::train`](crate::SynthesisEngine::train) and every
+/// update run, for callers that hold a split and want no session.
 pub fn learn_models(
     config: &PipelineConfig,
     split: &DataSplit,
     bucketizer: &Bucketizer,
 ) -> Result<TrainedModels> {
-    // The bucketizer must cover exactly the schema's value domains.
-    Bucketizer::new(split.seeds.schema(), bucketizer.per_attribute().to_vec())?;
-    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x5eed));
-    // Learn from summable sufficient statistics so an incremental session
-    // update can merge a delta into the same counts and re-derive the model
-    // bit-identically (see `SynthesisSession::update`).
-    let structure_counts = StructureCounts::fit(&split.structure, bucketizer)?;
-    let structure =
-        learn_structure_from_counts(&structure_counts, bucketizer, &config.structure, &mut rng)?;
-    let cpts = Arc::new(CptStore::learn(
-        &split.parameters,
-        bucketizer,
-        &structure.graph,
-        config.parameters,
-    )?);
-    let marginal_counts = MarginalCounts::fit(&split.parameters);
-    let marginal = MarginalModel::from_counts(&marginal_counts, marginal_config(config))?;
+    derive_models(config, split, bucketizer, None)
+}
+
+/// The one model derivation of every session epoch: learn from `split`, or,
+/// given a parent epoch's models and the per-subset delta leading from its
+/// split to `split` ([`DataSplit::apply_delta`]), share each part whose
+/// subset is untouched and merge the delta into the counts of the others,
+/// re-deriving what a fit of `split` gives bit for bit.  The matrix is read
+/// off the counts with the train's rng seed; CFS re-runs only when it
+/// moved; the CPTs merge ([`CptStore::apply_delta`]) unless the graph
+/// changed, which re-learns them over `D_P`.
+pub(crate) fn derive_models(
+    config: &PipelineConfig,
+    split: &DataSplit,
+    bucketizer: &Bucketizer,
+    parent: Option<(&TrainedModels, &[DatasetDelta; 4])>,
+) -> Result<TrainedModels> {
+    if parent.is_none() {
+        // The bucketizer must cover exactly the schema's value domains.
+        Bucketizer::new(split.seeds.schema(), bucketizer.per_attribute().to_vec())?;
+    }
+    let (structure_counts, structure) = match parent {
+        Some((models, [delta, ..])) if delta.is_empty() => {
+            (models.structure_counts.clone(), models.structure.clone())
+        }
+        _ => {
+            let counts = match parent {
+                None => StructureCounts::fit(&split.structure, bucketizer)?,
+                Some((models, [delta, ..])) => {
+                    let mut counts = models.structure_counts.clone();
+                    counts.apply_delta(delta.deletes(), delta.inserts(), bucketizer)?;
+                    counts
+                }
+            };
+            let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x5eed));
+            let correlations = counts.matrix(config.structure.dp.as_ref(), &mut rng)?;
+            let structure = match parent {
+                Some((models, _)) if structure_drift(&models.structure, &correlations) == 0.0 => {
+                    models.structure.clone()
+                }
+                _ => structure_from_correlations(correlations, bucketizer, &config.structure)?,
+            };
+            (counts, structure)
+        }
+    };
+    let cpts = match parent {
+        Some((models, [_, delta, ..])) if models.structure.graph == structure.graph => {
+            if delta.is_empty() {
+                Arc::clone(&models.cpts)
+            } else {
+                Arc::new(models.cpts.apply_delta(delta.deletes(), delta.inserts())?)
+            }
+        }
+        _ => Arc::new(CptStore::learn(
+            &split.parameters,
+            bucketizer,
+            &structure.graph,
+            config.parameters,
+        )?),
+    };
+    let (marginal_counts, marginal) = match parent {
+        Some((models, [_, delta, ..])) if delta.is_empty() => {
+            (models.marginal_counts.clone(), models.marginal.clone())
+        }
+        _ => {
+            let counts = match parent {
+                None => MarginalCounts::fit(&split.parameters),
+                Some((models, [_, delta, ..])) => {
+                    let mut counts = models.marginal_counts.clone();
+                    counts.apply_delta(delta.deletes(), delta.inserts())?;
+                    counts
+                }
+            };
+            let marginal = MarginalModel::from_counts(&counts, marginal_config(config))?;
+            (counts, marginal)
+        }
+    };
     Ok(TrainedModels {
         bayes_net: BayesNetModel::new(Arc::clone(&cpts)),
         structure,
@@ -146,6 +209,15 @@ pub fn learn_models(
         structure_counts,
         marginal_counts,
     })
+}
+
+/// How far `correlations` moved from the matrix `structure` was learned
+/// from, recorded (in millionths) as `core.update.structure_drift`.
+fn structure_drift(structure: &LearnedStructure, correlations: &CorrelationMatrix) -> f64 {
+    let drift = structure.correlations.max_abs_diff(correlations);
+    sgf_metrics::summary("core.update.structure_drift")
+        .observe((drift * 1e6).min(u64::MAX as f64) as u64);
+    drift
 }
 
 /// The marginal-baseline configuration derived from the pipeline parameters.

@@ -31,24 +31,20 @@
 use crate::dp::BudgetLedger;
 use crate::error::{CoreError, Result};
 use crate::mechanism::{Mechanism, MechanismStats, ReleaseMetrics};
-use crate::pipeline::{learn_models, marginal_config, PipelineConfig, TrainedModels};
+use crate::pipeline::{derive_models, PipelineConfig, TrainedModels};
 use crate::privacy_test::PrivacyTestConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use sgf_data::{
-    retract_and_append, split_dataset_by_hash, split_role, Bucketizer, DataSplit, Dataset,
-    DatasetDelta, Record, SplitRole, SplitSpec,
+    split_dataset_by_hash, Bucketizer, DataSplit, Dataset, DatasetDelta, Record, SplitSpec,
 };
 use sgf_index::{
     InvertedIndexStore, PartitionIndexStore, PrefixIndexStore, SeedStore, MAX_INTERSECT_LISTS,
 };
 use sgf_metrics::json::{write_object, ObjectWriter};
 use sgf_metrics::{CachePadded, Json, Scope, SpanId, TraceBatch};
-use sgf_model::{
-    structure_from_correlations, BayesNetModel, CptStore, GenerativeModel, MarginalModel,
-    OmegaSpec, ParameterConfig, SeedSynthesizer, StructureConfig,
-};
+use sgf_model::{GenerativeModel, OmegaSpec, ParameterConfig, SeedSynthesizer, StructureConfig};
 use sgf_stats::DpBudget;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -184,52 +180,7 @@ impl SynthesisEngine {
         // dataset deltas — the foundation of `SynthesisSession::update`
         // producing the same subsets as a from-scratch retrain.
         let split = split_dataset_by_hash(dataset, &self.config.split, self.config.seed)?;
-        if split.seeds.len() < self.config.privacy_test.k {
-            return Err(CoreError::DatasetTooSmall {
-                available: split.seeds.len(),
-                required: self.config.privacy_test.k,
-            });
-        }
-        let models = learn_models(&self.config, &split, bucketizer)?;
-        let per_release = per_release_budget(&self.config.privacy_test);
-        let ledger = BudgetLedger::new(models.structure.budget, models.cpts.budget(), per_release);
-        let training = start.elapsed();
-        // Build the σ-prefix store once per session; every generate request
-        // shares it read-only.  The inverted index and partition store are
-        // built from the session's seeds only if their accessors ask.
-        let build_start = Instant::now();
-        let synthesizer =
-            SeedSynthesizer::new(Arc::clone(&models.cpts), smallest_omega(self.config.omega))?;
-        let prefix = PrefixIndexStore::build(&split.seeds, synthesizer.sigma())?;
-        let index_build = build_start.elapsed();
-        sgf_metrics::timer("core.train").observe(training);
-        sgf_metrics::timer("core.index_build").observe(index_build);
-        let trace = sgf_metrics::trace();
-        if trace.enabled() {
-            let mut batch = TraceBatch::new();
-            let root = batch.span("core.train", SpanId::NONE);
-            batch.counter(root, "records", dataset.len() as u64);
-            batch.counter(root, "seeds", split.seeds.len() as u64);
-            batch.wall(root, training);
-            let build = batch.span("core.index_build", root);
-            batch.wall(build, index_build);
-            trace.commit(batch);
-        }
-        Ok(SynthesisSession {
-            config: self.config,
-            shared: Arc::new(SessionShared {
-                split,
-                models,
-                prefix: StoreSlot::new(Box::new(move || Arc::new(prefix))),
-                index: OnceLock::new(),
-                partition: OnceLock::new(),
-                training,
-            }),
-            per_release,
-            ledger: Arc::new(Mutex::new(ledger)),
-            metrics: Arc::default(),
-            epoch: 0,
-        })
+        SynthesisSession::derive(self.config, split, bucketizer, None, dataset.len(), start)
     }
 }
 
@@ -929,32 +880,18 @@ impl SynthesisSession {
 
     /// Apply a seed-data delta and return the next session **epoch**: a new
     /// immutable session over the post-delta dataset, leaving this one
-    /// untouched (old epochs keep serving until dropped).
+    /// untouched (old epochs keep serving until dropped).  An empty delta
+    /// makes an epoch like any other.
     ///
-    /// The deterministic hash split routes each ±record to its subset by
-    /// value alone, and model counts merge in O(|Δ|)
-    /// ([`sgf_model::StructureCounts`], [`sgf_model::CptCounts`],
-    /// [`sgf_model::MarginalCounts`]).  No surviving record is copied: each
-    /// subset is a rope of shared runs ([`sgf_data::Dataset`]), an insert
-    /// batch appends one run, and a delete splits the run it lands in
-    /// ([`sgf_data::retract_and_append`], which resolves the deletes in one
-    /// filtered pass over the subset's rows); past 64 runs a subset compacts
-    /// into one block.  Without a structure re-learn the new CPT store
-    /// carries every filled conditional row the delta did not touch
-    /// ([`sgf_model::CptStore::apply_delta`]), so the new epoch's requests
-    /// refill only the touched rows.  Dropping an old epoch frees only what
-    /// the new one does not share.
-    /// On `fig_update`'s ACS session (≈15.7k seeds, 2-CPU host) a 10-record
-    /// ingest takes ≈50–80 µs and a delta of 10 deletes plus 10 inserts
-    /// ≈80–120 µs, the previous epoch's drop included, against ≈6–8 ms for
-    /// a full retrain.  The σ-prefix store's splice is deferred to the new
-    /// epoch's first request.
-    /// A delta touching `D_T` re-derives the correlation matrix from the
-    /// merged counts and re-learns the dependency graph whenever the matrix
-    /// changed; a graph change cascades into a full CPT re-learn (and, when
-    /// σ changes, a prefix-store re-sort).  The inverted index and partition
-    /// store are never carried across epochs: each epoch builds its own on
-    /// the first [`seed_store`](SynthesisSession::seed_store) /
+    /// An update is [`SynthesisEngine::train`]'s derivation applied to the
+    /// delta: [`DataSplit::apply_delta`] splices each ±record into its
+    /// hash-split subset, copying no survivor, and the models are derived by
+    /// the code that learns a train's ([`learn_models`](crate::learn_models)
+    /// is its parent-less case) from this epoch's counts with each subset's
+    /// delta merged in O(|Δ|).  The σ-prefix store's splice is deferred to
+    /// the new epoch's first request; the inverted index and partition store
+    /// are built per epoch, on the first
+    /// [`seed_store`](SynthesisSession::seed_store) /
     /// [`partition_store`](SynthesisSession::partition_store) call.
     ///
     /// **Equivalence invariant:** the returned session's split, models and
@@ -965,199 +902,136 @@ impl SynthesisSession {
     /// The privacy ledger is **shared** with this session (same `Arc`):
     /// releases keep composing across epochs because they disclose the same
     /// underlying population.  The scope, its resolved metric handles and the
-    /// per-release budget carry over; `epoch` increments and is stamped into every release's
-    /// [`Provenance`].
+    /// per-release budget carry over; `epoch` increments and is stamped into
+    /// every release's [`Provenance`].
     pub fn update(&self, delta: &DatasetDelta) -> Result<SynthesisSession> {
         let start = Instant::now();
-        let shared = &self.shared;
-        delta.validate_against(shared.split.seeds.schema())?;
-        if delta.is_empty() {
-            // Nothing changed: the new epoch shares the *entire* trained
-            // state (one `Arc` bump) and differs only in its epoch stamp.
-            sgf_metrics::counter("core.updates").incr();
-            sgf_metrics::timer("core.update").observe(start.elapsed());
-            return Ok(SynthesisSession {
-                config: self.config,
-                shared: Arc::clone(shared),
-                per_release: self.per_release,
-                ledger: Arc::clone(&self.ledger),
-                metrics: Arc::clone(&self.metrics),
-                epoch: self.epoch + 1,
-            });
-        }
-        let bucketizer = shared.models.cpts.bucketizer();
-        // Route every ±record to its split subset by value hash — the same
-        // assignment `train`'s `split_dataset_by_hash` would make, so the
-        // per-subset deltas reproduce the from-scratch split of the final
-        // dataset.  `Unassigned` records never entered any subset.
-        let mut deletes: [Vec<Record>; 4] = Default::default();
-        let mut inserts: [Vec<Record>; 4] = Default::default();
-        for record in delta.deletes() {
-            if let Some(slot) = role_slot(split_role(&self.config.split, self.config.seed, record))
-            {
-                deletes[slot].push(record.clone());
-            }
-        }
-        for record in delta.inserts() {
-            if let Some(slot) = role_slot(split_role(&self.config.split, self.config.seed, record))
-            {
-                inserts[slot].push(record.clone());
-            }
-        }
-        let (_, structure_data) =
-            retract_and_append(&shared.split.structure, &deletes[0], &inserts[0])?;
-        let (_, parameters_data) =
-            retract_and_append(&shared.split.parameters, &deletes[1], &inserts[1])?;
-        let (_, seeds_data) = retract_and_append(&shared.split.seeds, &deletes[2], &inserts[2])?;
-        let (_, test_data) = retract_and_append(&shared.split.test, &deletes[3], &inserts[3])?;
-        if seeds_data.len() < self.config.privacy_test.k {
+        let (split, deltas) =
+            (self.shared.split).apply_delta(&self.config.split, self.config.seed, delta)?;
+        let bucketizer = self.shared.models.cpts.bucketizer();
+        let parent = Some((self, deltas));
+        SynthesisSession::derive(
+            self.config,
+            split,
+            bucketizer,
+            parent,
+            delta.change_count(),
+            start,
+        )
+    }
+
+    /// The one epoch derivation: [`SynthesisEngine::train`] passes no
+    /// parent, [`update`](SynthesisSession::update) its own epoch and the
+    /// per-subset delta from its split to `split`.  `records` is the
+    /// dataset size of a train, the change count of an update.
+    ///
+    /// A train builds the σ-prefix store at once and opens a fresh ledger.
+    /// An update shares its parent's ledger, scope and prefix store, or
+    /// defers a splice (a re-sort when σ changed) to the first request of
+    /// the new epoch.  The deferred work cannot fail: the delta's records
+    /// are schema-validated, and each seed delete matched a seed, so the
+    /// store holds its σ-tuple.
+    fn derive(
+        config: PipelineConfig,
+        split: DataSplit,
+        bucketizer: &Bucketizer,
+        parent: Option<(&SynthesisSession, [DatasetDelta; 4])>,
+        records: usize,
+        start: Instant,
+    ) -> Result<SynthesisSession> {
+        if split.seeds.len() < config.privacy_test.k {
             return Err(CoreError::DatasetTooSmall {
-                available: seeds_data.len(),
-                required: self.config.privacy_test.k,
+                available: split.seeds.len(),
+                required: config.privacy_test.k,
             });
         }
-        let structure_changed = !deletes[0].is_empty() || !inserts[0].is_empty();
-        let parameters_changed = !deletes[1].is_empty() || !inserts[1].is_empty();
-
-        // Structure: merge the delta into the sufficient statistics, then
-        // re-derive the correlation matrix from counts — no pass over D_T.
-        // The rng seed matches `learn_models`, so the (possibly noisy) matrix
-        // is bit-identical to a from-scratch retrain.  The CFS parent-set
-        // search is a pure function of the matrix, so it re-runs only when
-        // the matrix moved.
-        let mut structure_counts = shared.models.structure_counts.clone();
-        let structure = if structure_changed {
-            structure_counts.apply_delta(&deletes[0], &inserts[0], bucketizer)?;
-            let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(0x5eed));
-            let correlations =
-                structure_counts.matrix(self.config.structure.dp.as_ref(), &mut rng)?;
-            let drift = shared
-                .models
-                .structure
-                .correlations
-                .max_abs_diff(&correlations);
-            sgf_metrics::summary("core.update.structure_drift")
-                .observe((drift * 1e6).min(u64::MAX as f64) as u64);
-            if drift > 0.0 {
-                structure_from_correlations(correlations, bucketizer, &self.config.structure)?
-            } else {
-                shared.models.structure.clone()
-            }
-        } else {
-            shared.models.structure.clone()
-        };
-        let graph_changed = structure.graph != shared.models.structure.graph;
-
-        // Parameters: a graph change invalidates the CPT layout (full
-        // re-learn over the new D_P); otherwise the contingency counts merge
-        // and the store is re-derived from them, carrying the filled rows
-        // the delta left alone, or shared untouched.
-        let cpts: Arc<CptStore> = if graph_changed {
-            Arc::new(CptStore::learn(
-                &parameters_data,
-                bucketizer,
-                &structure.graph,
-                self.config.parameters,
-            )?)
-        } else if parameters_changed {
-            Arc::new(shared.models.cpts.apply_delta(&deletes[1], &inserts[1])?)
-        } else {
-            Arc::clone(&shared.models.cpts)
-        };
-        let mut marginal_counts = shared.models.marginal_counts.clone();
-        let marginal = if parameters_changed {
-            marginal_counts.apply_delta(&deletes[1], &inserts[1])?;
-            MarginalModel::from_counts(&marginal_counts, marginal_config(&self.config))?
-        } else {
-            shared.models.marginal.clone()
-        };
-        let models = TrainedModels {
-            bayes_net: BayesNetModel::new(Arc::clone(&cpts)),
-            structure,
-            cpts,
-            marginal,
-            structure_counts,
-            marginal_counts,
-        };
+        let (parent, deltas) = parent.unzip();
+        let parent_models = parent.map(|parent| &parent.shared.models);
+        let inputs = parent_models.zip(deltas.as_ref());
+        let models = derive_models(&config, &split, bucketizer, inputs)?;
         let training = start.elapsed();
-
-        // The prefix store: shared with the parent epoch via `Arc` when the
-        // delta left the seeds and σ alone, otherwise a splice (or, when a
-        // relearn changed σ, a re-sort) deferred into a [`StoreSlot`] that
-        // the first request of the new epoch materializes, keeping the
-        // splice out of `update`.  Every failure mode of the deferred work
-        // is ruled out *here*: delta records are schema-validated (arity and
-        // domains), and `retract_and_append` matched each seed delete to a
-        // seed, so the store holds a copy of its σ-tuple.
         let synthesizer =
-            SeedSynthesizer::new(Arc::clone(&models.cpts), smallest_omega(self.config.omega))?;
-        let old = Arc::clone(&self.shared.prefix);
-        let prefix = if old.order() != synthesizer.sigma() {
-            let seeds = seeds_data.clone();
-            let sigma = synthesizer.sigma().to_vec();
-            StoreSlot::new(Box::new(move || {
-                Arc::new(
-                    PrefixIndexStore::build(&seeds, &sigma)
-                        .expect("build inputs were validated at update time"),
+            SeedSynthesizer::new(Arc::clone(&models.cpts), smallest_omega(config.omega))?;
+        let sigma = synthesizer.sigma();
+        const VALID: &str = "the update validated the store's inputs";
+        // What an update takes from its parent and a train makes afresh.
+        let (prefix, index_build, per_release, ledger, metrics) = match (parent, deltas) {
+            (Some(parent), Some([_, _, seeds, _])) => {
+                sgf_metrics::counter("core.updates").incr();
+                let old = Arc::clone(&parent.shared.prefix);
+                let slot: Box<dyn FnOnce() -> _ + Send> = if old.order() != sigma {
+                    let (data, sigma) = (split.seeds.clone(), sigma.to_vec());
+                    Box::new(move || Arc::new(PrefixIndexStore::build(&data, &sigma).expect(VALID)))
+                } else if seeds.is_empty() {
+                    Box::new(move || old)
+                } else {
+                    Box::new(move || {
+                        let store = old.apply_delta(seeds.deletes(), seeds.inserts());
+                        Arc::new(store.expect(VALID))
+                    })
+                };
+                let (ledger, metrics) = (Arc::clone(&parent.ledger), Arc::clone(&parent.metrics));
+                (
+                    StoreSlot::new(slot),
+                    None,
+                    parent.per_release,
+                    ledger,
+                    metrics,
                 )
-            }))
-        } else if deletes[2].is_empty() && inserts[2].is_empty() {
-            StoreSlot::new(Box::new(move || old))
-        } else {
-            let deletes = std::mem::take(&mut deletes[2]);
-            let inserts = std::mem::take(&mut inserts[2]);
-            StoreSlot::new(Box::new(move || {
-                Arc::new(
-                    old.apply_delta(&deletes, &inserts)
-                        .expect("splice inputs were validated at update time"),
-                )
-            }))
+            }
+            _ => {
+                let build_start = Instant::now();
+                let prefix = Arc::new(PrefixIndexStore::build(&split.seeds, sigma)?);
+                let index_build = build_start.elapsed();
+                sgf_metrics::timer("core.index_build").observe(index_build);
+                let per_release = per_release_budget(&config.privacy_test);
+                let (structure, cpts) = (models.structure.budget, models.cpts.budget());
+                let ledger = Arc::new(Mutex::new(BudgetLedger::new(structure, cpts, per_release)));
+                let slot = StoreSlot::new(Box::new(move || prefix));
+                (slot, Some(index_build), per_release, ledger, Arc::default())
+            }
         };
-        sgf_metrics::counter("core.updates").incr();
-        sgf_metrics::timer("core.update").observe(start.elapsed());
+        let (name, wall, epoch) = match parent {
+            None => ("core.train", training, 0),
+            Some(parent) => ("core.update", start.elapsed(), parent.epoch + 1),
+        };
+        sgf_metrics::timer(name).observe(wall);
         let trace = sgf_metrics::trace();
         if trace.enabled() {
             let mut batch = TraceBatch::new();
-            let root = batch.span("core.update", SpanId::NONE);
-            batch.counter(root, "epoch", self.epoch + 1);
-            batch.counter(root, "delta_records", delta.change_count() as u64);
-            batch.counter(root, "seeds", seeds_data.len() as u64);
-            batch.label(root, "structure_relearned", on_off(graph_changed));
-            batch.wall(root, start.elapsed());
+            let root = batch.span(name, SpanId::NONE);
+            match parent_models {
+                None => batch.counter(root, "records", records as u64),
+                Some(old) => {
+                    batch.counter(root, "epoch", epoch);
+                    batch.counter(root, "delta_records", records as u64);
+                    let relearned = old.structure.graph != models.structure.graph;
+                    batch.label(root, "structure_relearned", on_off(relearned));
+                }
+            }
+            batch.counter(root, "seeds", split.seeds.len() as u64);
+            batch.wall(root, wall);
+            if let Some(index_build) = index_build {
+                let build = batch.span("core.index_build", root);
+                batch.wall(build, index_build);
+            }
             trace.commit(batch);
         }
         Ok(SynthesisSession {
-            config: self.config,
+            config,
             shared: Arc::new(SessionShared {
-                split: DataSplit {
-                    structure: structure_data,
-                    parameters: parameters_data,
-                    seeds: seeds_data,
-                    test: test_data,
-                },
+                split,
                 models,
                 prefix,
                 index: OnceLock::new(),
                 partition: OnceLock::new(),
                 training,
             }),
-            per_release: self.per_release,
-            ledger: Arc::clone(&self.ledger),
-            metrics: Arc::clone(&self.metrics),
-            epoch: self.epoch + 1,
+            per_release,
+            ledger,
+            metrics,
+            epoch,
         })
-    }
-}
-
-/// Slot of a split role in the per-subset delta arrays (`None` for records
-/// the hash split drops entirely).
-fn role_slot(role: SplitRole) -> Option<usize> {
-    match role {
-        SplitRole::Structure => Some(0),
-        SplitRole::Parameters => Some(1),
-        SplitRole::Seeds => Some(2),
-        SplitRole::Test => Some(3),
-        SplitRole::Unassigned => None,
     }
 }
 

@@ -31,8 +31,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DatasetDelta {
     schema: Arc<Schema>,
-    inserts: Vec<Record>,
-    deletes: Vec<Record>,
+    pub(crate) inserts: Vec<Record>,
+    pub(crate) deletes: Vec<Record>,
 }
 
 impl DatasetDelta {

@@ -6,6 +6,7 @@
 //! subsets disjoint is what allows the DP analysis of Section 3.5 to take the
 //! *maximum* (rather than the sum) over the structure/parameter budgets.
 
+use crate::delta::{retract_and_append, DatasetDelta};
 use crate::error::{DataError, Result};
 use crate::record::{Dataset, Record};
 use serde::{Deserialize, Serialize};
@@ -67,6 +68,47 @@ pub struct DataSplit {
     pub test: Dataset,
 }
 
+impl DataSplit {
+    /// Apply `delta` to this split, made by [`split_dataset_by_hash`] with
+    /// `spec` and `seed`: route each ±record to the subset [`split_role`]
+    /// assigns it (dropping unassigned ones, as the split does), then
+    /// retract and append each subset's share ([`retract_and_append`]).
+    ///
+    /// Returns the new split — the hash split of the post-delta dataset,
+    /// sharing every surviving record with this one — and the per-subset
+    /// deltas in field order (structure, parameters, seeds, test).
+    pub fn apply_delta(
+        &self,
+        spec: &SplitSpec,
+        seed: u64,
+        delta: &DatasetDelta,
+    ) -> Result<(DataSplit, [DatasetDelta; 4])> {
+        delta.validate_against(self.seeds.schema())?;
+        let mut parts: [DatasetDelta; 4] =
+            std::array::from_fn(|_| DatasetDelta::new(self.seeds.schema_arc()));
+        for record in delta.deletes() {
+            if let Some(slot) = split_role(spec, seed, record).slot() {
+                parts[slot].deletes.push(record.clone());
+            }
+        }
+        for record in delta.inserts() {
+            if let Some(slot) = split_role(spec, seed, record).slot() {
+                parts[slot].inserts.push(record.clone());
+            }
+        }
+        let apply = |subset: &Dataset, part: &DatasetDelta| {
+            retract_and_append(subset, &part.deletes, &part.inserts).map(|(_, data)| data)
+        };
+        let split = DataSplit {
+            structure: apply(&self.structure, &parts[0])?,
+            parameters: apply(&self.parameters, &parts[1])?,
+            seeds: apply(&self.seeds, &parts[2])?,
+            test: apply(&self.test, &parts[3])?,
+        };
+        Ok((split, parts))
+    }
+}
+
 /// The disjoint role a record is assigned by the deterministic hash split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SplitRole {
@@ -80,6 +122,20 @@ pub enum SplitRole {
     Test,
     /// Not assigned to any subset (fractions summing below 1 leave a remainder).
     Unassigned,
+}
+
+impl SplitRole {
+    /// The role's position among [`DataSplit`]'s fields (`None` for
+    /// [`SplitRole::Unassigned`]).
+    fn slot(self) -> Option<usize> {
+        match self {
+            SplitRole::Structure => Some(0),
+            SplitRole::Parameters => Some(1),
+            SplitRole::Seeds => Some(2),
+            SplitRole::Test => Some(3),
+            SplitRole::Unassigned => None,
+        }
+    }
 }
 
 /// FNV-1a over the record values, finished with the splitmix64 avalanche so
@@ -144,16 +200,11 @@ pub fn split_dataset_by_hash(dataset: &Dataset, spec: &SplitSpec, seed: u64) -> 
         return Err(DataError::EmptyDataset);
     }
     let schema = dataset.schema_arc();
-    let mut parts: [Vec<crate::record::Record>; 4] = Default::default();
+    let mut parts: [Vec<Record>; 4] = Default::default();
     for record in dataset.records() {
-        let slot = match split_role(spec, seed, record) {
-            SplitRole::Structure => 0,
-            SplitRole::Parameters => 1,
-            SplitRole::Seeds => 2,
-            SplitRole::Test => 3,
-            SplitRole::Unassigned => continue,
-        };
-        parts[slot].push(record.clone());
+        if let Some(slot) = split_role(spec, seed, record).slot() {
+            parts[slot].push(record.clone());
+        }
     }
     let [structure, parameters, seeds, test] = parts;
     Ok(DataSplit {
@@ -299,6 +350,23 @@ mod tests {
         delta.insert(Record::new(vec![17])).unwrap();
         let final_dataset = delta.apply(&d).unwrap();
         let after = split_dataset_by_hash(&final_dataset, &spec, 11).unwrap();
+
+        // Applying the delta to the split gives the split of the final
+        // dataset, and each changed record lands in its role's subset delta.
+        let (applied, parts) = before.apply_delta(&spec, 11, &delta).unwrap();
+        for (x, y) in [
+            (&applied.structure, &after.structure),
+            (&applied.parameters, &after.parameters),
+            (&applied.seeds, &after.seeds),
+            (&applied.test, &after.test),
+        ] {
+            assert_eq!(x.records(), y.records());
+        }
+        let routed: usize = parts
+            .iter()
+            .map(|p| p.deletes.len() + p.inserts.len())
+            .sum();
+        assert_eq!(routed, 3);
 
         // Re-splitting the final dataset touches only the roles of the changed
         // records: every other subset is unchanged record-for-record.

@@ -39,7 +39,7 @@ pub use error::{ModelError, Result};
 pub use graph::DependencyGraph;
 pub use marginal::{MarginalConfig, MarginalCounts, MarginalModel};
 pub use model::{BayesNetModel, GenerativeModel};
-pub use parameters::{CptCounts, CptStore, ParameterConfig};
+pub use parameters::{CptStore, ParameterConfig};
 pub use structure::{
     learn_structure_from_counts, structure_from_correlations, LearnedStructure, StructureConfig,
 };

@@ -179,23 +179,18 @@ impl std::fmt::Debug for CptStore {
 /// stay meaningful while the graph is unchanged — a structure re-learn must
 /// re-fit from the dataset instead.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CptCounts {
+struct CptCounts {
     schema: Arc<Schema>,
     tables: Vec<AttributeTable>,
     records: usize,
 }
 
 impl CptCounts {
-    /// Number of records currently counted.
-    pub fn records(&self) -> usize {
-        self.records
-    }
-
     /// Merge a record delta: subtract `deletes`, then add `inserts`.  The
     /// result equals [`CptStore::fit_counts`] on the post-delta dataset
     /// exactly (counting is commutative; additions saturate identically to
     /// the learning pass).
-    pub fn apply_delta(
+    fn apply_delta(
         &mut self,
         deletes: &[sgf_data::Record],
         inserts: &[sgf_data::Record],
@@ -242,7 +237,7 @@ impl CptStore {
 
     /// Fit the summable sufficient statistics (contingency counts) with one
     /// pass over `dataset`, laying the tables out for `graph`'s parent sets.
-    pub fn fit_counts(
+    fn fit_counts(
         dataset: &Dataset,
         bucketizer: &Bucketizer,
         graph: &DependencyGraph,
@@ -299,13 +294,14 @@ impl CptStore {
     /// counts exposes conditionals bit-identical to a from-scratch
     /// [`Self::learn`] on a dataset with the same counts
     /// ([`Self::apply_delta`] starts from the parent's filled rows instead).
-    pub fn from_counts(
+    /// Both callers pass a validated config and counts laid out for
+    /// `graph`.
+    fn from_counts(
         counts: CptCounts,
         bucketizer: &Bucketizer,
         graph: &DependencyGraph,
         config: ParameterConfig,
     ) -> Result<Self> {
-        config.validate()?;
         if counts.records == 0 {
             return Err(ModelError::EmptyTrainingData);
         }
@@ -314,13 +310,6 @@ impl CptStore {
             tables,
             records,
         } = counts;
-        if graph.len() != schema.len() {
-            return Err(ModelError::InvalidGraph(format!(
-                "graph has {} nodes but the schema has {} attributes",
-                graph.len(),
-                schema.len()
-            )));
-        }
 
         // Privacy cost: the noisy count vector of one attribute has L1
         // sensitivity 1 across *all* configurations, so each attribute costs
@@ -376,13 +365,6 @@ impl CptStore {
             }
         }
         Ok(store)
-    }
-
-    /// Raw contingency counts of attribute `attr` (`config * cardinality + value`
-    /// cell layout) — exposed so equivalence tests can compare stores
-    /// byte-for-byte.
-    pub fn table_counts(&self, attr: usize) -> &[u32] {
-        &self.tables[attr].counts
     }
 
     /// The schema the store was learned over.
@@ -802,7 +784,6 @@ mod tests {
             assert_eq!(carried, 25 - touched.len() - 1, "{config:?}");
             assert!(updated.cache[2][cold as usize].get().is_none());
             for attr in 0..3 {
-                assert_eq!(updated.table_counts(attr), fresh.table_counts(attr));
                 for c in 0..updated.configurations(attr) {
                     assert_eq!(*updated.conditional(attr, c), *fresh.conditional(attr, c));
                 }

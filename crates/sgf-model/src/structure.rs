@@ -110,11 +110,13 @@ pub fn learn_structure_from_counts<R: Rng + ?Sized>(
 /// The deterministic tail of structure learning: CFS search over a computed
 /// correlation matrix plus the composition-theorem budget accounting.
 ///
-/// Exposed so incremental updates can split the relearn at the matrix: a
-/// caller that derives the matrix via [`StructureCounts::matrix`], finds it
-/// unchanged, and keeps the old structure never pays for the CFS search.
-/// `structure_from_correlations(matrix, ...)` on the same matrix is
-/// bit-identical to the tail of [`learn_structure_from_counts`].
+/// Exposed so a session's model derivation (`sgf-core`, one path for a
+/// train and an update) can split structure learning at the matrix: it
+/// reads the matrix off the counts with [`StructureCounts::matrix`], and an
+/// update that finds it unchanged keeps the parent's structure without
+/// paying for the CFS search.  `structure_from_correlations(matrix, ...)` on
+/// the same matrix is bit-identical to the tail of
+/// [`learn_structure_from_counts`].
 pub fn structure_from_correlations(
     correlations: CorrelationMatrix,
     bucketizer: &Bucketizer,

@@ -112,21 +112,6 @@ pub fn parameter_learning_budget(m: usize, epsilon_p: f64, delta_slack: f64) -> 
     advanced_composition(epsilon_p, 0.0, m as u64, delta_slack)
 }
 
-/// Overall generative-model budget (Section 3.5): structure and parameter
-/// learning operate on the disjoint subsets D_T and D_P, so the total cost is
-/// the pointwise max; optional sub-sampling amplification is applied on top.
-pub fn generative_model_budget(
-    structure: DpBudget,
-    parameters: DpBudget,
-    sampling_rate: Option<f64>,
-) -> DpBudget {
-    let combined = structure.max(parameters);
-    match sampling_rate {
-        Some(p) => sampling_amplification(combined, p),
-        None => combined,
-    }
-}
-
 /// Search for the largest per-entropy ε_H such that the *total* structure
 /// learning budget stays below `target`.  Used by callers that start from a
 /// desired end-to-end ε (e.g. "make the model ε = 1 DP") and need to split it

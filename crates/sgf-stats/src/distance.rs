@@ -27,30 +27,6 @@ pub fn total_variation_histograms(a: &Histogram, b: &Histogram) -> f64 {
     total_variation(&a.probabilities(), &b.probabilities())
 }
 
-/// Kullback-Leibler divergence `KL(p || q)` in bits.  Returns infinity when
-/// `p` puts mass where `q` does not.
-pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len(), "distributions must share a domain");
-    let mut kl = 0.0;
-    for (&pi, &qi) in p.iter().zip(q.iter()) {
-        if pi == 0.0 {
-            continue;
-        }
-        if qi == 0.0 {
-            return f64::INFINITY;
-        }
-        kl += pi * (pi / qi).log2();
-    }
-    kl.max(0.0)
-}
-
-/// Jensen-Shannon divergence in bits (symmetric, bounded by 1).
-pub fn js_divergence(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len(), "distributions must share a domain");
-    let m: Vec<f64> = p.iter().zip(q.iter()).map(|(a, b)| 0.5 * (a + b)).collect();
-    0.5 * kl_divergence(p, &m) + 0.5 * kl_divergence(q, &m)
-}
-
 /// Per-attribute total-variation distance between two datasets over the same
 /// schema (the quantity box-plotted in Figure 3).
 pub fn attribute_distances(a: &Dataset, b: &Dataset) -> Vec<f64> {
@@ -166,15 +142,6 @@ mod tests {
         assert_eq!(summary.median, 2.5);
         assert!(summary.max.is_nan());
         assert!(FiveNumberSummary::of(&[]).is_none());
-    }
-
-    #[test]
-    fn kl_and_js_behave() {
-        assert_eq!(kl_divergence(&[0.5, 0.5], &[0.5, 0.5]), 0.0);
-        assert!(kl_divergence(&[0.5, 0.5], &[1.0, 0.0]).is_infinite());
-        let js = js_divergence(&[1.0, 0.0], &[0.0, 1.0]);
-        assert!((js - 1.0).abs() < 1e-12);
-        assert!(js_divergence(&[0.5, 0.5], &[0.5, 0.5]).abs() < 1e-12);
     }
 
     fn two_column_dataset(rows: &[(u16, u16)]) -> Dataset {

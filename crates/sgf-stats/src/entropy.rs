@@ -1,4 +1,4 @@
-//! Entropy, mutual information, and the symmetrical uncertainty coefficient.
+//! Entropy from counts and the symmetrical uncertainty coefficient.
 //!
 //! Structure learning (Section 3.3) scores candidate parent sets with the
 //! Correlation-based Feature Selection merit, whose correlation measure is the
@@ -8,35 +8,19 @@
 //! corr(x_i, x_j) = 2 - 2 * H(x_i, x_j) / (H(x_i) + H(x_j))
 //! ```
 //!
-//! The DP variant adds Laplace noise to each entropy term; the noise scale is
-//! the entropy sensitivity bound of Lemma 1 (Appendix B), reproduced here as
-//! [`entropy_sensitivity`].
+//! The entropies are read off summable count vectors
+//! ([`entropy_from_counts`]).  The DP variant adds Laplace noise to each
+//! entropy term; the noise scale is the entropy sensitivity bound of
+//! Lemma 1 (Appendix B), reproduced here as [`entropy_sensitivity`].
 
-use crate::histogram::{Histogram, JointHistogram};
-
-/// Shannon entropy (base 2) of a probability vector.  Zero-probability bins
-/// contribute nothing, matching the convention `0 log 0 = 0`.
-pub fn entropy_from_probabilities(probabilities: &[f64]) -> f64 {
-    probabilities
-        .iter()
-        .filter(|&&p| p > 0.0)
-        .map(|&p| -p * p.log2())
-        .sum()
-}
-
-/// Shannon entropy (base 2) of a histogram's empirical distribution.
-pub fn entropy(histogram: &Histogram) -> f64 {
-    entropy_from_probabilities(&histogram.probabilities())
-}
-
-/// Shannon entropy (base 2) directly from a borrowed count vector — the
-/// allocation-free path used by delta-maintained sufficient statistics.
+/// Shannon entropy (base 2) of the empirical distribution of a borrowed
+/// count vector — the allocation-free path used by delta-maintained
+/// sufficient statistics.
 ///
-/// Performs the identical floating-point operation sequence as
-/// [`entropy`] over [`Histogram::from_counts`] (normalize each bin in
-/// order, skip zero-probability bins, sum `-p log2 p`), so the result is
-/// bit-identical; an all-zero vector yields the uniform convention of
-/// [`Histogram::probabilities`].
+/// Each bin is normalized in order, zero-probability bins are skipped
+/// (the convention `0 log 0 = 0`), and `-p log2 p` is summed; an all-zero
+/// vector yields the uniform convention of
+/// [`Histogram::probabilities`](crate::Histogram::probabilities).
 pub fn entropy_from_counts(counts: &[u64]) -> f64 {
     let total: u64 = counts.iter().sum();
     if total == 0 {
@@ -55,34 +39,11 @@ pub fn entropy_from_counts(counts: &[u64]) -> f64 {
         .sum()
 }
 
-/// Joint Shannon entropy (base 2) of a pair of variables.
-pub fn joint_entropy(joint: &JointHistogram) -> f64 {
-    entropy_from_probabilities(&joint.probabilities())
-}
-
-/// Mutual information `I(X;Y) = H(X) + H(Y) - H(X,Y)` in bits (clamped at 0 to
-/// absorb floating-point cancellation).
-pub fn mutual_information(joint: &JointHistogram) -> f64 {
-    let hx = entropy(&joint.row_marginal());
-    let hy = entropy(&joint.col_marginal());
-    let hxy = joint_entropy(joint);
-    (hx + hy - hxy).max(0.0)
-}
-
-/// The symmetrical uncertainty coefficient of Eq. 5 computed from the exact
-/// (non-private) entropies.  Lies in `[0, 1]`: 0 for independent variables,
-/// 1 when either determines the other.
-pub fn symmetrical_uncertainty(joint: &JointHistogram) -> f64 {
-    let hx = entropy(&joint.row_marginal());
-    let hy = entropy(&joint.col_marginal());
-    let hxy = joint_entropy(joint);
-    symmetrical_uncertainty_from_entropies(hx, hy, hxy)
-}
-
 /// The symmetrical uncertainty coefficient computed from (possibly noisy)
 /// entropy values, clamped into `[0, 1]` as required by Section 3.3.1
 /// ("we also need to make sure that the correlation metric remains in the
-/// \[0,1\] range, after using noisy entropy values").
+/// \[0,1\] range, after using noisy entropy values").  Lies in `[0, 1]`:
+/// 0 for independent variables, 1 when either determines the other.
 pub fn symmetrical_uncertainty_from_entropies(h_x: f64, h_y: f64, h_xy: f64) -> f64 {
     let denom = h_x + h_y;
     if denom <= f64::EPSILON {
@@ -109,56 +70,59 @@ pub fn entropy_sensitivity(n: u64) -> f64 {
     (2.0 + 1.0 / std::f64::consts::LN_2 + 2.0 * n.log2()) / n
 }
 
-/// Conditional entropy `H(Y | X)` in bits, where `X` indexes the rows of the
-/// joint histogram.
-pub fn conditional_entropy(joint: &JointHistogram) -> f64 {
-    joint_entropy(joint) - entropy(&joint.row_marginal())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn joint_from(pairs: &[(u16, u16)], rows: usize, cols: usize) -> JointHistogram {
-        JointHistogram::from_pairs(rows, cols, pairs.iter().copied())
+    /// `H(X)`, `H(Y)` and `H(X, Y)` of `pairs` over a `rows x cols` domain.
+    fn entropies(pairs: &[(usize, usize)], rows: usize, cols: usize) -> (f64, f64, f64) {
+        let (mut x, mut y, mut xy) = (vec![0; rows], vec![0; cols], vec![0; rows * cols]);
+        for &(a, b) in pairs {
+            x[a] += 1;
+            y[b] += 1;
+            xy[a * cols + b] += 1;
+        }
+        (
+            entropy_from_counts(&x),
+            entropy_from_counts(&y),
+            entropy_from_counts(&xy),
+        )
     }
 
     #[test]
     fn uniform_entropy_is_log_of_bins() {
-        let h = Histogram::from_values(4, [0u16, 1, 2, 3]);
-        assert!((entropy(&h) - 2.0).abs() < 1e-12);
-        let h8 = Histogram::from_values(8, 0..8u16);
-        assert!((entropy(&h8) - 3.0).abs() < 1e-12);
+        assert!((entropy_from_counts(&[1, 1, 1, 1]) - 2.0).abs() < 1e-12);
+        assert!((entropy_from_counts(&[1; 8]) - 3.0).abs() < 1e-12);
+        // Empty bins contribute nothing.
+        assert!((entropy_from_counts(&[1, 1, 0, 0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn deterministic_entropy_is_zero() {
-        let h = Histogram::from_values(5, [2u16; 10]);
-        assert_eq!(entropy(&h), 0.0);
+        assert_eq!(entropy_from_counts(&[0, 0, 10, 0, 0]), 0.0);
     }
 
     #[test]
     fn entropy_of_biased_coin() {
-        let h = Histogram::from_values(2, [0u16, 0, 0, 1]);
         // H(0.75, 0.25) = 0.811278...
-        assert!((entropy(&h) - 0.8112781244591328).abs() < 1e-12);
+        assert!((entropy_from_counts(&[3, 1]) - 0.8112781244591328).abs() < 1e-12);
     }
 
     #[test]
     fn mutual_information_zero_for_independent() {
         // X uniform over {0,1}, Y uniform over {0,1}, independent.
-        let pairs: Vec<(u16, u16)> = (0..2).flat_map(|a| (0..2).map(move |b| (a, b))).collect();
-        let j = joint_from(&pairs, 2, 2);
-        assert!(mutual_information(&j).abs() < 1e-12);
-        assert!(symmetrical_uncertainty(&j).abs() < 1e-12);
+        let pairs: Vec<_> = (0..2).flat_map(|a| (0..2).map(move |b| (a, b))).collect();
+        let (hx, hy, hxy) = entropies(&pairs, 2, 2);
+        assert!((hx + hy - hxy).abs() < 1e-12);
+        assert!(symmetrical_uncertainty_from_entropies(hx, hy, hxy).abs() < 1e-12);
     }
 
     #[test]
     fn mutual_information_maximal_for_identical() {
-        let pairs: Vec<(u16, u16)> = (0..4u16).map(|a| (a, a)).collect();
-        let j = joint_from(&pairs, 4, 4);
-        assert!((mutual_information(&j) - 2.0).abs() < 1e-12);
-        assert!((symmetrical_uncertainty(&j) - 1.0).abs() < 1e-12);
+        let pairs: Vec<_> = (0..4).map(|a| (a, a)).collect();
+        let (hx, hy, hxy) = entropies(&pairs, 4, 4);
+        assert!((hx + hy - hxy - 2.0).abs() < 1e-12);
+        assert!((symmetrical_uncertainty_from_entropies(hx, hy, hxy) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -170,9 +134,10 @@ mod tests {
 
     #[test]
     fn conditional_entropy_identity() {
-        let pairs: Vec<(u16, u16)> = (0..4u16).map(|a| (a, a)).collect();
-        let j = joint_from(&pairs, 4, 4);
-        assert!(conditional_entropy(&j).abs() < 1e-12);
+        // H(Y | X) = H(X, Y) - H(X) vanishes when X determines Y.
+        let pairs: Vec<_> = (0..4).map(|a| (a, a)).collect();
+        let (hx, _, hxy) = entropies(&pairs, 4, 4);
+        assert!((hxy - hx).abs() < 1e-12);
     }
 
     #[test]
@@ -183,11 +148,5 @@ mod tests {
         assert!(entropy_sensitivity(0).is_infinite());
         // Sensitivity decreases with n.
         assert!(entropy_sensitivity(100) > entropy_sensitivity(10_000));
-    }
-
-    #[test]
-    fn entropy_from_probabilities_ignores_zeros() {
-        let h = entropy_from_probabilities(&[0.5, 0.5, 0.0, 0.0]);
-        assert!((h - 1.0).abs() < 1e-12);
     }
 }

@@ -22,14 +22,6 @@ impl Histogram {
         }
     }
 
-    /// Build directly from per-bin counts — the path used by delta-maintained
-    /// sufficient statistics.  Produces a histogram bit-identical to
-    /// accumulating the same counts through [`Self::add`].
-    pub fn from_counts(counts: Vec<u64>) -> Self {
-        let total = counts.iter().sum();
-        Histogram { counts, total }
-    }
-
     /// Build a histogram from an iterator of value indices.
     pub fn from_values<I: IntoIterator<Item = u16>>(cardinality: usize, values: I) -> Self {
         let mut h = Histogram::empty(cardinality);
@@ -122,45 +114,14 @@ impl JointHistogram {
         }
     }
 
-    /// Build directly from per-cell counts (row-major) — the path used by
-    /// delta-maintained sufficient statistics.  Produces a histogram
-    /// bit-identical to accumulating the same counts through [`Self::add`].
-    pub fn from_counts(rows: usize, cols: usize, counts: Vec<u64>) -> Self {
-        assert_eq!(counts.len(), rows * cols, "count vector must be rows*cols");
-        let total = counts.iter().sum();
-        JointHistogram {
-            counts,
-            rows,
-            cols,
-            total,
-        }
-    }
-
-    /// Build from an iterator of value pairs.
-    pub fn from_pairs<I: IntoIterator<Item = (u16, u16)>>(
-        rows: usize,
-        cols: usize,
-        pairs: I,
-    ) -> Self {
-        let mut h = JointHistogram::empty(rows, cols);
-        for (a, b) in pairs {
-            h.add(a, b);
-        }
-        h
-    }
-
     /// Joint histogram of two dataset columns.
     pub fn from_columns(dataset: &Dataset, attr_a: usize, attr_b: usize) -> Self {
-        let rows = dataset.schema().cardinality(attr_a);
-        let cols = dataset.schema().cardinality(attr_b);
-        JointHistogram::from_pairs(
-            rows,
-            cols,
-            dataset
-                .records()
-                .iter()
-                .map(|r| (r.get(attr_a), r.get(attr_b))),
-        )
+        let schema = dataset.schema();
+        let mut h = JointHistogram::empty(schema.cardinality(attr_a), schema.cardinality(attr_b));
+        for r in dataset.records() {
+            h.add(r.get(attr_a), r.get(attr_b));
+        }
+        h
     }
 
     /// Increment the count of the pair `(a, b)`.
@@ -194,43 +155,6 @@ impl JointHistogram {
         Histogram {
             counts: self.counts.clone(),
             total: self.total,
-        }
-    }
-
-    /// Marginal histogram of the row variable.
-    pub fn row_marginal(&self) -> Histogram {
-        let mut counts = vec![0u64; self.rows];
-        for (a, count) in counts.iter_mut().enumerate() {
-            for b in 0..self.cols {
-                *count += self.count(a, b);
-            }
-        }
-        Histogram {
-            counts,
-            total: self.total,
-        }
-    }
-
-    /// Marginal histogram of the column variable.
-    pub fn col_marginal(&self) -> Histogram {
-        let mut counts = vec![0u64; self.cols];
-        for a in 0..self.rows {
-            for (b, count) in counts.iter_mut().enumerate() {
-                *count += self.count(a, b);
-            }
-        }
-        Histogram {
-            counts,
-            total: self.total,
-        }
-    }
-
-    /// Joint probability of `(a, b)`.
-    pub fn probability(&self, a: usize, b: usize) -> f64 {
-        if self.total == 0 {
-            1.0 / (self.rows * self.cols).max(1) as f64
-        } else {
-            self.count(a, b) as f64 / self.total as f64
         }
     }
 
@@ -297,14 +221,14 @@ mod tests {
         let j = JointHistogram::from_columns(&d, 0, 1);
         assert_eq!(j.count(2, 1), 2);
         assert_eq!(j.count(1, 0), 0);
-        assert_eq!(
-            j.row_marginal().counts(),
-            Histogram::from_column(&d, 0).counts()
-        );
-        assert_eq!(
-            j.col_marginal().counts(),
-            Histogram::from_column(&d, 1).counts()
-        );
+        let rows: Vec<u64> = (0..3)
+            .map(|a| (0..2).map(|b| j.count(a, b)).sum())
+            .collect();
+        let cols: Vec<u64> = (0..2)
+            .map(|b| (0..3).map(|a| j.count(a, b)).sum())
+            .collect();
+        assert_eq!(rows, Histogram::from_column(&d, 0).counts());
+        assert_eq!(cols, Histogram::from_column(&d, 1).counts());
         let p = j.probabilities();
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }

@@ -81,12 +81,6 @@ pub fn laplace_mechanism<R: Rng + ?Sized>(
     value + Laplace::for_mechanism(sensitivity, epsilon).sample(rng)
 }
 
-/// Apply the Laplace mechanism to a non-negative count and clamp the result at
-/// zero, as done for the CPT counts in Eq. 14 (`max(0, n + Lap(1/ε_p))`).
-pub fn noisy_count<R: Rng + ?Sized>(count: u64, epsilon: f64, rng: &mut R) -> f64 {
-    laplace_mechanism(count as f64, 1.0, epsilon, rng).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,14 +124,6 @@ mod tests {
     fn mechanism_scale_is_sensitivity_over_epsilon() {
         let lap = Laplace::for_mechanism(0.5, 0.1);
         assert!((lap.scale() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn noisy_count_is_never_negative() {
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..200 {
-            assert!(noisy_count(0, 0.5, &mut rng) >= 0.0);
-        }
     }
 
     #[test]

@@ -77,15 +77,6 @@ pub fn sample_categorical<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usiz
     weights.len() - 1
 }
 
-/// Sample a multinomial count vector: `n` independent categorical draws.
-pub fn sample_multinomial<R: Rng + ?Sized>(n: u64, probabilities: &[f64], rng: &mut R) -> Vec<u64> {
-    let mut counts = vec![0u64; probabilities.len()];
-    for _ in 0..n {
-        counts[sample_categorical(probabilities, rng)] += 1;
-    }
-    counts
-}
-
 /// `min(H, limit)` with `H ~ Hypergeometric(n, cap, k)`: how many of `k`
 /// marked items a uniform random `cap`-subset of `n` items holds, capped at
 /// `limit` — the plausible-seed count of a privacy test that examines `cap`
@@ -285,14 +276,6 @@ mod tests {
     fn categorical_rejects_all_zero_weights() {
         let mut rng = StdRng::seed_from_u64(8);
         sample_categorical(&[0.0, 0.0], &mut rng);
-    }
-
-    #[test]
-    fn multinomial_counts_sum_to_n() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let counts = sample_multinomial(1000, &[0.2, 0.3, 0.5], &mut rng);
-        assert_eq!(counts.iter().sum::<u64>(), 1000);
-        assert!(counts[2] > counts[0]);
     }
 
     /// `(n, cap, k, limit)` points of the law audit: `k = 0`, `k < limit`,
